@@ -39,6 +39,7 @@ from .errors import (
     ConstantVectorError,
     DuplicateTripError,
     HarnessMismatchError,
+    InvalidAllocationError,
     InvalidDensityError,
     LengthMismatchError,
     LowerTriangularNonzeroError,

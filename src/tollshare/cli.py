@@ -30,6 +30,8 @@ from .axioms import ANCHORED_AXIOMS, AXIOMS, axiom_matrix, independence_harness
 from .equity import gini, lorenz, rank_correlations
 from .errors import HarnessMismatchError, TollShareError, UnknownMethodError
 from .game import (
+    EXHAUSTIVE_CEILING,
+    EXHAUSTIVE_LIMIT,
     SegmentsGame,
     average_tree_value,
     core_check,
@@ -254,6 +256,7 @@ def cmd_equity(args: argparse.Namespace) -> int:
                 writer.writerow(["p", "L"])
                 writer.writerows(lorenz(shares).points)
     # triangular agreement table: Spearman below the diagonal, Pearson above
+    correlations = doc["correlations"]
     rows = []
     for a in names:
         row = [a]
@@ -261,9 +264,9 @@ def cmd_equity(args: argparse.Namespace) -> int:
             if a == b:
                 row.append("-")
             elif names.index(a) > names.index(b):
-                row.append(f"{rank_correlations(allocations[a], allocations[b])[0]:.3f}")
+                row.append(f"{correlations[f'{b}-{a}']['spearman']:.3f}")
             else:
-                row.append(f"{rank_correlations(allocations[a], allocations[b])[1]:.3f}")
+                row.append(f"{correlations[f'{a}-{b}']['pearson']:.3f}")
         rows.append(row)
     for name in names:
         rows.append([f"gini({name})", f"{doc['gini'][name]:.6f}"] + [""] * (len(names) - 1))
@@ -328,8 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("game", help="compare a game solution with its method")
     _add_input(p)
     p.add_argument("--solution", choices=sorted(_SOLUTIONS), required=True)
-    p.add_argument("--limit", type=int, default=16,
-                   help="largest n for exhaustive enumeration")
+    p.add_argument("--limit", type=int, default=EXHAUSTIVE_LIMIT,
+                   help="largest n for exhaustive enumeration "
+                        f"(never above {EXHAUSTIVE_CEILING})")
     _add_common(p)
     p.set_defaults(fn=cmd_game)
 

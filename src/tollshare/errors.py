@@ -82,6 +82,10 @@ class OracleSizeError(TollShareError, ValueError):
         self.n, self.limit = n, limit
 
 
+class InvalidAllocationError(TollShareError, ValueError):
+    """An allocation vector has a negative or non-finite component."""
+
+
 class TauUndefinedError(TollShareError, ArithmeticError):
     """The compromise value does not exist for this game."""
 

@@ -8,16 +8,31 @@ sufficient for nonnegative allocations.
 The Shapley, compromise (tau) and average-tree solutions are computed here by
 exhaustive enumeration on purpose: they serve as independent cross-checks of
 the closed-form allocation methods, so they must not share code with them.
+
+Every ``2^n`` vector (coalition worths, popcounts, summed payoffs) is built
+by bit-doubling subset DP: once the entries for masks below ``2^i`` are
+known, the masks that add player ``i`` follow as one array operation,
+``a[2^i:2^(i+1)] = a[:2^i] + x[i]``.  Per-player reductions read the
+``values.reshape(-1, 2, 1 << i)`` view, whose middle axis is bit ``i``.
+One ``2^n`` float vector is 2 MB at n=18 and 32 MB at n=22, and the oracles
+hold two to three of them, so :data:`EXHAUSTIVE_CEILING` caps ``n`` before
+anything is allocated, whatever ``limit`` a caller passes.
+
+The interval worths and the interval core tests are square array
+expressions over cumulative sums; no Python loop runs per coalition or per
+interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    InvalidAllocationError,
     LengthMismatchError,
     OracleSizeError,
     SegmentIndexError,
@@ -28,6 +43,21 @@ from .model import DEFAULT_TOL, TollMatrix
 
 #: Largest segment count for which full-subset enumeration is allowed.
 EXHAUSTIVE_LIMIT = 16
+
+#: Hard cap on ``n`` for any ``2^n`` vector, whatever limit is requested:
+#: 22 segments (the AP68 case study) need 32 MB per vector.
+EXHAUSTIVE_CEILING = 22
+
+
+def _ending_tolls(matrix: TollMatrix) -> np.ndarray:
+    """``S[a, k]``: total toll of trips that exit at ``k`` and enter at ``a`` or
+    later, on a zero-padded 1-based ``(n+2) x (n+2)`` grid."""
+    n = matrix.n
+    dense = np.zeros((n + 2, n + 2))
+    count = len(matrix.entries)
+    ends = np.fromiter(chain.from_iterable(matrix.entries), dtype=np.intp, count=2 * count)
+    dense[ends[0::2], ends[1::2]] = np.fromiter(matrix.entries.values(), dtype=float, count=count)
+    return np.cumsum(dense[::-1], axis=0, out=dense[::-1])[::-1]
 
 
 class SegmentsGame:
@@ -41,18 +71,11 @@ class SegmentsGame:
     def __init__(self, matrix: TollMatrix):
         self.matrix = matrix
         self.n = matrix.n
-        n = matrix.n
-        dense = np.zeros((n + 2, n + 2))
-        for (h, k), t in matrix.trips():
-            dense[h, k] = t
-        # interval[a, b] = total toll of trips inside [a, b]; 0 when a > b
-        interval = np.zeros((n + 2, n + 2))
-        for a in range(n, 0, -1):
-            for b in range(a, n + 1):
-                interval[a, b] = (
-                    interval[a + 1, b] + interval[a, b - 1] - interval[a + 1, b - 1] + dense[a, b]
-                )
-        self._interval = interval
+        # interval[a, b] = sum over h >= a, k <= b of t_hk: the total toll of
+        # trips inside [a, b], and 0 when a > b because the grid is upper
+        # triangular.  A suffix sum over entries, then a prefix sum over exits.
+        interval = _ending_tolls(matrix)
+        self._interval = np.cumsum(interval, axis=1, out=interval)
         self._mask_cache: dict[int, float] = {}
         self._mask_values: np.ndarray | None = None
 
@@ -94,18 +117,30 @@ class SegmentsGame:
         return value
 
     def mask_values(self) -> np.ndarray:
-        """Worths of all ``2^n`` coalitions, indexed by membership bitmask."""
+        """Worths of all ``2^n`` coalitions, indexed by membership bitmask.
+
+        Subset DP: adding segment ``i+1`` on top of a mask below ``2^i`` adds
+        the tolls of trips that exit at ``i+1`` and enter inside the run of
+        members just below it.  ``run`` holds that run length per mask and
+        doubles alongside the worths.  Needs one float and one byte per
+        coalition; raises :class:`OracleSizeError` above
+        :data:`EXHAUSTIVE_CEILING` before allocating.
+        """
         if self._mask_values is None:
-            size = 1 << self.n
-            values = np.zeros(size)
-            interval = self._interval
-            for m in range(1, size):
-                low = (m & -m).bit_length() - 1
-                end = low
-                while (m >> (end + 1)) & 1:
-                    end += 1
-                rest = m & ~((1 << (end + 1)) - 1)
-                values[m] = interval[low + 1, end + 1] + values[rest]
+            _require_small(self, EXHAUSTIVE_CEILING)
+            ending = _ending_tolls(self.matrix)
+            values = np.zeros(1 << self.n)
+            run = np.zeros(1 << self.n, dtype=np.uint8)
+            for i in range(self.n):
+                half = 1 << i
+                # gained[r]: tolls of trips exiting at i+1 that enter at i+1-r or later
+                gained = ending[i + 1 : 0 : -1, i + 1]
+                # run[:half] <= i indexes gained in bounds; "clip" skips the
+                # buffered copy that bounds checking would make
+                np.take(gained, run[:half], out=values[half : 2 * half], mode="clip")
+                values[half : 2 * half] += values[:half]
+                np.add(run[:half], 1, out=run[half : 2 * half])
+                run[:half] = 0
             self._mask_values = values
         return self._mask_values
 
@@ -115,32 +150,54 @@ def game_from(matrix: TollMatrix) -> SegmentsGame:
 
 
 def _require_small(game: SegmentsGame, limit: int) -> None:
+    limit = min(limit, EXHAUSTIVE_CEILING)
     if game.n > limit:
         raise OracleSizeError(game.n, limit)
+
+
+def _doubling_sums(x: np.ndarray, dtype=float) -> np.ndarray:
+    """``out[mask] = sum of x[i] over the bits i of mask``, for all ``2^len(x)``
+    masks.  Each sum adds its terms lowest bit first."""
+    out = np.zeros(1 << len(x), dtype=dtype)
+    for i, xi in enumerate(x):
+        half = 1 << i
+        np.add(out[:half], xi, out=out[half : 2 * half])
+    return out
+
+
+def _split(vector: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a ``2^n`` vector over the masks without and with bit ``i``,
+    aligned so that ``with_i[j] = vector[without_i_mask[j] | 1 << i]``."""
+    view = vector.reshape(-1, 2, 1 << i)
+    return view[:, 0, :], view[:, 1, :]
 
 
 def shapley_value(game: SegmentsGame, limit: int = EXHAUSTIVE_LIMIT) -> np.ndarray:
     """Exact Shapley value by full subset enumeration.
 
     Every coalition S not containing player i contributes its marginal
-    ``v(S + i) - v(S)`` with weight ``|S|! (n - |S| - 1)! / n!``.
+    ``v(S + i) - v(S)`` with weight ``|S|! (n - |S| - 1)! / n!``.  The
+    weights are looked up by popcount, itself a doubling sum; the marginals
+    are taken on :func:`_split` views.  Holds two ``2^n`` float vectors and
+    one ``2^(n-1)`` buffer besides the worths.
     """
     _require_small(game, limit)
     n = game.n
     values = game.mask_values()
-    size = 1 << n
-    masks = np.arange(size)
-    popcount = np.fromiter((m.bit_count() for m in range(size)), dtype=np.int64, count=size)
     fact = [1.0] * (n + 1)
     for s in range(1, n + 1):
         fact[s] = fact[s - 1] * s
-    coeff = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)])
+    # coeff[n] pads the grand coalition, which never lacks a player
+    coeff = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)] + [0.0])
+    weight = coeff[_doubling_sums(np.ones(n, dtype=np.uint8), dtype=np.uint8)]
+    buffer = np.empty(len(values) // 2)
     shapley = np.zeros(n)
     for i in range(n):
-        bit = 1 << i
-        without = masks[(masks & bit) == 0]
-        gains = values[without | bit] - values[without]
-        shapley[i] = float(np.dot(coeff[popcount[without]], gains))
+        without, with_i = _split(values, i)
+        gains = buffer.reshape(without.shape)
+        np.subtract(with_i, without, out=gains)
+        gains *= _split(weight, i)[0]
+        shapley[i] = float(gains.sum())
     return shapley
 
 
@@ -165,7 +222,9 @@ def compromise_bounds(
 
     ``M_i = v(N) - v(N without i)``; ``m_i`` maximizes, over all coalitions S
     containing i, what S can offer i after paying everyone else their utopia
-    payoff.
+    payoff.  The summed utopia payoffs of every coalition are a doubling
+    sum, and each maximum runs over a :func:`_split` view; one ``2^n``
+    float vector besides the worths.
     """
     _require_small(game, limit)
     n = game.n
@@ -173,18 +232,9 @@ def compromise_bounds(
     full = (1 << n) - 1
     grand = values[full]
     utopia = np.array([grand - values[full & ~(1 << i)] for i in range(n)])
-    size = 1 << n
-    utopia_sum = np.zeros(size)
-    for m in range(1, size):
-        low = (m & -m).bit_length() - 1
-        utopia_sum[m] = utopia_sum[m & (m - 1)] + utopia[low]
-    masks = np.arange(size)
-    slack = values - utopia_sum
-    rights = np.empty(n)
-    for i in range(n):
-        bit = 1 << i
-        containing = masks[(masks & bit) != 0]
-        rights[i] = float(slack[containing].max()) + utopia[i]
+    slack = _doubling_sums(utopia)
+    np.subtract(values, slack, out=slack)
+    rights = np.array([float(_split(slack, i)[1].max()) for i in range(n)]) + utopia
     denom = float(utopia.sum() - rights.sum())
     scale = max(1.0, abs(grand))
     alpha = None
@@ -222,18 +272,17 @@ def average_tree_value(game: SegmentsGame) -> np.ndarray:
     """
     n = game.n
     grand = game.grand_value
-    at = np.empty(n)
-    for i in range(1, n + 1):
-        left = game.interval_value(1, i - 1)
-        right = game.interval_value(i + 1, n)
-        join_right = game.interval_value(i, n)
-        join_left = game.interval_value(1, i)
-        at[i - 1] = (
-            (i - 1) * (join_right - right)
-            + (grand - left - right)
-            + (n - i) * (join_left - left)
-        ) / n
-    return at
+    interval = game._interval
+    i = np.arange(1, n + 1)
+    left = interval[1, :n]
+    right = interval[2:, n]
+    join_right = interval[1 : n + 1, n]
+    join_left = interval[1, 1 : n + 1]
+    return (
+        (i - 1) * (join_right - right)
+        + (grand - left - right)
+        + (n - i) * (join_left - left)
+    ) / n
 
 
 # -- core membership --------------------------------------------------------
@@ -278,8 +327,26 @@ def _check_shares(game: SegmentsGame, shares: Sequence[float]) -> np.ndarray:
     if x.ndim != 1 or len(x) != game.n:
         raise LengthMismatchError(game.n, int(x.size))
     if not np.all(np.isfinite(x)) or np.any(x < 0.0):
-        raise ValueError("allocation must be a finite nonnegative vector")
+        raise InvalidAllocationError("allocation must be a finite nonnegative vector")
     return x
+
+
+def _prefix(x: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0.0], np.cumsum(x)])
+
+
+def _span_sums(prefix: np.ndarray) -> np.ndarray:
+    """``out[s-1, e-1] = prefix[e] - prefix[s-1]``, the sum over segments
+    ``s..e``; only entries with ``s <= e`` mean anything."""
+    return prefix[None, 1:] - prefix[:-1, None]
+
+
+def _proper_intervals(n: int) -> np.ndarray:
+    """Mask of the intervals ``[s, e]``, ``s <= e``, other than the grand
+    coalition, in the layout of :func:`_span_sums`."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask[0, n - 1] = False
+    return mask
 
 
 def core_check(
@@ -293,30 +360,34 @@ def core_check(
     coalition.  For this game class, a nonnegative allocation that satisfies
     all interval inequalities satisfies them for arbitrary coalitions too,
     because a coalition's worth is the sum over its contiguous blocks while
-    its allocated total only grows with extra members.
+    its allocated total only grows with extra members.  All intervals are
+    compared at once as ``n x n`` arrays; violations are listed by start,
+    then end.
     """
     x = _check_shares(game, shares)
+    n = game.n
     scale = max(1.0, abs(game.grand_value))
     slack = tol * scale
-    prefix = np.concatenate([[0.0], np.cumsum(x)])
-    gap = float(prefix[game.n] - game.grand_value)
+    prefix = _prefix(x)
+    gap = float(prefix[n] - game.grand_value)
     efficient = abs(gap) <= slack
-    violations = []
-    for start in range(1, game.n + 1):
-        for end in range(start, game.n + 1):
-            if start == 1 and end == game.n:
-                continue
-            worth = game.interval_value(start, end)
-            allocated = float(prefix[end] - prefix[start - 1])
-            if allocated < worth - slack:
-                violations.append(
-                    IntervalViolation(start, end, worth, allocated, worth - allocated)
-                )
+    worth = game._interval[1 : n + 1, 1 : n + 1]
+    allocated = _span_sums(prefix)
+    short = _proper_intervals(n)
+    short &= allocated < worth - slack
+    starts, ends = np.nonzero(short)
+    violations = tuple(
+        IntervalViolation(start + 1, end + 1, w, a, w - a)
+        for start, end, w, a in zip(
+            starts.tolist(), ends.tolist(),
+            worth[starts, ends].tolist(), allocated[starts, ends].tolist(),
+        )
+    )
     return CoreReport(
         is_member=efficient and not violations,
         efficient=efficient,
         efficiency_gap=gap,
-        violations=tuple(violations),
+        violations=violations,
     )
 
 
@@ -328,25 +399,24 @@ def core_check_exhaustive(
 ) -> tuple[bool, list[tuple[int, ...]]]:
     """Full ``2^n`` core test; a cross-check for :func:`core_check`.
 
-    Returns membership plus the violating coalitions as member tuples.
+    Returns membership plus the violating coalitions as member tuples, in
+    ascending mask order.  Every coalition's allocated total is a doubling
+    sum; two ``2^n`` float vectors besides the worths.
     """
     _require_small(game, limit)
     x = _check_shares(game, shares)
     values = game.mask_values()
     scale = max(1.0, abs(game.grand_value))
     slack = tol * scale
-    full = (1 << game.n) - 1
     efficient = abs(float(x.sum()) - game.grand_value) <= slack
-    violating: list[tuple[int, ...]] = []
-    for mask in range(1, full):
-        allocated = 0.0
-        m = mask
-        while m:
-            low = (m & -m).bit_length() - 1
-            allocated += x[low]
-            m &= m - 1
-        if allocated < values[mask] - slack:
-            violating.append(tuple(i + 1 for i in range(game.n) if mask >> i & 1))
+    short = _doubling_sums(x) < values - slack
+    # the empty and the grand coalition are not stability constraints
+    short[0] = short[-1] = False
+    n = game.n
+    violating = [
+        tuple(i + 1 for i in range(n) if mask >> i & 1)
+        for mask in np.flatnonzero(short).tolist()
+    ]
     return efficient and not violating, violating
 
 
@@ -369,27 +439,23 @@ def sps_core_criterion(matrix: TollMatrix, tol: float = DEFAULT_TOL) -> SpsCoreC
     d = sps_decomposition(matrix)
     if d.beta is None:
         return SpsCoreCriterion(True, None, None, None)
-    game = SegmentsGame(matrix)
-    prefix_sep = np.concatenate([[0.0], np.cumsum(d.separable)])
-    prefix_ns = np.concatenate([[0.0], np.cumsum(d.nonseparable)])
-    worst: tuple[int, int] | None = None
-    rhs_max: float | None = None
-    for start in range(1, matrix.n + 1):
-        for end in range(start, matrix.n + 1):
-            if start == 1 and end == matrix.n:
-                continue
-            denom = float(prefix_ns[end] - prefix_ns[start - 1])
-            if denom <= 0.0:
-                continue
-            numer = game.interval_value(start, end) - float(
-                prefix_sep[end] - prefix_sep[start - 1]
-            )
-            rhs = numer / denom
-            if rhs_max is None or rhs > rhs_max:
-                rhs_max, worst = rhs, (start, end)
-    if rhs_max is None:
+    n = matrix.n
+    # rhs = (worth - separable) / nonseparable per interval; the game is
+    # dropped before the denominators exist, so at most two n x n float
+    # tables are alive at once
+    rhs = _span_sums(_prefix(d.separable))
+    np.subtract(SegmentsGame(matrix)._interval[1 : n + 1, 1 : n + 1], rhs, out=rhs)
+    denom = _span_sums(_prefix(d.nonseparable))
+    counted = _proper_intervals(n)
+    counted &= denom > 0.0
+    if not counted.any():
         return SpsCoreCriterion(True, None, None, d.beta)
-    return SpsCoreCriterion(d.beta >= rhs_max - tol, worst, rhs_max, d.beta)
+    np.divide(rhs, denom, out=rhs, where=counted)
+    rhs[~counted] = -np.inf
+    # argmax keeps the first maximum in (start, end) order
+    start, end = divmod(int(np.argmax(rhs)), n)
+    rhs_max = float(rhs[start, end])
+    return SpsCoreCriterion(d.beta >= rhs_max - tol, (start + 1, end + 1), rhs_max, d.beta)
 
 
 def core_scheme_check(scheme: WeightScheme, n: int, tol: float = DEFAULT_TOL) -> bool:

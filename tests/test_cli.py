@@ -117,6 +117,17 @@ class TestGame:
         )
         assert code == 2 and "exhaustive limit" in err
 
+    def test_oracle_ceiling_overrides_limit(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        ts.write_triplet_csv(ts.random_matrix(23, density=0.2, seed=0), path)
+        for solution in ("shapley", "tau"):
+            code, out, err = run(
+                capsys, "game", "--input", str(path), "--solution", solution,
+                "--limit", "30",
+            )
+            assert code == 2 and out == ""
+            assert "exhaustive limit is 22" in err
+
     def test_zero_tolerance_forces_mismatch_exit(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         ts.write_triplet_csv(ts.random_matrix(6, density=1.0, seed=3), path)
@@ -209,6 +220,25 @@ class TestEquity:
         doc = json.loads(out)
         assert doc["gini"]["sps"] < doc["gini"]["ses"] < doc["gini"]["scs"]
         assert doc["correlations"]["ses-sps"]["spearman"] == pytest.approx(0.947, abs=1e-3)
+
+    def test_table_repeats_json_correlations(self, capsys, tmp_path):
+        source = ["--input", str(ts.ap68_path()), "--segments", "22",
+                  "--method", "sps,ses,scs", "--no-timestamp"]
+        code, out, _ = run(capsys, "equity", *source)
+        assert code == 0
+        correlations = json.loads(out)["correlations"]
+        code, out, _ = run(capsys, "equity", *source, "--format", "csv")
+        assert code == 0
+        table = {row[0]: row[1:] for row in
+                 (line.split(",") for line in out.splitlines()
+                  if not line.startswith("#"))}
+        names = ["sps", "ses", "scs"]
+        for pos, a in enumerate(names):
+            for other, b in enumerate(names):
+                if pos < other:
+                    pair = correlations[f"{a}-{b}"]
+                    assert table[a][other] == f"{pair['pearson']:.3f}"
+                    assert table[b][pos] == f"{pair['spearman']:.3f}"
 
     def test_equal_allocation_gini_zero(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"

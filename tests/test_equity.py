@@ -30,6 +30,21 @@ class TestGini:
         with pytest.raises(ValueError):
             ts.gini([-1.0, 2.0])
 
+    def test_matches_pairwise_definition(self):
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            x = rng.exponential(size=n) * 10.0 ** rng.uniform(-6, 6)
+            x[rng.random(n) < 0.3] = 0.0
+            if x.sum() <= 0.0:
+                continue
+            pairwise = np.abs(x[:, None] - x[None, :]).sum() / (2.0 * n * x.sum())
+            assert ts.gini(x) == pytest.approx(pairwise, rel=1e-12, abs=1e-15)
+
+    def test_constant_vector_is_exactly_zero(self):
+        for n in (2, 7, 100):
+            assert ts.gini(np.full(n, 1.0 / 3.0)) == 0.0
+
 
 class TestLorenz:
     def test_equal_vector_is_diagonal(self):
@@ -63,6 +78,16 @@ class TestLorenz:
                 continue
             curve_estimate = ts.lorenz(x).gini_estimate()
             assert abs(ts.gini(x) - curve_estimate) <= 1.0 / n
+
+    def test_gini_estimate_equals_gini(self):
+        rng = np.random.default_rng(12)
+        for _ in range(25):
+            n = int(rng.integers(1, 200))
+            x = rng.uniform(0.0, 5.0, size=n)
+            x[rng.random(n) < 0.3] = 0.0
+            if x.sum() <= 0.0:
+                continue
+            assert ts.lorenz(x).gini_estimate() == pytest.approx(ts.gini(x), abs=1e-12)
 
     def test_zero_total(self):
         with pytest.raises(ts.ZeroTotalError):

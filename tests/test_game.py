@@ -5,6 +5,7 @@ import pytest
 
 import tollshare as ts
 from tollshare import SegmentsGame, TollMatrix
+from tollshare.game import EXHAUSTIVE_CEILING
 
 from helpers import (
     all_coalitions,
@@ -60,6 +61,92 @@ class TestGameValues:
     def test_out_of_range_member(self, example3):
         with pytest.raises(ts.SegmentIndexError):
             SegmentsGame(example3).value([4])
+
+
+class TestSubsetDP:
+    """The bit-doubling oracles against loop-based references."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_mask_values_match_trip_enumeration(self, n):
+        matrices = [TollMatrix.zero(n), ts.random_matrix(n, density=0.6, seed=n),
+                    ts.random_matrix(n, density=1.0, seed=100 + n)]
+        for matrix in matrices:
+            values = SegmentsGame(matrix).mask_values()
+            assert values.shape == (1 << n,)
+            expected = [coalition_value_by_enumeration(matrix, members)
+                        for members in all_coalitions(n)]
+            assert np.allclose(values, expected, rtol=0.0,
+                               atol=1e-12 * max(1.0, matrix.total))
+
+    @staticmethod
+    def _violating_by_loop(matrix, x, tol=ts.DEFAULT_TOL):
+        n = matrix.n
+        slack = tol * max(1.0, matrix.total)
+        violating = []
+        for mask in range(1, (1 << n) - 1):
+            allocated = 0.0
+            for i in range(n):
+                if mask >> i & 1:
+                    allocated += x[i]
+            members = [i + 1 for i in range(n) if mask >> i & 1]
+            if allocated < coalition_value_by_enumeration(matrix, members) - slack:
+                violating.append(tuple(members))
+        return violating
+
+    def test_exhaustive_violations_match_loop(self):
+        rng = np.random.default_rng(17)
+        violations_seen = 0
+        for matrix in seeded_matrices(18, sizes=(2, 3, 5, 7, 9), seed_base=40):
+            game = SegmentsGame(matrix)
+            for x in (perturbed_allocation(ts.ses(matrix), rng),
+                      perturbed_allocation(ts.sps(matrix), rng),
+                      0.9 * ts.scs(matrix)):
+                member, violating = ts.core_check_exhaustive(game, x)
+                expected = self._violating_by_loop(matrix, x)
+                assert violating == expected
+                assert member == (not expected and ts.core_check(game, x).efficient)
+                violations_seen += len(expected)
+        assert violations_seen > 0
+
+    def test_ceiling_applies_to_mask_values(self):
+        with pytest.raises(ts.OracleSizeError):
+            SegmentsGame(TollMatrix.zero(EXHAUSTIVE_CEILING + 1)).mask_values()
+
+    def test_ceiling_overrides_limit(self):
+        game = SegmentsGame(TollMatrix.zero(EXHAUSTIVE_CEILING + 1))
+        for oracle in (ts.shapley_value, ts.tau_value, ts.compromise_bounds):
+            with pytest.raises(ts.OracleSizeError, match="exhaustive limit is 22"):
+                oracle(game, limit=30)
+        with pytest.raises(ts.OracleSizeError):
+            ts.core_check_exhaustive(game, np.zeros(game.n), limit=30)
+
+
+class TestAP68Oracles:
+    """The paper's own 22-segment instance, enumerated in full."""
+
+    @pytest.fixture(scope="class")
+    def ap68_game(self):
+        return SegmentsGame(ts.ap68())
+
+    def test_shapley_is_equal_sharing(self, ap68_game):
+        matrix = ap68_game.matrix
+        shapley = ts.shapley_value(ap68_game, limit=22)
+        assert np.max(np.abs(shapley - ts.ses(matrix))) <= 1e-9 * matrix.total
+
+    def test_tau_is_proportional_sharing(self, ap68_game):
+        matrix = ap68_game.matrix
+        tau = ts.tau_value(ap68_game, limit=22)
+        assert np.max(np.abs(tau - ts.sps(matrix))) <= 1e-9 * matrix.total
+
+    def test_exhaustive_core_agrees_with_interval_core(self, ap68_game):
+        matrix = ap68_game.matrix
+        for method in (ts.ses, ts.sps):
+            x = method(matrix)
+            member, violating = ts.core_check_exhaustive(ap68_game, x, limit=22)
+            report = ts.core_check(ap68_game, x)
+            assert member == report.is_member
+            assert bool(violating) == bool(report.violations)
+        assert ts.core_check_exhaustive(ap68_game, ts.ses(matrix), limit=22) == (True, [])
 
 
 class TestShapley:
@@ -180,6 +267,14 @@ class TestCoreCheck:
     def test_negative_vector_rejected(self, example3):
         with pytest.raises(ValueError):
             ts.core_check(SegmentsGame(example3), np.array([-0.1, 1.1, 1.0]))
+
+    def test_invalid_allocation_is_typed(self, example3):
+        game = SegmentsGame(example3)
+        for bad in ([-0.1, 1.1, 1.0], [np.nan, 1.0, 1.0]):
+            with pytest.raises(ts.InvalidAllocationError):
+                ts.core_check(game, np.array(bad))
+            with pytest.raises(ts.TollShareError):
+                ts.core_check_exhaustive(game, np.array(bad))
 
     def test_json_shape(self, example61):
         report = ts.core_check(SegmentsGame(example61), ts.sps(example61))
