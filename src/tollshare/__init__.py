@@ -43,6 +43,7 @@ from .errors import (
     InvalidDensityError,
     LengthMismatchError,
     LowerTriangularNonzeroError,
+    NegativeFactorError,
     NegativeTollError,
     NegativeWeightError,
     NonFiniteError,
@@ -91,6 +92,7 @@ from .model import (
     TollMatrix,
     Trip,
     block_structured_matrix,
+    coverage,
     inessential_segments,
     is_unit_matrix,
     random_matrix,

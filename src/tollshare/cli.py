@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .axioms import ANCHORED_AXIOMS, AXIOMS, axiom_matrix, independence_harness
 from .equity import gini, lorenz, rank_correlations
-from .errors import HarnessMismatchError, TollShareError, UnknownMethodError
+from .errors import HarnessMismatchError, TollShareError, TollValidationError, UnknownMethodError
 from .game import (
     EXHAUSTIVE_CEILING,
     EXHAUSTIVE_LIMIT,
@@ -276,11 +276,12 @@ def cmd_equity(args: argparse.Namespace) -> int:
 
 def _parse_blocks(spec: str) -> list[range]:
     blocks = []
-    for part in spec.split(","):
-        start, _, end = part.partition("-")
-        lo = int(start)
-        hi = int(end) if end else lo
-        blocks.append(range(lo, hi + 1))
+    try:
+        for part in spec.split(","):
+            start, _, end = part.partition("-")
+            blocks.append(range(int(start), int(end or start) + 1))
+    except ValueError as exc:
+        raise TollValidationError(f"--blocks {spec!r}: {exc}") from exc
     return blocks
 
 

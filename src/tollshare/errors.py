@@ -17,6 +17,12 @@ class NegativeTollError(TollValidationError):
         self.entry, self.exit, self.value = entry, exit, value
 
 
+class NegativeFactorError(NegativeTollError):
+    def __init__(self, factor: float):
+        TollValidationError.__init__(self, f"scale factor is negative: {factor!r}")
+        self.entry, self.exit, self.value = None, None, factor
+
+
 class NonFiniteError(TollValidationError):
     def __init__(self, entry: int, exit: int, value: float):
         super().__init__(f"toll for trip [{entry},{exit}] is not finite: {value!r}")

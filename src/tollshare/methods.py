@@ -13,7 +13,8 @@ Three named methods are provided:
 
 All three are instances of a generic family: a weight scheme assigns a
 nonnegative weight to every (trip, segment) pair, and a segment's share is
-the weighted sum of the tolls of the trips through it.
+the weighted sum of the tolls of the trips through it.  The closed forms run
+on ``model.coverage``; ``family_allocate`` stays off it to cross-check them.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import NegativeWeightError, UnknownMethodError, UnknownSchemeError
-from .model import TollMatrix, is_unit_matrix
+from .errors import NegativeWeightError, SegmentIndexError, UnknownMethodError, UnknownSchemeError
+from .model import TollMatrix, coverage, is_unit_matrix
 
 MethodFn = Callable[[TollMatrix], np.ndarray]
 
@@ -33,10 +34,7 @@ MethodFn = Callable[[TollMatrix], np.ndarray]
 def ses(matrix: TollMatrix) -> np.ndarray:
     """Equal split: segment i receives sum over trips [h,k] containing i of
     ``t_hk / (k - h + 1)``."""
-    shares = np.zeros(matrix.n)
-    for (h, k), toll in matrix.trips():
-        shares[h - 1 : k] += toll / (k - h + 1)
-    return shares
+    return coverage(matrix, (toll / (k - h + 1) for (h, k), toll in matrix.trips()))
 
 
 @dataclass(frozen=True)
@@ -57,12 +55,8 @@ class SpsDecomposition:
 
 
 def sps_decomposition(matrix: TollMatrix) -> SpsDecomposition:
-    n = matrix.n
     separable = matrix.diagonal()
-    involvement = np.zeros(n)
-    for (h, k), toll in matrix.trips():
-        involvement[h - 1 : k] += toll
-    nonseparable = involvement - separable
+    nonseparable = coverage(matrix, (0.0 if h == k else toll for (h, k), toll in matrix.trips()))
     pooled = matrix.total - float(separable.sum())
     denom = float(nonseparable.sum())
     beta = pooled / denom if denom > 0.0 else None
@@ -90,16 +84,13 @@ def scs(matrix: TollMatrix) -> np.ndarray:
     collected.
     """
     n = matrix.n
-    shares = np.zeros(n)
+    # a multi-segment trip gives toll/n to each segment, plus (h-1)/n at entry, (n-k)/n at exit
+    ends = [0.0] * n
     for (h, k), toll in matrix.trips():
-        if h == k:
-            shares[h - 1] += toll
-            continue
-        shares[h - 1] += toll * h / n
-        shares[k - 1] += toll * (n - k + 1) / n
-        if k - h > 1:
-            shares[h : k - 1] += toll / n
-    return shares
+        if h < k:
+            ends[h - 1] += toll * (h - 1) / n
+            ends[k - 1] += toll * (n - k) / n
+    return coverage(matrix, (toll if h == k else toll / n for (h, k), toll in matrix.trips())) + ends
 
 
 # -- the generic weight-scheme family ---------------------------------------
@@ -127,7 +118,7 @@ class WeightScheme:
 
     def weight(self, matrix: TollMatrix, entry: int, exit: int, segment: int) -> float:
         if not (entry <= segment <= exit):
-            raise NegativeWeightError(entry, exit, segment, float("nan"))
+            raise SegmentIndexError(f"segment {segment} is not on trip [{entry},{exit}]")
         return self.factory(matrix)(entry, exit, segment)
 
 
@@ -209,10 +200,7 @@ def share_percentages(shares: np.ndarray, total: float | None = None) -> np.ndar
 # independence harness in tollshare.axioms pins down which one fails.
 
 def _involvement_sum(matrix: TollMatrix) -> np.ndarray:
-    shares = np.zeros(matrix.n)
-    for (h, k), toll in matrix.trips():
-        shares[h - 1 : k] += toll
-    return shares
+    return coverage(matrix, matrix.entries.values())
 
 
 # 2-segment problem whose diagonal gets swapped by the piecewise method below

@@ -5,6 +5,15 @@ leave at segment ``k``, ``1 <= h <= k <= n``) it records the total toll
 collected from all users of that trip.  Matrices are stored sparsely as a map
 from trips to positive amounts; segment indices are 1-based on every public
 interface.
+
+``TollMatrix.__post_init__`` is the one place that checks a trip's range,
+finiteness and sign.  Constructors and file readers only parse, keeping the
+checks of their own format (duplicate triplets; a square grid with nothing
+below the diagonal), and report malformed text as ``TollValidationError``.
+``coverage`` sums a per-trip weight over each trip's segments by a
+difference array in O(trips + n); as its prefix sums can leave rounding
+residue where the exact sum is zero, it zeroes segments that an integer
+count shows uncovered and clips the rest at 0, so shares stay nonnegative.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -24,6 +34,7 @@ from .errors import (
     DuplicateTripError,
     InvalidDensityError,
     LowerTriangularNonzeroError,
+    NegativeFactorError,
     NegativeTollError,
     NonFiniteError,
     SegmentIndexError,
@@ -40,15 +51,6 @@ class Trip(NamedTuple):
 
     entry: int
     exit: int
-
-    @property
-    def segments(self) -> range:
-        """Segments used by the trip, ``entry..exit`` inclusive."""
-        return range(self.entry, self.exit + 1)
-
-    @property
-    def length(self) -> int:
-        return self.exit - self.entry + 1
 
 
 def _check_trip(entry: int, exit: int, n: int) -> Trip:
@@ -88,6 +90,10 @@ class TollMatrix:
         object.__setattr__(self, "entries", MappingProxyType(ordered))
         object.__setattr__(self, "_total", math.fsum(ordered.values()))
 
+    def __hash__(self) -> int:
+        # entries are sorted, so equal matrices list equal items in one order
+        return hash((self.n, tuple(self.entries.items())))
+
     # -- construction -----------------------------------------------------
 
     @classmethod
@@ -101,26 +107,18 @@ class TollMatrix:
 
     @classmethod
     def from_dense(cls, grid: Sequence[Sequence[float]] | np.ndarray) -> "TollMatrix":
-        """Validate a square grid: upper triangular, nonnegative, finite."""
+        """Build a matrix from a square grid with nothing below the diagonal."""
         rows = [list(map(float, row)) for row in grid]
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise SegmentIndexError("dense toll grid must be square and nonempty")
-        entries: dict[tuple[int, int], float] = {}
-        for h in range(1, n + 1):
-            for k in range(1, n + 1):
-                value = rows[h - 1][k - 1]
-                if not math.isfinite(value):
-                    raise NonFiniteError(h, k, value)
-                if h > k:
-                    if value != 0.0:
-                        raise LowerTriangularNonzeroError(h, k, value)
-                    continue
-                if value < 0.0:
-                    raise NegativeTollError(h, k, value)
-                if value > 0.0:
-                    entries[(h, k)] = value
-        return cls(n, entries)
+        for h, row in enumerate(rows, start=1):
+            for k, value in enumerate(row[: h - 1], start=1):
+                if value != 0.0:
+                    fault = LowerTriangularNonzeroError if math.isfinite(value) else NonFiniteError
+                    raise fault(h, k, value)
+        return cls(n, {(h, k): row[k - 1] for h, row in enumerate(rows, start=1)
+                       for k in range(h, n + 1)})
 
     @classmethod
     def from_triplets(
@@ -134,26 +132,17 @@ class TollMatrix:
         explicitly when ``rows`` is empty.  Duplicate trips are rejected.
         """
         seen: dict[tuple[int, int], float] = {}
-        max_exit = 0
         for entry, exit, toll in rows:
-            entry, exit = int(entry), int(exit)
-            if entry < 1 or exit < entry:
-                raise SegmentIndexError(f"trip [{entry},{exit}] is not a valid trip")
-            if (entry, exit) in seen:
-                raise DuplicateTripError(entry, exit)
-            toll = float(toll)
-            if not math.isfinite(toll):
-                raise NonFiniteError(entry, exit, toll)
-            if toll < 0.0:
-                raise NegativeTollError(entry, exit, toll)
-            seen[(entry, exit)] = toll
-            max_exit = max(max_exit, exit)
+            trip = (int(entry), int(exit))
+            if trip in seen:
+                raise DuplicateTripError(*trip)
+            seen[trip] = toll
         if n is None:
-            if max_exit == 0:
+            if not seen:
                 raise SegmentIndexError(
                     "cannot infer the segment count from an empty record set; pass n"
                 )
-            n = max_exit
+            n = max(exit for _, exit in seen)
         return cls(n, seen)
 
     # -- inspection -------------------------------------------------------
@@ -201,11 +190,27 @@ class TollMatrix:
 
     def scaled(self, factor: float) -> "TollMatrix":
         if factor < 0.0:
-            raise NegativeTollError(0, 0, factor)
+            raise NegativeFactorError(factor)
         return TollMatrix(self.n, {trip: factor * t for trip, t in self.entries.items()})
 
     def __repr__(self) -> str:
         return f"TollMatrix(n={self.n}, trips={len(self.entries)}, total={self.total:g})"
+
+
+def coverage(matrix: TollMatrix, weights: Iterable[float]) -> np.ndarray:
+    """Per segment, the sum of ``weights`` (one nonnegative weight per trip,
+    in ``matrix.trips()`` order) over the trips that use it."""
+    n = matrix.n
+    diff = [0.0] * (n + 1)
+    count = [0] * (n + 1)
+    for (h, k), w in zip(matrix.entries, weights):
+        if w:
+            diff[h - 1] += w
+            diff[k] -= w
+            count[h - 1] += 1
+            count[k] -= 1
+    return np.array([s if c and s > 0.0 else 0.0
+                     for s, c in zip(accumulate(diff[:n]), accumulate(count[:n]))])
 
 
 def inessential_segments(matrix: TollMatrix) -> list[int]:
@@ -224,31 +229,28 @@ def is_unit_matrix(matrix: TollMatrix) -> bool:
 
 # -- random generators ----------------------------------------------------
 
-def sample_matrix(
-    rng: np.random.Generator,
-    n: int,
-    density: float = 1.0,
-    max_toll: float = 10.0,
-) -> TollMatrix:
-    """Draw a random matrix from an existing generator.
-
-    Each of the ``n(n+1)/2`` upper-triangular cells is occupied with
-    probability ``density``; occupied cells get a toll uniform on
-    ``(0, max_toll]``.  Cells are visited in (entry, exit) order, so the
-    draw is reproducible for a given generator state.
-    """
+def _sample(rng: np.random.Generator, n: int, blocks: Iterable[tuple[int, int]],
+            density: float, max_toll: float) -> TollMatrix:
+    """Occupy each trip inside a ``(start, end)`` block with probability
+    ``density`` and toll uniform on ``(0, max_toll]``, in (entry, exit) order."""
     if not (0.0 < density <= 1.0):
         raise InvalidDensityError(density)
-    if n < 1:
-        raise SegmentIndexError(f"segment count must be >= 1, got {n}")
     if max_toll <= 0.0:
         raise TollValidationError(f"max_toll must be positive, got {max_toll!r}")
     entries: dict[tuple[int, int], float] = {}
-    for h in range(1, n + 1):
-        for k in range(h, n + 1):
-            if rng.random() < density:
-                entries[(h, k)] = max_toll * (1.0 - rng.random())
+    for start, end in blocks:
+        for h in range(start, end + 1):
+            for k in range(h, end + 1):
+                if rng.random() < density:
+                    entries[(h, k)] = max_toll * (1.0 - rng.random())
     return TollMatrix(n, entries)
+
+
+def sample_matrix(rng: np.random.Generator, n: int, density: float = 1.0,
+                  max_toll: float = 10.0) -> TollMatrix:
+    """Draw from an existing generator: each of the ``n(n+1)/2`` trips is
+    occupied with probability ``density``, toll uniform on ``(0, max_toll]``."""
+    return _sample(rng, n, [(1, n)], density, max_toll)
 
 
 def random_matrix(n: int, density: float = 1.0, max_toll: float = 10.0, seed: int = 0) -> TollMatrix:
@@ -282,16 +284,7 @@ def block_structured_matrix(
         covered.extend(range(start, end + 1))
     if covered != list(range(1, n + 1)):
         raise BlocksNotPartitionError(f"blocks cover {covered}, expected 1..{n}")
-    if not (0.0 < density <= 1.0):
-        raise InvalidDensityError(density)
-    rng = np.random.default_rng(seed)
-    entries: dict[tuple[int, int], float] = {}
-    for start, end in intervals:
-        for h in range(start, end + 1):
-            for k in range(h, end + 1):
-                if rng.random() < density:
-                    entries[(h, k)] = max_toll * (1.0 - rng.random())
-    return TollMatrix(n, entries)
+    return _sample(np.random.default_rng(seed), n, intervals, density, max_toll)
 
 
 # -- file formats ----------------------------------------------------------
@@ -341,8 +334,15 @@ def write_dense_csv(matrix: TollMatrix, path: str | Path) -> None:
 
 
 def read_dense_csv(path: str | Path) -> TollMatrix:
+    rows: list[list[float]] = []
     with open(path, newline="") as fh:
-        rows = [[float(cell) for cell in row] for row in csv.reader(fh) if row]
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise TollValidationError(f"{path}:{lineno}: {exc}") from exc
     return TollMatrix.from_dense(rows)
 
 
@@ -355,11 +355,6 @@ def to_json_dict(matrix: TollMatrix) -> dict:
     }
 
 
-def from_json_dict(payload: Mapping) -> TollMatrix:
-    rows = [(r["entry"], r["exit"], r["toll"]) for r in payload["trips"]]
-    return TollMatrix.from_triplets(rows, n=int(payload["n"]))
-
-
 def write_json(matrix: TollMatrix, path: str | Path) -> None:
     with open(path, "w") as fh:
         json.dump(to_json_dict(matrix), fh, indent=2)
@@ -368,4 +363,10 @@ def write_json(matrix: TollMatrix, path: str | Path) -> None:
 
 def read_json(path: str | Path) -> TollMatrix:
     with open(path) as fh:
-        return from_json_dict(json.load(fh))
+        try:
+            payload = json.load(fh)
+            rows = [(int(r["entry"]), int(r["exit"]), float(r["toll"])) for r in payload["trips"]]
+            n = int(payload["n"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TollValidationError(f"{path}: not a toll matrix export ({exc!r})") from exc
+    return TollMatrix.from_triplets(rows, n=n)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tollshare import SegmentsGame, TollMatrix, random_matrix
+from tollshare import SegmentsGame, SpsDecomposition, TollMatrix, random_matrix
 
 
 def seeded_matrices(
@@ -53,3 +53,76 @@ def perturbed_allocation(shares: np.ndarray, rng: np.random.Generator) -> np.nda
     x[src] -= amount
     x[dst] += amount
     return x
+
+
+# -- loop references for the coverage-kernel methods --------------------------
+#
+# These are the per-trip slice loops that ses, sps_decomposition and scs ran
+# before they moved onto ``tollshare.model.coverage``.
+
+def ses_loop(matrix: TollMatrix) -> np.ndarray:
+    shares = np.zeros(matrix.n)
+    for (h, k), toll in matrix.trips():
+        shares[h - 1 : k] += toll / (k - h + 1)
+    return shares
+
+
+def sps_decomposition_loop(matrix: TollMatrix) -> SpsDecomposition:
+    separable = matrix.diagonal()
+    involvement = np.zeros(matrix.n)
+    for (h, k), toll in matrix.trips():
+        involvement[h - 1 : k] += toll
+    nonseparable = involvement - separable
+    pooled = matrix.total - float(separable.sum())
+    denom = float(nonseparable.sum())
+    beta = pooled / denom if denom > 0.0 else None
+    return SpsDecomposition(separable, nonseparable, pooled, beta)
+
+
+def sps_loop(matrix: TollMatrix) -> np.ndarray:
+    d = sps_decomposition_loop(matrix)
+    if d.beta is None:
+        return d.separable.copy()
+    return d.separable + d.beta * d.nonseparable
+
+
+def scs_loop(matrix: TollMatrix) -> np.ndarray:
+    n = matrix.n
+    shares = np.zeros(n)
+    for (h, k), toll in matrix.trips():
+        if h == k:
+            shares[h - 1] += toll
+            continue
+        shares[h - 1] += toll * h / n
+        shares[k - 1] += toll * (n - k + 1) / n
+        if k - h > 1:
+            shares[h : k - 1] += toll / n
+    return shares
+
+
+# -- loop references for the random generators --------------------------------
+#
+# The separate cell loops of sample_matrix and block_structured_matrix before
+# they shared one sampler; the draw stream must stay bit-identical.
+
+def sample_matrix_loop(rng: np.random.Generator, n: int, density: float = 1.0,
+                       max_toll: float = 10.0) -> TollMatrix:
+    entries = {}
+    for h in range(1, n + 1):
+        for k in range(h, n + 1):
+            if rng.random() < density:
+                entries[(h, k)] = max_toll * (1.0 - rng.random())
+    return TollMatrix(n, entries)
+
+
+def block_structured_loop(intervals, seed: int = 0, density: float = 1.0,
+                          max_toll: float = 10.0) -> TollMatrix:
+    """``intervals`` are the sorted ``(start, end)`` blocks of ``1..n``."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for start, end in intervals:
+        for h in range(start, end + 1):
+            for k in range(h, end + 1):
+                if rng.random() < density:
+                    entries[(h, k)] = max_toll * (1.0 - rng.random())
+    return TollMatrix(intervals[-1][1], entries)

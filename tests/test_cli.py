@@ -292,3 +292,26 @@ class TestGenerate:
         total = doc["total"]
         for payload in doc["allocations"].values():
             assert sum(payload["shares"]) == pytest.approx(total, rel=1e-9)
+
+
+class TestMalformedInput:
+    """Malformed input ends in a typed error with exit code 2, not a traceback."""
+
+    @pytest.mark.parametrize("name, text, extra, where", [
+        ("no_trips.json", '{"n": 3}', [], "no_trips.json"),
+        ("bad_exit.json", '{"n": 3, "trips": [{"entry": 1, "exit": "a", "toll": 1.0}]}', [],
+         "bad_exit.json"),
+        ("grid.csv", "0,1\n0,abc\n", ["--dense"], "grid.csv:2:"),
+    ])
+    def test_allocate_rejects_file(self, capsys, tmp_path, name, text, extra, where):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "allocate", "--input", str(path), *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and where in err and "Traceback" not in err
+
+    def test_generate_rejects_blocks(self, capsys, tmp_path):
+        path = tmp_path / "gen.csv"
+        code, _, err = run(capsys, "generate", "--blocks", "a-b", "--output", str(path))
+        assert code == 2 and "--blocks 'a-b'" in err and "Traceback" not in err
+        assert not path.exists()

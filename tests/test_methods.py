@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tollshare as ts
 from tollshare import TollMatrix
 
-from helpers import seeded_matrices
+from helpers import scs_loop, seeded_matrices, ses_loop, sps_decomposition_loop, sps_loop
 
 
 class TestKnownValues:
@@ -181,6 +183,62 @@ class TestWeightSchemes:
         bad = ts.WeightScheme("bad", True, lambda m: lambda h, k, i: -0.5)
         with pytest.raises(ts.NegativeWeightError):
             ts.family_allocate(example3, bad)
+
+    def test_weight_off_the_trip_is_an_index_error(self, example3):
+        with pytest.raises(ts.SegmentIndexError, match="segment 3 is not on trip"):
+            ts.builtin_scheme("ses").weight(example3, 1, 2, 3)
+
+
+@st.composite
+def toll_matrices(draw):
+    """n = 1..12 with no trip, one trip, every trip or a random subset, and
+    tolls spanning 1e-12 to 1e12 so that prefix sums lose low-order bits."""
+    n = draw(st.integers(1, 12))
+    cells = [(h, k) for h in range(1, n + 1) for k in range(h, n + 1)]
+    kind = draw(st.sampled_from(("zero", "single", "dense", "subset")))
+    if kind == "zero":
+        trips = []
+    elif kind == "single":
+        trips = [draw(st.sampled_from(cells))]
+    elif kind == "dense":
+        trips = cells
+    else:
+        trips = draw(st.lists(st.sampled_from(cells), unique=True))
+    return TollMatrix(n, {trip: draw(st.floats(1e-12, 1e12)) for trip in trips})
+
+
+class TestCoverageKernel:
+    def test_sums_weights_over_each_trip(self, example3):
+        assert np.array_equal(ts.coverage(example3, [1.0, 2.0]), [3.0, 3.0, 2.0])
+
+    def test_zero_weight_trips_cover_nothing(self):
+        matrix = TollMatrix(3, {(1, 1): 5.0, (1, 3): 1.0})
+        assert np.array_equal(ts.coverage(matrix, [5.0, 0.0]), [5.0, 0.0, 0.0])
+
+    def test_uncovered_segment_is_exactly_zero(self):
+        # a plain prefix sum of the differences leaves -5.6e-17 on segment 4
+        matrix = TollMatrix(4, {(1, 2): 0.001, (2, 3): 1.0})
+        for method in (ts.ses, ts.sps, ts.scs):
+            assert method(matrix)[3] == 0.0
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(toll_matrices())
+    def test_methods_match_loop_references(self, matrix):
+        bound = 8 * matrix.n * np.finfo(float).eps * matrix.total
+        uncovered = [i - 1 for i in ts.inessential_segments(matrix)]
+        involvement = [matrix.involvement(i) for i in range(1, matrix.n + 1)]
+        pairs = [
+            (ts.ses(matrix), ses_loop(matrix)),
+            (ts.sps(matrix), sps_loop(matrix)),
+            (ts.scs(matrix), scs_loop(matrix)),
+            (ts.sps_decomposition(matrix).nonseparable,
+             sps_decomposition_loop(matrix).nonseparable),
+            (ts.counterexample_method("A1_involvement_sum")(matrix), involvement),
+        ]
+        for shares, reference in pairs:
+            assert np.all(shares >= 0.0)
+            assert np.all(shares[uncovered] == 0.0)
+            assert np.max(np.abs(shares - reference), initial=0.0) <= bound
 
 
 class TestCounterexampleMethods:

@@ -8,6 +8,8 @@ import pytest
 import tollshare as ts
 from tollshare import TollMatrix, Trip
 
+from helpers import block_structured_loop, sample_matrix_loop
+
 
 class TestValidation:
     def test_dense_example_grid(self):
@@ -198,3 +200,87 @@ class TestRoundTrips:
         widened = ts.read_triplet_csv(path, n=5)
         assert widened.n == 5
         assert widened.total == example3.total
+
+
+class TestSingleFaults:
+    """Each input has exactly one fault; the error type is part of the API."""
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: TollMatrix.from_triplets([(1, 2, math.nan)]), ts.NonFiniteError),
+        (lambda: TollMatrix.from_triplets([(1, 2, -math.inf)]), ts.NonFiniteError),
+        (lambda: TollMatrix.from_triplets([(1, 2, -1.0)]), ts.NegativeTollError),
+        (lambda: TollMatrix.from_triplets([(1, 0, 1.0)]), ts.SegmentIndexError),
+        (lambda: TollMatrix.from_triplets([], n=0), ts.SegmentIndexError),
+        (lambda: TollMatrix.from_dense([[0.0, 0.0], [math.nan, 0.0]]), ts.NonFiniteError),
+        (lambda: TollMatrix.from_dense([[0.0, 0.0], [-1.0, 0.0]]),
+         ts.LowerTriangularNonzeroError),
+        (lambda: TollMatrix.from_dense([[0.0, -1.0], [0.0, 0.0]]), ts.NegativeTollError),
+        (lambda: TollMatrix.from_dense([[1.0, 2.0], [3.0]]), ts.SegmentIndexError),
+        (lambda: ts.random_matrix(0), ts.SegmentIndexError),
+        (lambda: ts.block_structured_matrix([]), ts.SegmentIndexError),
+    ])
+    def test_error_type(self, build, error):
+        with pytest.raises(error) as err:
+            build()
+        assert err.type is error
+
+    def test_negative_scale_factor_is_reported(self):
+        with pytest.raises(ts.NegativeTollError, match="scale factor is negative: -1.0"):
+            TollMatrix(2, {(1, 2): 3.0}).scaled(-1.0)
+
+    def test_block_generator_checks_max_toll(self):
+        with pytest.raises(ts.TollValidationError, match="max_toll"):
+            ts.block_structured_matrix([range(1, 3)], max_toll=0.0)
+
+
+class TestMalformedFiles:
+    def test_dense_csv_non_numeric_cell(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_text("0,1\n0,x\n")
+        with pytest.raises(ts.TollValidationError, match=r"grid\.csv:2:"):
+            ts.read_dense_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 3}',
+        '{"trips": []}',
+        '{"n": 3, "trips": [{"entry": 1, "exit": "a", "toll": 1.0}]}',
+        '{"n": 3, "trips": [{"entry": 1, "exit": 2, "toll": null}]}',
+        '[1, 2]',
+        '{"n": 3,',
+    ])
+    def test_json_not_a_matrix_export(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ts.TollValidationError, match=r"bad\.json"):
+            ts.read_json(path)
+
+
+class TestHashing:
+    def test_equal_matrices_hash_equal(self):
+        a = TollMatrix(3, {(2, 3): 1.5, (1, 2): 1.0})
+        b = TollMatrix.from_triplets([(1, 2, 1.0), (2, 3, 1.5), (1, 1, 0.0)], n=3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, TollMatrix(3, {(1, 2): 1.0})}) == 2
+
+
+class TestSamplerDrawStream:
+    """The shared sampler draws exactly what the former per-generator loops drew."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("density", [0.3, 1.0])
+    def test_sample_matrix(self, n, density):
+        for seed in range(4):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = ts.sample_matrix(rng, n, density=density, max_toll=7.5)
+            assert drawn == sample_matrix_loop(ref_rng, n, density=density, max_toll=7.5)
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("blocks", [
+        [range(1, 5)], [{1, 2}, {3}], [{3, 4}, {1}, {2}], [range(1, 4), range(4, 9)],
+    ])
+    def test_block_structured_matrix(self, blocks):
+        intervals = sorted((min(b), max(b)) for b in blocks)
+        for seed in range(4):
+            for density in (0.3, 1.0):
+                assert ts.block_structured_matrix(blocks, seed=seed, density=density) == \
+                    block_structured_loop(intervals, seed=seed, density=density)
