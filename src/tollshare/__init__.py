@@ -46,7 +46,9 @@ from .errors import (
     NegativeFactorError,
     NegativeTollError,
     NegativeWeightError,
+    NoWitnessError,
     NonFiniteError,
+    NonNumericTollError,
     OracleSizeError,
     SegmentIndexError,
     TauUndefinedError,
@@ -54,6 +56,7 @@ from .errors import (
     TollValidationError,
     UnknownMethodError,
     UnknownSchemeError,
+    VectorShapeError,
     ZeroTotalError,
 )
 from .game import (

@@ -179,7 +179,7 @@ def cmd_core(args: argparse.Namespace) -> int:
         report = core_check(game, shares, tol=args.tol)
         payload = report.to_json_dict()
         if name == "sps":
-            criterion = sps_core_criterion(matrix, tol=args.tol)
+            criterion = sps_core_criterion(game, tol=args.tol)
             payload["criterion"] = {
                 "satisfied": criterion.satisfied,
                 "worst_interval": criterion.worst_interval,

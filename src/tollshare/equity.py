@@ -8,15 +8,15 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .errors import ConstantVectorError, ZeroTotalError
+from .errors import ConstantVectorError, InvalidAllocationError, VectorShapeError, ZeroTotalError
 
 
 def _as_shares(x: Sequence[float]) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
-        raise ValueError("expected a nonempty 1-d vector")
+        raise VectorShapeError("expected a nonempty 1-d vector")
     if not np.all(np.isfinite(x)) or np.any(x < 0.0):
-        raise ValueError("shares must be finite and nonnegative")
+        raise InvalidAllocationError("shares must be finite and nonnegative")
     return x
 
 
@@ -80,7 +80,7 @@ def rank_correlations(x: Sequence[float], y: Sequence[float]) -> tuple[float, fl
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
-        raise ValueError("expected two equal-length vectors of length >= 2")
+        raise VectorShapeError("expected two equal-length vectors of length >= 2")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise ConstantVectorError("correlation is undefined for a constant vector")
     spearman = float(stats.spearmanr(x, y).statistic)

@@ -29,6 +29,12 @@ class NonFiniteError(TollValidationError):
         self.entry, self.exit, self.value = entry, exit, value
 
 
+class NonNumericTollError(TollValidationError):
+    def __init__(self, entry: int, exit: int, value: object):
+        super().__init__(f"toll for trip [{entry},{exit}] is not a number: {value!r}")
+        self.entry, self.exit, self.value = entry, exit, value
+
+
 class LowerTriangularNonzeroError(TollValidationError):
     def __init__(self, entry: int, exit: int, value: float):
         super().__init__(
@@ -45,7 +51,14 @@ class DuplicateTripError(TollValidationError):
 
 
 class SegmentIndexError(TollValidationError):
-    """A segment or trip index falls outside 1..n or is not ordered."""
+    """A segment or trip index falls outside 1..n or is not ordered.
+
+    ``entry`` and ``exit`` name the offending trip when one was checked.
+    """
+
+    def __init__(self, message: str, entry: int | None = None, exit: int | None = None):
+        super().__init__(message)
+        self.entry, self.exit = entry, exit
 
 
 class InvalidDensityError(TollValidationError):
@@ -92,6 +105,10 @@ class InvalidAllocationError(TollShareError, ValueError):
     """An allocation vector has a negative or non-finite component."""
 
 
+class VectorShapeError(TollShareError, ValueError):
+    """A vector argument is not one-dimensional or has too few components."""
+
+
 class TauUndefinedError(TollShareError, ArithmeticError):
     """The compromise value does not exist for this game."""
 
@@ -108,6 +125,14 @@ class ZeroTotalError(TollShareError, ValueError):
 
 class ConstantVectorError(TollShareError, ValueError):
     """Correlation is undefined for a constant vector."""
+
+
+class PreconditionNotMet(TollShareError, ValueError):
+    """The supplied objects do not satisfy the axiom's hypothesis."""
+
+
+class NoWitnessError(TollShareError, ValueError):
+    """Only a failed verdict carries a witness that can be replayed."""
 
 
 class HarnessMismatchError(TollShareError):

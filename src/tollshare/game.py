@@ -435,16 +435,26 @@ class SpsCoreCriterion:
     beta: float | None
 
 
-def sps_core_criterion(matrix: TollMatrix, tol: float = DEFAULT_TOL) -> SpsCoreCriterion:
+def sps_core_criterion(
+    matrix: TollMatrix | SegmentsGame, tol: float = DEFAULT_TOL
+) -> SpsCoreCriterion:
+    """Evaluate the criterion on a toll matrix, or on the :class:`SegmentsGame`
+    already built from one, whose interval worths are then reused."""
+    if isinstance(matrix, SegmentsGame):
+        game, matrix = matrix, matrix.matrix
+    else:
+        game = None
     d = sps_decomposition(matrix)
     if d.beta is None:
         return SpsCoreCriterion(True, None, None, None)
     n = matrix.n
-    # rhs = (worth - separable) / nonseparable per interval; the game is
-    # dropped before the denominators exist, so at most two n x n float
-    # tables are alive at once
+    # rhs = (worth - separable) / nonseparable per interval; a game built
+    # here is dropped before the denominators exist, so it adds at most one
+    # n x n float table to the two this function holds
     rhs = _span_sums(_prefix(d.separable))
-    np.subtract(SegmentsGame(matrix)._interval[1 : n + 1, 1 : n + 1], rhs, out=rhs)
+    worths = game._interval if game is not None else SegmentsGame(matrix)._interval
+    np.subtract(worths[1 : n + 1, 1 : n + 1], rhs, out=rhs)
+    del worths
     denom = _span_sums(_prefix(d.nonseparable))
     counted = _proper_intervals(n)
     counted &= denom > 0.0

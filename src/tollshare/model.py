@@ -9,11 +9,21 @@ interface.
 ``TollMatrix.__post_init__`` is the one place that checks a trip's range,
 finiteness and sign.  Constructors and file readers only parse, keeping the
 checks of their own format (duplicate triplets; a square grid with nothing
-below the diagonal), and report malformed text as ``TollValidationError``.
-``coverage`` sums a per-trip weight over each trip's segments by a
-difference array in O(trips + n); as its prefix sums can leave rounding
-residue where the exact sum is zero, it zeroes segments that an integer
-count shows uncovered and clips the rest at 0, so shares stay nonnegative.
+below the diagonal), and report malformed text as ``TollValidationError``;
+the readers add the file, and for CSV the line, to the message of a trip the
+constructor rejects.  ``coverage`` sums a per-trip weight over each trip's
+segments by a difference array in O(trips + n); as its prefix sums can leave
+rounding residue where the exact sum is zero, it zeroes segments that an
+integer count shows uncovered and clips the rest at 0, so shares stay
+nonnegative.
+
+The random generators share one draw stream, which seeded results depend
+on: ``_sample`` visits the cells in (h, then k) order and takes one uniform
+``u`` per cell, and for a hit (``u < density``) one more uniform ``v`` for its
+toll, ``max_toll * (1 - v)``.  It takes these uniforms from
+``rng.random(m)`` in chunks no longer than the draws still owed, so values,
+entry order and the generator state afterwards are those of one
+``rng.random()`` call per draw.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from .errors import (
     NegativeFactorError,
     NegativeTollError,
     NonFiniteError,
+    NonNumericTollError,
     SegmentIndexError,
     TollValidationError,
 )
@@ -47,18 +58,20 @@ DEFAULT_TOL = 1e-9
 
 
 class Trip(NamedTuple):
-    """A contiguous journey entering at ``entry`` and exiting at ``exit``."""
+    """A contiguous journey entering at ``entry`` and exiting at ``exit``.
+
+    Hot loops build one as ``tuple.__new__(Trip, (entry, exit))``, which
+    skips the Python-level ``NamedTuple.__new__`` and costs half as much.
+    """
 
     entry: int
     exit: int
 
 
-def _check_trip(entry: int, exit: int, n: int) -> Trip:
-    if not (1 <= entry <= exit <= n):
-        raise SegmentIndexError(
-            f"trip [{entry},{exit}] is not a valid trip for {n} segments"
-        )
-    return Trip(int(entry), int(exit))
+def _bad_trip(entry: int, exit: int, n: int) -> SegmentIndexError:
+    return SegmentIndexError(f"trip [{entry},{exit}] is not a valid trip for {n} segments",
+                             entry, exit)
+
 
 
 @dataclass(frozen=True)
@@ -74,21 +87,32 @@ class TollMatrix:
     entries: Mapping[Trip, float]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise SegmentIndexError(f"segment count must be >= 1, got {self.n}")
+        n = self.n
+        if n < 1:
+            raise SegmentIndexError(f"segment count must be >= 1, got {n}")
         cleaned: dict[Trip, float] = {}
-        for (entry, exit), value in self.entries.items():
-            trip = _check_trip(entry, exit, self.n)
-            value = float(value)
-            if not math.isfinite(value):
-                raise NonFiniteError(trip.entry, trip.exit, value)
-            if value < 0.0:
-                raise NegativeTollError(trip.entry, trip.exit, value)
-            if value > 0.0:
+        for trip, value in self.entries.items():
+            entry, exit = trip
+            if not (1 <= entry <= exit <= n):
+                raise _bad_trip(entry, exit, n)
+            if not (type(trip) is Trip and type(entry) is int and type(exit) is int):
+                trip = tuple.__new__(Trip, (int(entry), int(exit)))
+            try:
+                value = float(value)
+            except (TypeError, ValueError):
+                raise NonNumericTollError(trip.entry, trip.exit, value) from None
+            if not (0.0 <= value < math.inf):
+                fault = NonFiniteError if not math.isfinite(value) else NegativeTollError
+                raise fault(trip.entry, trip.exit, value)
+            if value:
                 cleaned[trip] = value
-        ordered = dict(sorted(cleaned.items()))
-        object.__setattr__(self, "entries", MappingProxyType(ordered))
-        object.__setattr__(self, "_total", math.fsum(ordered.values()))
+        # most callers pass trips in order already; rebuild only when not
+        trips = list(cleaned)
+        ordered = sorted(trips)
+        if ordered != trips:
+            cleaned = {trip: cleaned[trip] for trip in ordered}
+        object.__setattr__(self, "entries", MappingProxyType(cleaned))
+        object.__setattr__(self, "_total", math.fsum(cleaned.values()))
 
     def __hash__(self) -> int:
         # entries are sorted, so equal matrices list equal items in one order
@@ -108,7 +132,12 @@ class TollMatrix:
     @classmethod
     def from_dense(cls, grid: Sequence[Sequence[float]] | np.ndarray) -> "TollMatrix":
         """Build a matrix from a square grid with nothing below the diagonal."""
-        rows = [list(map(float, row)) for row in grid]
+        rows = []
+        for h, row in enumerate(grid, start=1):
+            try:
+                rows.append(list(map(float, row)))
+            except (TypeError, ValueError):
+                raise _row_error(h, row) from None
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise SegmentIndexError("dense toll grid must be square and nonempty")
@@ -131,9 +160,9 @@ class TollMatrix:
         ``n`` defaults to the largest exit index seen; it must be given
         explicitly when ``rows`` is empty.  Duplicate trips are rejected.
         """
-        seen: dict[tuple[int, int], float] = {}
+        seen: dict[Trip, float] = {}
         for entry, exit, toll in rows:
-            trip = (int(entry), int(exit))
+            trip = tuple.__new__(Trip, (int(entry), int(exit)))
             if trip in seen:
                 raise DuplicateTripError(*trip)
             seen[trip] = toll
@@ -153,8 +182,9 @@ class TollMatrix:
         return self._total  # type: ignore[attr-defined]
 
     def toll(self, entry: int, exit: int) -> float:
-        trip = _check_trip(entry, exit, self.n)
-        return self.entries.get(trip, 0.0)
+        if not (1 <= entry <= exit <= self.n):
+            raise _bad_trip(entry, exit, self.n)
+        return self.entries.get((entry, exit), 0.0)
 
     def trips(self) -> Iterator[tuple[Trip, float]]:
         """Positive trips in (entry, exit) order."""
@@ -197,6 +227,17 @@ class TollMatrix:
         return f"TollMatrix(n={self.n}, trips={len(self.entries)}, total={self.total:g})"
 
 
+def _row_error(h: int, row) -> TollValidationError:
+    """Why ``float`` rejected row ``h`` of a dense grid: its first non-numeric cell."""
+    if isinstance(row, Iterable):
+        for k, value in enumerate(row, start=1):
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                return NonNumericTollError(h, k, value)
+    return SegmentIndexError("dense toll grid must be square and nonempty")
+
+
 def coverage(matrix: TollMatrix, weights: Iterable[float]) -> np.ndarray:
     """Per segment, the sum of ``weights`` (one nonnegative weight per trip,
     in ``matrix.trips()`` order) over the trips that use it."""
@@ -229,20 +270,37 @@ def is_unit_matrix(matrix: TollMatrix) -> bool:
 
 # -- random generators ----------------------------------------------------
 
-def _sample(rng: np.random.Generator, n: int, blocks: Iterable[tuple[int, int]],
+def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]],
             density: float, max_toll: float) -> TollMatrix:
     """Occupy each trip inside a ``(start, end)`` block with probability
-    ``density`` and toll uniform on ``(0, max_toll]``, in (entry, exit) order."""
+    ``density`` and toll uniform on ``(0, max_toll]``, in (entry, exit) order.
+
+    Each chunk of uniforms is as long as the fewest draws still owed: one
+    per unvisited cell, plus one when a hit's toll comes next.  Every cell
+    takes at least one draw, so no chunk draws past the end of the stream.
+    """
     if not (0.0 < density <= 1.0):
         raise InvalidDensityError(density)
     if max_toll <= 0.0:
         raise TollValidationError(f"max_toll must be positive, got {max_toll!r}")
-    entries: dict[tuple[int, int], float] = {}
+    entries: dict[Trip, float] = {}
+    widths = [max(end - start + 1, 0) for start, end in blocks]
+    unvisited = sum(w * (w + 1) // 2 for w in widths)
+    draws: list[float] = []
+    pos = 0
     for start, end in blocks:
         for h in range(start, end + 1):
             for k in range(h, end + 1):
-                if rng.random() < density:
-                    entries[(h, k)] = max_toll * (1.0 - rng.random())
+                if pos == len(draws):
+                    draws, pos = rng.random(unvisited).tolist(), 0
+                unvisited -= 1
+                hit = draws[pos] < density
+                pos += 1
+                if hit:
+                    if pos == len(draws):
+                        draws, pos = rng.random(unvisited + 1).tolist(), 0
+                    entries[tuple.__new__(Trip, (h, k))] = max_toll * (1.0 - draws[pos])
+                    pos += 1
     return TollMatrix(n, entries)
 
 
@@ -306,6 +364,7 @@ def write_triplet_csv(matrix: TollMatrix, path: str | Path) -> None:
 
 def read_triplet_csv(path: str | Path, n: int | None = None) -> TollMatrix:
     rows: list[tuple[int, int, float]] = []
+    blank_lines: list[int] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -315,6 +374,7 @@ def read_triplet_csv(path: str | Path, n: int | None = None) -> TollMatrix:
             )
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
+                blank_lines.append(lineno)
                 continue
             if len(row) != 3:
                 raise TollValidationError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
@@ -322,7 +382,32 @@ def read_triplet_csv(path: str | Path, n: int | None = None) -> TollMatrix:
                 rows.append((int(row[0]), int(row[1]), float(row[2])))
             except ValueError as exc:
                 raise TollValidationError(f"{path}:{lineno}: {exc}") from exc
-    return TollMatrix.from_triplets(rows, n=n)
+    try:
+        return TollMatrix.from_triplets(rows, n=n)
+    except TollValidationError as exc:
+        _name_source(exc, _triplet_origin(path, rows, blank_lines, exc))
+        raise
+
+
+def _name_source(exc: TollValidationError, where: str) -> None:
+    """Prefix the message of ``exc`` with the file (and line) it is about,
+    keeping its type and attributes."""
+    exc.args = (f"{where}: {exc}",)
+
+
+def _triplet_origin(path: str | Path, rows: Sequence[tuple[int, int, float]],
+                    blank_lines: Sequence[int], exc: TollValidationError) -> str:
+    """``path:line`` of the row a trip error from ``from_triplets`` is about:
+    the repeat of a duplicate, otherwise the first row with that trip."""
+    trip = (getattr(exc, "entry", None), getattr(exc, "exit", None))
+    matches = [i for i, (h, k, _) in enumerate(rows) if (h, k) == trip]
+    if not matches:
+        return str(path)
+    line = matches[1 if isinstance(exc, DuplicateTripError) else 0] + 2
+    for blank in blank_lines:
+        if blank <= line:
+            line += 1
+    return f"{path}:{line}"
 
 
 def write_dense_csv(matrix: TollMatrix, path: str | Path) -> None:
@@ -369,4 +454,8 @@ def read_json(path: str | Path) -> TollMatrix:
             n = int(payload["n"])
         except (KeyError, TypeError, ValueError) as exc:
             raise TollValidationError(f"{path}: not a toll matrix export ({exc!r})") from exc
-    return TollMatrix.from_triplets(rows, n=n)
+    try:
+        return TollMatrix.from_triplets(rows, n=n)
+    except TollValidationError as exc:
+        _name_source(exc, str(path))
+        raise

@@ -1,6 +1,31 @@
+import shutil
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from tollshare import TollMatrix
+
+# Every tier-1 run draws the same examples and writes no example database.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+
+_HYPOTHESIS_HOME = pytest.StashKey[Path]()
+
+
+def pytest_configure(config):
+    # Whatever the database setting, hypothesis caches the constants it finds
+    # in the package source under its home directory, from collection on.
+    # Give it a throwaway one, so a run writes nothing into the checkout.
+    home = Path(tempfile.mkdtemp(prefix="tollshare-hypothesis-"))
+    config.stash[_HYPOTHESIS_HOME] = home
+    set_hypothesis_home_dir(home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
 @pytest.fixture

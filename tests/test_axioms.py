@@ -5,7 +5,7 @@ import pytest
 
 import tollshare as ts
 from tollshare import TollMatrix
-from tollshare.axioms import PreconditionNotMet, evaluate_axiom, run_instance
+from tollshare.axioms import PreconditionNotMet, _pick, evaluate_axiom, run_instance
 
 from helpers import seeded_matrices
 
@@ -153,6 +153,23 @@ class TestFairnessCheckers:
         assert verdict.witness.lhs == pytest.approx(5 / 6)
         assert verdict.witness.rhs == pytest.approx(7 / 12)
 
+    def test_tolerance_scales_with_shares(self):
+        # x1e5 puts shares near 2.3e9, where one rounding step is 4.8e-7;
+        # an absolute 1e-8 failed ses on 3 cuts and scs on 16
+        scaled = ts.ap68().scaled(1e5)
+        for cut in range(1, scaled.n):
+            assert ts.check_toll_fairness(ts.ses, scaled, cut).holds, cut
+            assert ts.check_toll_component_fairness(ts.scs, scaled, cut).holds, cut
+
+    def test_true_unfairness_still_fails_at_scale(self, example3):
+        big = example3.scaled(1e9)
+        verdict = ts.check_toll_component_fairness(ts.ses, big, 1)
+        assert not verdict.holds
+        assert verdict.witness.gap == pytest.approx(0.25e9)
+        scaled = ts.ap68().scaled(1e5)
+        assert sum(not ts.check_toll_fairness(ts.sps, scaled, cut).holds
+                   for cut in range(1, scaled.n)) == 20
+
     def test_blocked_matrix(self, example3):
         blocked = ts.blocked_matrix(example3, 2)
         assert blocked.toll(1, 2) == 1.0 and blocked.toll(1, 3) == 0.0
@@ -211,6 +228,23 @@ class TestSuiteMachinery:
         verdict = ts.check_efficiency(ts.ses, example3)
         with pytest.raises(ValueError):
             ts.replay(ts.ses, verdict)
+
+    def test_typed_errors_keep_value_error_base(self, example3):
+        with pytest.raises(ts.NoWitnessError, match="efficiency"):
+            ts.replay(ts.ses, ts.check_efficiency(ts.ses, example3))
+        for error in (ts.NoWitnessError, PreconditionNotMet):
+            assert issubclass(error, ts.TollShareError) and issubclass(error, ValueError)
+        assert ts.PreconditionNotMet is PreconditionNotMet
+
+    @pytest.mark.parametrize("seq", [
+        (0.3, 0.7, 1.0), (0.0, 0.5, 1.0, 2.0, 1.7), (0.5, 1.0, 2.0, 2.9),
+        list(range(1, 9)), list(range(2, 9)), list(range(1, 7)), list(range(2, 7)), [4],
+    ])
+    def test_pick_is_the_choice_draw(self, seq):
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(1000):
+            assert _pick(rng, seq) == ref.choice(seq)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_evaluate_axiom_deterministic(self):
         kwargs = dict(trials=30, seed=12, sizes=(2, 3, 4))

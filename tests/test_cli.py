@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -155,6 +156,18 @@ class TestCore:
         assert report["criterion"]["satisfied"] is False
         assert report["criterion"]["worst_interval"] == [1, 2]
 
+    def test_builds_the_game_once(self, capsys, example61_csv, monkeypatch):
+        built = []
+        init = ts.SegmentsGame.__init__
+
+        def counting_init(game, matrix):
+            built.append(matrix)
+            init(game, matrix)
+
+        monkeypatch.setattr(ts.SegmentsGame, "__init__", counting_init)
+        code, _, _ = run(capsys, "core", "--input", example61_csv, "--no-timestamp")
+        assert code == 0 and len(built) == 1
+
     def test_members_on_ap68(self, capsys):
         code, out, _ = run(
             capsys, "core", "--input", str(ts.ap68_path()), "--segments", "22",
@@ -200,6 +213,18 @@ class TestAxioms:
         assert code == 0
         rows = json.loads(out)["harness"]
         assert len(rows) == 11
+
+    @pytest.mark.parametrize("extra, digest", [
+        ([], "fb7cf8439df20225331721858c25a54bb2badf265f7f644170b09411a8dde5ca"),
+        (["--harness"], "a65bcb465c77d0300df8d520a3080389217c036c720556743397a09a1dc0ba98"),
+    ])
+    def test_golden_output(self, capsys, extra, digest):
+        # pins the whole draw stream of the seeded instances, not only verdicts
+        code, out, _ = run(
+            capsys, "axioms", *extra, "--trials", "40", "--seed", "0", "--no-timestamp"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_markdown_table(self, capsys):
         code, out, _ = run(
@@ -304,6 +329,21 @@ class TestMalformedInput:
         ("grid.csv", "0,1\n0,abc\n", ["--dense"], "grid.csv:2:"),
     ])
     def test_allocate_rejects_file(self, capsys, tmp_path, name, text, extra, where):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "allocate", "--input", str(path), *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and where in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name, text, extra, where", [
+        ("dup.csv", "entry,exit,toll\n1,2,1\n\n1,2,2\n", [], "dup.csv:4: trip [1,2]"),
+        ("neg.csv", "entry,exit,toll\n1,2,-1\n", [], "neg.csv:2: toll"),
+        ("inf.csv", "entry,exit,toll\n1,1,1\n1,2,inf\n", [], "inf.csv:3: toll"),
+        ("range.csv", "entry,exit,toll\n1,3,1\n", ["--segments", "2"], "range.csv:2: trip"),
+        ("neg.json", '{"n": 2, "trips": [{"entry": 1, "exit": 2, "toll": -1}]}', [],
+         "neg.json: toll"),
+    ])
+    def test_allocate_names_file_of_bad_trip(self, capsys, tmp_path, name, text, extra, where):
         path = tmp_path / name
         path.write_text(text)
         code, out, err = run(capsys, "allocate", "--input", str(path), *extra)

@@ -131,6 +131,20 @@ class TestCorrelations:
         with pytest.raises(ValueError):
             ts.rank_correlations([1.0], [1.0, 2.0])
 
+    def test_typed_errors(self):
+        with pytest.raises(ts.VectorShapeError):
+            ts.rank_correlations([1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ts.VectorShapeError):
+            ts.gini([[1.0, 2.0]])
+        with pytest.raises(ts.VectorShapeError):
+            ts.lorenz([])
+        with pytest.raises(ts.InvalidAllocationError):
+            ts.gini([1.0, -2.0])
+        with pytest.raises(ts.InvalidAllocationError):
+            ts.ranking([1.0, np.nan])
+        assert issubclass(ts.VectorShapeError, ts.TollShareError)
+        assert issubclass(ts.VectorShapeError, ValueError)
+
 
 class TestRanking:
     def test_orders_descending(self):

@@ -317,6 +317,16 @@ class TestSpsCoreCriterion:
             direct = ts.core_check(game, ts.sps(matrix)).is_member
             assert ts.sps_core_criterion(matrix).satisfied == direct
 
+    def test_accepts_a_built_game(self, example61, monkeypatch):
+        game = SegmentsGame(example61)
+        built = []
+        monkeypatch.setattr(SegmentsGame, "__init__",
+                            lambda self, matrix: built.append(matrix))
+        criterion = ts.sps_core_criterion(game)
+        assert built == []
+        monkeypatch.undo()
+        assert criterion == ts.sps_core_criterion(example61)
+
 
 class TestCoreSchemeCheck:
     @pytest.mark.parametrize("n", range(1, 9))

@@ -1,9 +1,12 @@
 """Tests for the toll matrix data model, generators, and file round-trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tollshare as ts
 from tollshare import TollMatrix, Trip
@@ -56,6 +59,34 @@ class TestValidation:
     def test_zero_entries_are_dropped(self):
         matrix = TollMatrix(3, {(1, 2): 0.0, (1, 3): 1.0})
         assert len(list(matrix.trips())) == 1
+
+    @pytest.mark.parametrize("build", [
+        lambda: TollMatrix(3, {(1, 2): "abc"}),
+        lambda: TollMatrix(3, {(1, 2): None}),
+        lambda: TollMatrix.from_triplets([(1, 2, "x")]),
+        lambda: TollMatrix.from_dense([[0.0, "x"], [0.0, 0.0]]),
+    ])
+    def test_non_numeric_toll(self, build):
+        with pytest.raises(ts.NonNumericTollError, match=r"trip \[1,2\] is not a number") as err:
+            build()
+        assert isinstance(err.value, ts.TollShareError) and isinstance(err.value, ValueError)
+        assert (err.value.entry, err.value.exit) == (1, 2)
+
+    def test_trip_keys_are_reused_and_others_converted(self):
+        trip = Trip(1, 2)
+        matrix = TollMatrix(3, {trip: 1.0, (np.int64(2), 3.0): 2.0, Trip(1.0, 3): 4})
+        keys = list(matrix.entries)
+        assert keys[0] is trip
+        assert keys == [(1, 2), (1, 3), (2, 3)]
+        assert all(type(k) is Trip and type(k.entry) is int and type(k.exit) is int
+                   for k in keys)
+        with pytest.raises(ts.SegmentIndexError, match=r"trip \[2,4\]"):
+            TollMatrix(3, {Trip(2, 4): 1.0})
+
+    def test_unsorted_entries_are_sorted(self):
+        matrix = TollMatrix(3, {(2, 3): 1.0, (1, 1): 2.0, (1, 3): 0.0, (1, 2): 3.0})
+        assert list(matrix.entries) == [(1, 1), (1, 2), (2, 3)]
+        assert matrix.total == 6.0
 
     def test_entries_are_read_only(self):
         matrix = TollMatrix(2, {(1, 2): 1.0})
@@ -254,6 +285,39 @@ class TestMalformedFiles:
         with pytest.raises(ts.TollValidationError, match=r"bad\.json"):
             ts.read_json(path)
 
+    @pytest.mark.parametrize("text, where, error", [
+        ("1,2,1.0\n\n2,3,1\n1,2,3\n", "trips.csv:5:", ts.DuplicateTripError),
+        ("1,2,1.0\n,,\n2,3,-1\n", "trips.csv:4:", ts.NegativeTollError),
+        ("1,2,nan\n", "trips.csv:2:", ts.NonFiniteError),
+        ("1,2,1\n3,2,1\n", "trips.csv:3:", ts.SegmentIndexError),
+        ("", "trips.csv:", ts.SegmentIndexError),
+    ])
+    def test_triplet_csv_trip_error_names_line(self, tmp_path, text, where, error):
+        path = tmp_path / "trips.csv"
+        path.write_text("entry,exit,toll\n" + text)
+        with pytest.raises(error, match=re.escape(where)) as err:
+            ts.read_triplet_csv(path)
+        assert err.type is error
+
+    def test_triplet_csv_range_names_line(self, tmp_path):
+        path = tmp_path / "trips.csv"
+        path.write_text("entry,exit,toll\n1,1,1\n\n2,3,1\n")
+        with pytest.raises(ts.SegmentIndexError, match=r"trips\.csv:4: trip \[2,3\]"):
+            ts.read_triplet_csv(path, n=2)
+
+    @pytest.mark.parametrize("trips, error", [
+        ('[{"entry": 1, "exit": 3, "toll": 1}]', ts.SegmentIndexError),
+        ('[{"entry": 1, "exit": 2, "toll": -1}]', ts.NegativeTollError),
+        ('[{"entry": 1, "exit": 2, "toll": 1}, {"entry": 1, "exit": 2, "toll": 2}]',
+         ts.DuplicateTripError),
+    ])
+    def test_json_trip_error_names_file(self, tmp_path, trips, error):
+        path = tmp_path / "export.json"
+        path.write_text(f'{{"n": 2, "trips": {trips}}}')
+        with pytest.raises(error, match=r"export\.json: ") as err:
+            ts.read_json(path)
+        assert err.type is error
+
 
 class TestHashing:
     def test_equal_matrices_hash_equal(self):
@@ -266,8 +330,8 @@ class TestHashing:
 class TestSamplerDrawStream:
     """The shared sampler draws exactly what the former per-generator loops drew."""
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 9])
-    @pytest.mark.parametrize("density", [0.3, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 17, 40])
+    @pytest.mark.parametrize("density", [0.05, 0.3, 0.7, 1.0])
     def test_sample_matrix(self, n, density):
         for seed in range(4):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -277,10 +341,23 @@ class TestSamplerDrawStream:
 
     @pytest.mark.parametrize("blocks", [
         [range(1, 5)], [{1, 2}, {3}], [{3, 4}, {1}, {2}], [range(1, 4), range(4, 9)],
+        [range(1, 2), range(2, 20), range(20, 41)],
     ])
     def test_block_structured_matrix(self, blocks):
         intervals = sorted((min(b), max(b)) for b in blocks)
         for seed in range(4):
-            for density in (0.3, 1.0):
+            for density in (0.05, 0.3, 0.7, 1.0):
                 assert ts.block_structured_matrix(blocks, seed=seed, density=density) == \
                     block_structured_loop(intervals, seed=seed, density=density)
+
+    @settings(max_examples=300)
+    @given(n=st.integers(1, 40),
+           density=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+           seed=st.integers(0, 2**64 - 1))
+    def test_chunked_draws_match_scalar_loop(self, n, density, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = ts.sample_matrix(rng, n, density=density)
+        reference = sample_matrix_loop(ref_rng, n, density=density)
+        assert drawn == reference
+        assert list(drawn.entries) == list(reference.entries)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
