@@ -17,6 +17,24 @@ rounding residue where the exact sum is zero, it zeroes segments that an
 integer count shows uncovered and clips the rest at 0, so shares stay
 nonnegative.
 
+Trip indices must be integers; the constructor converts keys whose indices
+are integral values of another type (``2.0``, numpy integers) and rejects
+any other with ``SegmentIndexError``.  ``_from_columns`` is the one builder
+behind ``from_triplets`` and the triplet CSV and JSON readers: it rejects a
+repeated trip, infers ``n`` as the largest exit and prefixes a rejected
+trip's error with the file and line of its record.
+
+``read_triplet_csv`` parses ``_CHUNK_ROWS`` rows at a time.  When every row of
+a chunk has 3 fields, it converts the chunk column by column (``int``,
+``int``, ``float``); a chunk that holds a blank, ragged or non-numeric row is
+walked row by row instead, skipping blank rows and raising for the first bad
+one with its ``path:line``.  Lines count CSV records, the header being line
+1.  Duplicates are checked once every chunk is parsed, so a parse fault is
+reported before a duplicate, wherever each lies.  ``write_triplet_csv``
+writes each trip as ``f"{entry},{exit},{toll!r}\r\n"`` after the header:
+the bytes ``csv.writer`` writes for these rows, as no integer or float
+``repr`` needs quoting.
+
 The random generators share one draw stream, which seeded results depend
 on: ``_sample`` visits the cells in (h, then k) order and takes one uniform
 ``u`` per cell, and for a hit (``u < density``) one more uniform ``v`` for its
@@ -32,7 +50,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -73,6 +92,19 @@ def _bad_trip(entry: int, exit: int, n: int) -> SegmentIndexError:
                              entry, exit)
 
 
+def _as_trip(entry, exit) -> Trip:
+    """The trip ``[entry, exit]`` with ``int`` indices; an index of another
+    type is accepted when its value is integral, such as ``2.0`` or a numpy
+    integer."""
+    try:
+        trip = tuple.__new__(Trip, (int(entry), int(exit)))
+    except (TypeError, ValueError, OverflowError):
+        trip = None
+    if trip is None or trip != (entry, exit):
+        raise SegmentIndexError(f"trip [{entry},{exit}] has a segment index that is not "
+                                "an integer", entry, exit)
+    return trip
+
 
 @dataclass(frozen=True)
 class TollMatrix:
@@ -93,10 +125,11 @@ class TollMatrix:
         cleaned: dict[Trip, float] = {}
         for trip, value in self.entries.items():
             entry, exit = trip
+            if not (type(trip) is Trip and type(entry) is int and type(exit) is int):
+                trip = _as_trip(entry, exit)
+                entry, exit = trip
             if not (1 <= entry <= exit <= n):
                 raise _bad_trip(entry, exit, n)
-            if not (type(trip) is Trip and type(entry) is int and type(exit) is int):
-                trip = tuple.__new__(Trip, (int(entry), int(exit)))
             try:
                 value = float(value)
             except (TypeError, ValueError):
@@ -160,19 +193,7 @@ class TollMatrix:
         ``n`` defaults to the largest exit index seen; it must be given
         explicitly when ``rows`` is empty.  Duplicate trips are rejected.
         """
-        seen: dict[Trip, float] = {}
-        for entry, exit, toll in rows:
-            trip = tuple.__new__(Trip, (int(entry), int(exit)))
-            if trip in seen:
-                raise DuplicateTripError(*trip)
-            seen[trip] = toll
-        if n is None:
-            if not seen:
-                raise SegmentIndexError(
-                    "cannot infer the segment count from an empty record set; pass n"
-                )
-            n = max(exit for _, exit in seen)
-        return cls(n, seen)
+        return _from_columns([(*_columns(rows), None)], n)
 
     # -- inspection -------------------------------------------------------
 
@@ -349,22 +370,18 @@ def block_structured_matrix(
 
 TRIPLET_HEADER = ("entry", "exit", "toll")
 
-
-def to_triplet_rows(matrix: TollMatrix) -> list[tuple[int, int, float]]:
-    return [(h, k, t) for (h, k), t in matrix.trips()]
+#: Rows the triplet reader parses at a time, so that only one chunk of rows
+#: is held as text.
+_CHUNK_ROWS = 4096
 
 
 def write_triplet_csv(matrix: TollMatrix, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIPLET_HEADER)
-        for h, k, t in to_triplet_rows(matrix):
-            writer.writerow([h, k, repr(t)])
+        fh.write(",".join(TRIPLET_HEADER) + "\r\n")
+        fh.write("".join([f"{h},{k},{t!r}\r\n" for (h, k), t in matrix.entries.items()]))
 
 
 def read_triplet_csv(path: str | Path, n: int | None = None) -> TollMatrix:
-    rows: list[tuple[int, int, float]] = []
-    blank_lines: list[int] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -372,42 +389,113 @@ def read_triplet_csv(path: str | Path, n: int | None = None) -> TollMatrix:
             raise TollValidationError(
                 f"{path}: expected header {','.join(TRIPLET_HEADER)!r}, got {header!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                blank_lines.append(lineno)
-                continue
-            if len(row) != 3:
-                raise TollValidationError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+        return _from_columns(_triplet_chunks(reader, path), n, str(path))
+
+
+def _triplet_chunks(reader: Iterator[list[str]], path: str | Path) -> Iterator[tuple]:
+    """The records after the header as ``(entries, exits, tolls, lines)``
+    columns, ``_CHUNK_ROWS`` rows at a time; ``lines`` counts records, the
+    header being line 1."""
+    line = 2
+    while rows := list(islice(reader, _CHUNK_ROWS)):
+        yield _parse_chunk(rows, line, path)
+        line += len(rows)
+
+
+def _parse_chunk(rows: list[list[str]], line: int, path: str | Path) -> tuple:
+    if {3}.issuperset(map(len, rows)):
+        heads, tails, tolls = zip(*rows)
+        try:
+            return (list(map(int, heads)), list(map(int, tails)), list(map(float, tolls)),
+                    range(line, line + len(rows)))
+        except ValueError:
+            pass
+    # a blank, ragged or non-numeric row: walk the rows one by one
+    records, lines = [], []
+    for lineno, row in enumerate(rows, start=line):
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) != 3:
+            raise TollValidationError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+        try:
+            records.append((int(row[0]), int(row[1]), float(row[2])))
+        except ValueError as exc:
+            raise TollValidationError(f"{path}:{lineno}: {exc}") from exc
+        lines.append(lineno)
+    return (*_columns(records), lines)
+
+
+def _columns(records: Iterable[tuple[object, object, object]]) -> tuple:
+    """``(entries, exits, tolls)`` of ``(entry, exit, toll)`` records."""
+    return tuple(zip(*records)) or ((), (), ())
+
+
+def _from_columns(chunks: Iterable[tuple], n: int | None,
+                  source: str | None = None) -> TollMatrix:
+    """Build a matrix from chunks of records in ``(entries, exits, tolls,
+    lines)`` columns, ``lines`` giving each record's line in ``source``, or
+    ``None`` where it has none.
+
+    ``n`` defaults to the largest exit.  A repeated trip is rejected at its
+    repeat once every chunk is parsed, so that a parse fault in a later
+    chunk is reported first.  An error is prefixed with ``source`` and the
+    line of the record it is about: the repeat of a duplicate, otherwise
+    the trip's record.
+    """
+    entries: dict[Trip, float] = {}
+    spans: list[Sequence[int] | None] = []
+    repeat_at: tuple[int, Trip] | None = None
+    for heads, tails, tolls, lines in chunks:
+        spans.append(lines)
+        if {int}.issuperset(map(type, chain(heads, tails))):
+            trips = list(map(tuple.__new__, repeat(Trip), zip(heads, tails)))
+        else:
             try:
-                rows.append((int(row[0]), int(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise TollValidationError(f"{path}:{lineno}: {exc}") from exc
+                trips = list(map(_as_trip, heads, tails))
+            except SegmentIndexError as exc:
+                _name_source(exc, source)
+                raise
+        before = len(entries)
+        entries.update(zip(trips, tolls))
+        if repeat_at is None and len(entries) - before < len(trips):
+            # the trips before this chunk are the first ``before`` keys
+            seen = set(islice(entries, before))
+            at = next(i for i, trip in enumerate(trips) if trip in seen or seen.add(trip))
+            repeat_at = before + at, trips[at]
     try:
-        return TollMatrix.from_triplets(rows, n=n)
+        if repeat_at is not None:
+            raise DuplicateTripError(*repeat_at[1])
+        if n is None:
+            if not entries:
+                raise SegmentIndexError(
+                    "cannot infer the segment count from an empty record set; pass n"
+                )
+            n = max(map(itemgetter(1), entries))
+        return TollMatrix(n, entries)
     except TollValidationError as exc:
-        _name_source(exc, _triplet_origin(path, rows, blank_lines, exc))
+        if repeat_at is not None:
+            index = repeat_at[0]
+        else:
+            trip = (getattr(exc, "entry", None), getattr(exc, "exit", None))
+            index = next((i for i, key in enumerate(entries) if key == trip), None)
+        _name_source(exc, _record_origin(source, spans, index))
         raise
 
 
-def _name_source(exc: TollValidationError, where: str) -> None:
+def _record_origin(source: str | None, spans: Sequence[Sequence[int] | None],
+                   index: int | None) -> str | None:
+    """``source:line`` of record ``index``, or ``source`` when that line is
+    unknown."""
+    if source is None or index is None or None in spans:
+        return source
+    return f"{source}:{next(islice(chain.from_iterable(spans), index, None))}"
+
+
+def _name_source(exc: TollValidationError, where: str | None) -> None:
     """Prefix the message of ``exc`` with the file (and line) it is about,
     keeping its type and attributes."""
-    exc.args = (f"{where}: {exc}",)
-
-
-def _triplet_origin(path: str | Path, rows: Sequence[tuple[int, int, float]],
-                    blank_lines: Sequence[int], exc: TollValidationError) -> str:
-    """``path:line`` of the row a trip error from ``from_triplets`` is about:
-    the repeat of a duplicate, otherwise the first row with that trip."""
-    trip = (getattr(exc, "entry", None), getattr(exc, "exit", None))
-    matches = [i for i, (h, k, _) in enumerate(rows) if (h, k) == trip]
-    if not matches:
-        return str(path)
-    line = matches[1 if isinstance(exc, DuplicateTripError) else 0] + 2
-    for blank in blank_lines:
-        if blank <= line:
-            line += 1
-    return f"{path}:{line}"
+    if where is not None:
+        exc.args = (f"{where}: {exc}",)
 
 
 def write_dense_csv(matrix: TollMatrix, path: str | Path) -> None:
@@ -420,6 +508,7 @@ def write_dense_csv(matrix: TollMatrix, path: str | Path) -> None:
 
 def read_dense_csv(path: str | Path) -> TollMatrix:
     rows: list[list[float]] = []
+    lines: list[int] = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
@@ -428,7 +517,14 @@ def read_dense_csv(path: str | Path) -> TollMatrix:
                 rows.append([float(cell) for cell in row])
             except ValueError as exc:
                 raise TollValidationError(f"{path}:{lineno}: {exc}") from exc
-    return TollMatrix.from_dense(rows)
+            lines.append(lineno)
+    try:
+        return TollMatrix.from_dense(rows)
+    except TollValidationError as exc:
+        # a rejected cell's error names its grid row as the trip's entry
+        row = getattr(exc, "entry", None)
+        _name_source(exc, f"{path}:{lines[row - 1]}" if row else str(path))
+        raise
 
 
 def to_json_dict(matrix: TollMatrix) -> dict:
@@ -450,12 +546,8 @@ def read_json(path: str | Path) -> TollMatrix:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-            rows = [(int(r["entry"]), int(r["exit"]), float(r["toll"])) for r in payload["trips"]]
+            records = [(r["entry"], r["exit"], float(r["toll"])) for r in payload["trips"]]
             n = int(payload["n"])
         except (KeyError, TypeError, ValueError) as exc:
             raise TollValidationError(f"{path}: not a toll matrix export ({exc!r})") from exc
-    try:
-        return TollMatrix.from_triplets(rows, n=n)
-    except TollValidationError as exc:
-        _name_source(exc, str(path))
-        raise
+    return _from_columns([(*_columns(records), None)], n, str(path))

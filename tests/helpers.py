@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
-from tollshare import SegmentsGame, SpsDecomposition, TollMatrix, random_matrix
+from tollshare import (
+    DuplicateTripError,
+    SegmentIndexError,
+    SegmentsGame,
+    SpsDecomposition,
+    TollMatrix,
+    TollValidationError,
+    random_matrix,
+)
 
 
 def seeded_matrices(
@@ -126,3 +136,69 @@ def block_structured_loop(intervals, seed: int = 0, density: float = 1.0,
                 if rng.random() < density:
                     entries[(h, k)] = max_toll * (1.0 - rng.random())
     return TollMatrix(intervals[-1][1], entries)
+
+
+# -- loop references for the triplet CSV reader and writer --------------------
+#
+# The row-by-row reader, with the duplicate check and segment-count inference
+# of ``from_triplets``, and the ``csv.writer`` writer that the column reader and
+# the one-shot writer replaced; results, errors and bytes must stay identical.
+
+def write_triplet_csv_loop(matrix: TollMatrix, path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("entry", "exit", "toll"))
+        for (h, k), t in matrix.trips():
+            writer.writerow([h, k, repr(t)])
+
+
+def read_triplet_csv_loop(path, n: int | None = None) -> TollMatrix:
+    rows = []
+    blank_lines = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip().lower() for c in header] != ["entry", "exit", "toll"]:
+            raise TollValidationError(
+                f"{path}: expected header {'entry,exit,toll'!r}, got {header!r}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                blank_lines.append(lineno)
+                continue
+            if len(row) != 3:
+                raise TollValidationError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+            try:
+                rows.append((int(row[0]), int(row[1]), float(row[2])))
+            except ValueError as exc:
+                raise TollValidationError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        seen = {}
+        for entry, exit, toll in rows:
+            if (entry, exit) in seen:
+                raise DuplicateTripError(entry, exit)
+            seen[(entry, exit)] = toll
+        if n is None:
+            if not seen:
+                raise SegmentIndexError(
+                    "cannot infer the segment count from an empty record set; pass n"
+                )
+            n = max(exit for _, exit in seen)
+        return TollMatrix(n, seen)
+    except TollValidationError as exc:
+        exc.args = (f"{_triplet_origin(path, rows, blank_lines, exc)}: {exc}",)
+        raise
+
+
+def _triplet_origin(path, rows, blank_lines, exc) -> str:
+    """``path:line`` of the row a trip error is about: the repeat of a
+    duplicate, otherwise the first row with that trip."""
+    trip = (getattr(exc, "entry", None), getattr(exc, "exit", None))
+    matches = [i for i, (h, k, _) in enumerate(rows) if (h, k) == trip]
+    if not matches:
+        return str(path)
+    line = matches[1 if isinstance(exc, DuplicateTripError) else 0] + 2
+    for blank in blank_lines:
+        if blank <= line:
+            line += 1
+    return f"{path}:{line}"

@@ -308,6 +308,15 @@ class TestGenerate:
         matrix = ts.read_triplet_csv(path, n=4)
         assert matrix.toll(2, 3) == 0.0
 
+    def test_bulk_sized_file_digest(self, capsys, tmp_path):
+        # the benchmark's bulk input; first recorded with the csv.writer writer
+        path = tmp_path / "bulk.csv"
+        code, _, _ = run(capsys, "generate", "--n", "500", "--density", "0.2",
+                         "--seed", "3", "--output", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "2e8c2844e34327a11cd3917416a41ed19fd59b692d062c2380a82e572398dc77"
+
     def test_roundtrip_into_allocate(self, capsys, tmp_path):
         path = tmp_path / "gen.csv"
         run(capsys, "generate", "--n", "5", "--seed", "2", "--output", str(path))
@@ -327,6 +336,8 @@ class TestMalformedInput:
         ("bad_exit.json", '{"n": 3, "trips": [{"entry": 1, "exit": "a", "toll": 1.0}]}', [],
          "bad_exit.json"),
         ("grid.csv", "0,1\n0,abc\n", ["--dense"], "grid.csv:2:"),
+        ("neg_grid.csv", "0,-1\n0,0\n", ["--dense"], "neg_grid.csv:1: toll for trip [1,2]"),
+        ("low_grid.csv", "0,0\n\n1,0\n", ["--dense"], "low_grid.csv:3: entry (2,1)"),
     ])
     def test_allocate_rejects_file(self, capsys, tmp_path, name, text, extra, where):
         path = tmp_path / name

@@ -2,6 +2,7 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tollshare as ts
-from tollshare import TollMatrix, Trip
+from tollshare import TollMatrix, Trip, model
+from tollshare.datasets import ap68
 
-from helpers import block_structured_loop, sample_matrix_loop
+from helpers import (
+    block_structured_loop,
+    read_triplet_csv_loop,
+    sample_matrix_loop,
+    seeded_matrices,
+    write_triplet_csv_loop,
+)
 
 
 class TestValidation:
@@ -114,6 +122,20 @@ class TestTriplets:
 
     def test_n_inferred_from_max_exit(self):
         assert TollMatrix.from_triplets([(2, 4, 1.0)]).n == 4
+
+    def test_integral_indices_accepted(self):
+        built = TollMatrix.from_triplets([(np.int64(1), 2.0, 1.0), (2, np.int32(2), 3.0)])
+        assert built == TollMatrix(2, {(1, 2): 1.0, (2, 2): 3.0})
+        assert all(type(h) is int and type(k) is int for h, k in built.entries)
+
+    @pytest.mark.parametrize("build", [
+        lambda: TollMatrix(3, {(1, "a"): 1.0}),
+        lambda: TollMatrix.from_triplets([(1, "a", 1.0)]),
+    ])
+    def test_non_integer_index_names_trip(self, build):
+        with pytest.raises(ts.SegmentIndexError, match=r"trip \[1,a\] has a segment index") as err:
+            build()
+        assert (err.value.entry, err.value.exit) == (1, "a")
 
     def test_out_of_range(self):
         with pytest.raises(ts.SegmentIndexError):
@@ -249,6 +271,10 @@ class TestSingleFaults:
         (lambda: TollMatrix.from_dense([[1.0, 2.0], [3.0]]), ts.SegmentIndexError),
         (lambda: ts.random_matrix(0), ts.SegmentIndexError),
         (lambda: ts.block_structured_matrix([]), ts.SegmentIndexError),
+        (lambda: TollMatrix(3, {(1, "a"): 1.0}), ts.SegmentIndexError),
+        (lambda: TollMatrix(3, {(1, 2.5): 1.0}), ts.SegmentIndexError),
+        (lambda: TollMatrix.from_triplets([(1, "a", 1.0)]), ts.SegmentIndexError),
+        (lambda: TollMatrix.from_triplets([(1.5, 2, 1.0)]), ts.SegmentIndexError),
     ])
     def test_error_type(self, build, error):
         with pytest.raises(error) as err:
@@ -270,6 +296,19 @@ class TestMalformedFiles:
         path.write_text("0,1\n0,x\n")
         with pytest.raises(ts.TollValidationError, match=r"grid\.csv:2:"):
             ts.read_dense_csv(path)
+
+    @pytest.mark.parametrize("text, where, error", [
+        ("0,-1\n0,0\n", "grid.csv:1: toll", ts.NegativeTollError),
+        ("0,0\n\n1,0\n", "grid.csv:3: entry (2,1)", ts.LowerTriangularNonzeroError),
+        ("\n0,0\n\n0,nan\n", "grid.csv:4: toll", ts.NonFiniteError),
+        ("0,0\n0\n", "grid.csv: dense", ts.SegmentIndexError),
+    ])
+    def test_dense_csv_cell_error_names_line(self, tmp_path, text, where, error):
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=re.escape(where)) as err:
+            ts.read_dense_csv(path)
+        assert err.type is error
 
     @pytest.mark.parametrize("text", [
         '{"n": 3}',
@@ -310,6 +349,7 @@ class TestMalformedFiles:
         ('[{"entry": 1, "exit": 2, "toll": -1}]', ts.NegativeTollError),
         ('[{"entry": 1, "exit": 2, "toll": 1}, {"entry": 1, "exit": 2, "toll": 2}]',
          ts.DuplicateTripError),
+        ('[{"entry": 1, "exit": 1.5, "toll": 1}]', ts.SegmentIndexError),
     ])
     def test_json_trip_error_names_file(self, tmp_path, trips, error):
         path = tmp_path / "export.json"
@@ -317,6 +357,91 @@ class TestMalformedFiles:
         with pytest.raises(error, match=r"export\.json: ") as err:
             ts.read_json(path)
         assert err.type is error
+
+
+def _read_outcome(read, path, n):
+    """The matrix ``read`` returns, or the type and message of what it raises."""
+    try:
+        matrix = read(path, n)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return matrix, list(matrix.entries)
+
+
+_INDEX = st.integers(1, 6).map(str)
+_ROWS = st.one_of(
+    st.tuples(_INDEX, _INDEX, st.one_of(st.floats(0.0, 1e6), st.floats()).map(repr)),
+    st.tuples(_INDEX, _INDEX, st.sampled_from(["1", " 2.5 ", "1e3", "-0.0", "0", "inf"])),
+    st.sampled_from([(), ("",), ("  ",), ("", "", ""), (" ", "", "\t")]),
+    st.lists(_INDEX, min_size=1, max_size=5).filter(lambda row: len(row) != 3).map(tuple),
+    st.tuples(st.sampled_from(["a", "2.0", "", "1"]), _INDEX, st.sampled_from(["x", "", "1"])),
+)
+
+
+@st.composite
+def _triplet_texts(draw):
+    """A triplet CSV: blank, ragged, non-numeric, duplicate and out-of-order
+    records among valid ones, with quoted cells (some spanning a line break)
+    and LF or CRLF line ends."""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["entry,exit,toll"]
+    for row in draw(st.lists(_ROWS, max_size=30)):
+        quoting = draw(st.lists(st.sampled_from(["", '"', "break"]),
+                                min_size=len(row), max_size=len(row)))
+        lines.append(",".join(cell if q == "" else f'"{cell}"' if q == '"' else f'"{cell}{end}"'
+                              for cell, q in zip(row, quoting)))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+class TestTripletIO:
+    """The column reader and one-shot writer against the row-by-row loops."""
+
+    @settings(max_examples=300)
+    @given(text=_triplet_texts(), n=st.sampled_from([None, 4, 6]),
+           chunk_rows=st.sampled_from([1, 2, 3, 7, model._CHUNK_ROWS]))
+    def test_reader_matches_row_loop(self, tmp_path_factory, text, n, chunk_rows):
+        path = tmp_path_factory.mktemp("csv") / "trips.csv"
+        path.write_bytes(text.encode())
+        expected = _read_outcome(read_triplet_csv_loop, path, n)
+        with mock.patch.object(model, "_CHUNK_ROWS", chunk_rows):
+            assert _read_outcome(ts.read_triplet_csv, path, n) == expected
+
+    @pytest.mark.parametrize("tail, line, error", [
+        ("101,101,2.5\n", None, None),
+        ("101,101,1\n\n7,9,2\n", 3, ts.DuplicateTripError),
+        ("101,101,1\n1,2\n", 2, ts.TollValidationError),
+        ("101,101,1\n1,b,1\n", 2, ts.TollValidationError),
+        ("101,101,-1\n", 1, ts.NegativeTollError),
+        ("102,101,1\n", 1, ts.SegmentIndexError),
+        # a parse fault is reported before an earlier duplicate
+        ("101,101,1\n1,2,1\n1,2\n", 3, ts.TollValidationError),
+    ])
+    def test_fault_after_first_chunk(self, tmp_path, tail, line, error):
+        filler = [f"{h},{k},1.5\n" for h in range(1, 101) for k in range(h, 101)]
+        assert len(filler) > model._CHUNK_ROWS
+        path = tmp_path / "trips.csv"
+        path.write_text("entry,exit,toll\n" + "".join(filler[:10]) + "\n"
+                        + "".join(filler[10:]) + tail)
+        outcome = _read_outcome(ts.read_triplet_csv, path, None)
+        assert outcome == _read_outcome(read_triplet_csv_loop, path, None)
+        if error is None:
+            assert outcome[0].n == 101
+        else:
+            # the header, the filler and one blank row come before the tail
+            assert outcome[0] is error
+            assert f"trips.csv:{len(filler) + 2 + line}: " in outcome[1]
+
+    @pytest.mark.parametrize("matrix", [
+        ap68(),
+        *seeded_matrices(7, sizes=(1, 5, 12, 40)),
+        TollMatrix(3, {(1, 1): 5e-324, (1, 2): 1e-300, (2, 3): 0.1, (3, 3): 1e300}),
+        TollMatrix.zero(2),
+    ], ids=repr)
+    def test_writer_bytes_match_csv_writer(self, tmp_path, matrix):
+        ts.write_triplet_csv(matrix, tmp_path / "new.csv")
+        write_triplet_csv_loop(matrix, tmp_path / "loop.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        assert ts.read_triplet_csv(tmp_path / "new.csv", n=matrix.n) == matrix
 
 
 class TestHashing:
