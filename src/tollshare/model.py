@@ -126,8 +126,11 @@ class TollMatrix:
         for trip, value in self.entries.items():
             entry, exit = trip
             if not (type(trip) is Trip and type(entry) is int and type(exit) is int):
-                trip = _as_trip(entry, exit)
-                entry, exit = trip
+                if type(entry) is int and type(exit) is int:
+                    trip = tuple.__new__(Trip, (entry, exit))
+                else:
+                    trip = _as_trip(entry, exit)
+                    entry, exit = trip
             if not (1 <= entry <= exit <= n):
                 raise _bad_trip(entry, exit, n)
             try:
@@ -426,8 +429,9 @@ def _parse_chunk(rows: list[list[str]], line: int, path: str | Path) -> tuple:
 
 
 def _columns(records: Iterable[tuple[object, object, object]]) -> tuple:
-    """``(entries, exits, tolls)`` of ``(entry, exit, toll)`` records."""
-    return tuple(zip(*records)) or ((), (), ())
+    """``(entries, exits, tolls)`` of ``(entry, exit, toll)`` records; records
+    of unequal length raise ``ValueError``."""
+    return tuple(zip(*records, strict=True)) or ((), (), ())
 
 
 def _from_columns(chunks: Iterable[tuple], n: int | None,

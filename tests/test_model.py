@@ -123,6 +123,11 @@ class TestTriplets:
     def test_n_inferred_from_max_exit(self):
         assert TollMatrix.from_triplets([(2, 4, 1.0)]).n == 4
 
+    @pytest.mark.parametrize("rows", [[(1, 2)], [(1, 2, 1.0, 9)], [(1, 2, 1.0, 9), (1, 3, 1.0)]])
+    def test_records_of_other_lengths_rejected(self, rows):
+        with pytest.raises(ValueError):
+            TollMatrix.from_triplets(rows)
+
     def test_integral_indices_accepted(self):
         built = TollMatrix.from_triplets([(np.int64(1), 2.0, 1.0), (2, np.int32(2), 3.0)])
         assert built == TollMatrix(2, {(1, 2): 1.0, (2, 2): 3.0})
