@@ -7,6 +7,15 @@ to the same gap.  The suite-level runners falsify axioms over seeded random
 instances, exhausting the quantified set where it is finite (unit matrices,
 cuts, intervals, pairs).
 
+``CATALOGUE`` holds one ``AxiomSpec`` record per axiom, in report order: its
+checker, ``draw(rng, n)`` for a random instance, ``around(matrix, rng)`` for
+an instance on a counterexample's trigger matrix (``methods.TRIGGERS``), its
+minimum size and default tolerance, and whether it is exhausted per size
+rather than sampled.  The runners look an axiom up there and never branch
+on its name.  Seeded verdicts depend on the draw stream, so the draw order
+is fixed: ``generate_instance`` draws the size, then the builder draws in
+the order it is written.  Golden digests of the ``axioms`` output pin it.
+
 Checking can only falsify, never prove: a method that survives the seeded
 trials is reported as holding for the tested population.
 """
@@ -21,7 +30,7 @@ import zlib
 import numpy as np
 
 from .errors import HarnessMismatchError, NoWitnessError, PreconditionNotMet, SegmentIndexError
-from .methods import MethodFn, allocation_method
+from .methods import TRIGGERS, MethodFn, allocation_method
 from .model import (
     DEFAULT_TOL,
     TollMatrix,
@@ -34,21 +43,6 @@ from .model import (
 #: near-equal allocations and therefore lose more precision than sums; it is
 #: scaled by the largest share subtracted, as rounding grows with it.
 FAIRNESS_TOL = 1e-8
-
-AXIOMS = (
-    "efficiency",
-    "inessential_segment",
-    "additivity",
-    "linearity",
-    "covariance",
-    "segment_symmetry",
-    "weak_segment_symmetry",
-    "weighted_segment_symmetry",
-    "toll_fairness",
-    "toll_component_fairness",
-    "subhighway_efficiency",
-    "indifference_to_extensions",
-)
 
 
 @dataclass(frozen=True)
@@ -123,10 +117,6 @@ def covariance_transform(matrix: TollMatrix, b: float, a: Sequence[float]) -> To
     return TollMatrix(matrix.n, entries)
 
 
-def _scaled_sum(t1: TollMatrix, b1: float, t2: TollMatrix, b2: float) -> TollMatrix:
-    return t1.scaled(b1) + t2.scaled(b2)
-
-
 # -- single-instance checkers ------------------------------------------------
 
 def check_efficiency(f: MethodFn, matrix: TollMatrix, tol: float = DEFAULT_TOL) -> AxiomVerdict:
@@ -171,7 +161,7 @@ def check_linearity(
     b2: float,
     tol: float = DEFAULT_TOL,
 ) -> AxiomVerdict:
-    combined = f(_scaled_sum(matrix, b, other, b2))
+    combined = f(matrix.scaled(b) + other.scaled(b2))
     split = b * f(matrix) + b2 * f(other)
     slack = tol * _scale(b * matrix.total + b2 * other.total)
     failures = [
@@ -298,14 +288,11 @@ def _subhighways(matrix: TollMatrix) -> Iterator[tuple[int, int]]:
     """Contiguous intervals that no positive trip partially overlaps."""
     for start in range(1, matrix.n + 1):
         for end in range(start, matrix.n + 1):
-            ok = True
             for (h, k), _ in matrix.trips():
                 inside = start <= h and k <= end
-                disjoint = k < start or h > end
-                if not (inside or disjoint):
-                    ok = False
+                if not (inside or k < start or h > end):
                     break
-            if ok:
+            else:
                 yield start, end
 
 
@@ -354,46 +341,7 @@ def check_indifference_to_extensions(f: MethodFn, n: int, tol: float = DEFAULT_T
     return _verdict("indifference_to_extensions", {"n": n}, tol, failures)
 
 
-# -- replay -------------------------------------------------------------------
-
-_CHECKERS: Mapping[str, Callable] = {
-    "efficiency": check_efficiency,
-    "inessential_segment": check_inessential_segment,
-    "additivity": check_additivity,
-    "linearity": check_linearity,
-    "covariance": check_covariance,
-    "segment_symmetry": check_segment_symmetry,
-    "weak_segment_symmetry": check_weak_segment_symmetry,
-    "weighted_segment_symmetry": check_weighted_segment_symmetry,
-    "toll_fairness": check_toll_fairness,
-    "toll_component_fairness": check_toll_component_fairness,
-    "subhighway_efficiency": check_subhighway_efficiency,
-    "indifference_to_extensions": check_indifference_to_extensions,
-}
-
-
-def run_instance(f: MethodFn, axiom: str, instance: Mapping[str, object], tol: float) -> AxiomVerdict:
-    """Run one checker on one concrete instance."""
-    return _CHECKERS[axiom](f, **instance, tol=tol)
-
-
-def replay(f: MethodFn, verdict: AxiomVerdict) -> AxiomVerdict:
-    """Re-run the checker on a failed verdict's witness inputs."""
-    if verdict.witness is None:
-        raise NoWitnessError(f"{verdict.axiom} verdict carries no witness to replay")
-    return run_instance(f, verdict.axiom, verdict.witness.instance, verdict.witness.tol)
-
-
-# -- seeded instance generation ------------------------------------------------
-
-_MIN_SIZE = {
-    "segment_symmetry": 2,
-    "weighted_segment_symmetry": 2,
-    "toll_fairness": 2,
-    "toll_component_fairness": 2,
-    "indifference_to_extensions": 2,
-}
-
+# -- the catalogue ---------------------------------------------------------------
 
 #: Occupancy densities of the random instances.
 _DENSITIES = (0.3, 0.7, 1.0)
@@ -403,12 +351,6 @@ def _pick(rng: np.random.Generator, seq: Sequence):
     """``rng.choice(seq)``, the same draw and value, without converting ``seq``
     to an array on every call."""
     return seq[rng.integers(len(seq))]
-
-
-def _pick_size(rng: np.random.Generator, sizes: Sequence[int], axiom: str) -> int:
-    floor = _MIN_SIZE.get(axiom, 1)
-    valid = [s for s in sizes if s >= floor]
-    return int(_pick(rng, valid)) if valid else floor
 
 
 def _rand(rng: np.random.Generator, n: int) -> TollMatrix:
@@ -425,71 +367,142 @@ def _strip_diagonal(matrix: TollMatrix) -> TollMatrix:
     return TollMatrix(matrix.n, kept)
 
 
-def _random_blocks(rng: np.random.Generator, n: int) -> list[range]:
-    cuts = [i for i in range(1, n) if rng.random() < 0.5]
-    bounds = [0] + cuts + [n]
-    return [range(bounds[j] + 1, bounds[j + 1] + 1) for j in range(len(bounds) - 1)]
+def _draw_common_interval(rng: np.random.Generator, n: int) -> Mapping[str, object]:
+    """Trips that all contain a random interval ``[lo, hi]`` of at least two
+    segments."""
+    lo = int(rng.integers(1, n))
+    hi = int(rng.integers(lo + 1, n + 1))
+    entries = {}
+    for h in range(1, lo + 1):
+        for k in range(hi, n + 1):
+            if rng.random() < 0.7:
+                entries[(h, k)] = 10.0 * (1.0 - rng.random())
+    return {"matrix": TollMatrix(n, entries)}
+
+
+def _draw_full_trip(rng: np.random.Generator, n: int) -> Mapping[str, object]:
+    c = 0.0 if rng.random() < 0.2 else 10.0 * (1.0 - rng.random())
+    return {"matrix": TollMatrix(n, {(1, n): c} if c else {})}
+
+
+def _draw_subhighways(rng: np.random.Generator, n: int) -> Mapping[str, object]:
+    if rng.random() < 0.5:
+        bounds = [0] + [i for i in range(1, n) if rng.random() < 0.5] + [n]
+        blocks = [range(lo + 1, hi + 1) for lo, hi in zip(bounds, bounds[1:])]
+        return {"matrix": block_structured_matrix(
+            blocks, seed=int(rng.integers(2**63)), density=_pick(rng, _DENSITIES)
+        )}
+    return {"matrix": _rand(rng, n)}
+
+
+def _draw_linear(rng: np.random.Generator, n: int) -> Mapping[str, object]:
+    coeffs = (0.0, 0.5, 1.0, 2.0, float(rng.uniform(0.0, 3.0)))
+    return {"matrix": _rand(rng, n), "other": _rand(rng, n),
+            "b": _pick(rng, coeffs), "b2": _pick(rng, coeffs)}
+
+
+def _draw_covariant(rng: np.random.Generator, n: int) -> Mapping[str, object]:
+    a = rng.uniform(0.0, 5.0, size=n)
+    a[rng.random(n) < 0.3] = 0.0
+    return {"matrix": _rand(rng, n),
+            "b": _pick(rng, (0.5, 1.0, 2.0, float(rng.uniform(0.1, 3.0)))), "a": a}
+
+
+def _draw_cut(rng: np.random.Generator, n: int) -> Mapping[str, object]:
+    return {"matrix": _rand(rng, n), "cut": int(rng.integers(1, n))}
+
+
+def _alone(matrix: TollMatrix, rng: np.random.Generator) -> Mapping[str, object]:
+    return {"matrix": matrix}
+
+
+def _at_first_cut(matrix: TollMatrix, rng: np.random.Generator) -> Mapping[str, object] | None:
+    return {"matrix": matrix, "cut": 1} if matrix.n >= 2 else None
+
+
+@dataclass(frozen=True)
+class AxiomSpec:
+    """One catalogue record: an axiom's checker and how to build its instances.
+
+    ``draw(rng, n)`` builds a random instance on ``n >= min_size`` segments
+    that satisfies the axiom's hypothesis; ``around(matrix, rng)`` builds one
+    on a given matrix, or returns ``None`` where the axiom does not take one.
+    ``tol`` is the default tolerance, and an ``exhausted`` axiom is checked
+    once per size instead of on sampled instances.
+    """
+
+    check: Callable[..., AxiomVerdict]
+    draw: Callable[[np.random.Generator, int], Mapping[str, object]]
+    around: Callable[[TollMatrix, np.random.Generator], Mapping[str, object] | None] = _alone
+    min_size: int = 1
+    tol: float = DEFAULT_TOL
+    exhausted: bool = False
+
+
+CATALOGUE: Mapping[str, AxiomSpec] = {
+    "efficiency": AxiomSpec(check_efficiency, lambda rng, n: {"matrix": _rand(rng, n)}),
+    "inessential_segment": AxiomSpec(
+        check_inessential_segment,
+        lambda rng, n: {"matrix": _drop_segment(_rand(rng, n), int(rng.integers(1, n + 1)))},
+    ),
+    "additivity": AxiomSpec(
+        check_additivity,
+        lambda rng, n: {"matrix": _rand(rng, n), "other": _rand(rng, n)},
+        lambda matrix, rng: {"matrix": matrix, "other": _rand(rng, matrix.n)},
+    ),
+    "linearity": AxiomSpec(
+        check_linearity,
+        _draw_linear,
+        lambda matrix, rng: {"matrix": matrix, "other": _rand(rng, matrix.n), "b": 2.0, "b2": 0.5},
+    ),
+    "covariance": AxiomSpec(
+        check_covariance,
+        _draw_covariant,
+        lambda matrix, rng: {"matrix": matrix, "b": 2.0, "a": rng.uniform(0.0, 2.0, size=matrix.n)},
+    ),
+    "segment_symmetry": AxiomSpec(check_segment_symmetry, _draw_common_interval, min_size=2),
+    "weak_segment_symmetry": AxiomSpec(check_weak_segment_symmetry, _draw_full_trip),
+    "weighted_segment_symmetry": AxiomSpec(
+        check_weighted_segment_symmetry,
+        lambda rng, n: {"matrix": _strip_diagonal(_rand(rng, n))},
+        min_size=2,
+    ),
+    "toll_fairness": AxiomSpec(
+        check_toll_fairness, _draw_cut, _at_first_cut, min_size=2, tol=FAIRNESS_TOL
+    ),
+    "toll_component_fairness": AxiomSpec(
+        check_toll_component_fairness, _draw_cut, _at_first_cut, min_size=2, tol=FAIRNESS_TOL
+    ),
+    "subhighway_efficiency": AxiomSpec(check_subhighway_efficiency, _draw_subhighways),
+    "indifference_to_extensions": AxiomSpec(
+        check_indifference_to_extensions, lambda rng, n: {"n": n}, lambda matrix, rng: None,
+        min_size=2, exhausted=True,
+    ),
+}
+
+AXIOMS = tuple(CATALOGUE)
+
+
+def run_instance(f: MethodFn, axiom: str, instance: Mapping[str, object], tol: float) -> AxiomVerdict:
+    """Run one checker on one concrete instance."""
+    return CATALOGUE[axiom].check(f, **instance, tol=tol)
+
+
+def replay(f: MethodFn, verdict: AxiomVerdict) -> AxiomVerdict:
+    """Re-run the checker on a failed verdict's witness inputs."""
+    if verdict.witness is None:
+        raise NoWitnessError(f"{verdict.axiom} verdict carries no witness to replay")
+    return run_instance(f, verdict.axiom, verdict.witness.instance, verdict.witness.tol)
 
 
 def generate_instance(
     axiom: str, rng: np.random.Generator, sizes: Sequence[int]
 ) -> Mapping[str, object]:
     """Draw one random instance satisfying the axiom's hypothesis."""
-    n = _pick_size(rng, sizes, axiom)
-    if axiom in ("efficiency", "inessential_segment", "subhighway_efficiency",
-                 "segment_symmetry", "weak_segment_symmetry",
-                 "weighted_segment_symmetry"):
-        if axiom == "inessential_segment":
-            matrix = _drop_segment(_rand(rng, n), int(rng.integers(1, n + 1)))
-        elif axiom == "subhighway_efficiency":
-            if rng.random() < 0.5:
-                matrix = block_structured_matrix(
-                    _random_blocks(rng, n),
-                    seed=int(rng.integers(2**63)),
-                    density=_pick(rng, _DENSITIES),
-                )
-            else:
-                matrix = _rand(rng, n)
-        elif axiom == "segment_symmetry":
-            lo = int(rng.integers(1, n))
-            hi = int(rng.integers(lo + 1, n + 1))
-            entries = {}
-            for h in range(1, lo + 1):
-                for k in range(hi, n + 1):
-                    if rng.random() < 0.7:
-                        entries[(h, k)] = 10.0 * (1.0 - rng.random())
-            matrix = TollMatrix(n, entries)
-        elif axiom == "weak_segment_symmetry":
-            c = 0.0 if rng.random() < 0.2 else 10.0 * (1.0 - rng.random())
-            matrix = TollMatrix(n, {(1, n): c} if c else {})
-        elif axiom == "weighted_segment_symmetry":
-            matrix = _strip_diagonal(_rand(rng, n))
-        else:
-            matrix = _rand(rng, n)
-        return {"matrix": matrix}
-    if axiom == "additivity":
-        return {"matrix": _rand(rng, n), "other": _rand(rng, n)}
-    if axiom == "linearity":
-        coeffs = (0.0, 0.5, 1.0, 2.0, float(rng.uniform(0.0, 3.0)))
-        return {
-            "matrix": _rand(rng, n),
-            "other": _rand(rng, n),
-            "b": _pick(rng, coeffs),
-            "b2": _pick(rng, coeffs),
-        }
-    if axiom == "covariance":
-        a = rng.uniform(0.0, 5.0, size=n)
-        a[rng.random(n) < 0.3] = 0.0
-        return {
-            "matrix": _rand(rng, n),
-            "b": _pick(rng, (0.5, 1.0, 2.0, float(rng.uniform(0.1, 3.0)))),
-            "a": a,
-        }
-    if axiom in ("toll_fairness", "toll_component_fairness"):
-        return {"matrix": _rand(rng, n), "cut": int(rng.integers(1, n))}
-    if axiom == "indifference_to_extensions":
-        return {"n": n}
-    raise KeyError(axiom)
+    spec = CATALOGUE[axiom]
+    valid = [s for s in sizes if s >= spec.min_size]
+    n = int(_pick(rng, valid)) if valid else spec.min_size
+    return spec.draw(rng, n)
 
 
 def evaluate_axiom(
@@ -504,11 +517,12 @@ def evaluate_axiom(
 ) -> AxiomVerdict:
     """Falsification run: designated instances first, then seeded trials.
 
-    Deterministic in (axiom, seed, trials, sizes).  The extension axiom is
-    exhausted once per size instead of sampled.
+    Deterministic in (axiom, seed, trials, sizes).  An exhausted axiom is
+    checked once per size instead of sampled.
     """
+    spec = CATALOGUE[axiom]
     if tol is None:
-        tol = FAIRNESS_TOL if axiom.startswith("toll_") else DEFAULT_TOL
+        tol = spec.tol
     for instance in extra_instances:
         try:
             verdict = run_instance(f, axiom, instance, tol)
@@ -517,16 +531,11 @@ def evaluate_axiom(
         if not verdict.holds:
             return verdict
     rng = np.random.default_rng(seed)
-    if axiom == "indifference_to_extensions":
-        floor = _MIN_SIZE[axiom]
-        plan = sorted({max(s, floor) for s in sizes})
-        for n in plan:
-            verdict = run_instance(f, axiom, {"n": n}, tol)
-            if not verdict.holds:
-                return verdict
-        return AxiomVerdict(axiom, True)
-    for _ in range(trials):
-        instance = generate_instance(axiom, rng, sizes)
+    if spec.exhausted:
+        plan = (spec.draw(rng, n) for n in sorted({max(s, spec.min_size) for s in sizes}))
+    else:
+        plan = (generate_instance(axiom, rng, sizes) for _ in range(trials))
+    for instance in plan:
         verdict = run_instance(f, axiom, instance, tol)
         if not verdict.holds:
             return verdict
@@ -632,13 +641,9 @@ CHARACTERIZATIONS: tuple[Characterization, ...] = (
 )
 
 
-def _example_matrix() -> TollMatrix:
-    return TollMatrix(3, {(1, 2): 1.0, (1, 3): 1.0})
-
-
 def _designated_failures() -> dict[tuple[str, str], list[Mapping[str, object]]]:
     """Hand-built instances on which each flawed method provably fails."""
-    t3 = _example_matrix()
+    t3 = TollMatrix(3, {(1, 2): 1.0, (1, 3): 1.0})
     return {
         ("A1_involvement_sum", "efficiency"): [{"matrix": t3}],
         ("A1_swap_diag", "covariance"): [
@@ -661,39 +666,11 @@ def _designated_failures() -> dict[tuple[str, str], list[Mapping[str, object]]]:
     }
 
 
-def _trigger_matrices(method: str) -> list[TollMatrix]:
-    """Matrices that exercise a piecewise method's special branch."""
-    if method == "A1_swap_diag":
-        return [TollMatrix(2, {(1, 1): 1.0, (2, 2): 2.0})]
-    if method == "A1_tilde":
-        return [
-            TollMatrix(3, {(2, 3): 1.0}),
-            TollMatrix(3, {(1, 1): 0.5, (2, 2): 0.25, (2, 3): 2.0}),
-        ]
-    if method == "A2_hybrid":
-        return [TollMatrix.unit(1, 2, 3), TollMatrix.unit(2, 2, 4)]
-    return []
-
-
 def _pass_instances(method: str, axiom: str, rng: np.random.Generator) -> list[Mapping[str, object]]:
     """Instances built on a method's trigger matrices for its pass cells."""
-    instances: list[Mapping[str, object]] = []
-    for matrix in _trigger_matrices(method):
-        n = matrix.n
-        if axiom in ("efficiency", "inessential_segment", "segment_symmetry",
-                     "weak_segment_symmetry", "weighted_segment_symmetry",
-                     "subhighway_efficiency"):
-            instances.append({"matrix": matrix})
-        elif axiom == "additivity":
-            instances.append({"matrix": matrix, "other": _rand(rng, n)})
-        elif axiom == "linearity":
-            instances.append({"matrix": matrix, "other": _rand(rng, n), "b": 2.0, "b2": 0.5})
-        elif axiom == "covariance":
-            instances.append({"matrix": matrix, "b": 2.0,
-                              "a": rng.uniform(0.0, 2.0, size=n)})
-        elif axiom in ("toll_fairness", "toll_component_fairness") and n >= 2:
-            instances.append({"matrix": matrix, "cut": 1})
-    return instances
+    around = CATALOGUE[axiom].around
+    built = (around(matrix, rng) for matrix in TRIGGERS.get(method, ()))
+    return [instance for instance in built if instance is not None]
 
 
 @dataclass(frozen=True)
@@ -723,23 +700,20 @@ def independence_harness(
             verdicts: dict[str, bool] = {}
             for axiom in char.axioms:
                 cell_seed = _stable_seed(seed, char.name, method_name, axiom)
-                rng = np.random.default_rng(cell_seed)
-                if axiom == expected_fail:
+                should_fail = expected_fail == axiom
+                if should_fail:
                     extras = designated.get((method_name, axiom), [])
                 else:
-                    extras = _pass_instances(method_name, axiom, rng)
+                    extras = _pass_instances(method_name, axiom, np.random.default_rng(cell_seed))
                 verdict = evaluate_axiom(
                     f, axiom, trials=trials, seed=cell_seed, sizes=sizes,
                     extra_instances=extras,
                 )
                 verdicts[axiom] = verdict.holds
-                if verdict.holds and axiom == expected_fail:
-                    raise HarnessMismatchError(
-                        method_name, axiom, "expected failure was not observed"
-                    )
-                if not verdict.holds and axiom != expected_fail:
+                if verdict.holds == should_fail:
                     raise HarnessMismatchError(
                         method_name, axiom,
+                        "expected failure was not observed" if should_fail else
                         f"unexpected failure (designated axiom is {expected_fail}); "
                         f"witness gap {verdict.witness.gap:g}",
                     )

@@ -58,8 +58,12 @@ def sps_decomposition(matrix: TollMatrix) -> SpsDecomposition:
     separable = matrix.diagonal()
     nonseparable = coverage(matrix, (0.0 if h == k else toll for (h, k), toll in matrix.trips()))
     pooled = matrix.total - float(separable.sum())
-    denom = float(nonseparable.sum())
-    beta = pooled / denom if denom > 0.0 else None
+    if pooled * matrix.n < math.inf:
+        denom = float(nonseparable.sum())
+        beta = pooled / denom if denom > 0.0 else None
+    else:
+        # NS sums to at most n times the pooled revenue, so NS / n sums finitely
+        beta = pooled / matrix.n / float((nonseparable / matrix.n).sum())
     return SpsDecomposition(separable, nonseparable, pooled, beta)
 
 
@@ -84,6 +88,10 @@ def scs(matrix: TollMatrix) -> np.ndarray:
     collected.
     """
     n = matrix.n
+    if matrix.total * n == math.inf:
+        # toll * (h - 1) below could overflow; scaling by a power of two is exact
+        scale = 2.0 ** n.bit_length()
+        return scs(matrix.scaled(1.0 / scale)) * scale
     # a multi-segment trip gives toll/n to each segment, plus (h-1)/n at entry, (n-k)/n at exit
     ends = [0.0] * n
     for (h, k), toll in matrix.trips():
@@ -203,12 +211,8 @@ def _involvement_sum(matrix: TollMatrix) -> np.ndarray:
     return coverage(matrix, matrix.entries.values())
 
 
-# 2-segment problem whose diagonal gets swapped by the piecewise method below
-_SWAP_TRIGGER = TollMatrix(2, {(1, 1): 1.0, (2, 2): 2.0})
-
-
 def _swap_diag(matrix: TollMatrix) -> np.ndarray:
-    if matrix == _SWAP_TRIGGER:
+    if matrix == TRIGGERS["A1_swap_diag"][0]:
         return np.array([2.0, 1.0])
     return sps(matrix)
 
@@ -255,6 +259,14 @@ COUNTEREXAMPLES: Mapping[str, MethodFn] = {
     "A2_zero": _zero,
     "A2_entrance": _entrance,
     "A2_hybrid": _hybrid,
+}
+
+#: Matrices that take each piecewise counterexample down its special branch.
+TRIGGERS: Mapping[str, tuple[TollMatrix, ...]] = {
+    "A1_swap_diag": (TollMatrix(2, {(1, 1): 1.0, (2, 2): 2.0}),),
+    "A1_tilde": (TollMatrix(3, {(2, 3): 1.0}),
+                 TollMatrix(3, {(1, 1): 0.5, (2, 2): 0.25, (2, 3): 2.0})),
+    "A2_hybrid": (TollMatrix.unit(1, 2, 3), TollMatrix.unit(2, 2, 4)),
 }
 
 

@@ -7,7 +7,7 @@ from trips to positive amounts; segment indices are 1-based on every public
 interface.
 
 ``TollMatrix.__post_init__`` is the one place that checks a trip's range,
-finiteness and sign.  Constructors and file readers only parse, keeping the
+finiteness and sign, and that the total stays finite.  Constructors and file readers only parse, keeping the
 checks of their own format (duplicate triplets; a square grid with nothing
 below the diagonal), and report malformed text as ``TollValidationError``;
 the readers add the file, and for CSV the line, to the message of a trip the
@@ -147,8 +147,11 @@ class TollMatrix:
         ordered = sorted(trips)
         if ordered != trips:
             cleaned = {trip: cleaned[trip] for trip in ordered}
+        try:
+            object.__setattr__(self, "_total", math.fsum(cleaned.values()))
+        except OverflowError:
+            raise TollValidationError("the tolls add up to more than the largest float") from None
         object.__setattr__(self, "entries", MappingProxyType(cleaned))
-        object.__setattr__(self, "_total", math.fsum(cleaned.values()))
 
     def __hash__(self) -> int:
         # entries are sorted, so equal matrices list equal items in one order
@@ -429,9 +432,12 @@ def _parse_chunk(rows: list[list[str]], line: int, path: str | Path) -> tuple:
 
 
 def _columns(records: Iterable[tuple[object, object, object]]) -> tuple:
-    """``(entries, exits, tolls)`` of ``(entry, exit, toll)`` records; records
-    of unequal length raise ``ValueError``."""
-    return tuple(zip(*records, strict=True)) or ((), (), ())
+    """``(entries, exits, tolls)`` of ``(entry, exit, toll)`` records."""
+    try:
+        heads, tails, tolls = tuple(zip(*records, strict=True)) or ((), (), ())
+    except (TypeError, ValueError):
+        raise TollValidationError("every triplet record must have 3 fields: entry, exit, toll") from None
+    return heads, tails, tolls
 
 
 def _from_columns(chunks: Iterable[tuple], n: int | None,
@@ -552,6 +558,8 @@ def read_json(path: str | Path) -> TollMatrix:
             payload = json.load(fh)
             records = [(r["entry"], r["exit"], float(r["toll"])) for r in payload["trips"]]
             n = int(payload["n"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TollValidationError(f"{path}: not a toll matrix export ({exc!r})") from exc
+    if n != payload["n"]:
+        raise TollValidationError(f"{path}: segment count is not an integer: {payload['n']!r}")
     return _from_columns([(*_columns(records), None)], n, str(path))

@@ -5,7 +5,15 @@ import pytest
 
 import tollshare as ts
 from tollshare import TollMatrix
-from tollshare.axioms import PreconditionNotMet, _pick, evaluate_axiom, run_instance
+from tollshare.axioms import (
+    CATALOGUE,
+    PreconditionNotMet,
+    _pass_instances,
+    _pick,
+    evaluate_axiom,
+    run_instance,
+)
+from tollshare.methods import TRIGGERS
 
 from helpers import seeded_matrices
 
@@ -269,6 +277,24 @@ class TestSuiteMachinery:
                 assert grid[method][axiom].holds, (method, axiom)
 
 
+class TestCatalogue:
+    @pytest.mark.parametrize("axiom", ts.AXIOMS)
+    def test_draws_meet_the_hypothesis(self, axiom):
+        # a drawn instance that broke the checker's precondition would raise
+        spec = CATALOGUE[axiom]
+        rng = np.random.default_rng(5)
+        for n in range(spec.min_size, 7):
+            assert run_instance(ts.ses, axiom, spec.draw(rng, n), spec.tol).axiom == axiom
+
+    def test_pass_instances_sit_on_the_triggers(self):
+        rng = np.random.default_rng(0)
+        built = _pass_instances("A1_tilde", "toll_fairness", rng)
+        assert [inst["matrix"] for inst in built] == list(TRIGGERS["A1_tilde"])
+        assert all(inst["cut"] == 1 for inst in built)
+        assert _pass_instances("ses", "efficiency", rng) == []
+        assert _pass_instances("A1_tilde", "indifference_to_extensions", rng) == []
+
+
 class TestIndependenceHarness:
     def test_full_harness_pattern(self):
         rows = ts.independence_harness(trials=40, seed=3)
@@ -298,3 +324,12 @@ class TestIndependenceHarness:
         monkeypatch.setattr(ax, "CHARACTERIZATIONS", fake)
         with pytest.raises(ts.HarnessMismatchError):
             ts.independence_harness(trials=3, seed=0)
+
+    def test_unexpected_failure_raises(self, monkeypatch):
+        import tollshare.axioms as ax
+
+        # ses breaks weighted symmetry, which this set does not designate
+        fake = (ax.Characterization("fake", ("weighted_segment_symmetry",), {"ses": "efficiency"}),)
+        monkeypatch.setattr(ax, "CHARACTERIZATIONS", fake)
+        with pytest.raises(ts.HarnessMismatchError, match="unexpected failure"):
+            ts.independence_harness(trials=20, seed=0)

@@ -215,14 +215,19 @@ class TestAxioms:
         assert len(rows) == 11
 
     @pytest.mark.parametrize("extra, digest", [
-        ([], "fb7cf8439df20225331721858c25a54bb2badf265f7f644170b09411a8dde5ca"),
-        (["--harness"], "a65bcb465c77d0300df8d520a3080389217c036c720556743397a09a1dc0ba98"),
+        (["--trials", "40", "--seed", "0"],
+         "fb7cf8439df20225331721858c25a54bb2badf265f7f644170b09411a8dde5ca"),
+        (["--harness", "--trials", "40", "--seed", "0"],
+         "a65bcb465c77d0300df8d520a3080389217c036c720556743397a09a1dc0ba98"),
+        # the benchmark's audit workload
+        (["--trials", "200", "--seed", "11"],
+         "3fd6ab69985691993d88fe899b38af77e5c560436c0d4224d2b1f63000b0251e"),
+        (["--harness", "--trials", "200", "--seed", "11"],
+         "4e93ca28b20679f5a36abdff1b49ddf6076421baff633ef2ca1e192924a78f0e"),
     ])
     def test_golden_output(self, capsys, extra, digest):
         # pins the whole draw stream of the seeded instances, not only verdicts
-        code, out, _ = run(
-            capsys, "axioms", *extra, "--trials", "40", "--seed", "0", "--no-timestamp"
-        )
+        code, out, _ = run(capsys, "axioms", *extra, "--no-timestamp")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -338,6 +343,10 @@ class TestMalformedInput:
         ("grid.csv", "0,1\n0,abc\n", ["--dense"], "grid.csv:2:"),
         ("neg_grid.csv", "0,-1\n0,0\n", ["--dense"], "neg_grid.csv:1: toll for trip [1,2]"),
         ("low_grid.csv", "0,0\n\n1,0\n", ["--dense"], "low_grid.csv:3: entry (2,1)"),
+        ("frac_n.json", '{"n": 2.5, "trips": [{"entry": 1, "exit": 2, "toll": 1.0}]}', [],
+         "frac_n.json: segment count"),
+        ("inf_n.json", '{"n": Infinity, "trips": []}', [], "inf_n.json"),
+        ("huge.csv", "entry,exit,toll\n1,3,1.7e308\n1,1,1.7e308\n", [], "huge.csv: the tolls"),
     ])
     def test_allocate_rejects_file(self, capsys, tmp_path, name, text, extra, where):
         path = tmp_path / name

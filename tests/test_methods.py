@@ -107,6 +107,18 @@ class TestMethodInvariants:
         )
 
 
+    @pytest.mark.parametrize("matrix", [
+        TollMatrix(4, {(3, 4): 1e308}),
+        TollMatrix(3, {(1, 2): 3e307, (1, 3): 1e308, (2, 2): 4e307}),
+        TollMatrix(6, {(2, 5): 1.79e308}),
+    ])
+    def test_near_limit_tolls_with_finite_total(self, matrix):
+        for method in (ts.ses, ts.sps, ts.scs):
+            shares = method(matrix)
+            assert np.all(np.isfinite(shares)), method.__name__
+            assert abs(shares.sum() - matrix.total) <= ts.DEFAULT_TOL * matrix.total
+
+
 class TestSpsDecomposition:
     def test_example_values(self, example3):
         d = ts.sps_decomposition(example3)

@@ -56,6 +56,10 @@ class TestValidation:
         with pytest.raises(ts.SegmentIndexError):
             TollMatrix.from_dense([[0.0, 1.0]])
 
+    def test_overflowing_total_rejected(self):
+        with pytest.raises(ts.TollValidationError, match="largest float"):
+            TollMatrix(3, {(1, 3): 1.7e308, (1, 1): 1.7e308})
+
     def test_constructor_rejects_bad_trip(self):
         with pytest.raises(ts.SegmentIndexError):
             TollMatrix(3, {(2, 1): 1.0})
@@ -125,7 +129,7 @@ class TestTriplets:
 
     @pytest.mark.parametrize("rows", [[(1, 2)], [(1, 2, 1.0, 9)], [(1, 2, 1.0, 9), (1, 3, 1.0)]])
     def test_records_of_other_lengths_rejected(self, rows):
-        with pytest.raises(ValueError):
+        with pytest.raises(ts.TollValidationError):
             TollMatrix.from_triplets(rows)
 
     def test_integral_indices_accepted(self):
