@@ -18,9 +18,9 @@ in a narrow beta window.
 
 Usage:  python scripts/build_ap68_fixture.py [--output PATH]
 
-Writes the triplet CSV and prints its sha256; update AP68_SHA256 in
-tollshare/datasets.py and FIXTURE_SHA256 in tests/ap68_reference.py when
-the fixture is regenerated on purpose.
+Writes the triplet CSV and prints its sha256; update FIXTURE_SHA256 in
+tests/ap68_reference.py and AP68_SHA256 in perfbench/workloads.py when the
+fixture is regenerated on purpose.
 """
 
 from __future__ import annotations

@@ -70,7 +70,6 @@ from .game import (
     core_check,
     core_check_exhaustive,
     core_scheme_check,
-    game_from,
     shapley_value,
     sps_core_criterion,
     tau_value,

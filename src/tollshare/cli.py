@@ -9,6 +9,11 @@ Subcommands::
     equity     Gini, Lorenz points and rank correlations between methods
     generate   seeded random or block-structured problem files
 
+Each report command is a handler ``(args, matrix, method names)`` that
+returns its report, ``(document body, headers, rows, exit status)``, and does
+no I/O.  ``main`` alone loads ``--input``, resolves ``--method``, puts the
+metadata in front of the body and writes the report as json, csv or markdown.
+
 Outputs are deterministic for fixed inputs and seed; pass ``--no-timestamp``
 to make them byte-identical across runs.
 """
@@ -20,6 +25,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,7 +45,7 @@ from .game import (
     sps_core_criterion,
     tau_value,
 )
-from .methods import METHODS, allocation_method, share_percentages
+from .methods import allocation_method, share_percentages
 from .model import (
     DEFAULT_TOL,
     TollMatrix,
@@ -51,10 +57,15 @@ from .model import (
     write_triplet_csv,
 )
 
+#: What a report handler returns: body without metadata, headers, rows, status
+Report = tuple[dict, list[str], list[list], int | str]
+
+#: solution -> (solver(game, limit), the method it must reproduce); the
+#: average-tree value enumerates nothing, so it ignores ``limit``
 _SOLUTIONS = {
     "shapley": (shapley_value, "ses"),
     "tau": (tau_value, "sps"),
-    "at": (average_tree_value, "scs"),
+    "at": (lambda game, limit: average_tree_value(game), "scs"),
 }
 
 
@@ -71,13 +82,9 @@ def _metadata(args: argparse.Namespace) -> dict:
 
 def _load_matrix(args: argparse.Namespace) -> TollMatrix:
     path = Path(args.input)
-    if path.suffix.lower() == ".json":
-        matrix = read_json(path)
-    elif getattr(args, "dense", False):
-        matrix = read_dense_csv(path)
-    else:
-        matrix = read_triplet_csv(path, n=args.segments)
-        return matrix
+    if path.suffix.lower() != ".json" and not args.dense:
+        return read_triplet_csv(path, n=args.segments)
+    matrix = read_json(path) if path.suffix.lower() == ".json" else read_dense_csv(path)
     if args.segments is not None and args.segments != matrix.n:
         raise TollShareError(
             f"--segments {args.segments} conflicts with {matrix.n}-segment input"
@@ -94,68 +101,47 @@ def _method_list(spec: str) -> list[str]:
     return names
 
 
-def _md_table(headers: list[str], rows: list[list]) -> str:
-    out = ["| " + " | ".join(headers) + " |",
-           "| " + " | ".join("---" for _ in headers) + " |"]
-    for row in rows:
-        out.append("| " + " | ".join(str(c) for c in row) + " |")
-    return "\n".join(out)
-
-
-def _emit(doc: dict, headers: list[str], rows: list[list], args: argparse.Namespace) -> None:
-    fmt = args.format
+def _render(doc: dict, headers: list[str], rows: list[list], fmt: str) -> str:
     if fmt == "json":
-        text = json.dumps(doc, indent=2) + "\n"
-    elif fmt == "csv":
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
         buf = io.StringIO()
         for key, value in doc["metadata"].items():
             buf.write(f"# {key}: {value}\n")
         writer = csv.writer(buf)
         writer.writerow(headers)
         writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        meta = ", ".join(f"{k}={v}" for k, v in doc["metadata"].items())
-        text = _md_table(headers, rows) + f"\n\n_{meta}_\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+        return buf.getvalue()
+    table = ["| " + " | ".join(headers) + " |", "| " + " | ".join("---" for _ in headers) + " |"]
+    table += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
+    meta = ", ".join(f"{k}={v}" for k, v in doc["metadata"].items())
+    return "\n".join(table) + f"\n\n_{meta}_\n"
 
 
-def cmd_allocate(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args)
-    names = _method_list(args.method)
-    doc: dict = {"metadata": _metadata(args), "n": matrix.n, "total": matrix.total,
-                 "allocations": {}}
+def cmd_allocate(args: argparse.Namespace, matrix: TollMatrix, names: list[str]) -> Report:
+    body: dict = {"n": matrix.n, "total": matrix.total, "allocations": {}}
     rows = []
     for name in names:
         shares = allocation_method(name)(matrix)
         percents = share_percentages(shares, matrix.total)
-        doc["allocations"][name] = {
+        body["allocations"][name] = {
             "shares": [float(s) for s in shares],
             "percent": [float(p) for p in percents],
         }
         for i in range(matrix.n):
             rows.append([name, i + 1, repr(float(shares[i])), f"{percents[i]:.2f}"])
     if len(names) == 1:
-        rows = [row[1:] for row in rows]
-        _emit(doc, ["segment", "share", "percent"], rows, args)
-    else:
-        _emit(doc, ["method", "segment", "share", "percent"], rows, args)
-    return 0
+        return body, ["segment", "share", "percent"], [row[1:] for row in rows], 0
+    return body, ["method", "segment", "share", "percent"], rows, 0
 
 
-def cmd_game(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args)
+def cmd_game(args: argparse.Namespace, matrix: TollMatrix, names: None) -> Report:
     solver, method_name = _SOLUTIONS[args.solution]
-    game = SegmentsGame(matrix)
-    vector = solver(game) if args.solution == "at" else solver(game, limit=args.limit)
+    vector = solver(SegmentsGame(matrix), limit=args.limit)
     method_vector = allocation_method(method_name)(matrix)
     diff = float(np.max(np.abs(vector - method_vector)))
     matches = diff <= args.tol * max(1.0, matrix.total)
-    doc = {
-        "metadata": _metadata(args),
+    body = {
         "solution": args.solution,
         "vector": [float(v) for v in vector],
         "method": method_name,
@@ -164,48 +150,30 @@ def cmd_game(args: argparse.Namespace) -> int:
     }
     rows = [[i + 1, repr(float(vector[i])), repr(float(method_vector[i]))]
             for i in range(matrix.n)]
-    _emit(doc, ["segment", args.solution, method_name], rows, args)
-    return 0 if matches else 1
+    return body, ["segment", args.solution, method_name], rows, 0 if matches else 1
 
 
-def cmd_core(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args)
-    names = _method_list(args.method)
+def cmd_core(args: argparse.Namespace, matrix: TollMatrix, names: list[str]) -> Report:
     game = SegmentsGame(matrix)
-    doc: dict = {"metadata": _metadata(args), "reports": {}}
+    body: dict = {"reports": {}}
     rows = []
     for name in names:
         shares = allocation_method(name)(matrix)
         report = core_check(game, shares, tol=args.tol)
         payload = report.to_json_dict()
         if name == "sps":
-            criterion = sps_core_criterion(game, tol=args.tol)
-            payload["criterion"] = {
-                "satisfied": criterion.satisfied,
-                "worst_interval": criterion.worst_interval,
-                "rhs_max": criterion.rhs_max,
-                "beta": criterion.beta,
-            }
-        doc["reports"][name] = payload
-        if report.violations:
-            for v in report.violations:
-                rows.append([name, report.is_member, f"[{v.start},{v.end}]",
-                             f"{v.value:.6f}", f"{v.allocated:.6f}", f"{v.deficit:.6f}"])
-        else:
-            rows.append([name, report.is_member, "-", "-", "-", "-"])
-    _emit(doc, ["method", "is_member", "interval", "value", "allocated", "deficit"],
-          rows, args)
-    return 0
+            payload["criterion"] = asdict(sps_core_criterion(game, tol=args.tol))
+        body["reports"][name] = payload
+        rows += [[name, report.is_member, f"[{v.start},{v.end}]",
+                  f"{v.value:.6f}", f"{v.allocated:.6f}", f"{v.deficit:.6f}"]
+                 for v in report.violations] or [[name, report.is_member, "-", "-", "-", "-"]]
+    return body, ["method", "is_member", "interval", "value", "allocated", "deficit"], rows, 0
 
 
-def cmd_axioms(args: argparse.Namespace) -> int:
+def cmd_axioms(args: argparse.Namespace, matrix: None, names: list[str] | None) -> Report:
     if args.harness:
-        try:
-            table = independence_harness(trials=args.trials, seed=args.seed)
-        except HarnessMismatchError as exc:
-            sys.stderr.write(f"harness mismatch: {exc}\n")
-            return 1
-        doc = {"metadata": _metadata(args), "harness": [
+        table = independence_harness(trials=args.trials, seed=args.seed)
+        body = {"harness": [
             {"characterization": row.characterization, "method": row.method,
              "failed_axiom": row.failed_axiom, "verdicts": dict(row.verdicts)}
             for row in table
@@ -213,65 +181,45 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         rows = [[row.characterization, row.method, row.failed_axiom,
                  " ".join(f"{a}={'pass' if ok else 'FAIL'}" for a, ok in row.verdicts.items())]
                 for row in table]
-        _emit(doc, ["characterization", "method", "failed_axiom", "verdicts"], rows, args)
-        return 0
-    names = _method_list(args.method)
+        return body, ["characterization", "method", "failed_axiom", "verdicts"], rows, 0
     grid = axiom_matrix(names, AXIOMS, trials=args.trials, seed=args.seed)
-    doc = {"metadata": _metadata(args), "verdicts": {
-        name: {axiom: grid[name][axiom].holds for axiom in AXIOMS} for name in names
-    }}
+    body = {"verdicts": {name: {axiom: grid[name][axiom].holds for axiom in AXIOMS}
+                         for name in names}}
     rows = [[axiom] + ["pass" if grid[name][axiom].holds else "FAIL" for name in names]
             for axiom in AXIOMS]
-    _emit(doc, ["axiom"] + list(names), rows, args)
-    failed = [
-        (name, axiom)
-        for name in names
-        if name in ANCHORED_AXIOMS
-        for axiom in ANCHORED_AXIOMS[name]
-        if not grid[name][axiom].holds
-    ]
-    for name, axiom in failed:
-        sys.stderr.write(f"expected axiom failed: {name} / {axiom}\n")
-    return 1 if failed else 0
+    failed = "".join(f"expected axiom failed: {name} / {axiom}\n" for name in names
+                     for axiom in ANCHORED_AXIOMS.get(name, ()) if not grid[name][axiom].holds)
+    return body, ["axiom"] + list(names), rows, failed or 0
 
 
-def cmd_equity(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args)
-    names = _method_list(args.method)
+def cmd_equity(args: argparse.Namespace, matrix: TollMatrix, names: list[str]) -> Report:
     allocations = {name: allocation_method(name)(matrix) for name in names}
-    doc: dict = {"metadata": _metadata(args), "gini": {}, "correlations": {},
-                 "lorenz": {}}
+    body: dict = {"gini": {}, "correlations": {}, "lorenz": {}}
     for name, shares in allocations.items():
-        doc["gini"][name] = gini(shares)
-        doc["lorenz"][name] = [[p, L] for p, L in lorenz(shares).points]
+        body["gini"][name] = gini(shares)
+        body["lorenz"][name] = [[p, L] for p, L in lorenz(shares).points]
     for pos, a in enumerate(names):
         for b in names[pos + 1 :]:
             spearman, pearson = rank_correlations(allocations[a], allocations[b])
-            doc["correlations"][f"{a}-{b}"] = {"spearman": spearman, "pearson": pearson}
-    if args.lorenz_out:
-        for name, shares in allocations.items():
-            path = Path(f"{args.lorenz_out}{name}.csv")
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["p", "L"])
-                writer.writerows(lorenz(shares).points)
+            body["correlations"][f"{a}-{b}"] = {"spearman": spearman, "pearson": pearson}
     # triangular agreement table: Spearman below the diagonal, Pearson above
-    correlations = doc["correlations"]
-    rows = []
-    for a in names:
-        row = [a]
-        for b in names:
-            if a == b:
-                row.append("-")
-            elif names.index(a) > names.index(b):
-                row.append(f"{correlations[f'{b}-{a}']['spearman']:.3f}")
-            else:
-                row.append(f"{correlations[f'{a}-{b}']['pearson']:.3f}")
-        rows.append(row)
-    for name in names:
-        rows.append([f"gini({name})", f"{doc['gini'][name]:.6f}"] + [""] * (len(names) - 1))
-    _emit(doc, ["method"] + list(names), rows, args)
-    return 0
+    correlations = body["correlations"]
+    rows = [[a] + ["-" if a == b
+                   else f"{correlations[f'{b}-{a}']['spearman']:.3f}"
+                   if names.index(a) > names.index(b)
+                   else f"{correlations[f'{a}-{b}']['pearson']:.3f}" for b in names]
+            for a in names]
+    rows += [[f"gini({name})", f"{body['gini'][name]:.6f}"] + [""] * (len(names) - 1)
+             for name in names]
+    return body, ["method"] + list(names), rows, 0
+
+
+def _write_lorenz(prefix: str, curves: dict) -> None:
+    for name, points in curves.items():
+        with open(Path(f"{prefix}{name}.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["p", "L"])
+            writer.writerows(points)
 
 
 def _parse_blocks(spec: str) -> list[range]:
@@ -286,35 +234,33 @@ def _parse_blocks(spec: str) -> list[range]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.blocks:
-        matrix = block_structured_matrix(
-            _parse_blocks(args.blocks), seed=args.seed,
-            density=args.density, max_toll=args.max_toll,
-        )
-    else:
-        matrix = random_matrix(args.n, density=args.density,
-                               max_toll=args.max_toll, seed=args.seed)
+    options = dict(seed=args.seed, density=args.density, max_toll=args.max_toll)
+    matrix = (block_structured_matrix(_parse_blocks(args.blocks), **options) if args.blocks
+              else random_matrix(args.n, **options))
     write_triplet_csv(matrix, args.output)
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, *, seeded: bool = False) -> None:
-    parser.add_argument("--format", choices=("csv", "json", "markdown"), default="json")
-    parser.add_argument("--output", help="write the report here instead of stdout")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    parser.add_argument("--no-timestamp", action="store_true",
-                        help="omit the timestamp for byte-identical reruns")
-    if seeded:
-        parser.add_argument("--seed", type=int, default=0)
-        parser.add_argument("--trials", type=int, default=200)
-
-
-def _add_input(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="triplet CSV (or .json export)")
-    parser.add_argument("--segments", type=int, default=None,
-                        help="override the segment count of a triplet file")
-    parser.add_argument("--dense", action="store_true",
-                        help="read --input as a dense n-by-n CSV grid")
+#: One row per report command: name, handler, help, reads ``--input``, takes
+#: ``--method``, reads ``--tol``, seeded, and the command's own options.
+_REPORTS = (
+    ("allocate", cmd_allocate, "per-segment toll shares", True, True, False, False, ()),
+    ("game", cmd_game, "compare a game solution with its method", True, False, True, False, (
+        ("--solution", dict(choices=sorted(_SOLUTIONS), required=True)),
+        ("--limit", dict(type=int, default=EXHAUSTIVE_LIMIT,
+                         help="largest n for exhaustive enumeration "
+                              f"(never above {EXHAUSTIVE_CEILING})")),
+    )),
+    ("core", cmd_core, "core-membership reports", True, True, True, False, ()),
+    ("axioms", cmd_axioms, "axiom verdict matrix / independence harness",
+     False, True, False, True, (
+         ("--harness", dict(action="store_true",
+                            help="run the axiom-independence harness instead")),
+     )),
+    ("equity", cmd_equity, "Gini / Lorenz / correlations", True, True, False, False, (
+        ("--lorenz-out", dict(help="prefix for per-method p,L CSV files")),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,40 +269,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("allocate", help="per-segment toll shares")
-    _add_input(p)
-    p.add_argument("--method", default="ses,sps,scs")
-    _add_common(p)
-    p.set_defaults(fn=cmd_allocate)
-
-    p = sub.add_parser("game", help="compare a game solution with its method")
-    _add_input(p)
-    p.add_argument("--solution", choices=sorted(_SOLUTIONS), required=True)
-    p.add_argument("--limit", type=int, default=EXHAUSTIVE_LIMIT,
-                   help="largest n for exhaustive enumeration "
-                        f"(never above {EXHAUSTIVE_CEILING})")
-    _add_common(p)
-    p.set_defaults(fn=cmd_game)
-
-    p = sub.add_parser("core", help="core-membership reports")
-    _add_input(p)
-    p.add_argument("--method", default="ses,sps,scs")
-    _add_common(p)
-    p.set_defaults(fn=cmd_core)
-
-    p = sub.add_parser("axioms", help="axiom verdict matrix / independence harness")
-    p.add_argument("--method", default="ses,sps,scs")
-    p.add_argument("--harness", action="store_true",
-                   help="run the axiom-independence harness instead")
-    _add_common(p, seeded=True)
-    p.set_defaults(fn=cmd_axioms)
-
-    p = sub.add_parser("equity", help="Gini / Lorenz / correlations")
-    _add_input(p)
-    p.add_argument("--method", default="ses,sps,scs")
-    p.add_argument("--lorenz-out", help="prefix for per-method p,L CSV files")
-    _add_common(p)
-    p.set_defaults(fn=cmd_equity)
+    for name, handler, help_, reads_input, takes_method, takes_tol, seeded, options in _REPORTS:
+        p = sub.add_parser(name, help=help_)
+        if reads_input:
+            p.add_argument("--input", required=True, help="triplet CSV (or .json export)")
+            p.add_argument("--segments", type=int, default=None,
+                           help="override the segment count of a triplet file")
+            p.add_argument("--dense", action="store_true",
+                           help="read --input as a dense n-by-n CSV grid")
+        if takes_method:
+            p.add_argument("--method", default="ses,sps,scs")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=("csv", "json", "markdown"), default="json")
+        p.add_argument("--output", help="write the report here instead of stdout")
+        if takes_tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--no-timestamp", action="store_true",
+                       help="omit the timestamp for byte-identical reruns")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--trials", type=int, default=200)
+        p.set_defaults(report=handler)
 
     p = sub.add_parser("generate", help="write a seeded random problem file")
     p.add_argument("--n", type=int, default=8)
@@ -365,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--blocks", help="contiguous blocks, e.g. 1-3,4-5")
     p.add_argument("--output", required=True)
-    p.set_defaults(fn=cmd_generate, no_timestamp=True, format="csv")
 
     return parser
 
@@ -373,11 +306,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except TollShareError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+        if args.command == "generate":
+            return cmd_generate(args)
+        matrix = _load_matrix(args) if "input" in args else None
+        names = None if "method" not in args or getattr(args, "harness", False) \
+            else _method_list(args.method)
+        body, headers, rows, status = args.report(args, matrix, names)
+        if getattr(args, "lorenz_out", None):
+            _write_lorenz(args.lorenz_out, body["lorenz"])
+        text = _render({"metadata": _metadata(args), **body}, headers, rows, args.format)
+        if args.output:
+            Path(args.output).write_text(text)
+        else:
+            sys.stdout.write(text)
+        if isinstance(status, str):  # as with sys.exit: a message for stderr, exit 1
+            sys.stderr.write(status)
+            return 1
+        return status
+    except HarnessMismatchError as exc:
+        sys.stderr.write(f"harness mismatch: {exc}\n")
+        return 1
+    except (TollShareError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

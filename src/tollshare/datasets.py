@@ -10,14 +10,10 @@ to within less than a thousandth of a euro per segment.  See
 
 from __future__ import annotations
 
-import hashlib
 from importlib import resources
 from pathlib import Path
 
 from .model import TollMatrix, read_triplet_csv
-
-#: Checksum of the bundled AP68 fixture; tests use it to detect drift.
-AP68_SHA256 = "e02fa96f99c66f9294966e56aa8784607bdc4efd73a05f322a7d2e6ee5579c15"
 
 AP68_SEGMENTS = 22
 
@@ -25,10 +21,6 @@ AP68_SEGMENTS = 22
 def ap68_path() -> Path:
     """Filesystem path of the bundled AP68 triplet CSV."""
     return Path(resources.files(__package__) / "data" / "ap68_trips.csv")
-
-
-def ap68_checksum() -> str:
-    return hashlib.sha256(ap68_path().read_bytes()).hexdigest()
 
 
 def ap68() -> TollMatrix:

@@ -64,8 +64,6 @@ class SegmentsGame:
     """Characteristic function derived from a toll matrix.
 
     ``value(S)`` is the total toll of trips whose whole path lies in ``S``.
-    Coalition values are memoized; the cache is fill-or-read with idempotent
-    writes, so concurrent readers need no extra locking under CPython.
     """
 
     def __init__(self, matrix: TollMatrix):
@@ -76,7 +74,6 @@ class SegmentsGame:
         # triangular.  A suffix sum over entries, then a prefix sum over exits.
         interval = _ending_tolls(matrix)
         self._interval = np.cumsum(interval, axis=1, out=interval)
-        self._mask_cache: dict[int, float] = {}
         self._mask_values: np.ndarray | None = None
 
     @property
@@ -98,22 +95,14 @@ class SegmentsGame:
             if not (1 <= i <= self.n):
                 raise SegmentIndexError(f"segment {i} out of range 1..{self.n}")
             mask |= 1 << (i - 1)
-        return self.value_mask(mask)
-
-    def value_mask(self, mask: int) -> float:
-        cached = self._mask_cache.get(mask)
-        if cached is not None:
-            return cached
         value = 0.0
-        m = mask
-        while m:
-            low = (m & -m).bit_length() - 1
+        while mask:
+            low = (mask & -mask).bit_length() - 1
             end = low
-            while (m >> (end + 1)) & 1:
+            while (mask >> (end + 1)) & 1:
                 end += 1
             value += self._interval[low + 1, end + 1]
-            m &= ~((1 << (end + 1)) - 1)
-        self._mask_cache[mask] = value
+            mask &= ~((1 << (end + 1)) - 1)
         return value
 
     def mask_values(self) -> np.ndarray:
@@ -143,10 +132,6 @@ class SegmentsGame:
                 run[:half] = 0
             self._mask_values = values
         return self._mask_values
-
-
-def game_from(matrix: TollMatrix) -> SegmentsGame:
-    return SegmentsGame(matrix)
 
 
 def _require_small(game: SegmentsGame, limit: int) -> None:

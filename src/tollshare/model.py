@@ -39,9 +39,10 @@ The random generators share one draw stream, which seeded results depend
 on: ``_sample`` visits the cells in (h, then k) order and takes one uniform
 ``u`` per cell, and for a hit (``u < density``) one more uniform ``v`` for its
 toll, ``max_toll * (1 - v)``.  It takes these uniforms from
-``rng.random(m)`` in chunks no longer than the draws still owed, so values,
-entry order and the generator state afterwards are those of one
-``rng.random()`` call per draw.
+``rng.random(m)`` in chunks no longer than the draws still owed, and at most
+``_DRAW_CHUNK`` long to bound the memory of a sparse draw, so values, entry
+order and the generator state afterwards are those of one ``rng.random()``
+call per draw.
 """
 
 from __future__ import annotations
@@ -297,14 +298,20 @@ def is_unit_matrix(matrix: TollMatrix) -> bool:
 
 # -- random generators ----------------------------------------------------
 
+#: Most uniforms ``_sample`` draws at once: a sparse matrix owes one draw per
+#: cell but keeps few, so an uncapped first chunk costs ``n(n+1)/2`` floats.
+_DRAW_CHUNK = 1 << 16
+
+
 def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]],
             density: float, max_toll: float) -> TollMatrix:
     """Occupy each trip inside a ``(start, end)`` block with probability
     ``density`` and toll uniform on ``(0, max_toll]``, in (entry, exit) order.
 
-    Each chunk of uniforms is as long as the fewest draws still owed: one
-    per unvisited cell, plus one when a hit's toll comes next.  Every cell
-    takes at least one draw, so no chunk draws past the end of the stream.
+    Each chunk of uniforms is no longer than ``_DRAW_CHUNK``, nor than the
+    fewest draws still owed: one per unvisited cell, plus one when a hit's
+    toll comes next.  Every cell takes at least one draw, so no chunk draws
+    past the end of the stream.
     """
     if not (0.0 < density <= 1.0):
         raise InvalidDensityError(density)
@@ -319,13 +326,13 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]],
         for h in range(start, end + 1):
             for k in range(h, end + 1):
                 if pos == len(draws):
-                    draws, pos = rng.random(unvisited).tolist(), 0
+                    draws, pos = rng.random(min(unvisited, _DRAW_CHUNK)).tolist(), 0
                 unvisited -= 1
                 hit = draws[pos] < density
                 pos += 1
                 if hit:
                     if pos == len(draws):
-                        draws, pos = rng.random(unvisited + 1).tolist(), 0
+                        draws, pos = rng.random(min(unvisited + 1, _DRAW_CHUNK)).tolist(), 0
                     entries[tuple.__new__(Trip, (h, k))] = max_toll * (1.0 - draws[pos])
                     pos += 1
     return TollMatrix(n, entries)

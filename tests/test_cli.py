@@ -333,6 +333,42 @@ class TestGenerate:
             assert sum(payload["shares"]) == pytest.approx(total, rel=1e-9)
 
 
+class TestReportDigests:
+    """The rounded AP68 reports, pinned byte for byte."""
+
+    @pytest.mark.parametrize("command, extra, fmt, digest", [
+        ("core", [], "markdown",
+         "5472b27c0df1d08fe6df64501caa04e58fd6455c0c2f3e6ed163af3753275da1"),
+        ("core", [], "csv",
+         "fc0dfc369fcff0810bc8b27be77f15bad1466ca25fd84d72c64a7d4b6739510f"),
+        ("equity", [], "markdown",
+         "03cdd40323d8e88e4e5f4c00dadde8085e4ee4c281e739696006b5e8f789f520"),
+        ("equity", [], "csv",
+         "b8609402cbb7ac38b468bcca4c1b75f6f751cde8678fb0d527af723b85c7d910"),
+        # a repeated method keeps the first position of its name in the table
+        ("equity", ["--method", "ses,ses,sps"], "markdown",
+         "8295d591e4d75b15ae4105da8ea6acce0655c8bad358c717d63948ac463fdecd"),
+        ("equity", ["--method", "ses,ses,sps"], "csv",
+         "f05596b79d56651f6322e7048f7bfac21cb28df47250c48279b7d7351980ef19"),
+    ])
+    def test_ap68_report(self, capsys, command, extra, fmt, digest):
+        code, out, _ = run(
+            capsys, command, "--input", str(ts.ap68_path()), "--segments", "22",
+            *extra, "--format", fmt, "--no-timestamp",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command", ["allocate", "equity", "axioms"])
+    def test_tol_only_where_it_is_read(self, example3_csv, command):
+        source = [] if command == "axioms" else ["--input", example3_csv]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *source, "--tol", "0.5"])
+        assert exc.value.code == 2
+
+
 class TestMalformedInput:
     """Malformed input ends in a typed error with exit code 2, not a traceback."""
 

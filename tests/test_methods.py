@@ -253,6 +253,29 @@ class TestCoverageKernel:
             assert np.max(np.abs(shares - reference), initial=0.0) <= bound
 
 
+@settings(max_examples=200)
+@given(toll_matrices())
+def test_highway_reversal_reverses_shares(matrix):
+    """Driving the highway the other way, trip [h,k] becomes [n+1-k, n+1-h].
+
+    ses and scs commute with that map: the equal split ignores direction,
+    and the compensated entry weight h/n becomes the exit weight of the
+    reversed trip.  sps commutes as well: the diagonal stays diagonal, each
+    segment's multi-segment revenue moves with it, and the pooled revenue,
+    hence beta, is unchanged.  The game solutions commute because reversal
+    only relabels the players.  The bound was fixed before the first run.
+    """
+    n = matrix.n
+    reversed_ = TollMatrix(n, {(n + 1 - k, n + 1 - h): t for (h, k), t in matrix.entries.items()})
+    solutions = [ts.ses, ts.sps, ts.scs, lambda m: ts.average_tree_value(ts.SegmentsGame(m))]
+    if n <= 10:
+        solutions.append(lambda m: ts.shapley_value(ts.SegmentsGame(m)))
+    bound = 8 * n * np.finfo(float).eps * max(1.0, matrix.total)
+    for solution in solutions:
+        gap = np.max(np.abs(solution(reversed_) - solution(matrix)[::-1]))
+        assert gap <= bound
+
+
 class TestCounterexampleMethods:
     def test_involvement_sum(self, example3):
         f = ts.counterexample_method("A1_involvement_sum")

@@ -484,6 +484,17 @@ class TestSamplerDrawStream:
                 assert ts.block_structured_matrix(blocks, seed=seed, density=density) == \
                     block_structured_loop(intervals, seed=seed, density=density)
 
+    @pytest.mark.parametrize("cap", [1, 2, 7])
+    def test_capped_chunks(self, monkeypatch, cap):
+        monkeypatch.setattr(model, "_DRAW_CHUNK", cap)
+        for n, density in ((1, 1.0), (6, 0.3), (13, 0.7), (20, 1.0)):
+            rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+            drawn = ts.sample_matrix(rng, n, density=density)
+            reference = sample_matrix_loop(ref_rng, n, density=density)
+            assert drawn == reference
+            assert list(drawn.entries) == list(reference.entries)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     @settings(max_examples=300)
     @given(n=st.integers(1, 40),
            density=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
