@@ -309,8 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "generate":
             return cmd_generate(args)
         matrix = _load_matrix(args) if "input" in args else None
-        names = None if "method" not in args or getattr(args, "harness", False) \
-            else _method_list(args.method)
+        names = _method_list(args.method) if "method" in args else None
         body, headers, rows, status = args.report(args, matrix, names)
         if getattr(args, "lorenz_out", None):
             _write_lorenz(args.lorenz_out, body["lorenz"])

@@ -15,6 +15,13 @@ All three are instances of a generic family: a weight scheme assigns a
 nonnegative weight to every (trip, segment) pair, and a segment's share is
 the weighted sum of the tolls of the trips through it.  The closed forms run
 on ``model.coverage``; ``family_allocate`` stays off it to cross-check them.
+
+``ses``, ``sps_decomposition`` and ``scs`` hand ``coverage`` their weights in
+the form of its lane: a generator over ``trips()`` below
+``model._ARRAY_LANE_TRIPS`` trips, an array computed from the matrix's
+columns from there on.  Both forms do the same float operations on each
+trip, and ``scs`` adds its entry and exit terms in the loop's order, so a
+method returns the same bits in either lane.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import NegativeWeightError, SegmentIndexError, UnknownMethodError, UnknownSchemeError
-from .model import TollMatrix, coverage, is_unit_matrix
+from .model import _RESIDUE, TollMatrix, array_lane, coverage, is_unit_matrix
 
 MethodFn = Callable[[TollMatrix], np.ndarray]
 
@@ -34,7 +41,10 @@ MethodFn = Callable[[TollMatrix], np.ndarray]
 def ses(matrix: TollMatrix) -> np.ndarray:
     """Equal split: segment i receives sum over trips [h,k] containing i of
     ``t_hk / (k - h + 1)``."""
-    return coverage(matrix, (toll / (k - h + 1) for (h, k), toll in matrix.trips()))
+    columns = array_lane(matrix)
+    if columns is None:
+        return coverage(matrix, (toll / (k - h + 1) for (h, k), toll in matrix.trips()))
+    return coverage(matrix, columns.toll / (columns.exit - columns.entry + 1))
 
 
 @dataclass(frozen=True)
@@ -56,8 +66,16 @@ class SpsDecomposition:
 
 def sps_decomposition(matrix: TollMatrix) -> SpsDecomposition:
     separable = matrix.diagonal()
-    nonseparable = coverage(matrix, (0.0 if h == k else toll for (h, k), toll in matrix.trips()))
+    columns = array_lane(matrix)
+    if columns is None:
+        weights = (0.0 if h == k else toll for (h, k), toll in matrix.trips())
+    else:
+        weights = np.where(columns.entry == columns.exit, 0.0, columns.toll)
+    nonseparable = coverage(matrix, weights)
     pooled = matrix.total - float(separable.sum())
+    if pooled <= _RESIDUE * matrix.n * matrix.total:
+        # the difference may be all rounding when the diagonal dwarfs the rest
+        pooled = math.fsum(toll for (h, k), toll in matrix.trips() if h != k)
     if pooled * matrix.n < math.inf:
         denom = float(nonseparable.sum())
         beta = pooled / denom if denom > 0.0 else None
@@ -93,12 +111,21 @@ def scs(matrix: TollMatrix) -> np.ndarray:
         scale = 2.0 ** n.bit_length()
         return scs(matrix.scaled(1.0 / scale)) * scale
     # a multi-segment trip gives toll/n to each segment, plus (h-1)/n at entry, (n-k)/n at exit
-    ends = [0.0] * n
-    for (h, k), toll in matrix.trips():
-        if h < k:
-            ends[h - 1] += toll * (h - 1) / n
-            ends[k - 1] += toll * (n - k) / n
-    return coverage(matrix, (toll if h == k else toll / n for (h, k), toll in matrix.trips())) + ends
+    columns = array_lane(matrix)
+    if columns is None:
+        ends = [0.0] * n
+        for (h, k), toll in matrix.trips():
+            if h < k:
+                ends[h - 1] += toll * (h - 1) / n
+                ends[k - 1] += toll * (n - k) / n
+        weights = (toll if h == k else toll / n for (h, k), toll in matrix.trips())
+        return coverage(matrix, weights) + ends
+    multi = columns.entry < columns.exit
+    h, k, toll = columns.entry[multi], columns.exit[multi], columns.toll[multi]
+    # a bin's exit terms come from trips entering before it, so the loop adds them first
+    ends = np.bincount(k - 1, toll * (n - k) / n, minlength=n)
+    np.add.at(ends, h - 1, toll * (h - 1) / n)
+    return coverage(matrix, np.where(multi, columns.toll / n, columns.toll)) + ends
 
 
 # -- the generic weight-scheme family ---------------------------------------

@@ -11,11 +11,22 @@ finiteness and sign, and that the total stays finite.  Constructors and file rea
 checks of their own format (duplicate triplets; a square grid with nothing
 below the diagonal), and report malformed text as ``TollValidationError``;
 the readers add the file, and for CSV the line, to the message of a trip the
-constructor rejects.  ``coverage`` sums a per-trip weight over each trip's
-segments by a difference array in O(trips + n); as its prefix sums can leave
-rounding residue where the exact sum is zero, it zeroes segments that an
-integer count shows uncovered and clips the rest at 0, so shares stay
-nonnegative.
+constructor rejects.
+
+``coverage`` sums a per-trip weight over each trip's segments by a difference
+array in O(trips + n).  It has two lanes, chosen by trip count alone: below
+``_ARRAY_LANE_TRIPS`` trips a Python loop over ``entries``, from it numpy on
+the matrix's cached ``columns`` (``np.bincount``, ``np.add.at``,
+``np.cumsum``).  numpy's fixed cost per call is larger than the loop's whole
+cost on the small matrices the axiom audit runs by the thousand, and a
+fraction of it from a few hundred trips up.  The lanes add the same terms
+in the same order, so they return the same bits.  Both hand their prefix
+sums to one last step: a segment that an integer count shows uncovered is
+exactly 0, and a covered one whose prefix sum does not clear its rounding
+bound (``4 n eps`` times the weight entered so far) is summed again exactly
+with ``math.fsum`` over the trips through it.  Shares thus stay nonnegative,
+and positive on every segment a positive weight covers, however far apart
+the magnitudes of the weights.
 
 Trip indices must be integers; the constructor converts keys whose indices
 are integral values of another type (``2.0``, numpy integers) and rejects
@@ -51,11 +62,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,6 +98,15 @@ class Trip(NamedTuple):
 
     entry: int
     exit: int
+
+
+class TripColumns(NamedTuple):
+    """The positive trips of a matrix in ``trips()`` order, one read-only
+    array per field: ``entry`` and ``exit`` as ``intp``, ``toll`` as float."""
+
+    entry: np.ndarray
+    exit: np.ndarray
+    toll: np.ndarray
 
 
 def _bad_trip(entry: int, exit: int, n: int) -> SegmentIndexError:
@@ -209,6 +230,19 @@ class TollMatrix:
         """Sum of all collected tolls."""
         return self._total  # type: ignore[attr-defined]
 
+    @cached_property
+    def columns(self) -> TripColumns:
+        """The trips as arrays, built on first use and kept with the matrix;
+        equality and hashing still look at ``n`` and ``entries`` only."""
+        count = len(self.entries)
+        ends = np.fromiter(chain.from_iterable(self.entries), dtype=np.intp, count=2 * count)
+        ends = ends.reshape(count, 2)
+        columns = TripColumns(ends[:, 0].copy(), ends[:, 1].copy(),
+                              np.fromiter(self.entries.values(), dtype=float, count=count))
+        for column in columns:
+            column.flags.writeable = False
+        return columns
+
     def toll(self, entry: int, exit: int) -> float:
         if not (1 <= entry <= exit <= self.n):
             raise _bad_trip(entry, exit, self.n)
@@ -266,20 +300,85 @@ def _row_error(h: int, row) -> TollValidationError:
     return SegmentIndexError("dense toll grid must be square and nonempty")
 
 
-def coverage(matrix: TollMatrix, weights: Iterable[float]) -> np.ndarray:
+#: Trip count from which ``coverage`` and the methods built on it take the
+#: array lane.  Timed per fresh matrix (column build plus ses, sps and scs)
+#: at n = 16 and 40, numpy is twice as slow at 20 trips, level at 50 to 80
+#: and a third faster at 128.  The margin keeps every matrix of the axiom
+#: audit (at most 36 trips) and AP68 (64) on the loop.
+_ARRAY_LANE_TRIPS = 128
+
+#: Rounding bound of a prefix sum, per segment and per unit of weight
+#: entered so far: each weight meets at most n - 1 others in its bin and n
+#: more bins in the prefix sum, and the weight exited so far is at most that
+#: entered, so the error is below ``(2n - 1) eps`` times it; 4n leaves room
+#: for the rounding of the entered weight itself.
+_RESIDUE = 4 * float(np.finfo(float).eps)
+
+
+def array_lane(matrix: TollMatrix) -> TripColumns | None:
+    """``matrix.columns`` if the matrix has enough trips for the array lane,
+    ``None`` if it takes the loop."""
+    return matrix.columns if len(matrix.entries) >= _ARRAY_LANE_TRIPS else None
+
+
+def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.ndarray:
     """Per segment, the sum of ``weights`` (one nonnegative weight per trip,
-    in ``matrix.trips()`` order) over the trips that use it."""
+    in ``matrix.trips()`` order) over the trips that use it.
+
+    Below ``_ARRAY_LANE_TRIPS`` trips this is a loop over a difference
+    array; from there on numpy does the same on ``matrix.columns``, taking
+    ``weights`` as an array (any other iterable is read into one).  In each
+    bin the loop subtracts the weights of the trips that exit there before
+    it adds those of the trips that enter at the next segment, so the array
+    lane starts from the negated exits and adds the entries in trip order,
+    and the two return the same bits.  ``_settle`` turns either lane's prefix
+    sums into the result.
+    """
     n = matrix.n
-    diff = [0.0] * (n + 1)
-    count = [0] * (n + 1)
-    for (h, k), w in zip(matrix.entries, weights):
-        if w:
-            diff[h - 1] += w
-            diff[k] -= w
-            count[h - 1] += 1
-            count[k] -= 1
-    return np.array([s if c and s > 0.0 else 0.0
-                     for s, c in zip(accumulate(diff[:n]), accumulate(count[:n]))])
+    columns = array_lane(matrix)
+    if columns is None:
+        weights = list(weights)
+        diff = [0.0] * (n + 1)
+        count = [0] * (n + 1)
+        entered = [0.0] * n
+        for (h, k), w in zip(matrix.entries, weights):
+            if w:
+                diff[h - 1] += w
+                diff[k] -= w
+                entered[h - 1] += w
+                count[h - 1] += 1
+                count[k] -= 1
+
+        def exact(i: int) -> float:
+            return math.fsum(w for (h, k), w in zip(matrix.entries, weights) if h <= i <= k)
+
+        return _settle(n, accumulate(diff[:n]), accumulate(count[:n]), accumulate(entered), exact)
+    entry, exit, _ = columns
+    if not isinstance(weights, np.ndarray):
+        weights = np.fromiter(weights, dtype=float, count=len(entry))
+    start = entry - 1
+    diff = -np.bincount(exit, weights, minlength=n + 1)
+    np.add.at(diff, start, weights)
+    live = weights != 0.0
+    count = np.bincount(start[live], minlength=n + 1) - np.bincount(exit[live], minlength=n + 1)
+    entered = np.bincount(start, weights, minlength=n)
+
+    def exact(i: int) -> float:
+        return math.fsum(weights[(entry <= i) & (i <= exit)].tolist())
+
+    return _settle(n, np.cumsum(diff[:n]).tolist(), np.cumsum(count[:n]).tolist(),
+                   np.cumsum(entered).tolist(), exact)
+
+
+def _settle(n: int, prefix: Iterable[float], covering: Iterable[int],
+            entered: Iterable[float], exact: Callable[[int], float]) -> np.ndarray:
+    """Segment loads from a difference array's prefix sums: 0 where no trip
+    of nonzero weight covers the segment (``covering`` counts them), the
+    prefix sum where it clears its rounding bound, and ``exact(segment)``
+    otherwise, as rounding residue there can be as large as the load."""
+    residue = _RESIDUE * n
+    return np.array([(s if s > residue * e else exact(i)) if c else 0.0
+                     for i, (s, c, e) in enumerate(zip(prefix, covering, entered), start=1)])
 
 
 def inessential_segments(matrix: TollMatrix) -> list[int]:

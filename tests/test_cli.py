@@ -368,6 +368,18 @@ class TestOptions:
             main([command, *source, "--tol", "0.5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, extra", [
+        ("core", []),
+        ("equity", []),
+        ("axioms", ["--trials", "5"]),
+        # the harness runs its own methods, but a bad --method is still an error
+        ("axioms", ["--harness", "--trials", "5"]),
+    ])
+    def test_unknown_method_exits_2(self, capsys, example3_csv, command, extra):
+        source = [] if command == "axioms" else ["--input", example3_csv]
+        code, out, err = run(capsys, command, *source, "--method", "bogus", *extra)
+        assert code == 2 and out == "" and "bogus" in err
+
 
 class TestMalformedInput:
     """Malformed input ends in a typed error with exit code 2, not a traceback."""

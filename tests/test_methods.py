@@ -1,12 +1,14 @@
 """Tests for the allocation methods and the generic weight-scheme family."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tollshare as ts
-from tollshare import TollMatrix
+from tollshare import TollMatrix, model
 
 from helpers import scs_loop, seeded_matrices, ses_loop, sps_decomposition_loop, sps_loop
 
@@ -219,6 +221,49 @@ def toll_matrices(draw):
     return TollMatrix(n, {trip: draw(st.floats(1e-12, 1e12)) for trip in trips})
 
 
+@st.composite
+def wide_matrices(draw):
+    """n = 1..12 with one trip or a nonempty random subset, each toll
+    log-uniform from 1e-300 to 1e300 or subnormal.  Subnormals start at
+    2**-1070, so that a toll split over 12 segments stays above 0."""
+    n = draw(st.integers(1, 12))
+    cells = [(h, k) for h in range(1, n + 1) for k in range(h, n + 1)]
+    if draw(st.booleans()):
+        trips = [draw(st.sampled_from(cells))]
+    else:
+        trips = draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+    tolls = (st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99), st.integers(-300, 299))
+             | st.floats(2.0 ** -1070, 2.0 ** -1022, exclude_max=True))
+    return TollMatrix(n, {trip: draw(tolls) for trip in trips})
+
+
+def sps_exact(matrix):
+    """sps in rational arithmetic, rounded once per share.  ``sps_loop``
+    takes the pooled revenue as the total less the diagonal, which is all
+    rounding when the diagonal swamps the other trips, so it cannot serve
+    as the reference across 600 orders of magnitude."""
+    n = matrix.n
+    multi = [(h, k, Fraction(t)) for (h, k), t in matrix.trips() if h < k]
+    involvement = [sum((t for h, k, t in multi if h <= i <= k), Fraction(0))
+                   for i in range(1, n + 1)]
+    pooled, denom = sum((t for _, _, t in multi), Fraction(0)), sum(involvement)
+    beta = pooled / denom if denom else Fraction(0)
+    return np.array([float(Fraction(matrix.entries.get((i, i), 0.0)) + beta * involvement[i - 1])
+                     for i in range(1, n + 1)])
+
+
+def _lane_outputs(matrix):
+    """Every coverage-based result, ``sps_decomposition``'s ``nonseparable``
+    included, for one matrix."""
+    return [ts.ses(matrix), ts.sps(matrix), ts.scs(matrix),
+            ts.sps_decomposition(matrix).nonseparable,
+            ts.counterexample_method("A1_involvement_sum")(matrix)]
+
+
+#: A threshold above the trip count of every matrix the tests build.
+_LOOP_ONLY = 10 ** 9
+
+
 class TestCoverageKernel:
     def test_sums_weights_over_each_trip(self, example3):
         assert np.array_equal(ts.coverage(example3, [1.0, 2.0]), [3.0, 3.0, 2.0])
@@ -232,6 +277,63 @@ class TestCoverageKernel:
         matrix = TollMatrix(4, {(1, 2): 0.001, (2, 3): 1.0})
         for method in (ts.ses, ts.sps, ts.scs):
             assert method(matrix)[3] == 0.0
+
+    def test_small_trip_past_a_huge_one_keeps_its_share(self):
+        # the prefix sum after the 1e300 trip exits is pure residue on 6..8
+        matrix = TollMatrix(8, {(2, 5): 1e300, (1, 8): 1e-300})
+        assert ts.inessential_segments(matrix) == []
+        for threshold in (0, _LOOP_ONLY):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(model, "_ARRAY_LANE_TRIPS", threshold)
+                assert np.array_equal(ts.ses(matrix)[5:], [1.25e-301] * 3)
+                assert np.array_equal(ts.scs(matrix)[5:], [1.25e-301] * 3)
+                assert np.array_equal(ts.sps(matrix)[5:], [2.5e-301] * 3)
+
+    def test_pooled_revenue_under_a_huge_diagonal(self):
+        # total - sum(diagonal) is 0 here, while the pooled revenue is 1e-300
+        matrix = TollMatrix(2, {(1, 1): 1e300, (1, 2): 1e-300})
+        assert ts.sps_decomposition(matrix).nonseparable_total == 1e-300
+        assert np.array_equal(ts.sps(matrix), [1e300, 5e-301])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(toll_matrices(), wide_matrices()))
+    def test_lanes_return_the_same_bits(self, matrix):
+        results = []
+        for threshold in (0, _LOOP_ONLY):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(model, "_ARRAY_LANE_TRIPS", threshold)
+                results.append(_lane_outputs(matrix))
+        for array, loop in zip(*results):
+            assert np.array_equal(array, loop)
+
+    def test_large_matrix_takes_the_array_lane_with_the_loop_bits(self, monkeypatch):
+        matrix = ts.random_matrix(300, density=1.0, seed=8)
+        assert len(matrix.entries) == 45150 >= model._ARRAY_LANE_TRIPS
+        array = _lane_outputs(matrix)
+        assert "columns" in vars(matrix)  # built by the array lane
+        monkeypatch.setattr(model, "_ARRAY_LANE_TRIPS", _LOOP_ONLY)
+        for shares, loop in zip(array, _lane_outputs(matrix)):
+            assert np.array_equal(shares, loop)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(wide_matrices())
+    def test_wide_magnitudes_share_every_covered_segment(self, matrix):
+        """Whatever the spread of the tolls, a covered segment gets a
+        positive share, and the shares stay within the loop references'
+        bound (an exact reference for sps).  Below the normal range a
+        product or quotient is off by up to half the smallest subnormal
+        rather than by a relative eps; a trip's part of a segment's share
+        passes at most five of them in a method and its reference together,
+        so the bound adds four smallest subnormals per trip."""
+        covered = np.ones(matrix.n, dtype=bool)
+        covered[[i - 1 for i in ts.inessential_segments(matrix)]] = False
+        underflow = 4 * len(matrix.entries) * np.finfo(float).smallest_subnormal
+        bound = 8 * matrix.n * np.finfo(float).eps * matrix.total + underflow
+        for method, reference in ((ts.ses, ses_loop), (ts.sps, sps_exact), (ts.scs, scs_loop)):
+            shares = method(matrix)
+            assert np.all(shares[covered] > 0.0), method.__name__
+            assert np.all(shares[~covered] == 0.0), method.__name__
+            assert np.max(np.abs(shares - reference(matrix))) <= bound, method.__name__
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(toll_matrices())

@@ -460,6 +460,18 @@ class TestHashing:
         assert a == b and hash(a) == hash(b)
         assert len({a, b, TollMatrix(3, {(1, 2): 1.0})}) == 2
 
+    def test_cached_columns_leave_equality_and_hash_alone(self):
+        cached = TollMatrix(3, {(2, 3): 1.5, (1, 2): 1.0, (1, 1): 0.0})
+        entry, exit, toll = cached.columns
+        assert cached.columns is cached.columns
+        assert (entry.tolist(), exit.tolist(), toll.tolist()) == ([1, 2], [2, 3], [1.0, 1.5])
+        assert entry.dtype == exit.dtype == np.intp and toll.dtype == float
+        assert not (entry.flags.writeable or exit.flags.writeable or toll.flags.writeable)
+        fresh = TollMatrix(3, {(1, 2): 1.0, (2, 3): 1.5})
+        assert "columns" not in vars(fresh)
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert len({cached, fresh}) == 1
+
 
 class TestSamplerDrawStream:
     """The shared sampler draws exactly what the former per-generator loops drew."""
