@@ -18,6 +18,10 @@ in a narrow beta window.
 
 Usage:  python scripts/build_ap68_fixture.py [--output PATH]
 
+The linear programs are solved with ``scipy.optimize.linprog``; scipy is not a
+runtime dependency of the package, so install the ``test`` extra first
+(``pip install -e .[test]``).
+
 Writes the triplet CSV and prints its sha256; update FIXTURE_SHA256 in
 tests/ap68_reference.py and AP68_SHA256 in perfbench/workloads.py when the
 fixture is regenerated on purpose.

@@ -1,4 +1,9 @@
-"""Inequality and agreement statistics for allocation vectors."""
+"""Inequality and agreement statistics for allocation vectors.
+
+The rank correlations follow the steps of ``scipy.stats.spearmanr`` and
+``scipy.stats.pearsonr`` in numpy, so the package needs no scipy at run time;
+the tests check both statistics, and the average ranks, against scipy.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConstantVectorError, InvalidAllocationError, VectorShapeError, ZeroTotalError
 
@@ -71,21 +75,54 @@ def lorenz(x: Sequence[float]) -> LorenzCurve:
     return LorenzCurve(tuple((k / n, float(cum[k])) for k in range(n + 1)))
 
 
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d vector; a tie group gets the mean of its ranks.
+
+    The steps of ``scipy.stats.rankdata(x)``: a stable sort, the tie groups
+    from the sorted values, and ``(first + end + 1) / 2`` for the group
+    that takes 0-based sorted positions ``first .. end - 1``.
+    """
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    end = np.append(first[1:], len(x))
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((first + end + 1) / 2.0, end - first)
+    return ranks
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """``x`` centred and scaled to unit norm; the norm is taken on the vector
+    divided by its largest deviation, so it cannot overflow."""
+    centred = x - x.mean()
+    largest = np.max(np.abs(centred))
+    return centred / (largest * np.linalg.vector_norm(centred / largest))
+
+
 def rank_correlations(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """(Spearman, Pearson) between two allocations.
 
-    Spearman uses average ranks for ties.  Raises
+    Spearman is the Pearson product-moment correlation (``np.corrcoef``) of
+    the average ranks.  Pearson is the dot product of the two unit vectors,
+    clipped to [-1, 1] and rounded when n = 2.  Both follow the steps of
+    ``scipy.stats.spearmanr`` and ``pearsonr`` (scipy 1.17) and give the
+    same bits; the tests check them against scipy.  Raises
+    :class:`InvalidAllocationError` on a NaN or infinite entry and
     :class:`ConstantVectorError` when either vector is constant.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise VectorShapeError("expected two equal-length vectors of length >= 2")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InvalidAllocationError("correlation requires finite entries")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise ConstantVectorError("correlation is undefined for a constant vector")
-    spearman = float(stats.spearmanr(x, y).statistic)
-    pearson = float(stats.pearsonr(x, y).statistic)
-    return spearman, pearson
+    spearman = float(np.corrcoef(average_ranks(x), average_ranks(y))[1, 0])
+    pearson = np.clip(np.vecdot(_unit(x), _unit(y)), -1.0, 1.0)
+    if len(x) == 2:
+        pearson = np.round(pearson)
+    return spearman, float(pearson)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,16 @@
 """Tests for the inequality and agreement statistics."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tollshare as ts
+from tollshare.equity import average_ranks
+
+EPS = np.finfo(float).eps
 
 
 class TestGini:
@@ -144,6 +151,77 @@ class TestCorrelations:
             ts.ranking([1.0, np.nan])
         assert issubclass(ts.VectorShapeError, ts.TollShareError)
         assert issubclass(ts.VectorShapeError, ValueError)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_rejected(self, bad, side):
+        v, w = [1.0, bad, 3.0], [1.0, 2.0, 3.0]
+        x, y = (v, w) if side == "x" else (w, v)
+        with pytest.raises(ts.InvalidAllocationError):
+            ts.rank_correlations(x, y)
+
+    def test_non_finite_checked_before_constant(self):
+        with pytest.raises(ts.InvalidAllocationError):
+            ts.rank_correlations([np.nan, np.nan], [1.0, 1.0])
+
+    @pytest.mark.parametrize("y, sign", [([3.0, 7.5], 1.0), ([7.5, 3.0], -1.0),
+                                         ([1e-5, 2.3e4], 1.0), ([2.3e4, 1e-5], -1.0)])
+    def test_two_points_give_exact_unit_pearson(self, y, sign):
+        assert ts.rank_correlations([0.1, 0.3], y)[1] == sign
+
+    def test_average_ranks(self):
+        assert average_ranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0])).tolist() == [4.0, 1.0, 4.0, 2.0, 4.0]
+
+
+@st.composite
+def correlation_pairs(draw):
+    """Two vectors of length 2..40 with magnitudes 1e-5..1e4: independent
+    draws, draws from a few levels (ties), or y an affine copy of x."""
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["spread", "ties", "affine"]))
+
+    def vector():
+        scale = 10.0 ** draw(st.floats(-5.0, 4.0))
+        if kind == "ties":
+            levels = st.integers(0, 3).map(float)
+        else:
+            levels = st.floats(0.0, 1.0)
+        return scale * np.array(draw(st.lists(levels, min_size=n, max_size=n)))
+
+    x = vector()
+    if kind == "affine":
+        slope = draw(st.floats(1e-3, 1e3)) * draw(st.sampled_from([-1.0, 1.0]))
+        y = slope * x + draw(st.floats(-1e4, 1e4))
+    else:
+        y = vector()
+    assume(np.ptp(x) > 0.0 and np.ptp(y) > 0.0)
+    return x, y
+
+
+@pytest.fixture(scope="module")
+def scipy_stats():
+    return pytest.importorskip("scipy.stats")
+
+
+class TestAgainstScipy:
+    """scipy.stats is the independent reference; the exact bits on AP68 are
+    pinned by the report digests, so a few eps leave room for a scipy upgrade."""
+
+    @settings(max_examples=400)
+    @given(correlation_pairs())
+    def test_matches_spearmanr_and_pearsonr(self, scipy_stats, pair):
+        x, y = pair
+        spearman, pearson = ts.rank_correlations(x, y)
+        with warnings.catch_warnings():
+            # nearly constant affine copies warn in scipy; the values still compare
+            warnings.simplefilter("ignore")
+            expected_spearman = float(scipy_stats.spearmanr(x, y).statistic)
+            expected_pearson = float(scipy_stats.pearsonr(x, y).statistic)
+        assert abs(spearman - expected_spearman) <= 4 * EPS
+        assert abs(pearson - expected_pearson) <= 4 * EPS
+        assert np.array_equal(average_ranks(x), scipy_stats.rankdata(x))
+        assert np.array_equal(average_ranks(y), scipy_stats.rankdata(y))
 
 
 class TestRanking:
