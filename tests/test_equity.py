@@ -152,7 +152,6 @@ class TestCorrelations:
         assert issubclass(ts.VectorShapeError, ts.TollShareError)
         assert issubclass(ts.VectorShapeError, ValueError)
 
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["x", "y"])
     def test_non_finite_rejected(self, bad, side):
@@ -171,7 +170,8 @@ class TestCorrelations:
         assert ts.rank_correlations([0.1, 0.3], y)[1] == sign
 
     def test_average_ranks(self):
-        assert average_ranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0])).tolist() == [4.0, 1.0, 4.0, 2.0, 4.0]
+        ranks = average_ranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0]))
+        assert ranks.tolist() == [4.0, 1.0, 4.0, 2.0, 4.0]
 
 
 @st.composite
