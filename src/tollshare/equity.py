@@ -104,9 +104,12 @@ def rank_correlations(x: Sequence[float], y: Sequence[float]) -> tuple[float, fl
 
     Spearman is the Pearson product-moment correlation (``np.corrcoef``) of
     the average ranks.  Pearson is the dot product of the two unit vectors,
-    clipped to [-1, 1] and rounded when n = 2.  Both follow the steps of
-    ``scipy.stats.spearmanr`` and ``pearsonr`` (scipy 1.17) and give the
-    same bits; the tests check them against scipy.  Raises
+    clipped to [-1, 1].  Both follow the steps of ``scipy.stats.spearmanr``
+    and ``pearsonr`` (scipy 1.17) and give the same bits, except that both
+    are rounded when n = 2, where they can only be -1 or 1: ``pearsonr``
+    rounds too, while ``spearmanr`` returns the ``np.corrcoef`` of ranks
+    [1, 2] and [2, 1], one ulp short of -1.  The tests check them against
+    scipy.  Raises
     :class:`InvalidAllocationError` on a NaN or infinite entry and
     :class:`ConstantVectorError` when either vector is constant.
     """
@@ -118,11 +121,11 @@ def rank_correlations(x: Sequence[float], y: Sequence[float]) -> tuple[float, fl
         raise InvalidAllocationError("correlation requires finite entries")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise ConstantVectorError("correlation is undefined for a constant vector")
-    spearman = float(np.corrcoef(average_ranks(x), average_ranks(y))[1, 0])
+    spearman = np.corrcoef(average_ranks(x), average_ranks(y))[1, 0]
     pearson = np.clip(np.vecdot(_unit(x), _unit(y)), -1.0, 1.0)
     if len(x) == 2:
-        pearson = np.round(pearson)
-    return spearman, float(pearson)
+        spearman, pearson = np.round(spearman), np.round(pearson)
+    return float(spearman), float(pearson)
 
 
 @dataclass(frozen=True)

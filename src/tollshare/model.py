@@ -31,16 +31,29 @@ the magnitudes of the weights.
 Trip indices must be integers; the constructor converts keys whose indices
 are integral values of another type (``2.0``, numpy integers) and rejects
 any other with ``SegmentIndexError``.  ``_from_columns`` is the one builder
-behind ``from_triplets`` and the triplet CSV and JSON readers: it rejects a
-repeated trip, infers ``n`` as the largest exit and prefixes a rejected
-trip's error with the file and line of its record.
+behind ``from_triplets``, the triplet CSV walk and the JSON reader: it
+rejects a repeated trip, infers ``n`` as the largest exit and prefixes a
+rejected trip's error with the file and line of its record.
 
-``read_triplet_csv`` parses ``_CHUNK_ROWS`` rows at a time.  When every row of
-a chunk has 3 fields, it converts the chunk column by column (``int``,
-``int``, ``float``); a chunk that holds a blank, ragged or non-numeric row is
-walked row by row instead, skipping blank rows and raising for the first bad
-one with its ``path:line``.  Lines count CSV records, the header being line
-1.  Duplicates are checked once every chunk is parsed, so a parse fault is
+Large matrices are built from arrays instead, by ``_from_arrays``: it runs
+the same checks on ``(entry, exit, toll)`` arrays (indices in range, tolls
+finite and nonnegative, no repeated trip once sorted, a finite total, ``n``
+the largest exit by default), builds the sorted ``entries`` of the positive
+trips and keeps the arrays as the matrix's ``columns``.  It never raises for
+a record: when a check fails it hands over to the per-trip path, so every
+error keeps the type and message that path gives it.
+
+``read_triplet_csv`` parses the body after the header with one
+``np.loadtxt`` call into ``_from_arrays``.  numpy reads fewer number forms
+than ``int`` and ``float`` (quoted cells, ``1_0``, blank cells, 20-digit
+integers), and, outside ASCII or with the separators ``\x1c``-``\x1f``,
+some that Python rejects: numpy's integer parser reads ``1\u01fe`` as 472.
+So a file that is not ASCII or holds such a separator, a body that numpy
+rejects and records that ``_from_arrays`` rejects are all read again by the
+row walk, which parses ``_CHUNK_ROWS`` rows at a time with the ``csv``
+module, skips blank rows and raises for the first bad one with its
+``path:line``.  Lines count CSV records, the header being line 1.
+Duplicates are checked once every chunk is parsed, so a parse fault is
 reported before a duplicate, wherever each lies.  ``write_triplet_csv``
 writes each trip as ``f"{entry},{exit},{toll!r}\r\n"`` after the header:
 the bytes ``csv.writer`` writes for these rows, as no integer or float
@@ -53,7 +66,13 @@ toll, ``max_toll * (1 - v)``.  It takes these uniforms from
 ``rng.random(m)`` in chunks no longer than the draws still owed, and at most
 ``_DRAW_CHUNK`` long to bound the memory of a sparse draw, so values, entry
 order and the generator state afterwards are those of one ``rng.random()``
-call per draw.
+call per draw.  From ``_ARRAY_LANE_TRIPS`` cells on, numpy tells the cell
+draws of a chunk from the toll draws: the draw after a miss (``u >=
+density``), whichever kind that miss was, is a cell draw, and up to the
+next miss cell and toll draws alternate, so a draw is a cell draw exactly
+when it lies an odd number of places after the last miss before it.  One
+``np.maximum.accumulate`` finds those misses; hits map to cells through the
+offsets of the rows, and the matrix comes from ``_from_arrays``.
 """
 
 from __future__ import annotations
@@ -340,19 +359,24 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
         weights = list(weights)
         diff = [0.0] * (n + 1)
         count = [0] * (n + 1)
-        entered = [0.0] * n
         for (h, k), w in zip(matrix.entries, weights):
             if w:
                 diff[h - 1] += w
                 diff[k] -= w
-                entered[h - 1] += w
                 count[h - 1] += 1
                 count[k] -= 1
+
+        def entered() -> Iterator[float]:
+            by_entry = [0.0] * n
+            for (h, _), w in zip(matrix.entries, weights):
+                by_entry[h - 1] += w
+            return accumulate(by_entry)
 
         def exact(i: int) -> float:
             return math.fsum(w for (h, k), w in zip(matrix.entries, weights) if h <= i <= k)
 
-        return _settle(n, accumulate(diff[:n]), accumulate(count[:n]), accumulate(entered), exact)
+        return _settle(n, list(accumulate(diff[:n])), accumulate(count[:n]), sum(weights),
+                       entered, exact)
     entry, exit, _ = columns
     if not isinstance(weights, np.ndarray):
         weights = np.fromiter(weights, dtype=float, count=len(entry))
@@ -361,24 +385,34 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
     np.add.at(diff, start, weights)
     live = weights != 0.0
     count = np.bincount(start[live], minlength=n + 1) - np.bincount(exit[live], minlength=n + 1)
-    entered = np.bincount(start, weights, minlength=n)
 
     def exact(i: int) -> float:
         return math.fsum(weights[(entry <= i) & (i <= exit)].tolist())
 
     return _settle(n, np.cumsum(diff[:n]).tolist(), np.cumsum(count[:n]).tolist(),
-                   np.cumsum(entered).tolist(), exact)
+                   float(weights.sum()),
+                   lambda: np.cumsum(np.bincount(start, weights, minlength=n)).tolist(), exact)
 
 
-def _settle(n: int, prefix: Iterable[float], covering: Iterable[int],
-            entered: Iterable[float], exact: Callable[[int], float]) -> np.ndarray:
+def _settle(n: int, prefix: Sequence[float], covering: Iterable[int], total: float,
+            entered: Callable[[], Iterable[float]], exact: Callable[[int], float]) -> np.ndarray:
     """Segment loads from a difference array's prefix sums: 0 where no trip
     of nonzero weight covers the segment (``covering`` counts them), the
     prefix sum where it clears its rounding bound, and ``exact(segment)``
-    otherwise, as rounding residue there can be as large as the load."""
+    otherwise, as rounding residue there can be as large as the load.
+
+    The bound is ``_RESIDUE * n`` times the weight entered up to the
+    segment, which ``entered()`` lists per segment.  That weight is at most
+    ``total``, the sum of all weights, up to rounding, so a prefix sum above
+    twice the bound on ``total`` clears its own bound, and ``entered()`` is
+    only called when some covered segment's prefix sum is not that large."""
     residue = _RESIDUE * n
-    return np.array([(s if s > residue * e else exact(i)) if c else 0.0
-                     for i, (s, c, e) in enumerate(zip(prefix, covering, entered), start=1)])
+    quick = 2.0 * residue * total
+    loads = [(s if s > quick else None) if c else 0.0 for s, c in zip(prefix, covering)]
+    if None in loads:
+        loads = [(s if s > residue * e else exact(i)) if load is None else load
+                 for i, (load, s, e) in enumerate(zip(loads, prefix, entered()), start=1)]
+    return np.array(loads)
 
 
 def inessential_segments(matrix: TollMatrix) -> list[int]:
@@ -410,15 +444,20 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]],
     Each chunk of uniforms is no longer than ``_DRAW_CHUNK``, nor than the
     fewest draws still owed: one per unvisited cell, plus one when a hit's
     toll comes next.  Every cell takes at least one draw, so no chunk draws
-    past the end of the stream.
+    past the end of the stream.  From ``_ARRAY_LANE_TRIPS`` cells on,
+    ``_sample_arrays`` takes the same chunks and resolves them in numpy.
     """
     if not (0.0 < density <= 1.0):
         raise InvalidDensityError(density)
     if max_toll <= 0.0:
         raise TollValidationError(f"max_toll must be positive, got {max_toll!r}")
-    entries: dict[Trip, float] = {}
     widths = [max(end - start + 1, 0) for start, end in blocks]
     unvisited = sum(w * (w + 1) // 2 for w in widths)
+    if unvisited >= _ARRAY_LANE_TRIPS:
+        entry, exit, toll = _sample_arrays(rng, blocks, unvisited, density, max_toll)
+        return _from_arrays(n, entry, exit, toll,
+                            lambda: TollMatrix(n, _trip_dict(entry, exit, toll)))
+    entries: dict[Trip, float] = {}
     draws: list[float] = []
     pos = 0
     for start, end in blocks:
@@ -435,6 +474,51 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]],
                     entries[tuple.__new__(Trip, (h, k))] = max_toll * (1.0 - draws[pos])
                     pos += 1
     return TollMatrix(n, entries)
+
+
+def _sample_arrays(rng: np.random.Generator, blocks: Sequence[tuple[int, int]], cells: int,
+                   density: float, max_toll: float) -> TripColumns:
+    """The hits of ``_sample``'s loop over ``cells`` cells as ``(entry, exit,
+    toll)`` arrays, from the same chunks of the same draws.
+
+    In a chunk, a draw is a cell draw exactly when it lies an odd number of
+    places after the last miss before it, a chunk's first cell draw
+    standing one place after a miss.  Hits are numbered by cell in visiting
+    order and mapped to trips through each row's first number.
+    """
+    heads = [h for start, end in blocks for h in range(start, end + 1)]
+    ends = [end for start, end in blocks for _ in range(start, end + 1)]
+    row_entry = np.array(heads, dtype=np.intp)
+    widths = np.array(ends, dtype=np.intp) - row_entry + 1
+    row_first = np.cumsum(widths) - widths
+    hits: list[np.ndarray] = []
+    toll_draws: list[np.ndarray] = []
+    done = 0
+    pending = 0
+    while done < cells or pending:
+        draws = rng.random(min(cells - done + pending, _DRAW_CHUNK))
+        toll_draws.append(draws[:pending])
+        draws = draws[pending:]
+        if not len(draws):
+            pending = 0
+            continue
+        place = np.arange(len(draws))
+        last_miss = np.where(draws >= density, place, -1)
+        np.maximum.accumulate(last_miss, out=last_miss)
+        cell = np.empty(len(draws), dtype=bool)
+        cell[0] = True
+        cell[1:] = (place[1:] - last_miss[:-1]) % 2 == 1
+        hit = np.flatnonzero(cell & (draws < density))
+        counted = np.cumsum(cell)
+        hits.append(done + counted[hit] - 1)
+        done += int(counted[-1])
+        pending = int(len(hit) > 0 and hit[-1] == len(draws) - 1)
+        toll_draws.append(draws[hit[: len(hit) - pending] + 1])
+    number = np.concatenate(hits)
+    row = np.searchsorted(row_first, number, side="right") - 1
+    entry = row_entry[row]
+    return TripColumns(entry, entry + (number - row_first[row]),
+                       max_toll * (1.0 - np.concatenate(toll_draws)))
 
 
 def sample_matrix(rng: np.random.Generator, n: int, density: float = 1.0,
@@ -493,14 +577,56 @@ def write_triplet_csv(matrix: TollMatrix, path: str | Path) -> None:
         fh.write("".join([f"{h},{k},{t!r}\r\n" for (h, k), t in matrix.entries.items()]))
 
 
+#: One triplet record as ``np.loadtxt`` parses it.
+_RECORD = np.dtype([("entry", np.int64), ("exit", np.int64), ("toll", np.float64)])
+
+#: ASCII separators that numpy strips from a number as white space and
+#: ``int`` and ``float`` do not.
+_NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+
+
 def read_triplet_csv(path: str | Path, n: int | None = None) -> TollMatrix:
     with open(path, newline="") as fh:
+        _check_header(csv.reader(fh), path)
+        records = _load_records(fh, path)
+    if records is None:
+        return _walk_triplet_csv(path, n)
+    return _from_arrays(n, records["entry"], records["exit"], records["toll"],
+                        lambda: _walk_triplet_csv(path, n))
+
+
+def _check_header(reader: Iterator[list[str]], path: str | Path) -> None:
+    header = next(reader, None)
+    if header is None or [c.strip().lower() for c in header] != list(TRIPLET_HEADER):
+        raise TollValidationError(
+            f"{path}: expected header {','.join(TRIPLET_HEADER)!r}, got {header!r}"
+        )
+
+
+def _load_records(fh: Iterator[str], path: str | Path) -> np.ndarray | None:
+    """The records after the header, parsed by ``np.loadtxt``; ``None`` when
+    the body has no record, or numpy rejects it, or may read a cell that
+    Python would not: the file is not ASCII or holds a numpy-only space."""
+    raw = Path(path).read_bytes()
+    if not raw.isascii() or any(space in raw for space in _NUMPY_ONLY_SPACE):
+        return None
+    for line in fh:
+        if line.strip():
+            break
+    else:
+        return None
+    try:
+        return np.loadtxt(chain([line], fh), delimiter=",", dtype=_RECORD, comments=None,
+                          ndmin=1)
+    except ValueError:
+        return None
+
+
+def _walk_triplet_csv(path: str | Path, n: int | None) -> TollMatrix:
+    """``read_triplet_csv`` row by row with the ``csv`` module."""
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != list(TRIPLET_HEADER):
-            raise TollValidationError(
-                f"{path}: expected header {','.join(TRIPLET_HEADER)!r}, got {header!r}"
-            )
+        _check_header(reader, path)
         return _from_columns(_triplet_chunks(reader, path), n, str(path))
 
 
@@ -515,14 +641,8 @@ def _triplet_chunks(reader: Iterator[list[str]], path: str | Path) -> Iterator[t
 
 
 def _parse_chunk(rows: list[list[str]], line: int, path: str | Path) -> tuple:
-    if {3}.issuperset(map(len, rows)):
-        heads, tails, tolls = zip(*rows)
-        try:
-            return (list(map(int, heads)), list(map(int, tails)), list(map(float, tolls)),
-                    range(line, line + len(rows)))
-        except ValueError:
-            pass
-    # a blank, ragged or non-numeric row: walk the rows one by one
+    """Columns of the records among ``rows``, skipping blank rows and
+    raising for the first bad one."""
     records, lines = [], []
     for lineno, row in enumerate(rows, start=line):
         if not any(cell.strip() for cell in row):
@@ -596,6 +716,61 @@ def _from_columns(chunks: Iterable[tuple], n: int | None,
             index = next((i for i, key in enumerate(entries) if key == trip), None)
         _name_source(exc, _record_origin(source, spans, index))
         raise
+
+
+def _from_arrays(n: int | None, entry: np.ndarray, exit: np.ndarray, toll: np.ndarray,
+                 otherwise: Callable[[], TollMatrix]) -> TollMatrix:
+    """The matrix of the records ``(entry[i], exit[i], toll[i])``, checked as
+    arrays, with the arrays of its positive trips kept as its ``columns``.
+
+    ``n`` defaults to the largest exit.  When a record breaks a check of
+    ``_from_columns`` or the constructor (an index out of range, a negative
+    or non-finite toll, a repeated trip, a total past the float limit, or
+    no record to infer ``n`` from), this returns ``otherwise()`` instead, the
+    per-trip path that raises the error.
+    """
+    entry = np.ascontiguousarray(entry, dtype=np.intp)
+    exit = np.ascontiguousarray(exit, dtype=np.intp)
+    toll = np.ascontiguousarray(toll, dtype=float)
+    if not _increasing(entry, exit):
+        order = np.lexsort((exit, entry))
+        entry, exit, toll = entry[order], exit[order], toll[order]
+        if not _increasing(entry, exit):
+            return otherwise()
+    if n is None:
+        if not len(exit):
+            return otherwise()
+        n = int(exit.max())
+    if not (n >= 1 and np.all((toll >= 0.0) & (toll < math.inf))):
+        return otherwise()
+    if len(entry) and not (entry.min() >= 1 and int(exit.max()) <= n and np.all(entry <= exit)):
+        return otherwise()
+    live = toll > 0.0
+    if not live.all():
+        entry, exit, toll = entry[live], exit[live], toll[live]
+    try:
+        total = math.fsum(toll.tolist())
+    except OverflowError:
+        return otherwise()
+    columns = TripColumns(entry, exit, toll)
+    for column in columns:
+        column.flags.writeable = False
+    matrix = object.__new__(TollMatrix)
+    for name, value in (("n", n), ("entries", MappingProxyType(_trip_dict(*columns))),
+                        ("_total", total), ("columns", columns)):
+        object.__setattr__(matrix, name, value)
+    return matrix
+
+
+def _increasing(entry: np.ndarray, exit: np.ndarray) -> bool:
+    """Whether the trips ``(entry[i], exit[i])`` rise strictly in (entry, exit) order."""
+    after, before = entry[1:], entry[:-1]
+    return bool(np.all((after > before) | ((after == before) & (exit[1:] > exit[:-1]))))
+
+
+def _trip_dict(entry: np.ndarray, exit: np.ndarray, toll: np.ndarray) -> dict[Trip, float]:
+    return dict(zip(map(tuple.__new__, repeat(Trip), zip(entry.tolist(), exit.tolist())),
+                    toll.tolist()))
 
 
 def _record_origin(source: str | None, spans: Sequence[Sequence[int] | None],

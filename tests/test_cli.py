@@ -274,6 +274,16 @@ class TestEquity:
                     assert table[a][other] == f"{pair['pearson']:.3f}"
                     assert table[b][pos] == f"{pair['spearman']:.3f}"
 
+    def test_two_segments_give_exact_unit_correlations(self, capsys, tmp_path):
+        path = tmp_path / "two.csv"
+        ts.write_triplet_csv(ts.TollMatrix(2, {(1, 1): 1.0, (1, 2): 3.0, (2, 2): 5.0}), path)
+        code, out, _ = run(capsys, "equity", "--input", str(path), "--no-timestamp")
+        assert code == 0
+        correlations = json.loads(out)["correlations"]
+        assert len(correlations) == 3
+        for pair in correlations.values():
+            assert pair == {"spearman": 1.0, "pearson": 1.0}
+
     def test_equal_allocation_gini_zero(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"
         ts.write_triplet_csv(ts.TollMatrix.unit(1, 4, 4), path)

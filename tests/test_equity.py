@@ -169,6 +169,12 @@ class TestCorrelations:
     def test_two_points_give_exact_unit_pearson(self, y, sign):
         assert ts.rank_correlations([0.1, 0.3], y)[1] == sign
 
+    @pytest.mark.parametrize("x, y, expected", [([1, 2], [3, 1], (-1.0, -1.0)),
+                                                ([1, 2], [1, 3], (1.0, 1.0)),
+                                                ([2.5, 0.1], [4.0, 9.0], (-1.0, -1.0))])
+    def test_two_points_give_exact_unit_spearman(self, x, y, expected):
+        assert ts.rank_correlations(x, y) == expected
+
     def test_average_ranks(self):
         ranks = average_ranks(np.array([3.0, 1.0, 3.0, 2.0, 3.0]))
         assert ranks.tolist() == [4.0, 1.0, 4.0, 2.0, 4.0]

@@ -289,6 +289,15 @@ class TestCoverageKernel:
                 assert np.array_equal(ts.scs(matrix)[5:], [1.25e-301] * 3)
                 assert np.array_equal(ts.sps(matrix)[5:], [2.5e-301] * 3)
 
+    def test_positive_residue_is_summed_again(self):
+        # the 1e16 trip swallows the 0.3 that enters with it, so the prefix
+        # sums on segments 2 and 3 are 0.0 and 1.0, short of 0.3 and 1.3
+        matrix = TollMatrix(3, {(1, 1): 1e16, (1, 3): 0.3, (3, 3): 1.0})
+        for threshold in (0, _LOOP_ONLY):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(model, "_ARRAY_LANE_TRIPS", threshold)
+                assert np.array_equal(ts.coverage(matrix, [1e16, 0.3, 1.0]), [1e16, 0.3, 1.3])
+
     def test_pooled_revenue_under_a_huge_diagonal(self):
         # total - sum(diagonal) is 0 here, while the pooled revenue is 1e-300
         matrix = TollMatrix(2, {(1, 1): 1e300, (1, 2): 1e-300})

@@ -2,11 +2,12 @@
 
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tollshare as ts
@@ -402,8 +403,80 @@ def _triplet_texts(draw):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
+#: Cells that numpy's and Python's number grammars read differently, or
+#: that only one of them reads, among ordinary ones.
+_ODD_INDEX = st.sampled_from(["0", "-2", "+3", "03", " 4 ", "\t2\t", "1_0", "\u0661", "0x10",
+                              "12345678901234567890", "1\u01fe", "\x1c2", "2.0"])
+_ODD_TOLL = st.sampled_from(["+3", "Infinity", "-Infinity", "1e-400", "1e400", "1_0.5",
+                             "\u0661.5", "0x10", "\t2.5 ", "nan", "12345678901234567890",
+                             "\x1f1", "-0.0", "0"])
+_ODD_LINE = st.sampled_from(["", "   ", "\t", "#", "# a comment", "#1,2,3"])
+
+
+@st.composite
+def _odd_triplet_texts(draw):
+    """A triplet CSV of valid records, one or two of which hold an ``_ODD_*``
+    cell in place of their own or have an ``_ODD_LINE`` put before them."""
+    trip = st.lists(st.integers(1, 6), min_size=2, max_size=2).map(sorted)
+    lines = [[str(h), str(k), repr(t)] for (h, k), t in
+             draw(st.lists(st.tuples(trip, st.floats(0.0, 1e6)), min_size=1, max_size=10))]
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        column = draw(st.integers(0, 3))
+        if column == 3 or isinstance(lines[at], str):
+            lines.insert(at, draw(_ODD_LINE))
+        else:
+            lines[at][column] = draw(_ODD_INDEX if column < 2 else _ODD_TOLL)
+    return "\n".join(["entry,exit,toll", *(line if isinstance(line, str) else ",".join(line)
+                                            for line in lines)]) + "\n"
+
+
 class TestTripletIO:
     """The column reader and one-shot writer against the row-by-row loops."""
+
+    @settings(max_examples=300)
+    @given(text=_odd_triplet_texts(), n=st.sampled_from([None, 6]))
+    # numpy reads these records as (1, 472, 2.0), (1, 2, 2.0) and (1, 2, 3.0)
+    @example(text="entry,exit,toll\n1,1\u01fe,2\n", n=None)
+    @example(text="entry,exit,toll\n1,\x1c2,2\n", n=None)
+    @example(text="entry,exit,toll\n1,2,3\x1f\n", n=None)
+    def test_reader_matches_row_loop_on_number_grammar(self, tmp_path_factory, text, n):
+        path = tmp_path_factory.mktemp("csv") / "trips.csv"
+        path.write_bytes(text.encode())
+        assert _read_outcome(ts.read_triplet_csv, path, n) == \
+            _read_outcome(read_triplet_csv_loop, path, n)
+
+    @pytest.mark.parametrize("tail, error", [
+        ("101,101,x\n", ts.TollValidationError),
+        ("101,101,1_0\n1,2\n", ts.TollValidationError),
+        ("101,\u0661\u0660\u0660,1\n", ts.SegmentIndexError),
+        ("101,101,-1\n", ts.NegativeTollError),
+        ("100,100,1\n", ts.DuplicateTripError),
+        ("101,101,inf\n", ts.NonFiniteError),
+    ])
+    def test_fault_in_a_long_tail_falls_back_to_the_walk(self, tmp_path, tail, error):
+        filler = [f"{h},{k},1.5\n" for h in range(1, 101) for k in range(h, 101)]
+        assert len(filler) > model._CHUNK_ROWS
+        path = tmp_path / "trips.csv"
+        path.write_text("entry,exit,toll\n" + "".join(filler) + tail)
+        with mock.patch.object(model, "_walk_triplet_csv",
+                               wraps=model._walk_triplet_csv) as walk:
+            outcome = _read_outcome(ts.read_triplet_csv, path, None)
+        walk.assert_called_once()
+        assert outcome == _read_outcome(read_triplet_csv_loop, path, None)
+        assert outcome[0] is error
+        # the header and the filler come before the tail
+        assert f"trips.csv:{len(filler) + 2 + tail.count(chr(10)) - 1}: " in outcome[1]
+
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n", "  \n\t\n"])
+    def test_empty_body_warns_nothing(self, tmp_path, body):
+        path = tmp_path / "trips.csv"
+        path.write_text("entry,exit,toll\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ts.read_triplet_csv(path, n=3) == TollMatrix.zero(3)
+            with pytest.raises(ts.SegmentIndexError, match="cannot infer the segment count"):
+                ts.read_triplet_csv(path)
 
     @settings(max_examples=300)
     @given(text=_triplet_texts(), n=st.sampled_from([None, 4, 6]),
@@ -473,6 +546,34 @@ class TestHashing:
         assert len({cached, fresh}) == 1
 
 
+def _handed_over(tmp_path):
+    """Matrices whose columns come with them: read from files, one out of
+    order with zero tolls, and drawn past ``_ARRAY_LANE_TRIPS`` cells."""
+    drawn = ts.random_matrix(30, 0.5, seed=4)
+    ts.write_triplet_csv(drawn, tmp_path / "drawn.csv")
+    (tmp_path / "shuffled.csv").write_text("entry,exit,toll\n3,4,0\n2,3,1.5\n1,1,2\n2,2,0.0\n")
+    return [
+        drawn,
+        ts.read_triplet_csv(tmp_path / "drawn.csv"),
+        ts.read_triplet_csv(tmp_path / "shuffled.csv"),
+        ts.read_triplet_csv(tmp_path / "shuffled.csv", n=9),
+        ts.block_structured_matrix([range(1, 20), range(20, 41)], seed=2, density=0.4),
+    ]
+
+
+class TestHandedOverColumns:
+    def test_columns_match_a_fresh_build(self, tmp_path):
+        for matrix in _handed_over(tmp_path):
+            assert "columns" in vars(matrix)
+            fresh = TollMatrix(matrix.n, dict(matrix.entries))
+            assert matrix == fresh and matrix.total == fresh.total
+            for handed, built in zip(matrix.columns, fresh.columns):
+                assert np.array_equal(handed, built) and handed.dtype == built.dtype
+                assert not handed.flags.writeable
+                with pytest.raises(ValueError):
+                    handed[:1] = 0
+
+
 class TestSamplerDrawStream:
     """The shared sampler draws exactly what the former per-generator loops drew."""
 
@@ -518,3 +619,18 @@ class TestSamplerDrawStream:
         assert drawn == reference
         assert list(drawn.entries) == list(reference.entries)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_draw_without_hits_past_the_array_threshold(self):
+        n = 20
+        assert n * (n + 1) // 2 >= model._ARRAY_LANE_TRIPS
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        drawn = ts.sample_matrix(rng, n, density=1e-12)
+        assert drawn == TollMatrix.zero(n) == sample_matrix_loop(ref_rng, n, density=1e-12)
+        assert drawn.total == 0.0 and all(len(column) == 0 for column in drawn.columns)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_overflowing_draw_raises_like_the_loop(self):
+        with pytest.raises(ts.TollValidationError, match="largest float"):
+            ts.random_matrix(20, max_toll=1e308)
+        with pytest.raises(ts.TollValidationError, match="largest float"):
+            sample_matrix_loop(np.random.default_rng(0), 20, max_toll=1e308)
