@@ -92,6 +92,8 @@ def summarise(pairs: list[dict]) -> dict:
 
 def parse_workload(text: str) -> tuple[str, int, int]:
     name, pairs, first_seed = text.split(":")
+    if int(pairs) < 2:
+        raise argparse.ArgumentTypeError("quartiles need at least 2 pairs")
     return name, int(pairs), int(first_seed)
 
 
