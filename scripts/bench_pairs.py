@@ -1,13 +1,14 @@
-"""Alternating parent/change pairs of the benchmark, written as one BENCH file.
+r"""Alternating parent/change pairs of the benchmark, written as one BENCH file.
 
     python3 scripts/bench_pairs.py --parent 8a48093 --change HEAD \
-        --workload bulk:10:5101 --workload audit:6:5201 --workload oracle:6:5301 \
+        --workload bulk:10:5101 --workload audit:10:5201 --workload oracle:10:5301 \
         --seconds 22 --claim bulk:round_ref_ms --what "..." --output BENCH_10.json
 
 Each side runs from a clean copy of its commit's files (``git archive``),
-made under ``--workdir``, so neither sees the other's working tree.  A
-``--workload NAME:PAIRS:FIRST_SEED`` runs ``PAIRS`` pairs on the seeds
-``FIRST_SEED, FIRST_SEED + 1, ...``: in each pair both sides run
+made under ``--workdir`` or in a temporary directory, so neither sees the
+other's working tree.  A ``--workload NAME:PAIRS:FIRST_SEED`` runs
+``PAIRS`` pairs on the seeds ``FIRST_SEED, FIRST_SEED + 1, ...``: in each
+pair both sides run
 ``python3 perfbench/run.py --workload NAME --seed S --seconds T --trace 0``
 one after the other, and the side that runs first alternates from pair to
 pair.  One benchmark process runs at a time.
@@ -22,6 +23,7 @@ result as ``perfbench/run.py`` printed them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -90,6 +92,24 @@ def summarise(pairs: list[dict]) -> dict:
     return summary
 
 
+def run_pairs(copies: dict[str, Path], workloads: list[tuple[str, int, int]],
+              seconds: float) -> dict[str, list[dict]]:
+    pairs: dict[str, list[dict]] = {}
+    for number, (workload, count, first_seed) in enumerate(workloads):
+        pairs[workload] = []
+        for i in range(count):
+            seed = first_seed + i
+            order = SIDES if (number + i) % 2 == 0 else SIDES[::-1]
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(copies[side], workload, seed, seconds)
+                print(f"{workload} seed {seed} {side}: "
+                      f"{pair[side]['result']['metrics']['round_ref_ms']['value']:.1f} ms",
+                      file=sys.stderr)
+            pairs[workload].append(pair)
+    return pairs
+
+
 def parse_workload(text: str) -> tuple[str, int, int]:
     name, pairs, first_seed = text.split(":")
     if int(pairs) < 2:
@@ -107,29 +127,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
     parser.add_argument("--what", required=True, help="what the two sides are")
     parser.add_argument("--host", help="the host, if not the detected one")
-    parser.add_argument("--workdir", type=Path, help="where the copies go (default: a temporary"
-                        " directory)")
+    parser.add_argument("--workdir", type=Path, help="where the copies go and stay (default: a"
+                        " temporary directory, removed at the end)")
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args(argv)
     claim_workload, claim_metric = args.claim.split(":")
 
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench-pairs-"))
-    copies = {side: checkout(rev, workdir / side)
-              for side, rev in zip(SIDES, (args.parent, args.change))}
-    pairs: dict[str, list[dict]] = {}
-    for number, (workload, count, first_seed) in enumerate(args.workload):
-        pairs[workload] = []
-        for i in range(count):
-            seed = first_seed + i
-            order = SIDES if (number + i) % 2 == 0 else SIDES[::-1]
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_once(copies[side], workload, seed, args.seconds)
-                print(f"{workload} seed {seed} {side}: "
-                      f"{pair[side]['result']['metrics']['round_ref_ms']['value']:.1f} ms",
-                      file=sys.stderr)
-            pairs[workload].append(pair)
-
+    with (contextlib.nullcontext(args.workdir) if args.workdir
+          else tempfile.TemporaryDirectory(prefix="bench-pairs-")) as workdir:
+        copies = {side: checkout(rev, Path(workdir) / side)
+                  for side, rev in zip(SIDES, (args.parent, args.change))}
+        pairs = run_pairs(copies, args.workload, args.seconds)
     summary = {workload: summarise(runs) for workload, runs in pairs.items()}
     claimed = summary[claim_workload][claim_metric]
     seeds = ", ".join(f"{first}-{first + count - 1} ({name})"

@@ -6,11 +6,13 @@ collected from all users of that trip.  Matrices are stored sparsely as a map
 from trips to positive amounts; segment indices are 1-based on every public
 interface.
 
-``TollMatrix.__post_init__`` is the one place that checks a trip's range,
-finiteness and sign, and that the total stays finite.  Constructors and file readers only parse, keeping the
-checks of their own format (duplicate triplets; a square grid with nothing
-below the diagonal), and report malformed text as ``TollValidationError``;
-the readers add the file, and for CSV the line, to the message of a trip the
+``TollMatrix.__post_init__`` is the one place that rejects a trip for its
+range, finiteness or sign, or a total that is not finite (``_from_arrays``
+runs the same checks on arrays, but leaves the rejecting to it).
+Constructors and file readers only parse, keeping the checks of their own
+format (duplicate triplets; a square grid with nothing below the
+diagonal), and report malformed text as ``TollValidationError``; the
+readers add the file, and for CSV the line, to the message of a trip the
 constructor rejects.
 
 ``coverage`` sums a per-trip weight over each trip's segments by a difference

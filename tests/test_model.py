@@ -465,8 +465,9 @@ class TestTripletIO:
         walk.assert_called_once()
         assert outcome == _read_outcome(read_triplet_csv_loop, path, None)
         assert outcome[0] is error
-        # the header and the filler come before the tail
-        assert f"trips.csv:{len(filler) + 2 + tail.count(chr(10)) - 1}: " in outcome[1]
+        # the header and the filler come before the tail, whose last line is at fault
+        line = 1 + len(filler) + tail.count("\n")
+        assert f"trips.csv:{line}: " in outcome[1]
 
     @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n", "  \n\t\n"])
     def test_empty_body_warns_nothing(self, tmp_path, body):
