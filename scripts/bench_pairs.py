@@ -126,7 +126,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=22.0)
     parser.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
     parser.add_argument("--what", required=True, help="what the two sides are")
-    parser.add_argument("--host", help="the host, if not the detected one")
     parser.add_argument("--workdir", type=Path, help="where the copies go and stay (default: a"
                         " temporary directory, removed at the end)")
     parser.add_argument("--output", type=Path, required=True)
@@ -144,8 +143,8 @@ def main(argv: list[str] | None = None) -> int:
                       for name, count, first in args.workload)
     document = {
         "what": args.what,
-        "host": args.host or (f"{os.cpu_count()} vCPU {platform.system()}, Python "
-                              f"{platform.python_version()}, numpy {metadata.version('numpy')}"),
+        "host": (f"{os.cpu_count()} vCPU {platform.system()}, Python "
+                 f"{platform.python_version()}, numpy {metadata.version('numpy')}"),
         "protocol": (f"`python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}"
                      " --trace 0` from a clean copy of each commit; one parent/change pair per"
                      " seed, the side that runs first alternating from pair to pair; seeds "

@@ -45,16 +45,18 @@ trips and keeps the arrays as the matrix's ``columns``.  It never raises for
 a record: when a check fails it hands over to the per-trip path, so every
 error keeps the type and message that path gives it.
 
-``read_triplet_csv`` parses the body after the header with one
-``np.loadtxt`` call into ``_from_arrays``.  numpy reads fewer number forms
-than ``int`` and ``float`` (quoted cells, ``1_0``, blank cells, 20-digit
-integers), and, outside ASCII or with the separators ``\x1c``-``\x1f``,
-some that Python rejects: numpy's integer parser reads ``1\u01fe`` as 472.
-So a file that is not ASCII or holds such a separator, a body that numpy
-rejects and records that ``_from_arrays`` rejects are all read again by the
-row walk, which parses ``_CHUNK_ROWS`` rows at a time with the ``csv``
-module, skips blank rows and raises for the first bad one with its
-``path:line``.  Lines count CSV records, the header being line 1.
+``read_triplet_csv`` reads the file's bytes once and parses the body after
+the header with one ``np.loadtxt`` call into ``_from_arrays``.  numpy reads
+fewer number forms than ``int`` and ``float`` (quoted cells, ``1_0``, blank
+cells, 20-digit integers), and, outside ASCII or with the separators
+``\x1c``-``\x1f``, some that Python rejects: numpy's integer parser reads
+``1\u01fe`` as 472.  numpy releases that only deprecate reading a float
+cell such as ``2.5`` into an integer field truncate it with a warning.  So
+a file that is not ASCII or holds such a separator, a body that numpy
+rejects or warns about and records that ``_from_arrays`` rejects all go to
+the row walk over the same bytes, which parses ``_CHUNK_ROWS`` rows at a
+time with the ``csv`` module, skips blank rows and raises for the first bad
+one with its ``path:line``.  Lines count CSV records, the header being line 1.
 Duplicates are checked once every chunk is parsed, so a parse fault is
 reported before a duplicate, wherever each lies.  ``write_triplet_csv``
 writes each trip as ``f"{entry},{exit},{toll!r}\r\n"`` after the header:
@@ -80,8 +82,10 @@ offsets of the rows, and the matrix comes from ``_from_arrays``.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
@@ -352,8 +356,9 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
     bin the loop subtracts the weights of the trips that exit there before
     it adds those of the trips that enter at the next segment, so the array
     lane starts from the negated exits and adds the entries in trip order,
-    and the two return the same bits.  ``_settle`` turns either lane's prefix
-    sums into the result.
+    and the two return the same bits.  ``_clear_loads`` and, where it leaves
+    a segment open, ``_settle`` turn either lane's prefix sums into the
+    result.
     """
     n = matrix.n
     columns = array_lane(matrix)
@@ -367,18 +372,14 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
                 diff[k] -= w
                 count[h - 1] += 1
                 count[k] -= 1
-
-        def entered() -> Iterator[float]:
+        loads = _clear_loads(n, accumulate(diff[:n]), accumulate(count[:n]), sum(weights))
+        if None in loads:
             by_entry = [0.0] * n
             for (h, _), w in zip(matrix.entries, weights):
                 by_entry[h - 1] += w
-            return accumulate(by_entry)
-
-        def exact(i: int) -> float:
-            return math.fsum(w for (h, k), w in zip(matrix.entries, weights) if h <= i <= k)
-
-        return _settle(n, list(accumulate(diff[:n])), accumulate(count[:n]), sum(weights),
-                       entered, exact)
+            loads = _settle(loads, accumulate(diff[:n]), accumulate(by_entry), lambda i: math.fsum(
+                w for (h, k), w in zip(matrix.entries, weights) if h <= i <= k))
+        return np.array(loads)
     entry, exit, _ = columns
     if not isinstance(weights, np.ndarray):
         weights = np.fromiter(weights, dtype=float, count=len(entry))
@@ -387,34 +388,39 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
     np.add.at(diff, start, weights)
     live = weights != 0.0
     count = np.bincount(start[live], minlength=n + 1) - np.bincount(exit[live], minlength=n + 1)
-
-    def exact(i: int) -> float:
-        return math.fsum(weights[(entry <= i) & (i <= exit)].tolist())
-
-    return _settle(n, np.cumsum(diff[:n]).tolist(), np.cumsum(count[:n]).tolist(),
-                   float(weights.sum()),
-                   lambda: np.cumsum(np.bincount(start, weights, minlength=n)).tolist(), exact)
-
-
-def _settle(n: int, prefix: Sequence[float], covering: Iterable[int], total: float,
-            entered: Callable[[], Iterable[float]], exact: Callable[[int], float]) -> np.ndarray:
-    """Segment loads from a difference array's prefix sums: 0 where no trip
-    of nonzero weight covers the segment (``covering`` counts them), the
-    prefix sum where it clears its rounding bound, and ``exact(segment)``
-    otherwise, as rounding residue there can be as large as the load.
-
-    The bound is ``_RESIDUE * n`` times the weight entered up to the
-    segment, which ``entered()`` lists per segment.  That weight is at most
-    ``total``, the sum of all weights, up to rounding, so a prefix sum above
-    twice the bound on ``total`` clears its own bound, and ``entered()`` is
-    only called when some covered segment's prefix sum is not that large."""
-    residue = _RESIDUE * n
-    quick = 2.0 * residue * total
-    loads = [(s if s > quick else None) if c else 0.0 for s, c in zip(prefix, covering)]
+    prefix = np.cumsum(diff[:n]).tolist()
+    loads = _clear_loads(n, prefix, np.cumsum(count[:n]).tolist(), float(weights.sum()))
     if None in loads:
-        loads = [(s if s > residue * e else exact(i)) if load is None else load
-                 for i, (load, s, e) in enumerate(zip(loads, prefix, entered()), start=1)]
+        loads = _settle(loads, prefix, np.cumsum(np.bincount(start, weights, minlength=n)).tolist(),
+                        lambda i: math.fsum(weights[(entry <= i) & (i <= exit)].tolist()))
     return np.array(loads)
+
+
+def _clear_loads(n: int, prefix: Iterable[float], covering: Iterable[int],
+                 total: float) -> list[float | None]:
+    """Segment loads from a difference array's prefix sums, where they are
+    clear: 0 where no trip of nonzero weight covers the segment (``covering``
+    counts them), and the prefix sum where it is above twice the rounding
+    bound on ``total``, the sum of all weights.  ``None`` marks the other
+    segments, which ``_settle`` decides.
+
+    The bound on a segment is ``_RESIDUE * n`` times the weight entered up
+    to it, which is at most ``total`` up to rounding, so a prefix sum above
+    twice the bound on ``total`` clears its own bound."""
+    quick = 2.0 * _RESIDUE * n * total
+    return [(s if s > quick else None) if c else 0.0 for s, c in zip(prefix, covering)]
+
+
+def _settle(loads: list[float | None], prefix: Iterable[float], entered: Iterable[float],
+            exact: Callable[[int], float]) -> list[float]:
+    """``loads`` with each ``None`` decided: the segment's prefix sum where it
+    clears its rounding bound, ``_RESIDUE * n`` times the weight entered up
+    to the segment (``entered`` lists it per segment), and
+    ``exact(segment)`` otherwise, as rounding residue there can be as large
+    as the load."""
+    residue = _RESIDUE * len(loads)
+    return [(s if s > residue * e else exact(i)) if load is None else load
+            for i, (load, s, e) in enumerate(zip(loads, prefix, entered), start=1)]
 
 
 def inessential_segments(matrix: TollMatrix) -> list[int]:
@@ -588,13 +594,17 @@ _NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 
 
 def read_triplet_csv(path: str | Path, n: int | None = None) -> TollMatrix:
-    with open(path, newline="") as fh:
-        _check_header(csv.reader(fh), path)
-        records = _load_records(fh, path)
+    raw = Path(path).read_bytes()
+    records = _load_records(raw, path)
     if records is None:
-        return _walk_triplet_csv(path, n)
+        return _walk_triplet_csv(raw, path, n)
     return _from_arrays(n, records["entry"], records["exit"], records["toll"],
-                        lambda: _walk_triplet_csv(path, n))
+                        lambda: _walk_triplet_csv(raw, path, n))
+
+
+def _text(raw: bytes) -> io.TextIOWrapper:
+    """``raw`` as ``open(path, newline="")`` reads the file that holds it."""
+    return io.TextIOWrapper(io.BytesIO(raw), newline="")
 
 
 def _check_header(reader: Iterator[list[str]], path: str | Path) -> None:
@@ -605,31 +615,37 @@ def _check_header(reader: Iterator[list[str]], path: str | Path) -> None:
         )
 
 
-def _load_records(fh: Iterator[str], path: str | Path) -> np.ndarray | None:
+def _load_records(raw: bytes, path: str | Path) -> np.ndarray | None:
     """The records after the header, parsed by ``np.loadtxt``; ``None`` when
-    the body has no record, or numpy rejects it, or may read a cell that
-    Python would not: the file is not ASCII or holds a numpy-only space."""
-    raw = Path(path).read_bytes()
+    the body has no record, or numpy rejects it or warns about it, or may
+    read a cell that Python would not: the file is not ASCII or holds a
+    numpy-only space.  Warnings count as rejections because numpy releases
+    that only deprecate a cast, such as a float cell into an integer field,
+    read the cell with a ``DeprecationWarning`` instead of raising."""
     if not raw.isascii() or any(space in raw for space in _NUMPY_ONLY_SPACE):
         return None
-    for line in fh:
+    text = _text(raw)
+    _check_header(csv.reader(text), path)
+    for line in text:
         if line.strip():
             break
     else:
         return None
-    try:
-        return np.loadtxt(chain([line], fh), delimiter=",", dtype=_RECORD, comments=None,
-                          ndmin=1)
-    except ValueError:
-        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(chain([line], text), delimiter=",", dtype=_RECORD,
+                              comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
 
 
-def _walk_triplet_csv(path: str | Path, n: int | None) -> TollMatrix:
-    """``read_triplet_csv`` row by row with the ``csv`` module."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(reader, path)
-        return _from_columns(_triplet_chunks(reader, path), n, str(path))
+def _walk_triplet_csv(raw: bytes, path: str | Path, n: int | None) -> TollMatrix:
+    """``read_triplet_csv`` of the file that holds ``raw``, row by row with
+    the ``csv`` module."""
+    reader = csv.reader(_text(raw))
+    _check_header(reader, path)
+    return _from_columns(_triplet_chunks(reader, path), n, str(path))
 
 
 def _triplet_chunks(reader: Iterator[list[str]], path: str | Path) -> Iterator[tuple]:

@@ -406,7 +406,7 @@ def _triplet_texts(draw):
 #: Cells that numpy's and Python's number grammars read differently, or
 #: that only one of them reads, among ordinary ones.
 _ODD_INDEX = st.sampled_from(["0", "-2", "+3", "03", " 4 ", "\t2\t", "1_0", "\u0661", "0x10",
-                              "12345678901234567890", "1\u01fe", "\x1c2", "2.0"])
+                              "12345678901234567890", "1\u01fe", "\x1c2", "2.0", "2.5"])
 _ODD_TOLL = st.sampled_from(["+3", "Infinity", "-Infinity", "1e-400", "1e400", "1_0.5",
                              "\u0661.5", "0x10", "\t2.5 ", "nan", "12345678901234567890",
                              "\x1f1", "-0.0", "0"])
@@ -468,6 +468,27 @@ class TestTripletIO:
         # the header and the filler come before the tail, whose last line is at fault
         line = 1 + len(filler) + tail.count("\n")
         assert f"trips.csv:{line}: " in outcome[1]
+
+    @pytest.mark.parametrize("cell", ["2.5", "2.0"])
+    def test_float_index_that_numpy_truncates_with_a_warning_falls_back(self, tmp_path, cell):
+        # numpy releases that only deprecate the float-to-integer cast read
+        # such a cell truncated, with a DeprecationWarning
+        loadtxt = np.loadtxt
+
+        def truncating(lines, **kwargs):
+            lines = list(lines)
+            if any(cell in line for line in lines):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+            return loadtxt([line.replace(cell, "2") for line in lines], **kwargs)
+
+        path = tmp_path / "trips.csv"
+        path.write_text(f"entry,exit,toll\n1,{cell},3\n")
+        with mock.patch.object(np, "loadtxt", truncating):
+            outcome = _read_outcome(ts.read_triplet_csv, path, None)
+        assert outcome == _read_outcome(read_triplet_csv_loop, path, None)
+        assert outcome[0] is ts.TollValidationError
+        assert "trips.csv:2: " in outcome[1]
 
     @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n", "  \n\t\n"])
     def test_empty_body_warns_nothing(self, tmp_path, body):
