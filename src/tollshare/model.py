@@ -45,23 +45,24 @@ trips and keeps the arrays as the matrix's ``columns``.  It never raises for
 a record: when a check fails it hands over to the per-trip path, so every
 error keeps the type and message that path gives it.
 
-``read_triplet_csv`` reads the file's bytes once and parses the body after
-the header with one ``np.loadtxt`` call into ``_from_arrays``.  numpy reads
-fewer number forms than ``int`` and ``float`` (quoted cells, ``1_0``, blank
-cells, 20-digit integers), and, outside ASCII or with the separators
-``\x1c``-``\x1f``, some that Python rejects: numpy's integer parser reads
-``1\u01fe`` as 472.  numpy releases that only deprecate reading a float
-cell such as ``2.5`` into an integer field truncate it with a warning.  So
-a file that is not ASCII or holds such a separator, a body that numpy
-rejects or warns about and records that ``_from_arrays`` rejects all go to
-the row walk over the same bytes, which parses ``_CHUNK_ROWS`` rows at a
-time with the ``csv`` module, skips blank rows and raises for the first bad
-one with its ``path:line``.  Lines count CSV records, the header being line 1.
-Duplicates are checked once every chunk is parsed, so a parse fault is
-reported before a duplicate, wherever each lies.  ``write_triplet_csv``
-writes each trip as ``f"{entry},{exit},{toll!r}\r\n"`` after the header:
-the bytes ``csv.writer`` writes for these rows, as no integer or float
-``repr`` needs quoting.
+``read_triplet_csv`` reads the file's bytes, checks the header on them and
+parses the body after it with one ``np.loadtxt`` call into
+``_from_arrays``.  numpy reads fewer number forms than ``int`` and
+``float`` (quoted cells, ``1_0``, blank cells, 20-digit integers), and,
+outside ASCII or with the separators ``\x1c``-``\x1f``, some that Python
+rejects: numpy's integer parser reads ``1\u01fe`` as 472.  numpy releases
+that only deprecate reading a float cell such as ``2.5`` into an integer
+field truncate it with a warning.  So a file that is not ASCII or holds
+such a separator, a body that numpy rejects or warns about and records that
+``_from_arrays`` rejects all go to the row walk, which opens the file
+again, parses ``_CHUNK_ROWS`` rows at a time with the ``csv`` module, skips
+blank rows and raises for the first bad one with its ``path:line``.  Lines
+count CSV records, the header being line 1.  Duplicates are checked once
+every chunk is parsed, so a parse fault is reported before a duplicate,
+wherever each lies.  ``write_triplet_csv`` writes each trip as
+``f"{entry},{exit},{toll!r}\r\n"`` after the header: the bytes
+``csv.writer`` writes for these rows, as no integer or float ``repr`` needs
+quoting.
 
 The random generators share one draw stream, which seeded results depend
 on: ``_sample`` visits the cells in (h, then k) order and takes one uniform
@@ -594,17 +595,11 @@ _NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 
 
 def read_triplet_csv(path: str | Path, n: int | None = None) -> TollMatrix:
-    raw = Path(path).read_bytes()
-    records = _load_records(raw, path)
+    records = _load_records(Path(path).read_bytes(), path)
     if records is None:
-        return _walk_triplet_csv(raw, path, n)
+        return _walk_triplet_csv(path, n)
     return _from_arrays(n, records["entry"], records["exit"], records["toll"],
-                        lambda: _walk_triplet_csv(raw, path, n))
-
-
-def _text(raw: bytes) -> io.TextIOWrapper:
-    """``raw`` as ``open(path, newline="")`` reads the file that holds it."""
-    return io.TextIOWrapper(io.BytesIO(raw), newline="")
+                        lambda: _walk_triplet_csv(path, n))
 
 
 def _check_header(reader: Iterator[list[str]], path: str | Path) -> None:
@@ -624,7 +619,7 @@ def _load_records(raw: bytes, path: str | Path) -> np.ndarray | None:
     read the cell with a ``DeprecationWarning`` instead of raising."""
     if not raw.isascii() or any(space in raw for space in _NUMPY_ONLY_SPACE):
         return None
-    text = _text(raw)
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="ascii", newline="")
     _check_header(csv.reader(text), path)
     for line in text:
         if line.strip():
@@ -640,12 +635,12 @@ def _load_records(raw: bytes, path: str | Path) -> np.ndarray | None:
             return None
 
 
-def _walk_triplet_csv(raw: bytes, path: str | Path, n: int | None) -> TollMatrix:
-    """``read_triplet_csv`` of the file that holds ``raw``, row by row with
-    the ``csv`` module."""
-    reader = csv.reader(_text(raw))
-    _check_header(reader, path)
-    return _from_columns(_triplet_chunks(reader, path), n, str(path))
+def _walk_triplet_csv(path: str | Path, n: int | None) -> TollMatrix:
+    """``read_triplet_csv`` row by row with the ``csv`` module."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        _check_header(reader, path)
+        return _from_columns(_triplet_chunks(reader, path), n, str(path))
 
 
 def _triplet_chunks(reader: Iterator[list[str]], path: str | Path) -> Iterator[tuple]:
