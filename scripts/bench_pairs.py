@@ -14,10 +14,11 @@ one after the other, and the side that runs first alternates from pair to
 pair.  One benchmark process runs at a time.
 
 The output has the keys ``what``, ``host``, ``protocol``, ``claim``,
-``summary`` and ``pairs``.  ``summary[workload][metric]`` gives each side's
-quartiles (inclusive method) and values, in how many pairs the change was
-lower, and the change of the median; ``pairs`` keeps every run's report and
-result as ``perfbench/run.py`` printed them.
+``summary`` and ``pairs``; ``claim`` is ``null`` without ``--claim``.
+``summary[workload][metric]`` gives each side's quartiles (inclusive
+method) and values, in how many pairs the change was lower, and the change
+of the median; ``pairs`` keeps every run's report and result as
+``perfbench/run.py`` printed them.
 """
 
 from __future__ import annotations
@@ -124,13 +125,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", required=True, type=parse_workload,
                         metavar="NAME:PAIRS:FIRST_SEED")
     parser.add_argument("--seconds", type=float, default=22.0)
-    parser.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="the metric the change claims to improve (default: no claim)")
     parser.add_argument("--what", required=True, help="what the two sides are")
     parser.add_argument("--workdir", type=Path, help="where the copies go and stay (default: a"
                         " temporary directory, removed at the end)")
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args(argv)
-    claim_workload, claim_metric = args.claim.split(":")
 
     with (contextlib.nullcontext(args.workdir) if args.workdir
           else tempfile.TemporaryDirectory(prefix="bench-pairs-")) as workdir:
@@ -138,7 +139,12 @@ def main(argv: list[str] | None = None) -> int:
                   for side, rev in zip(SIDES, (args.parent, args.change))}
         pairs = run_pairs(copies, args.workload, args.seconds)
     summary = {workload: summarise(runs) for workload, runs in pairs.items()}
-    claimed = summary[claim_workload][claim_metric]
+    claim = None
+    if args.claim:
+        workload, metric = args.claim.split(":")
+        claim = {"metric": metric, "workload": workload,
+                 **{key: summary[workload][metric][key] for key in
+                    ("parent", "change", "change_lower_in", "median_change")}}
     seeds = ", ".join(f"{first}-{first + count - 1} ({name})"
                       for name, count, first in args.workload)
     document = {
@@ -149,9 +155,7 @@ def main(argv: list[str] | None = None) -> int:
                      " --trace 0` from a clean copy of each commit; one parent/change pair per"
                      " seed, the side that runs first alternating from pair to pair; seeds "
                      f"{seeds}"),
-        "claim": {"metric": claim_metric, "workload": claim_workload,
-                  **{key: claimed[key] for key in
-                     ("parent", "change", "change_lower_in", "median_change")}},
+        "claim": claim,
         "summary": summary,
         "pairs": pairs,
     }

@@ -26,7 +26,6 @@ interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,9 +53,8 @@ def _ending_tolls(matrix: TollMatrix) -> np.ndarray:
     later, on a zero-padded 1-based ``(n+2) x (n+2)`` grid."""
     n = matrix.n
     dense = np.zeros((n + 2, n + 2))
-    count = len(matrix.entries)
-    ends = np.fromiter(chain.from_iterable(matrix.entries), dtype=np.intp, count=2 * count)
-    dense[ends[0::2], ends[1::2]] = np.fromiter(matrix.entries.values(), dtype=float, count=count)
+    entry, exit, toll = matrix.columns
+    dense[entry, exit] = toll
     return np.cumsum(dense[::-1], axis=0, out=dense[::-1])[::-1]
 
 

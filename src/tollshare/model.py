@@ -7,77 +7,36 @@ from trips to positive amounts; segment indices are 1-based on every public
 interface.
 
 ``TollMatrix.__post_init__`` is the one place that rejects a trip for its
-range, finiteness or sign, or a total that is not finite (``_from_arrays``
-runs the same checks on arrays, but leaves the rejecting to it).
-Constructors and file readers only parse, keeping the checks of their own
-format (duplicate triplets; a square grid with nothing below the
-diagonal), and report malformed text as ``TollValidationError``; the
-readers add the file, and for CSV the line, to the message of a trip the
-constructor rejects.
+range, finiteness or sign, or a total that is not finite.  Constructors and
+file readers only parse, keeping the checks of their own format (duplicate
+triplets; a square grid with nothing below the diagonal), and report
+malformed text as ``TollValidationError``; the readers add the file, and for
+CSV the line, to the message of a trip the constructor rejects.
 
-``coverage`` sums a per-trip weight over each trip's segments by a difference
-array in O(trips + n).  It has two lanes, chosen by trip count alone: below
-``_ARRAY_LANE_TRIPS`` trips a Python loop over ``entries``, from it numpy on
-the matrix's cached ``columns`` (``np.bincount``, ``np.add.at``,
-``np.cumsum``).  numpy's fixed cost per call is larger than the loop's whole
-cost on the small matrices the axiom audit runs by the thousand, and a
-fraction of it from a few hundred trips up.  The lanes add the same terms
-in the same order, so they return the same bits.  Both hand their prefix
-sums to one last step: a segment that an integer count shows uncovered is
-exactly 0, and a covered one whose prefix sum does not clear its rounding
-bound (``4 n eps`` times the weight entered so far) is summed again exactly
-with ``math.fsum`` over the trips through it.  Shares thus stay nonnegative,
-and positive on every segment a positive weight covers, however far apart
-the magnitudes of the weights.
-
-Trip indices must be integers; the constructor converts keys whose indices
-are integral values of another type (``2.0``, numpy integers) and rejects
-any other with ``SegmentIndexError``.  ``_from_columns`` is the one builder
-behind ``from_triplets``, the triplet CSV walk and the JSON reader: it
-rejects a repeated trip, infers ``n`` as the largest exit and prefixes a
-rejected trip's error with the file and line of its record.
-
-Large matrices are built from arrays instead, by ``_from_arrays``: it runs
-the same checks on ``(entry, exit, toll)`` arrays (indices in range, tolls
-finite and nonnegative, no repeated trip once sorted, a finite total, ``n``
-the largest exit by default), builds the sorted ``entries`` of the positive
-trips and keeps the arrays as the matrix's ``columns``.  It never raises for
-a record: when a check fails it hands over to the per-trip path, so every
+Records become a matrix in one of two builders.  ``_from_records`` takes
+them one trip at a time, for ``from_triplets``, the JSON reader and the
+triplet CSV walk.  ``_from_arrays`` runs the same checks on arrays, for the
+triplet reader and the sampler, and keeps the arrays as the matrix's
+``columns``; when a check fails it hands over to the per-trip path, so every
 error keeps the type and message that path gives it.
 
-``read_triplet_csv`` reads the file's bytes, checks the header on them and
-parses the body after it with one ``np.loadtxt`` call into
-``_from_arrays``.  numpy reads fewer number forms than ``int`` and
-``float`` (quoted cells, ``1_0``, blank cells, 20-digit integers), and,
-outside ASCII or with the separators ``\x1c``-``\x1f``, some that Python
-rejects: numpy's integer parser reads ``1\u01fe`` as 472.  numpy releases
-that only deprecate reading a float cell such as ``2.5`` into an integer
-field truncate it with a warning.  So a file that is not ASCII or holds
-such a separator, a body that numpy rejects or warns about and records that
-``_from_arrays`` rejects all go to the row walk, which opens the file
-again, parses ``_CHUNK_ROWS`` rows at a time with the ``csv`` module, skips
-blank rows and raises for the first bad one with its ``path:line``.  Lines
-count CSV records, the header being line 1.  Duplicates are checked once
-every chunk is parsed, so a parse fault is reported before a duplicate,
-wherever each lies.  ``write_triplet_csv`` writes each trip as
-``f"{entry},{exit},{toll!r}\r\n"`` after the header: the bytes
-``csv.writer`` writes for these rows, as no integer or float ``repr`` needs
-quoting.
+``read_triplet_csv`` parses a file with one ``np.loadtxt`` call.  numpy
+reads fewer number forms than ``int`` and ``float`` (quoted cells, ``1_0``,
+blank cells, 20-digit integers), and, outside ASCII or with the separators
+of ``_NUMPY_ONLY_SPACE``, some that Python rejects.  So a file that is not
+ASCII or holds such a separator, or whose body numpy rejects or warns
+about, goes to the row walk, which parses every record with the ``csv``
+module before it builds the matrix: a parse fault is reported before a
+duplicate, and each error names its ``path:line``.  ``write_triplet_csv``
+writes the bytes ``csv.writer`` would, as no integer or float ``repr``
+needs quoting.
 
-The random generators share one draw stream, which seeded results depend
-on: ``_sample`` visits the cells in (h, then k) order and takes one uniform
-``u`` per cell, and for a hit (``u < density``) one more uniform ``v`` for its
-toll, ``max_toll * (1 - v)``.  It takes these uniforms from
-``rng.random(m)`` in chunks no longer than the draws still owed, and at most
-``_DRAW_CHUNK`` long to bound the memory of a sparse draw, so values, entry
-order and the generator state afterwards are those of one ``rng.random()``
-call per draw.  From ``_ARRAY_LANE_TRIPS`` cells on, numpy tells the cell
-draws of a chunk from the toll draws: the draw after a miss (``u >=
-density``), whichever kind that miss was, is a cell draw, and up to the
-next miss cell and toll draws alternate, so a draw is a cell draw exactly
-when it lies an odd number of places after the last miss before it.  One
-``np.maximum.accumulate`` finds those misses; hits map to cells through the
-offsets of the rows, and the matrix comes from ``_from_arrays``.
+``coverage`` and ``_sample`` each run a Python loop on small matrices,
+where numpy's fixed cost per call exceeds the loop's whole cost, and numpy
+from ``_ARRAY_LANE_TRIPS`` trips or cells on.  The two lanes return the
+same bits, so no result depends on the lane: ``coverage``'s lanes add the
+same terms in the same order, and ``_sample``'s read the same uniforms in
+the same chunks.
 """
 
 from __future__ import annotations
@@ -89,7 +48,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -247,7 +206,7 @@ class TollMatrix:
         ``n`` defaults to the largest exit index seen; it must be given
         explicitly when ``rows`` is empty.  Duplicate trips are rejected.
         """
-        return _from_columns([(*_columns(rows), None)], n)
+        return _from_records(rows, n)
 
     # -- inspection -------------------------------------------------------
 
@@ -575,11 +534,6 @@ def block_structured_matrix(
 
 TRIPLET_HEADER = ("entry", "exit", "toll")
 
-#: Rows the triplet reader parses at a time, so that only one chunk of rows
-#: is held as text.
-_CHUNK_ROWS = 4096
-
-
 def write_triplet_csv(matrix: TollMatrix, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRIPLET_HEADER) + "\r\n")
@@ -595,11 +549,14 @@ _NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 
 
 def read_triplet_csv(path: str | Path, n: int | None = None) -> TollMatrix:
-    records = _load_records(Path(path).read_bytes(), path)
-    if records is None:
-        return _walk_triplet_csv(path, n)
-    return _from_arrays(n, records["entry"], records["exit"], records["toll"],
-                        lambda: _walk_triplet_csv(path, n))
+    try:
+        records = _load_records(Path(path).read_bytes(), path)
+        if records is None:
+            return _walk_triplet_csv(path, n)
+        return _from_arrays(n, records["entry"], records["exit"], records["toll"],
+                            lambda: _walk_triplet_csv(path, n))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise TollValidationError(f"{path}: {exc}") from exc
 
 
 def _check_header(reader: Iterator[list[str]], path: str | Path) -> None:
@@ -636,84 +593,54 @@ def _load_records(raw: bytes, path: str | Path) -> np.ndarray | None:
 
 
 def _walk_triplet_csv(path: str | Path, n: int | None) -> TollMatrix:
-    """``read_triplet_csv`` row by row with the ``csv`` module."""
+    """``read_triplet_csv`` row by row with the ``csv`` module: skips blank
+    rows and raises for the first bad one with its ``path:line``, lines
+    counting records, the header being line 1."""
+    records, lines = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         _check_header(reader, path)
-        return _from_columns(_triplet_chunks(reader, path), n, str(path))
+        for line, row in enumerate(reader, start=2):
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) != 3:
+                raise TollValidationError(f"{path}:{line}: expected 3 fields, got {len(row)}")
+            try:
+                records.append((int(row[0]), int(row[1]), float(row[2])))
+            except ValueError as exc:
+                raise TollValidationError(f"{path}:{line}: {exc}") from exc
+            lines.append(line)
+    return _from_records(records, n, str(path), lines)
 
 
-def _triplet_chunks(reader: Iterator[list[str]], path: str | Path) -> Iterator[tuple]:
-    """The records after the header as ``(entries, exits, tolls, lines)``
-    columns, ``_CHUNK_ROWS`` rows at a time; ``lines`` counts records, the
-    header being line 1."""
-    line = 2
-    while rows := list(islice(reader, _CHUNK_ROWS)):
-        yield _parse_chunk(rows, line, path)
-        line += len(rows)
+def _from_records(records: Iterable[tuple[object, object, object]], n: int | None,
+                  source: str | None = None, lines: Sequence[int] | None = None) -> TollMatrix:
+    """Build a matrix from ``(entry, exit, toll)`` records, ``lines`` giving
+    each record's line in ``source``.
 
-
-def _parse_chunk(rows: list[list[str]], line: int, path: str | Path) -> tuple:
-    """Columns of the records among ``rows``, skipping blank rows and
-    raising for the first bad one."""
-    records, lines = [], []
-    for lineno, row in enumerate(rows, start=line):
-        if not any(cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
-            raise TollValidationError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-        try:
-            records.append((int(row[0]), int(row[1]), float(row[2])))
-        except ValueError as exc:
-            raise TollValidationError(f"{path}:{lineno}: {exc}") from exc
-        lines.append(lineno)
-    return (*_columns(records), lines)
-
-
-def _columns(records: Iterable[tuple[object, object, object]]) -> tuple:
-    """``(entries, exits, tolls)`` of ``(entry, exit, toll)`` records."""
+    ``n`` defaults to the largest exit.  A repeated trip is rejected at its
+    repeat.  An error is prefixed with ``source`` and the line of the record
+    it is about: the repeat of a duplicate, otherwise the trip's record.
+    """
     try:
         heads, tails, tolls = tuple(zip(*records, strict=True)) or ((), (), ())
     except (TypeError, ValueError):
         raise TollValidationError("every triplet record must have 3 fields: entry, exit, toll") from None
-    return heads, tails, tolls
-
-
-def _from_columns(chunks: Iterable[tuple], n: int | None,
-                  source: str | None = None) -> TollMatrix:
-    """Build a matrix from chunks of records in ``(entries, exits, tolls,
-    lines)`` columns, ``lines`` giving each record's line in ``source``, or
-    ``None`` where it has none.
-
-    ``n`` defaults to the largest exit.  A repeated trip is rejected at its
-    repeat once every chunk is parsed, so that a parse fault in a later
-    chunk is reported first.  An error is prefixed with ``source`` and the
-    line of the record it is about: the repeat of a duplicate, otherwise
-    the trip's record.
-    """
-    entries: dict[Trip, float] = {}
-    spans: list[Sequence[int] | None] = []
-    repeat_at: tuple[int, Trip] | None = None
-    for heads, tails, tolls, lines in chunks:
-        spans.append(lines)
-        if {int}.issuperset(map(type, chain(heads, tails))):
-            trips = list(map(tuple.__new__, repeat(Trip), zip(heads, tails)))
-        else:
-            try:
-                trips = list(map(_as_trip, heads, tails))
-            except SegmentIndexError as exc:
-                _name_source(exc, source)
-                raise
-        before = len(entries)
-        entries.update(zip(trips, tolls))
-        if repeat_at is None and len(entries) - before < len(trips):
-            # the trips before this chunk are the first ``before`` keys
-            seen = set(islice(entries, before))
-            at = next(i for i, trip in enumerate(trips) if trip in seen or seen.add(trip))
-            repeat_at = before + at, trips[at]
+    if {int}.issuperset(map(type, chain(heads, tails))):
+        trips = list(map(tuple.__new__, repeat(Trip), zip(heads, tails)))
+    else:
+        try:
+            trips = list(map(_as_trip, heads, tails))
+        except SegmentIndexError as exc:
+            _name_source(exc, source)
+            raise
+    entries = dict(zip(trips, tolls))
+    at = None
     try:
-        if repeat_at is not None:
-            raise DuplicateTripError(*repeat_at[1])
+        if len(entries) < len(trips):
+            seen: set[Trip] = set()
+            at = next(i for i, trip in enumerate(trips) if trip in seen or seen.add(trip))
+            raise DuplicateTripError(*trips[at])
         if n is None:
             if not entries:
                 raise SegmentIndexError(
@@ -722,12 +649,10 @@ def _from_columns(chunks: Iterable[tuple], n: int | None,
             n = max(map(itemgetter(1), entries))
         return TollMatrix(n, entries)
     except TollValidationError as exc:
-        if repeat_at is not None:
-            index = repeat_at[0]
-        else:
+        if at is None:
             trip = (getattr(exc, "entry", None), getattr(exc, "exit", None))
-            index = next((i for i, key in enumerate(entries) if key == trip), None)
-        _name_source(exc, _record_origin(source, spans, index))
+            at = next((i for i, key in enumerate(trips) if key == trip), None)
+        _name_source(exc, source if lines is None or at is None else f"{source}:{lines[at]}")
         raise
 
 
@@ -737,7 +662,7 @@ def _from_arrays(n: int | None, entry: np.ndarray, exit: np.ndarray, toll: np.nd
     arrays, with the arrays of its positive trips kept as its ``columns``.
 
     ``n`` defaults to the largest exit.  When a record breaks a check of
-    ``_from_columns`` or the constructor (an index out of range, a negative
+    ``_from_records`` or the constructor (an index out of range, a negative
     or non-finite toll, a repeated trip, a total past the float limit, or
     no record to infer ``n`` from), this returns ``otherwise()`` instead, the
     per-trip path that raises the error.
@@ -786,15 +711,6 @@ def _trip_dict(entry: np.ndarray, exit: np.ndarray, toll: np.ndarray) -> dict[Tr
                     toll.tolist()))
 
 
-def _record_origin(source: str | None, spans: Sequence[Sequence[int] | None],
-                   index: int | None) -> str | None:
-    """``source:line`` of record ``index``, or ``source`` when that line is
-    unknown."""
-    if source is None or index is None or None in spans:
-        return source
-    return f"{source}:{next(islice(chain.from_iterable(spans), index, None))}"
-
-
 def _name_source(exc: TollValidationError, where: str | None) -> None:
     """Prefix the message of ``exc`` with the file (and line) it is about,
     keeping its type and attributes."""
@@ -813,15 +729,18 @@ def write_dense_csv(matrix: TollMatrix, path: str | Path) -> None:
 def read_dense_csv(path: str | Path) -> TollMatrix:
     rows: list[list[float]] = []
     lines: list[int] = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise TollValidationError(f"{path}:{lineno}: {exc}") from exc
-            lines.append(lineno)
+    try:
+        with open(path, newline="") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row:
+                    continue
+                try:
+                    rows.append([float(cell) for cell in row])
+                except ValueError as exc:
+                    raise TollValidationError(f"{path}:{lineno}: {exc}") from exc
+                lines.append(lineno)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise TollValidationError(f"{path}: {exc}") from exc
     try:
         return TollMatrix.from_dense(rows)
     except TollValidationError as exc:
@@ -856,4 +775,4 @@ def read_json(path: str | Path) -> TollMatrix:
             raise TollValidationError(f"{path}: not a toll matrix export ({exc!r})") from exc
     if n != payload["n"]:
         raise TollValidationError(f"{path}: segment count is not an integer: {payload['n']!r}")
-    return _from_columns([(*_columns(records), None)], n, str(path))
+    return _from_records(records, n, str(path))

@@ -445,6 +445,24 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and where in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name, data, extra", [
+        ("long_toll.csv", b"entry,exit,toll\n1,2," + b"1" * 200_000 + b"\n", []),
+        ("long_header.csv", b"entry" + b"x" * 200_000 + b",exit,toll\n1,2,3\n", []),
+        ("long_cell.csv", b"0," + b"1" * 200_000 + b"\n0,0\n", ["--dense"]),
+        ("not_utf8.csv", b"entry,exit,toll\n1,2,3\xff\n", []),
+        ("not_utf8_grid.csv", b"entry,exit,toll\n1,2,3\xff\n", ["--dense"]),
+    ], ids=["long_toll", "long_header", "long_cell", "not_utf8", "not_utf8_grid"])
+    def test_unreadable_csv_is_a_typed_error(self, capsys, tmp_path, name, data, extra):
+        # cells past the csv module's field limit, and bytes that are not UTF-8
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run(capsys, "allocate", "--input", str(path), *extra)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}") and "Traceback" not in err
+        reader = ts.read_dense_csv if extra else ts.read_triplet_csv
+        with pytest.raises(ts.TollValidationError):
+            reader(path)
+
     def test_generate_rejects_blocks(self, capsys, tmp_path):
         path = tmp_path / "gen.csv"
         code, _, err = run(capsys, "generate", "--blocks", "a-b", "--output", str(path))

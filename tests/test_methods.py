@@ -387,6 +387,27 @@ def test_highway_reversal_reverses_shares(matrix):
         assert gap <= bound
 
 
+@settings(max_examples=200)
+@given(toll_matrices())
+def test_game_oracles_equal_the_methods(matrix):
+    """Shapley is ses, tau is sps and the average-tree value is scs, within
+    the match rule of the CLI ``game`` command, ``1e-9 * max(1, total)``."""
+    game = ts.SegmentsGame(matrix)
+    bound = 1e-9 * max(1.0, matrix.total)
+    for oracle, method in ((ts.shapley_value, ts.ses), (ts.tau_value, ts.sps),
+                           (ts.average_tree_value, ts.scs)):
+        assert np.max(np.abs(oracle(game) - method(matrix))) <= bound
+
+
+@settings(max_examples=200)
+@given(toll_matrices().filter(lambda matrix: matrix.n <= 10))
+def test_interval_core_test_agrees_with_the_exhaustive_one(matrix):
+    game = ts.SegmentsGame(matrix)
+    for method in (ts.ses, ts.sps, ts.scs):
+        shares = method(matrix)
+        assert ts.core_check(game, shares).is_member == ts.core_check_exhaustive(game, shares)[0]
+
+
 class TestCounterexampleMethods:
     def test_involvement_sum(self, example3):
         f = ts.counterexample_method("A1_involvement_sum")

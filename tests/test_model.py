@@ -456,7 +456,6 @@ class TestTripletIO:
     ])
     def test_fault_in_a_long_tail_falls_back_to_the_walk(self, tmp_path, tail, error):
         filler = [f"{h},{k},1.5\n" for h in range(1, 101) for k in range(h, 101)]
-        assert len(filler) > model._CHUNK_ROWS
         path = tmp_path / "trips.csv"
         path.write_text("entry,exit,toll\n" + "".join(filler) + tail)
         with mock.patch.object(model, "_walk_triplet_csv",
@@ -501,14 +500,12 @@ class TestTripletIO:
                 ts.read_triplet_csv(path)
 
     @settings(max_examples=300)
-    @given(text=_triplet_texts(), n=st.sampled_from([None, 4, 6]),
-           chunk_rows=st.sampled_from([1, 2, 3, 7, model._CHUNK_ROWS]))
-    def test_reader_matches_row_loop(self, tmp_path_factory, text, n, chunk_rows):
+    @given(text=_triplet_texts(), n=st.sampled_from([None, 4, 6]))
+    def test_reader_matches_row_loop(self, tmp_path_factory, text, n):
         path = tmp_path_factory.mktemp("csv") / "trips.csv"
         path.write_bytes(text.encode())
-        expected = _read_outcome(read_triplet_csv_loop, path, n)
-        with mock.patch.object(model, "_CHUNK_ROWS", chunk_rows):
-            assert _read_outcome(ts.read_triplet_csv, path, n) == expected
+        assert _read_outcome(ts.read_triplet_csv, path, n) == \
+            _read_outcome(read_triplet_csv_loop, path, n)
 
     @pytest.mark.parametrize("tail, line, error", [
         ("101,101,2.5\n", None, None),
@@ -522,7 +519,6 @@ class TestTripletIO:
     ])
     def test_fault_after_first_chunk(self, tmp_path, tail, line, error):
         filler = [f"{h},{k},1.5\n" for h in range(1, 101) for k in range(h, 101)]
-        assert len(filler) > model._CHUNK_ROWS
         path = tmp_path / "trips.csv"
         path.write_text("entry,exit,toll\n" + "".join(filler[:10]) + "\n"
                         + "".join(filler[10:]) + tail)
