@@ -626,17 +626,14 @@ def _from_records(records: Iterable[tuple[object, object, object]], n: int | Non
         heads, tails, tolls = tuple(zip(*records, strict=True)) or ((), (), ())
     except (TypeError, ValueError):
         raise TollValidationError("every triplet record must have 3 fields: entry, exit, toll") from None
-    if {int}.issuperset(map(type, chain(heads, tails))):
-        trips = list(map(tuple.__new__, repeat(Trip), zip(heads, tails)))
-    else:
-        try:
-            trips = list(map(_as_trip, heads, tails))
-        except SegmentIndexError as exc:
-            _name_source(exc, source)
-            raise
-    entries = dict(zip(trips, tolls))
+    trips: list[Trip] = []
     at = None
     try:
+        if {int}.issuperset(map(type, chain(heads, tails))):
+            trips = list(map(tuple.__new__, repeat(Trip), zip(heads, tails)))
+        else:
+            trips = list(map(_as_trip, heads, tails))
+        entries = dict(zip(trips, tolls))
         if len(entries) < len(trips):
             seen: set[Trip] = set()
             at = next(i for i, trip in enumerate(trips) if trip in seen or seen.add(trip))
