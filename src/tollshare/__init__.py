@@ -92,7 +92,6 @@ from .methods import (
 from .model import (
     DEFAULT_TOL,
     TollMatrix,
-    Trip,
     block_structured_matrix,
     coverage,
     inessential_segments,

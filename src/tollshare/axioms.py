@@ -96,9 +96,7 @@ def blocked_matrix(matrix: TollMatrix, cut: int) -> TollMatrix:
     """Zero every trip crossing the boundary between ``cut`` and ``cut + 1``."""
     if not (1 <= cut < matrix.n):
         raise SegmentIndexError(f"cut must lie in 1..{matrix.n - 1}, got {cut}")
-    kept = {
-        trip: t for trip, t in matrix.trips() if not (trip.entry <= cut < trip.exit)
-    }
+    kept = {(h, k): t for (h, k), t in matrix.trips() if not (h <= cut < k)}
     return TollMatrix(matrix.n, kept)
 
 
@@ -358,12 +356,12 @@ def _rand(rng: np.random.Generator, n: int) -> TollMatrix:
 
 
 def _drop_segment(matrix: TollMatrix, segment: int) -> TollMatrix:
-    kept = {trip: t for trip, t in matrix.trips() if not (trip.entry <= segment <= trip.exit)}
+    kept = {(h, k): t for (h, k), t in matrix.trips() if not (h <= segment <= k)}
     return TollMatrix(matrix.n, kept)
 
 
 def _strip_diagonal(matrix: TollMatrix) -> TollMatrix:
-    kept = {trip: t for trip, t in matrix.trips() if trip.entry != trip.exit}
+    kept = {(h, k): t for (h, k), t in matrix.trips() if h != k}
     return TollMatrix(matrix.n, kept)
 
 

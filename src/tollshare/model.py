@@ -3,8 +3,8 @@
 A problem is a toll matrix: for every trip ``[h, k]`` (enter at segment ``h``,
 leave at segment ``k``, ``1 <= h <= k <= n``) it records the total toll
 collected from all users of that trip.  Matrices are stored sparsely as a map
-from trips to positive amounts; segment indices are 1-based on every public
-interface.
+from ``(entry, exit)`` int tuples to positive tolls; segment indices are
+1-based on every public interface.
 
 ``TollMatrix.__post_init__`` is the one place that rejects a trip for its
 range, finiteness or sign, or a total that is not finite.  Constructors and
@@ -48,7 +48,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -74,17 +74,6 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 
 
-class Trip(NamedTuple):
-    """A contiguous journey entering at ``entry`` and exiting at ``exit``.
-
-    Hot loops build one as ``tuple.__new__(Trip, (entry, exit))``, which
-    skips the Python-level ``NamedTuple.__new__`` and costs half as much.
-    """
-
-    entry: int
-    exit: int
-
-
 class TripColumns(NamedTuple):
     """The positive trips of a matrix in ``trips()`` order, one read-only
     array per field: ``entry`` and ``exit`` as ``intp``, ``toll`` as float."""
@@ -99,15 +88,16 @@ def _bad_trip(entry: int, exit: int, n: int) -> SegmentIndexError:
                              entry, exit)
 
 
-def _as_trip(entry, exit) -> Trip:
-    """The trip ``[entry, exit]`` with ``int`` indices; an index of another
-    type is accepted when its value is integral, such as ``2.0`` or a numpy
-    integer."""
+def _as_trip(entry, exit) -> tuple[int, int]:
+    """The trip ``[entry, exit]`` as a plain tuple of ``int`` indices; an
+    index of another type is accepted when its value is integral, such as
+    ``2.0`` or a numpy integer, and is not a boolean."""
     try:
-        trip = tuple.__new__(Trip, (int(entry), int(exit)))
+        trip = int(entry), int(exit)
     except (TypeError, ValueError, OverflowError):
         trip = None
-    if trip is None or trip != (entry, exit):
+    bools = (bool, np.bool_)
+    if trip != (entry, exit) or isinstance(entry, bools) or isinstance(exit, bools):
         raise SegmentIndexError(f"trip [{entry},{exit}] has a segment index that is not "
                                 "an integer", entry, exit)
     return trip
@@ -117,36 +107,33 @@ def _as_trip(entry, exit) -> Trip:
 class TollMatrix:
     """Aggregated tolls of a one-way linear highway with ``n`` segments.
 
-    Only strictly positive tolls are stored; every absent trip has toll zero.
-    Instances are immutable after construction and safe to share between
-    threads.
+    ``entries`` maps each trip, an ``(entry, exit)`` tuple of ``int``s, to
+    its toll.  Only strictly positive tolls are stored; every absent trip
+    has toll zero.  Instances are immutable after construction and safe to
+    share between threads.
     """
 
     n: int
-    entries: Mapping[Trip, float]
+    entries: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
         n = self.n
         if n < 1:
             raise SegmentIndexError(f"segment count must be >= 1, got {n}")
-        cleaned: dict[Trip, float] = {}
+        cleaned: dict[tuple[int, int], float] = {}
         for trip, value in self.entries.items():
             entry, exit = trip
-            if not (type(trip) is Trip and type(entry) is int and type(exit) is int):
-                if type(entry) is int and type(exit) is int:
-                    trip = tuple.__new__(Trip, (entry, exit))
-                else:
-                    trip = _as_trip(entry, exit)
-                    entry, exit = trip
+            if not (type(trip) is tuple and type(entry) is int and type(exit) is int):
+                trip = entry, exit = _as_trip(entry, exit)
             if not (1 <= entry <= exit <= n):
                 raise _bad_trip(entry, exit, n)
             try:
                 value = float(value)
             except (TypeError, ValueError):
-                raise NonNumericTollError(trip.entry, trip.exit, value) from None
+                raise NonNumericTollError(entry, exit, value) from None
             if not (0.0 <= value < math.inf):
                 fault = NonFiniteError if not math.isfinite(value) else NegativeTollError
-                raise fault(trip.entry, trip.exit, value)
+                raise fault(entry, exit, value)
             if value:
                 cleaned[trip] = value
         # most callers pass trips in order already; rebuild only when not
@@ -233,7 +220,7 @@ class TollMatrix:
             raise _bad_trip(entry, exit, self.n)
         return self.entries.get((entry, exit), 0.0)
 
-    def trips(self) -> Iterator[tuple[Trip, float]]:
+    def trips(self) -> Iterator[tuple[tuple[int, int], float]]:
         """Positive trips in (entry, exit) order."""
         return iter(self.entries.items())
 
@@ -247,7 +234,7 @@ class TollMatrix:
 
     def diagonal(self) -> np.ndarray:
         """Per-segment tolls of single-segment trips, ``t_ii``."""
-        return np.array([self.entries.get(Trip(i, i), 0.0) for i in range(1, self.n + 1)])
+        return np.array([self.entries.get((i, i), 0.0) for i in range(1, self.n + 1)])
 
     def to_dense(self) -> np.ndarray:
         grid = np.zeros((self.n, self.n))
@@ -425,7 +412,7 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]],
         entry, exit, toll = _sample_arrays(rng, blocks, unvisited, density, max_toll)
         return _from_arrays(n, entry, exit, toll,
                             lambda: TollMatrix(n, _trip_dict(entry, exit, toll)))
-    entries: dict[Trip, float] = {}
+    entries: dict[tuple[int, int], float] = {}
     draws: list[float] = []
     pos = 0
     for start, end in blocks:
@@ -439,7 +426,7 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]],
                 if hit:
                     if pos == len(draws):
                         draws, pos = rng.random(min(unvisited + 1, _DRAW_CHUNK)).tolist(), 0
-                    entries[tuple.__new__(Trip, (h, k))] = max_toll * (1.0 - draws[pos])
+                    entries[h, k] = max_toll * (1.0 - draws[pos])
                     pos += 1
     return TollMatrix(n, entries)
 
@@ -563,8 +550,14 @@ def _check_header(reader: Iterator[list[str]], path: str | Path) -> None:
     header = next(reader, None)
     if header is None or [c.strip().lower() for c in header] != list(TRIPLET_HEADER):
         raise TollValidationError(
-            f"{path}: expected header {','.join(TRIPLET_HEADER)!r}, got {header!r}"
+            f"{path}: expected header {','.join(TRIPLET_HEADER)!r}, got {_clip(repr(header))}"
         )
+
+
+def _clip(text: str) -> str:
+    """``text`` cut to at most 200 characters, the cut marked with ``...``,
+    so that an error echoing a huge cell stays readable."""
+    return text if len(text) <= 200 else text[:197] + "..."
 
 
 def _load_records(raw: bytes, path: str | Path) -> np.ndarray | None:
@@ -608,7 +601,7 @@ def _walk_triplet_csv(path: str | Path, n: int | None) -> TollMatrix:
             try:
                 records.append((int(row[0]), int(row[1]), float(row[2])))
             except ValueError as exc:
-                raise TollValidationError(f"{path}:{line}: {exc}") from exc
+                raise TollValidationError(f"{path}:{line}: {_clip(str(exc))}") from exc
             lines.append(line)
     return _from_records(records, n, str(path), lines)
 
@@ -626,16 +619,13 @@ def _from_records(records: Iterable[tuple[object, object, object]], n: int | Non
         heads, tails, tolls = tuple(zip(*records, strict=True)) or ((), (), ())
     except (TypeError, ValueError):
         raise TollValidationError("every triplet record must have 3 fields: entry, exit, toll") from None
-    trips: list[Trip] = []
+    trips: list[tuple[int, int]] = []
     at = None
     try:
-        if {int}.issuperset(map(type, chain(heads, tails))):
-            trips = list(map(tuple.__new__, repeat(Trip), zip(heads, tails)))
-        else:
-            trips = list(map(_as_trip, heads, tails))
+        trips = list(map(_as_trip, heads, tails))
         entries = dict(zip(trips, tolls))
         if len(entries) < len(trips):
-            seen: set[Trip] = set()
+            seen: set[tuple[int, int]] = set()
             at = next(i for i, trip in enumerate(trips) if trip in seen or seen.add(trip))
             raise DuplicateTripError(*trips[at])
         if n is None:
@@ -703,9 +693,9 @@ def _increasing(entry: np.ndarray, exit: np.ndarray) -> bool:
     return bool(np.all((after > before) | ((after == before) & (exit[1:] > exit[:-1]))))
 
 
-def _trip_dict(entry: np.ndarray, exit: np.ndarray, toll: np.ndarray) -> dict[Trip, float]:
-    return dict(zip(map(tuple.__new__, repeat(Trip), zip(entry.tolist(), exit.tolist())),
-                    toll.tolist()))
+def _trip_dict(entry: np.ndarray, exit: np.ndarray,
+               toll: np.ndarray) -> dict[tuple[int, int], float]:
+    return dict(zip(zip(entry.tolist(), exit.tolist()), toll.tolist()))
 
 
 def _name_source(exc: TollValidationError, where: str | None) -> None:
@@ -734,7 +724,7 @@ def read_dense_csv(path: str | Path) -> TollMatrix:
                 try:
                     rows.append([float(cell) for cell in row])
                 except ValueError as exc:
-                    raise TollValidationError(f"{path}:{lineno}: {exc}") from exc
+                    raise TollValidationError(f"{path}:{lineno}: {_clip(str(exc))}") from exc
                 lines.append(lineno)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise TollValidationError(f"{path}: {exc}") from exc
@@ -766,10 +756,13 @@ def read_json(path: str | Path) -> TollMatrix:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-            records = [(r["entry"], r["exit"], float(r["toll"])) for r in payload["trips"]]
+            fields = [(r["entry"], r["exit"], r["toll"]) for r in payload["trips"]]
+            records = [(h, k, float(t)) for h, k, t in fields]
             n = int(payload["n"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TollValidationError(f"{path}: not a toll matrix export ({exc!r})") from exc
+    if any(type(value) is bool for value in chain([payload["n"]], *fields)):
+        raise TollValidationError(f"{path}: a segment count, index or toll is true or false")
     if n != payload["n"]:
         raise TollValidationError(f"{path}: segment count is not an integer: {payload['n']!r}")
     return _from_records(records, n, str(path))

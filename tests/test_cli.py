@@ -463,6 +463,26 @@ class TestMalformedInput:
         with pytest.raises(ts.TollValidationError):
             reader(path)
 
+    @pytest.mark.parametrize("name, text, extra", [
+        ("long_header.csv", "entry" + "x" * 100_000 + ",exit,toll\n1,2,3\n", []),
+        ("long_toll.csv", "entry,exit,toll\n1,2," + "x" * 100_000 + "\n", []),
+        ("long_cell.csv", "0," + "x" * 100_000 + "\n0,0\n", ["--dense"]),
+    ], ids=["long_header", "long_toll", "long_cell"])
+    def test_long_cells_are_cut_in_errors(self, capsys, tmp_path, name, text, extra):
+        # cells under the csv module's field limit, echoed in the message
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "allocate", "--input", str(path), *extra)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}") and "..." in err and len(err.encode()) < 400
+
+    def test_boolean_segment_count_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bool_n.json"
+        path.write_text('{"n": true, "trips": [{"entry": 1, "exit": 1, "toll": 1.0}]}')
+        code, out, err = run(capsys, "allocate", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}") and "Traceback" not in err
+
     def test_generate_rejects_blocks(self, capsys, tmp_path):
         path = tmp_path / "gen.csv"
         code, _, err = run(capsys, "generate", "--blocks", "a-b", "--output", str(path))

@@ -1,5 +1,6 @@
 """Tests for the allocation methods and the generic weight-scheme family."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -63,7 +64,7 @@ class TestMethodInvariants:
             victim = 1 + idx % matrix.n
             pruned = TollMatrix(
                 matrix.n,
-                {t: v for t, v in matrix.trips() if not (t.entry <= victim <= t.exit)},
+                {(h, k): v for (h, k), v in matrix.trips() if not (h <= victim <= k)},
             )
             shares = method(pruned)
             for segment in ts.inessential_segments(pruned):
@@ -204,10 +205,11 @@ class TestWeightSchemes:
 
 
 @st.composite
-def toll_matrices(draw):
-    """n = 1..12 with no trip, one trip, every trip or a random subset, and
-    tolls spanning 1e-12 to 1e12 so that prefix sums lose low-order bits."""
-    n = draw(st.integers(1, 12))
+def toll_matrices(draw, n=None):
+    """n = 1..12, unless given, with no trip, one trip, every trip or a
+    random subset, and tolls spanning 1e-12 to 1e12 so that prefix sums
+    lose low-order bits."""
+    n = draw(st.integers(1, 12)) if n is None else n
     cells = [(h, k) for h in range(1, n + 1) for k in range(h, n + 1)]
     kind = draw(st.sampled_from(("zero", "single", "dense", "subset")))
     if kind == "zero":
@@ -406,6 +408,40 @@ def test_interval_core_test_agrees_with_the_exhaustive_one(matrix):
     for method in (ts.ses, ts.sps, ts.scs):
         shares = method(matrix)
         assert ts.core_check(game, shares).is_member == ts.core_check_exhaustive(game, shares)[0]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(wide_matrices())
+def test_efficiency_across_wide_magnitudes(matrix):
+    """ses, sps and scs hand out the whole total, within the bound of
+    ``test_wide_magnitudes_share_every_covered_segment``."""
+    underflow = 4 * len(matrix.entries) * np.finfo(float).smallest_subnormal
+    bound = 8 * matrix.n * np.finfo(float).eps * matrix.total + underflow
+    for method in (ts.ses, ts.sps, ts.scs):
+        assert abs(math.fsum(method(matrix)) - matrix.total) <= bound, method.__name__
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(toll_matrices())
+def test_equal_and_compensated_shares_are_in_the_core(matrix):
+    game = ts.SegmentsGame(matrix)
+    for method in (ts.ses, ts.scs):
+        assert ts.core_check(game, method(matrix)).is_member, method.__name__
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(toll_matrices(n), toll_matrices(n))),
+       st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]), st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e-3]))
+def test_additivity_of_ses_and_linearity_of_scs(pair, x, y):
+    """ses(a + b) = ses(a) + ses(b) and scs(x a + y b) = x scs(a) + y scs(b),
+    within the bound of ``test_methods_match_loop_references`` on the total
+    of the left-hand side."""
+    a, b = pair
+    bound = 8 * a.n * np.finfo(float).eps
+    assert np.max(np.abs(ts.ses(a + b) - (ts.ses(a) + ts.ses(b)))) <= bound * (a.total + b.total)
+    combined = ts.scs(a.scaled(x) + b.scaled(y))
+    assert np.max(np.abs(combined - (x * ts.scs(a) + y * ts.scs(b)))) <= (
+        bound * (x * a.total + y * b.total))
 
 
 class TestCounterexampleMethods:

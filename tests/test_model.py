@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tollshare as ts
-from tollshare import TollMatrix, Trip, model
+from tollshare import TollMatrix, model
 from tollshare.datasets import ap68
 
 from helpers import (
@@ -21,6 +21,17 @@ from helpers import (
     seeded_matrices,
     write_triplet_csv_loop,
 )
+
+
+def _plain_key(key):
+    """Whether ``key`` has the form of a key of ``entries``: a plain tuple
+    of two ``int``s."""
+    return type(key) is tuple and len(key) == 2 and all(type(i) is int for i in key)
+
+
+def _written(path, text):
+    path.write_text(text)
+    return path
 
 
 class TestValidation:
@@ -86,15 +97,17 @@ class TestValidation:
         assert (err.value.entry, err.value.exit) == (1, 2)
 
     def test_trip_keys_are_reused_and_others_converted(self):
-        trip = Trip(1, 2)
-        matrix = TollMatrix(3, {trip: 1.0, (np.int64(2), 3.0): 2.0, Trip(1.0, 3): 4})
+        class Pair(tuple):
+            pass
+
+        trip = (1, 2)
+        matrix = TollMatrix(3, {trip: 1.0, (np.int64(2), 3.0): 2.0, Pair((1.0, 3)): 4})
         keys = list(matrix.entries)
         assert keys[0] is trip
         assert keys == [(1, 2), (1, 3), (2, 3)]
-        assert all(type(k) is Trip and type(k.entry) is int and type(k.exit) is int
-                   for k in keys)
+        assert all(_plain_key(k) for k in keys)
         with pytest.raises(ts.SegmentIndexError, match=r"trip \[2,4\]"):
-            TollMatrix(3, {Trip(2, 4): 1.0})
+            TollMatrix(3, {Pair((2, 4)): 1.0})
 
     def test_unsorted_entries_are_sorted(self):
         matrix = TollMatrix(3, {(2, 3): 1.0, (1, 1): 2.0, (1, 3): 0.0, (1, 2): 3.0})
@@ -104,7 +117,7 @@ class TestValidation:
     def test_entries_are_read_only(self):
         matrix = TollMatrix(2, {(1, 2): 1.0})
         with pytest.raises(TypeError):
-            matrix.entries[Trip(1, 1)] = 5.0
+            matrix.entries[1, 1] = 5.0
 
 
 class TestTriplets:
@@ -146,6 +159,27 @@ class TestTriplets:
         with pytest.raises(ts.SegmentIndexError, match=r"trip \[1,a\] has a segment index") as err:
             build()
         assert (err.value.entry, err.value.exit) == (1, "a")
+
+    @pytest.mark.parametrize("build, where", [
+        (lambda tmp: TollMatrix(3, {(True, 2): 1.0}), r"trip \[True,2\] has a segment index"),
+        (lambda tmp: TollMatrix(3, {(1, np.True_): 1.0}), r"trip \[1,True\] has a segment index"),
+        (lambda tmp: TollMatrix.from_triplets([(True, True, 2.0)]),
+         r"trip \[True,True\] has a segment index"),
+        (lambda tmp: ts.read_json(_written(
+            tmp / "export.json", '{"n": 2, "trips": [{"entry": true, "exit": 2, "toll": 1}]}')),
+         r"export\.json: "),
+        (lambda tmp: ts.read_json(_written(
+            tmp / "export.json", '{"n": true, "trips": [{"entry": 1, "exit": 1, "toll": 1}]}')),
+         r"export\.json: "),
+        (lambda tmp: ts.read_json(_written(
+            tmp / "export.json", '{"n": 2, "trips": [{"entry": 1, "exit": 2, "toll": true}]}')),
+         r"export\.json: "),
+    ], ids=["constructor", "numpy_bool", "from_triplets", "json_entry", "json_n", "json_toll"])
+    def test_boolean_is_no_index_count_or_toll(self, tmp_path, build, where):
+        with pytest.raises(ts.TollValidationError, match=where) as err:
+            build(tmp_path)
+        if "json" not in where:
+            assert err.type is ts.SegmentIndexError
 
     def test_out_of_range(self):
         with pytest.raises(ts.SegmentIndexError):
@@ -590,6 +624,35 @@ class TestHandedOverColumns:
                 assert not handed.flags.writeable
                 with pytest.raises(ValueError):
                     handed[:1] = 0
+
+
+#: One matrix from each builder, as ``build(tmp_path)``.
+_BUILDS = {
+    "constructor": lambda tmp: TollMatrix(3, {(1, 2): 1.0, (np.int64(2), 3.0): 2.0}),
+    "from_triplets": lambda tmp: TollMatrix.from_triplets([(1, 2, 1.0), (np.int32(2), 3.0, 2.0)]),
+    "from_dense": lambda tmp: TollMatrix.from_dense(np.triu(np.ones((3, 3)))),
+    "triplet_csv": lambda tmp: ts.read_triplet_csv(
+        _written(tmp / "t.csv", "entry,exit,toll\n1,2,1.5\n2,3,2\n")),
+    # numpy rejects the quoted cell, so the row walk reads this file
+    "triplet_csv_walk": lambda tmp: ts.read_triplet_csv(
+        _written(tmp / "t.csv", 'entry,exit,toll\n1,2,"1.5"\n2,3,2\n')),
+    "json": lambda tmp: ts.read_json(_written(
+        tmp / "t.json", '{"n": 3, "trips": [{"entry": 1, "exit": 2, "toll": 1.5}]}')),
+    "sampler_loop": lambda tmp: ts.random_matrix(5, 0.5, seed=1),
+    "sampler_arrays": lambda tmp: ts.random_matrix(30, 0.5, seed=1),
+    "add": lambda tmp: ts.random_matrix(30, 0.5, seed=1) + ts.random_matrix(30, 0.5, seed=2),
+    "scaled": lambda tmp: ts.random_matrix(5, 0.5, seed=1).scaled(2.5),
+}
+
+
+@pytest.mark.parametrize("name", list(_BUILDS))
+def test_every_key_is_a_plain_int_tuple(tmp_path, name):
+    with mock.patch.object(model, "_walk_triplet_csv", wraps=model._walk_triplet_csv) as walk:
+        matrix = _BUILDS[name](tmp_path)
+    assert walk.called == (name == "triplet_csv_walk")
+    if name.startswith("sampler"):  # the array lane hands its columns over
+        assert ("columns" in vars(matrix)) == (name == "sampler_arrays")
+    assert matrix.entries and all(_plain_key(key) for key in matrix.entries)
 
 
 class TestSamplerDrawStream:
