@@ -123,13 +123,10 @@ def cmd_allocate(args: argparse.Namespace, matrix: TollMatrix, names: list[str])
     rows = []
     for name in names:
         shares = allocation_method(name)(matrix)
-        percents = share_percentages(shares, matrix.total)
-        body["allocations"][name] = {
-            "shares": [float(s) for s in shares],
-            "percent": [float(p) for p in percents],
-        }
-        for i in range(matrix.n):
-            rows.append([name, i + 1, repr(float(shares[i])), f"{percents[i]:.2f}"])
+        shares, percents = shares.tolist(), share_percentages(shares, matrix.total).tolist()
+        body["allocations"][name] = {"shares": shares, "percent": percents}
+        rows += [[name, i, repr(s), f"{p:.2f}"]
+                 for i, (s, p) in enumerate(zip(shares, percents), start=1)]
     if len(names) == 1:
         return body, ["segment", "share", "percent"], [row[1:] for row in rows], 0
     return body, ["method", "segment", "share", "percent"], rows, 0

@@ -226,7 +226,7 @@ def share_percentages(shares: np.ndarray, total: float | None = None) -> np.ndar
         total = float(shares.sum())
     if total <= 0.0:
         return np.zeros_like(shares)
-    return np.array([round(100.0 * s / total, 2) for s in shares])
+    return np.round(100.0 * shares / total, 2)
 
 
 # -- deliberately flawed methods --------------------------------------------

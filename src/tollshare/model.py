@@ -13,12 +13,14 @@ triplets; a square grid with nothing below the diagonal), and report
 malformed text as ``TollValidationError``; the readers add the file, and for
 CSV the line, to the message of a trip the constructor rejects.
 
-Records become a matrix in one of two builders.  ``_from_records`` takes
-them one trip at a time, for ``from_triplets``, the JSON reader and the
-triplet CSV walk.  ``_from_arrays`` runs the same checks on arrays, for the
-triplet reader and the sampler, and keeps the arrays as the matrix's
-``columns``; when a check fails it hands over to the per-trip path, so every
-error keeps the type and message that path gives it.
+Records become a matrix in one of two builders.  ``_from_records`` takes them
+one trip at a time, for ``from_triplets``, the JSON reader and the triplet
+CSV walk.  ``_from_arrays`` runs the same checks on arrays, for the triplet
+reader and the sampler; when a check fails it hands over to the per-trip
+path, so every error keeps that path's type and message.  It keeps the arrays
+as the matrix's ``columns`` and builds ``entries`` from them on the first
+lookup or iteration; from ``_ARRAY_LANE_TRIPS`` trips on, the methods,
+``diagonal``, ``game`` and ``write_triplet_csv`` read only the columns.
 
 ``read_triplet_csv`` parses a file with one ``np.loadtxt`` call.  numpy
 reads fewer number forms than ``int`` and ``float`` (quoted cells, ``1_0``,
@@ -88,16 +90,20 @@ def _bad_trip(entry: int, exit: int, n: int) -> SegmentIndexError:
                              entry, exit)
 
 
-def _as_trip(entry, exit) -> tuple[int, int]:
-    """The trip ``[entry, exit]`` as a plain tuple of ``int`` indices; an
-    index of another type is accepted when its value is integral, such as
-    ``2.0`` or a numpy integer, and is not a boolean."""
+def _integral(value) -> int | None:
+    """``value`` as a plain ``int`` when it is integral, such as ``2.0`` or a
+    numpy integer, and is not a boolean; ``None`` otherwise."""
     try:
-        trip = int(entry), int(exit)
+        number = int(value)
     except (TypeError, ValueError, OverflowError):
-        trip = None
-    bools = (bool, np.bool_)
-    if trip != (entry, exit) or isinstance(entry, bools) or isinstance(exit, bools):
+        return None
+    return None if number != value or isinstance(value, (bool, np.bool_)) else number
+
+
+def _as_trip(entry, exit) -> tuple[int, int]:
+    """The trip ``[entry, exit]`` as a plain tuple of ``_integral`` indices."""
+    trip = _integral(entry), _integral(exit)
+    if None in trip:
         raise SegmentIndexError(f"trip [{entry},{exit}] has a segment index that is not "
                                 "an integer", entry, exit)
     return trip
@@ -118,6 +124,10 @@ class TollMatrix:
 
     def __post_init__(self):
         n = self.n
+        if type(n) is not int:
+            if (n := _integral(n)) is None:
+                raise SegmentIndexError(f"segment count must be an integer, got {self.n!r}")
+            object.__setattr__(self, "n", n)
         if n < 1:
             raise SegmentIndexError(f"segment count must be >= 1, got {n}")
         cleaned: dict[tuple[int, int], float] = {}
@@ -234,7 +244,10 @@ class TollMatrix:
 
     def diagonal(self) -> np.ndarray:
         """Per-segment tolls of single-segment trips, ``t_ii``."""
-        return np.array([self.entries.get((i, i), 0.0) for i in range(1, self.n + 1)])
+        if (columns := array_lane(self)) is None:
+            return np.array([self.entries.get((i, i), 0.0) for i in range(1, self.n + 1)])
+        single = columns.entry == columns.exit
+        return np.bincount(columns.entry[single] - 1, columns.toll[single], minlength=self.n)
 
     def to_dense(self) -> np.ndarray:
         grid = np.zeros((self.n, self.n))
@@ -522,9 +535,12 @@ def block_structured_matrix(
 TRIPLET_HEADER = ("entry", "exit", "toll")
 
 def write_triplet_csv(matrix: TollMatrix, path: str | Path) -> None:
+    """Write ``matrix.columns`` as triplet CSV, one text of ``_DRAW_CHUNK`` rows at a time."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRIPLET_HEADER) + "\r\n")
-        fh.write("".join([f"{h},{k},{t!r}\r\n" for (h, k), t in matrix.entries.items()]))
+        for start in range(0, len(matrix.entries), _DRAW_CHUNK):
+            rows = zip(*(column[start:start + _DRAW_CHUNK].tolist() for column in matrix.columns))
+            fh.write("".join(map("%d,%d,%r\r\n".__mod__, rows)))
 
 
 #: One triplet record as ``np.loadtxt`` parses it.
@@ -666,7 +682,7 @@ def _from_arrays(n: int | None, entry: np.ndarray, exit: np.ndarray, toll: np.nd
         if not len(exit):
             return otherwise()
         n = int(exit.max())
-    if not (n >= 1 and np.all((toll >= 0.0) & (toll < math.inf))):
+    if not (type(n) is int and n >= 1 and np.all((toll >= 0.0) & (toll < math.inf))):
         return otherwise()
     if len(entry) and not (entry.min() >= 1 and int(exit.max()) <= n and np.all(entry <= exit)):
         return otherwise()
@@ -681,9 +697,7 @@ def _from_arrays(n: int | None, entry: np.ndarray, exit: np.ndarray, toll: np.nd
     for column in columns:
         column.flags.writeable = False
     matrix = object.__new__(TollMatrix)
-    for name, value in (("n", n), ("entries", MappingProxyType(_trip_dict(*columns))),
-                        ("_total", total), ("columns", columns)):
-        object.__setattr__(matrix, name, value)
+    vars(matrix).update(n=n, entries=_ColumnEntries(columns), _total=total, columns=columns)
     return matrix
 
 
@@ -696,6 +710,35 @@ def _increasing(entry: np.ndarray, exit: np.ndarray) -> bool:
 def _trip_dict(entry: np.ndarray, exit: np.ndarray,
                toll: np.ndarray) -> dict[tuple[int, int], float]:
     return dict(zip(zip(entry.tolist(), exit.tolist()), toll.tolist()))
+
+
+class _ColumnEntries(Mapping):
+    """The read-only ``entries`` that ``_from_arrays`` builds from columns on demand."""
+
+    def __init__(self, columns: TripColumns):
+        self._columns = columns
+
+    @cached_property
+    def _trips(self) -> dict[tuple[int, int], float]:
+        return _trip_dict(*self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns.toll)
+
+    def __getitem__(self, trip: tuple[int, int]) -> float:
+        return self._trips[trip]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._trips)
+
+    def get(self, trip, default=None):
+        return self._trips.get(trip, default)
+
+    def items(self):
+        return self._trips.items()
+
+    def values(self):
+        return self._trips.values()
 
 
 def _name_source(exc: TollValidationError, where: str | None) -> None:

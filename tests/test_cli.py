@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -345,6 +346,16 @@ class TestGenerate:
         total = doc["total"]
         for payload in doc["allocations"].values():
             assert sum(payload["shares"]) == pytest.approx(total, rel=1e-9)
+
+
+    def test_reports_never_build_the_trip_dict(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(ts.model, "_trip_dict", mock.Mock(side_effect=AssertionError))
+        path = str(tmp_path / "gen.csv")
+        assert run(capsys, "generate", "--n", "60", "--density", "0.2", "--output", path)[0] == 0
+        assert len(ts.read_triplet_csv(path).entries) >= ts.model._ARRAY_LANE_TRIPS
+        for command in ("allocate", "core", "equity"):
+            assert run(capsys, command, "--input", path, "--no-timestamp")[0] == 0
+        assert not ts.model._trip_dict.called
 
 
 class TestReportDigests:

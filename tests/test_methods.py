@@ -492,3 +492,12 @@ def test_share_percentages():
     assert np.array_equal(ts.share_percentages(np.zeros(3)), np.zeros(3))
     # half-even at two decimals
     assert ts.share_percentages(np.array([1.0, 79.0]), total=800.0)[0] == 0.12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(total=st.floats(1e-3, 1e12),
+       parts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_share_percentages_round_each_share_like_numpy_scalars(total, parts):
+    shares = np.array(parts) * total
+    expected = np.array([round(100.0 * s / total, 2) for s in shares])
+    assert np.array_equal(ts.share_percentages(shares, total), expected)

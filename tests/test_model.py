@@ -80,6 +80,22 @@ class TestValidation:
         with pytest.raises(ts.SegmentIndexError):
             TollMatrix(0, {})
 
+    @pytest.mark.parametrize("build, n", [
+        (lambda: TollMatrix(2.5, {(1, 1): 1.0}), None),
+        (lambda: TollMatrix(True, {(1, 1): 1.0}), None),
+        (lambda: TollMatrix(np.int64(3), {(1, 1): 1.0}), 3),
+        (lambda: TollMatrix("3", {(1, 1): 1.0}), None),
+        (lambda: TollMatrix.from_triplets([(1, 1, 1.0)], n=2.5), None),
+        (lambda: TollMatrix(3.0, {(1, 1): 1.0}), 3),
+        (lambda: ts.random_matrix(np.int64(30), 0.5, seed=1), 30),
+    ], ids=["float", "bool", "numpy_int", "str", "from_triplets", "integral_float", "sampler"])
+    def test_segment_count_is_a_plain_int(self, build, n):
+        if n is None:
+            with pytest.raises(ts.SegmentIndexError, match="segment count must be an integer"):
+                build()
+        else:
+            assert type(build().n) is int and build().n == n
+
     def test_zero_entries_are_dropped(self):
         matrix = TollMatrix(3, {(1, 2): 0.0, (1, 3): 1.0})
         assert len(list(matrix.trips())) == 1
@@ -625,6 +641,47 @@ class TestHandedOverColumns:
                 assert not handed.flags.writeable
                 with pytest.raises(ValueError):
                     handed[:1] = 0
+
+
+def _array_built(tmp_path):
+    """Matrices of at least ``_ARRAY_LANE_TRIPS`` trips built from arrays:
+    read from a triplet file and drawn by the array sampler."""
+    drawn = ts.random_matrix(40, 0.4, seed=8)
+    ts.write_triplet_csv(drawn, tmp_path / "drawn.csv")
+    return [drawn, ts.read_triplet_csv(tmp_path / "drawn.csv")]
+
+
+class TestLazyEntries:
+    """``entries`` of an array-built matrix is built from its columns on demand."""
+
+    def test_equal_to_a_constructor_build(self, tmp_path):
+        for matrix in _array_built(tmp_path):
+            assert len(matrix.entries) >= model._ARRAY_LANE_TRIPS
+            fresh = TollMatrix(matrix.n, dict(matrix.entries))
+            assert matrix == fresh and fresh == matrix and hash(matrix) == hash(fresh)
+            assert list(matrix.trips()) == list(fresh.trips())
+            assert np.array_equal(matrix.diagonal(), fresh.diagonal())
+            for method in (ts.ses, ts.sps, ts.scs):
+                assert np.array_equal(method(matrix), method(fresh))
+            ts.write_triplet_csv(matrix, tmp_path / "lazy.csv")
+            ts.write_triplet_csv(fresh, tmp_path / "fresh.csv")
+            assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+    def test_columns_serve_without_the_dict(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(model, "_trip_dict", mock.Mock(side_effect=AssertionError))
+        for matrix in _array_built(tmp_path):
+            assert len(matrix.entries) == len(matrix.columns.toll)
+            assert model.array_lane(matrix) is matrix.columns
+            assert matrix.diagonal().shape == (matrix.n,)
+            for method in (ts.ses, ts.sps, ts.scs):
+                method(matrix)
+            ts.write_triplet_csv(matrix, tmp_path / "out.csv")
+        assert not model._trip_dict.called
+
+    def test_read_only(self, tmp_path):
+        for matrix in _array_built(tmp_path):
+            with pytest.raises(TypeError):
+                matrix.entries[1, 1] = 5.0
 
 
 #: One matrix from each builder, as ``build(tmp_path)``.
