@@ -540,7 +540,7 @@ def write_triplet_csv(matrix: TollMatrix, path: str | Path) -> None:
         fh.write(",".join(TRIPLET_HEADER) + "\r\n")
         for start in range(0, len(matrix.entries), _DRAW_CHUNK):
             rows = zip(*(column[start:start + _DRAW_CHUNK].tolist() for column in matrix.columns))
-            fh.write("".join(map("%d,%d,%r\r\n".__mod__, rows)))
+            fh.write("".join([f"{h},{k},{t!r}\r\n" for h, k, t in rows]))
 
 
 #: One triplet record as ``np.loadtxt`` parses it.

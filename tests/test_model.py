@@ -94,7 +94,8 @@ class TestValidation:
             with pytest.raises(ts.SegmentIndexError, match="segment count must be an integer"):
                 build()
         else:
-            assert type(build().n) is int and build().n == n
+            matrix = build()
+            assert type(matrix.n) is int and matrix.n == n
 
     def test_zero_entries_are_dropped(self):
         matrix = TollMatrix(3, {(1, 2): 0.0, (1, 3): 1.0})
@@ -593,6 +594,14 @@ class TestTripletIO:
         write_triplet_csv_loop(matrix, tmp_path / "loop.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
         assert ts.read_triplet_csv(tmp_path / "new.csv", n=matrix.n) == matrix
+
+    @pytest.mark.parametrize("cap", [1, 7, 1 << 16])
+    def test_writer_slices_give_the_same_bytes(self, tmp_path, monkeypatch, cap):
+        monkeypatch.setattr(model, "_DRAW_CHUNK", cap)
+        for matrix in (ap68(), ts.random_matrix(40, 0.4, seed=8), TollMatrix.zero(2)):
+            ts.write_triplet_csv(matrix, tmp_path / "new.csv")
+            write_triplet_csv_loop(matrix, tmp_path / "loop.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 class TestHashing:
