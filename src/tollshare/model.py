@@ -664,11 +664,12 @@ def _from_arrays(n: int | None, entry: np.ndarray, exit: np.ndarray, toll: np.nd
     """The matrix of the records ``(entry[i], exit[i], toll[i])``, checked as
     arrays, with the arrays of its positive trips kept as its ``columns``.
 
-    ``n`` defaults to the largest exit.  When a record breaks a check of
-    ``_from_records`` or the constructor (an index out of range, a negative
-    or non-finite toll, a repeated trip, a total past the float limit, or
-    no record to infer ``n`` from), this returns ``otherwise()`` instead, the
-    per-trip path that raises the error.
+    ``n`` defaults to the largest exit.  When ``n`` or a record breaks a
+    check of ``_from_records`` or the constructor (an ``n`` that is not
+    ``_integral``, an index out of range, a negative or non-finite toll, a
+    repeated trip, a total past the float limit, or no record to infer ``n``
+    from), this returns ``otherwise()`` instead, the per-trip path that
+    raises the error.
     """
     entry = np.ascontiguousarray(entry, dtype=np.intp)
     exit = np.ascontiguousarray(exit, dtype=np.intp)
@@ -678,11 +679,8 @@ def _from_arrays(n: int | None, entry: np.ndarray, exit: np.ndarray, toll: np.nd
         entry, exit, toll = entry[order], exit[order], toll[order]
         if not _increasing(entry, exit):
             return otherwise()
-    if n is None:
-        if not len(exit):
-            return otherwise()
-        n = int(exit.max())
-    if not (type(n) is int and n >= 1 and np.all((toll >= 0.0) & (toll < math.inf))):
+    n = _integral(exit.max() if n is None and len(exit) else n)
+    if not (n is not None and n >= 1 and np.all((toll >= 0.0) & (toll < math.inf))):
         return otherwise()
     if len(entry) and not (entry.min() >= 1 and int(exit.max()) <= n and np.all(entry <= exit)):
         return otherwise()

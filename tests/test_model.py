@@ -654,10 +654,13 @@ class TestHandedOverColumns:
 
 def _array_built(tmp_path):
     """Matrices of at least ``_ARRAY_LANE_TRIPS`` trips built from arrays:
-    read from a triplet file and drawn by the array sampler."""
+    read from a triplet file and drawn by the array sampler, with ``n`` a
+    plain ``int`` and a numpy integer."""
     drawn = ts.random_matrix(40, 0.4, seed=8)
     ts.write_triplet_csv(drawn, tmp_path / "drawn.csv")
-    return [drawn, ts.read_triplet_csv(tmp_path / "drawn.csv")]
+    return [drawn, ts.read_triplet_csv(tmp_path / "drawn.csv"),
+            ts.random_matrix(np.int64(40), 0.4, seed=8),
+            ts.read_triplet_csv(tmp_path / "drawn.csv", n=np.int64(41))]
 
 
 class TestLazyEntries:
@@ -678,7 +681,9 @@ class TestLazyEntries:
 
     def test_columns_serve_without_the_dict(self, tmp_path, monkeypatch):
         monkeypatch.setattr(model, "_trip_dict", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(model, "_walk_triplet_csv", mock.Mock(side_effect=AssertionError))
         for matrix in _array_built(tmp_path):
+            assert type(matrix.n) is int and "columns" in vars(matrix)
             assert len(matrix.entries) == len(matrix.columns.toll)
             assert model.array_lane(matrix) is matrix.columns
             assert matrix.diagonal().shape == (matrix.n,)
