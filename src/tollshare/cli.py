@@ -11,8 +11,11 @@ Subcommands::
 
 Each report command is a handler ``(args, matrix, method names)`` that
 returns its report, ``(document body, headers, rows, exit status)``, and does
-no I/O.  ``main`` alone loads ``--input``, resolves ``--method``, puts the
-metadata in front of the body and writes the report as json, csv or markdown.
+no I/O; ``rows`` is a callable that builds the table rows.  ``main`` alone
+loads ``--input``, resolves ``--method``, puts the metadata in front of the
+body and writes the report as json, csv or markdown.  ``_render`` writes the
+bytes of ``json.dumps(doc, indent=2)`` without the pure-Python encoder that
+an indent selects, and builds the rows only for csv and markdown.
 
 Outputs are deterministic for fixed inputs and seed; pass ``--no-timestamp``
 to make them byte-identical across runs.
@@ -28,6 +31,7 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -57,8 +61,9 @@ from .model import (
     write_triplet_csv,
 )
 
-#: What a report handler returns: body without metadata, headers, rows, status
-Report = tuple[dict, list[str], list[list], int | str]
+#: What a report handler returns: body without metadata, headers, a callable
+#: that builds the table rows, status
+Report = tuple[dict, list[str], Callable[[], list[list]], int | str]
 
 #: solution -> (solver(game, limit), the method it must reproduce); the
 #: average-tree value enumerates nothing, so it ignores ``limit``
@@ -101,35 +106,74 @@ def _method_list(spec: str) -> list[str]:
     return names
 
 
-def _render(doc: dict, headers: list[str], rows: list[list], fmt: str) -> str:
+def _json(value, pad: str = "") -> str:
+    """The text ``json.dumps(value, indent=2)`` writes for ``value`` nested
+    ``len(pad) // 2`` levels deep.
+
+    Dicts with str keys, lists and tuples are laid out here, as ``json``
+    lays them out with an indent (in pure Python).  A list of finite floats
+    is one C-level join of ``float.__repr__``, which ``json`` writes for a
+    float subclass such as ``np.float64`` too.  Every other leaf, and a dict
+    with a key that is not a str, goes to ``json.dumps``.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+        inner = pad + "  "
+        return "{\n" + inner + (",\n" + inner).join(
+            [f"{json.dumps(key)}: {_json(item, inner)}" for key, item in value.items()]
+        ) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        try:
+            text = sep.join(map(float.__repr__, value))
+        except TypeError:  # an item that is not a float
+            text = None
+        if text is None or "n" in text:  # "inf" and "nan" are the reprs with an "n"
+            text = sep.join([_json(item, inner) for item in value])
+        return "[\n" + inner + text + "\n" + pad + "]"
+    return json.dumps(value)
+
+
+def _render(doc: dict, headers: list[str], rows: Callable[[], list[list]], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return _json(doc) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         for key, value in doc["metadata"].items():
             buf.write(f"# {key}: {value}\n")
         writer = csv.writer(buf)
         writer.writerow(headers)
-        writer.writerows(rows)
+        writer.writerows(rows())
         return buf.getvalue()
     table = ["| " + " | ".join(headers) + " |", "| " + " | ".join("---" for _ in headers) + " |"]
-    table += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows]
+    table += ["| " + " | ".join(str(c) for c in row) + " |" for row in rows()]
     meta = ", ".join(f"{k}={v}" for k, v in doc["metadata"].items())
     return "\n".join(table) + f"\n\n_{meta}_\n"
 
 
 def cmd_allocate(args: argparse.Namespace, matrix: TollMatrix, names: list[str]) -> Report:
     body: dict = {"n": matrix.n, "total": matrix.total, "allocations": {}}
-    rows = []
     for name in names:
         shares = allocation_method(name)(matrix)
-        shares, percents = shares.tolist(), share_percentages(shares, matrix.total).tolist()
-        body["allocations"][name] = {"shares": shares, "percent": percents}
-        rows += [[name, i, repr(s), f"{p:.2f}"]
-                 for i, (s, p) in enumerate(zip(shares, percents), start=1)]
-    if len(names) == 1:
-        return body, ["segment", "share", "percent"], [row[1:] for row in rows], 0
-    return body, ["method", "segment", "share", "percent"], rows, 0
+        body["allocations"][name] = {
+            "shares": shares.tolist(),
+            "percent": share_percentages(shares, matrix.total).tolist(),
+        }
+
+    def rows() -> list[list]:
+        table = [[name, i, repr(s), f"{p:.2f}"] for name in names for i, (s, p) in
+                 enumerate(zip(body["allocations"][name]["shares"],
+                               body["allocations"][name]["percent"]), start=1)]
+        return table if len(names) > 1 else [row[1:] for row in table]
+
+    headers = ["method", "segment", "share", "percent"]
+    return body, headers if len(names) > 1 else headers[1:], rows, 0
 
 
 def cmd_game(args: argparse.Namespace, matrix: TollMatrix, names: None) -> Report:
@@ -140,20 +184,23 @@ def cmd_game(args: argparse.Namespace, matrix: TollMatrix, names: None) -> Repor
     matches = diff <= args.tol * max(1.0, matrix.total)
     body = {
         "solution": args.solution,
-        "vector": [float(v) for v in vector],
+        "vector": vector.tolist(),
         "method": method_name,
         "matches_method": matches,
         "max_abs_diff": diff,
     }
-    rows = [[i + 1, repr(float(vector[i])), repr(float(method_vector[i]))]
-            for i in range(matrix.n)]
+
+    def rows() -> list[list]:
+        return [[i, repr(v), repr(m)] for i, (v, m) in
+                enumerate(zip(body["vector"], method_vector.tolist()), start=1)]
+
     return body, ["segment", args.solution, method_name], rows, 0 if matches else 1
 
 
 def cmd_core(args: argparse.Namespace, matrix: TollMatrix, names: list[str]) -> Report:
     game = SegmentsGame(matrix)
     body: dict = {"reports": {}}
-    rows = []
+    reports = []
     for name in names:
         shares = allocation_method(name)(matrix)
         report = core_check(game, shares, tol=args.tol)
@@ -161,9 +208,16 @@ def cmd_core(args: argparse.Namespace, matrix: TollMatrix, names: list[str]) -> 
         if name == "sps":
             payload["criterion"] = asdict(sps_core_criterion(game, tol=args.tol))
         body["reports"][name] = payload
-        rows += [[name, report.is_member, f"[{v.start},{v.end}]",
-                  f"{v.value:.6f}", f"{v.allocated:.6f}", f"{v.deficit:.6f}"]
-                 for v in report.violations] or [[name, report.is_member, "-", "-", "-", "-"]]
+        reports.append((name, report))
+
+    def rows() -> list[list]:
+        table = []
+        for name, report in reports:
+            table += [[name, report.is_member, f"[{v.start},{v.end}]",
+                       f"{v.value:.6f}", f"{v.allocated:.6f}", f"{v.deficit:.6f}"]
+                      for v in report.violations] or [[name, report.is_member, "-", "-", "-", "-"]]
+        return table
+
     return body, ["method", "is_member", "interval", "value", "allocated", "deficit"], rows, 0
 
 
@@ -175,15 +229,21 @@ def cmd_axioms(args: argparse.Namespace, matrix: None, names: list[str] | None) 
              "failed_axiom": row.failed_axiom, "verdicts": dict(row.verdicts)}
             for row in table
         ]}
-        rows = [[row.characterization, row.method, row.failed_axiom,
-                 " ".join(f"{a}={'pass' if ok else 'FAIL'}" for a, ok in row.verdicts.items())]
-                for row in table]
+
+        def rows() -> list[list]:
+            return [[row.characterization, row.method, row.failed_axiom,
+                     " ".join(f"{a}={'pass' if ok else 'FAIL'}" for a, ok in row.verdicts.items())]
+                    for row in table]
+
         return body, ["characterization", "method", "failed_axiom", "verdicts"], rows, 0
     grid = axiom_matrix(names, AXIOMS, trials=args.trials, seed=args.seed)
     body = {"verdicts": {name: {axiom: grid[name][axiom].holds for axiom in AXIOMS}
                          for name in names}}
-    rows = [[axiom] + ["pass" if grid[name][axiom].holds else "FAIL" for name in names]
-            for axiom in AXIOMS]
+
+    def rows() -> list[list]:
+        return [[axiom] + ["pass" if grid[name][axiom].holds else "FAIL" for name in names]
+                for axiom in AXIOMS]
+
     failed = "".join(f"expected axiom failed: {name} / {axiom}\n" for name in names
                      for axiom in ANCHORED_AXIOMS.get(name, ()) if not grid[name][axiom].holds)
     return body, ["axiom"] + list(names), rows, failed or 0
@@ -199,15 +259,18 @@ def cmd_equity(args: argparse.Namespace, matrix: TollMatrix, names: list[str]) -
         for b in names[pos + 1 :]:
             spearman, pearson = rank_correlations(allocations[a], allocations[b])
             body["correlations"][f"{a}-{b}"] = {"spearman": spearman, "pearson": pearson}
-    # triangular agreement table: Spearman below the diagonal, Pearson above
-    correlations = body["correlations"]
-    rows = [[a] + ["-" if a == b
-                   else f"{correlations[f'{b}-{a}']['spearman']:.3f}"
-                   if names.index(a) > names.index(b)
-                   else f"{correlations[f'{a}-{b}']['pearson']:.3f}" for b in names]
-            for a in names]
-    rows += [[f"gini({name})", f"{body['gini'][name]:.6f}"] + [""] * (len(names) - 1)
-             for name in names]
+
+    def rows() -> list[list]:
+        # triangular agreement table: Spearman below the diagonal, Pearson above
+        correlations = body["correlations"]
+        table = [[a] + ["-" if a == b
+                        else f"{correlations[f'{b}-{a}']['spearman']:.3f}"
+                        if names.index(a) > names.index(b)
+                        else f"{correlations[f'{a}-{b}']['pearson']:.3f}" for b in names]
+                 for a in names]
+        return table + [[f"gini({name})", f"{body['gini'][name]:.6f}"] + [""] * (len(names) - 1)
+                        for name in names]
+
     return body, ["method"] + list(names), rows, 0
 
 

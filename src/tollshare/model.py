@@ -50,8 +50,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
-from operator import itemgetter
+from itertools import accumulate, chain, combinations_with_replacement
+from operator import itemgetter, length_hint
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -410,38 +410,29 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]],
     ``density`` and toll uniform on ``(0, max_toll]``, in (entry, exit) order.
 
     Each chunk of uniforms is no longer than ``_DRAW_CHUNK``, nor than the
-    fewest draws still owed: one per unvisited cell, plus one when a hit's
-    toll comes next.  Every cell takes at least one draw, so no chunk draws
-    past the end of the stream.  From ``_ARRAY_LANE_TRIPS`` cells on,
-    ``_sample_arrays`` takes the same chunks and resolves them in numpy.
+    fewest draws still owed: the draw at hand, a cell's or a hit's toll,
+    plus one per cell after it.  Every cell takes at least one draw, so no
+    chunk draws past the end of the stream.  From ``_ARRAY_LANE_TRIPS``
+    cells on, ``_sample_arrays`` takes the same chunks and resolves them in
+    numpy.
     """
     if not (0.0 < density <= 1.0):
         raise InvalidDensityError(density)
     if max_toll <= 0.0:
         raise TollValidationError(f"max_toll must be positive, got {max_toll!r}")
     widths = [max(end - start + 1, 0) for start, end in blocks]
-    unvisited = sum(w * (w + 1) // 2 for w in widths)
-    if unvisited >= _ARRAY_LANE_TRIPS:
-        entry, exit, toll = _sample_arrays(rng, blocks, unvisited, density, max_toll)
+    cells = sum(w * (w + 1) // 2 for w in widths)
+    if cells >= _ARRAY_LANE_TRIPS:
+        entry, exit, toll = _sample_arrays(rng, blocks, cells, density, max_toll)
         return _from_arrays(n, entry, exit, toll,
                             lambda: TollMatrix(n, _trip_dict(entry, exit, toll)))
-    entries: dict[tuple[int, int], float] = {}
-    draws: list[float] = []
-    pos = 0
-    for start, end in blocks:
-        for h in range(start, end + 1):
-            for k in range(h, end + 1):
-                if pos == len(draws):
-                    draws, pos = rng.random(min(unvisited, _DRAW_CHUNK)).tolist(), 0
-                unvisited -= 1
-                hit = draws[pos] < density
-                pos += 1
-                if hit:
-                    if pos == len(draws):
-                        draws, pos = rng.random(min(unvisited + 1, _DRAW_CHUNK)).tolist(), 0
-                    entries[h, k] = max_toll * (1.0 - draws[pos])
-                    pos += 1
-    return TollMatrix(n, entries)
+    remaining = iter([cell for start, end in blocks
+                      for cell in combinations_with_replacement(range(start, end + 1), 2)])
+    # a new chunk is drawn only when the last is used up; a list is never None
+    draws = chain.from_iterable(iter(
+        lambda: rng.random(min(length_hint(remaining) + 1, _DRAW_CHUNK)).tolist(), None))
+    return TollMatrix(n, {cell: max_toll * (1.0 - next(draws))
+                          for cell in remaining if next(draws) < density})
 
 
 def _sample_arrays(rng: np.random.Generator, blocks: Sequence[tuple[int, int]], cells: int,

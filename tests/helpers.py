@@ -138,6 +138,19 @@ def block_structured_loop(intervals, seed: int = 0, density: float = 1.0,
     return TollMatrix(intervals[-1][1], entries)
 
 
+def sample_blocks_loop(rng: np.random.Generator, n: int, intervals, density: float = 1.0,
+                       max_toll: float = 10.0) -> TollMatrix:
+    """One scalar draw per cell of the ``(start, end)`` blocks, then one per
+    hit's toll: the draw stream the sampler's chunks must reproduce."""
+    entries = {}
+    for start, end in intervals:
+        for h in range(start, end + 1):
+            for k in range(h, end + 1):
+                if rng.random() < density:
+                    entries[(h, k)] = max_toll * (1.0 - rng.random())
+    return TollMatrix(n, entries)
+
+
 # -- loop references for the triplet CSV reader and writer --------------------
 #
 # The row-by-row reader, with the duplicate check and segment-count inference

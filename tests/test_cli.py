@@ -10,9 +10,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tollshare as ts
-from tollshare.cli import main
+from tollshare.cli import _render, main
 
 
 @pytest.fixture
@@ -378,6 +380,13 @@ class TestReportDigests:
         # the json report carries the correlations at full precision
         ("equity", [], "json",
          "04a329069399bd71e59a7a8ff29db4ea2fac715c8a63a6f711b3eb8b28f24b60"),
+        ("allocate", [], "json",
+         "09888308e5fb7717b7a28fad9787bd9e3abef594ab3571d7ca3503fce987b30f"),
+        # sps's criterion carries its worst interval as a tuple
+        ("core", [], "json",
+         "1f5105cc5b7823ea99134566a1ffa3ca4270af1504fe7b2fabf4ce4948338507"),
+        ("game", ["--solution", "at"], "json",
+         "f49da78d99eb458c48ed791c1618a255f93141667e87b7db82d8b3fa2b26e49d"),
     ])
     def test_ap68_report(self, capsys, command, extra, fmt, digest):
         code, out, _ = run(
@@ -386,6 +395,63 @@ class TestReportDigests:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_FLOATS = st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.text() | _FLOATS
+           | _FLOATS.map(np.float64))
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)
+                      # the renderer joins a list of floats in one piece
+                      | st.lists(_FLOATS | _FLOATS.map(np.float64), min_size=1)),
+    max_leaves=30,
+)
+
+
+class TestJsonRender:
+    """The json report is the text of ``json.dumps(doc, indent=2)``."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(doc=_DOCUMENTS)
+    def test_matches_json_dumps(self, doc):
+        assert _render(doc, [], lambda: [], "json") == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"a": {1: [2.5], None: (), 0.5: {}}},
+        [{"nested": {True: ["x", {"deep": [1.0, float("nan")]}]}}],
+    ])
+    def test_keys_that_are_not_str(self, doc):
+        assert _render(doc, [], lambda: [], "json") == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("leaf", [{1, 2}, np.int64(3), np.bool_(True), b"x"])
+    def test_unsupported_leaf_raises_as_json_does(self, leaf):
+        doc = {"a": [1.0, {"b": leaf}]}
+        with pytest.raises(TypeError) as expected:
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError, match=str(expected.value)):
+            _render(doc, [], lambda: [], "json")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("allocate", []), ("allocate", ["--method", "sps"]), ("core", []), ("equity", []),
+        ("game", ["--solution", "at"]), ("axioms", ["--trials", "3"]),
+        ("axioms", ["--harness", "--trials", "3"]),
+    ])
+    def test_json_builds_no_rows(self, capsys, example3_csv, command, extra):
+        source = [] if command == "axioms" else ["--input", example3_csv]
+        handed = []
+
+        def render(doc, headers, rows, fmt):
+            handed.append((headers, rows))
+            return _render(doc, headers, lambda: pytest.fail("rows built for json"), fmt)
+
+        with mock.patch("tollshare.cli._render", render):
+            code, out, _ = run(capsys, command, *source, *extra, "--format", "json")
+        assert code == 0 and json.loads(out)
+        [(headers, rows)] = handed
+        table = rows()
+        assert table and all(len(row) == len(headers) for row in table)
 
 
 def test_cli_import_loads_no_scipy():

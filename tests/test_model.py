@@ -17,6 +17,7 @@ from tollshare.datasets import ap68
 from helpers import (
     block_structured_loop,
     read_triplet_csv_loop,
+    sample_blocks_loop,
     sample_matrix_loop,
     seeded_matrices,
     write_triplet_csv_loop,
@@ -772,6 +773,22 @@ class TestSamplerDrawStream:
         assert drawn == reference
         assert list(drawn.entries) == list(reference.entries)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("cap", [1, 2, 7, model._DRAW_CHUNK])
+    def test_loop_lane_leaves_the_generator_state_of_scalar_draws(self, monkeypatch, cap):
+        monkeypatch.setattr(model, "_DRAW_CHUNK", cap)
+        layouts = {n: [[(1, n)], [(1, 1), (2, n)], [(1, n // 2), (n // 2 + 1, n)]]
+                   for n in (1, 2, 3, 5, 8)}
+        for seed in range(120):
+            n = (1, 2, 3, 5, 8)[seed % 5]
+            blocks = layouts[n][seed // 5 % 3]
+            for density in (0.3, 0.7, 1.0):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                drawn = model._sample(rng, n, blocks, density, 10.0)
+                reference = sample_blocks_loop(ref_rng, n, blocks, density)
+                assert drawn == reference
+                assert list(drawn.entries) == list(reference.entries)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_draw_without_hits_past_the_array_threshold(self):
         n = 20
