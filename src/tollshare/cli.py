@@ -161,10 +161,8 @@ def cmd_allocate(args: argparse.Namespace, matrix: TollMatrix, names: list[str])
     body: dict = {"n": matrix.n, "total": matrix.total, "allocations": {}}
     for name in names:
         shares = allocation_method(name)(matrix)
-        body["allocations"][name] = {
-            "shares": shares.tolist(),
-            "percent": share_percentages(shares, matrix.total).tolist(),
-        }
+        body["allocations"][name] = {"shares": shares.tolist(),
+                                     "percent": share_percentages(shares, matrix.total).tolist()}
 
     def rows() -> list[list]:
         table = [[name, i, repr(s), f"{p:.2f}"] for name in names for i, (s, p) in
