@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tollshare as ts
-from tollshare.cli import _render, main
+from tollshare.cli import _render
+from tollshare.cli import main
 
 
 @pytest.fixture
