@@ -11,7 +11,9 @@ other's working tree.  A ``--workload NAME:PAIRS:FIRST_SEED`` runs
 pair both sides run
 ``python3 perfbench/run.py --workload NAME --seed S --seconds T --trace 0``
 one after the other, and the side that runs first alternates from pair to
-pair.  One benchmark process runs at a time.
+pair.  One benchmark process runs at a time.  ``--claim WORKLOAD:METRIC``
+must name one of the ``--workload`` names and one of the ``end_to_end``
+metrics of ``BENCHMARK.json``; it is checked before any copy is made.
 
 The output has the keys ``what``, ``host``, ``protocol``, ``claim``,
 ``summary`` and ``pairs``; ``claim`` is ``null`` without ``--claim``.
@@ -132,6 +134,17 @@ def main(argv: list[str] | None = None) -> int:
                         " temporary directory, removed at the end)")
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args(argv)
+    if args.claim:  # checked before the first pair, not after the last
+        workload, _, metric = args.claim.partition(":")
+        names = [name for name, _, _ in args.workload]
+        metrics = [entry["name"] for entry in
+                   json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+        if workload not in names:
+            parser.error(f"--claim {args.claim}: workload {workload!r} is not among the"
+                         f" --workload names {names}")
+        if metric not in metrics:
+            parser.error(f"--claim {args.claim}: metric {metric!r} is not among the"
+                         f" end-to-end metrics {metrics}")
 
     with (contextlib.nullcontext(args.workdir) if args.workdir
           else tempfile.TemporaryDirectory(prefix="bench-pairs-")) as workdir:
@@ -141,7 +154,6 @@ def main(argv: list[str] | None = None) -> int:
     summary = {workload: summarise(runs) for workload, runs in pairs.items()}
     claim = None
     if args.claim:
-        workload, metric = args.claim.split(":")
         claim = {"metric": metric, "workload": workload,
                  **{key: summary[workload][metric][key] for key in
                     ("parent", "change", "change_lower_in", "median_change")}}

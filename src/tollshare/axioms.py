@@ -29,7 +29,13 @@ import zlib
 
 import numpy as np
 
-from .errors import HarnessMismatchError, NoWitnessError, PreconditionNotMet, SegmentIndexError
+from .errors import (
+    HarnessMismatchError,
+    InvalidTrialsError,
+    NoWitnessError,
+    PreconditionNotMet,
+    SegmentIndexError,
+)
 from .methods import TRIGGERS, MethodFn, allocation_method
 from .model import (
     DEFAULT_TOL,
@@ -516,8 +522,11 @@ def evaluate_axiom(
     """Falsification run: designated instances first, then seeded trials.
 
     Deterministic in (axiom, seed, trials, sizes).  An exhausted axiom is
-    checked once per size instead of sampled.
+    checked once per size instead of sampled.  A negative ``trials`` raises
+    :class:`InvalidTrialsError`.
     """
+    if trials < 0:
+        raise InvalidTrialsError(trials)
     spec = CATALOGUE[axiom]
     if tol is None:
         tol = spec.tol

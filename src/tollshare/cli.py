@@ -17,6 +17,11 @@ body and writes the report as json, csv or markdown.  ``_render`` writes the
 bytes of ``json.dumps(doc, indent=2)`` without the pure-Python encoder that
 an indent selects, and builds the rows only for csv and markdown.
 
+``main`` parses with one parser per process, built by ``build_parser`` on
+its first call: argparse makes a fresh namespace on every parse and leaves
+the parser as it was.  It rejects a negative or non-finite ``--tol`` and a
+``--trials`` below 1 before any work.
+
 Outputs are deterministic for fixed inputs and seed; pass ``--no-timestamp``
 to make them byte-identical across runs.
 """
@@ -25,8 +30,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -38,7 +45,14 @@ import numpy as np
 from . import __version__
 from .axioms import ANCHORED_AXIOMS, AXIOMS, axiom_matrix, independence_harness
 from .equity import gini, lorenz, rank_correlations
-from .errors import HarnessMismatchError, TollShareError, TollValidationError, UnknownMethodError
+from .errors import (
+    HarnessMismatchError,
+    InvalidToleranceError,
+    InvalidTrialsError,
+    TollShareError,
+    TollValidationError,
+    UnknownMethodError,
+)
 from .game import (
     EXHAUSTIVE_CEILING,
     EXHAUSTIVE_LIMIT,
@@ -361,9 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        if "tol" in args and not (math.isfinite(args.tol) and args.tol >= 0):
+            raise InvalidToleranceError(args.tol)
+        if "trials" in args and args.trials < 1:
+            raise InvalidTrialsError(args.trials, least=1)
         if args.command == "generate":
             return cmd_generate(args)
         matrix = _load_matrix(args) if "input" in args else None

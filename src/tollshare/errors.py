@@ -67,9 +67,27 @@ class InvalidDensityError(TollValidationError):
         self.density = density
 
 
+class InvalidSeedError(TollValidationError):
+    def __init__(self, seed: object):
+        super().__init__(f"seed must be a non-negative integer, got {seed!r}")
+        self.seed = seed
+
+
 class BlocksNotPartitionError(TollValidationError):
     def __init__(self, reason: str):
         super().__init__(f"blocks do not partition the segment range: {reason}")
+
+
+class InvalidToleranceError(TollShareError, ValueError):
+    def __init__(self, tol: float):
+        super().__init__(f"tolerance must be finite and non-negative, got {tol!r}")
+        self.tol = tol
+
+
+class InvalidTrialsError(TollShareError, ValueError):
+    def __init__(self, trials: int, least: int = 0):
+        super().__init__(f"trials must be at least {least}, got {trials!r}")
+        self.trials, self.least = trials, least
 
 
 class UnknownSchemeError(TollShareError, ValueError):

@@ -62,6 +62,7 @@ from .errors import (
     BlocksNotPartitionError,
     DuplicateTripError,
     InvalidDensityError,
+    InvalidSeedError,
     LowerTriangularNonzeroError,
     NegativeFactorError,
     NegativeTollError,
@@ -487,9 +488,16 @@ def sample_matrix(rng: np.random.Generator, n: int, density: float = 1.0,
     return _sample(rng, n, [(1, n)], density, max_toll)
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    try:
+        return np.random.default_rng(seed)
+    except ValueError as exc:  # numpy takes only non-negative integer seeds
+        raise InvalidSeedError(seed) from exc
+
+
 def random_matrix(n: int, density: float = 1.0, max_toll: float = 10.0, seed: int = 0) -> TollMatrix:
     """Seeded random matrix; a pure function of all four arguments."""
-    return sample_matrix(np.random.default_rng(seed), n, density, max_toll)
+    return sample_matrix(_seeded_rng(seed), n, density, max_toll)
 
 
 def block_structured_matrix(
@@ -518,7 +526,7 @@ def block_structured_matrix(
         covered.extend(range(start, end + 1))
     if covered != list(range(1, n + 1)):
         raise BlocksNotPartitionError(f"blocks cover {covered}, expected 1..{n}")
-    return _sample(np.random.default_rng(seed), n, intervals, density, max_toll)
+    return _sample(_seeded_rng(seed), n, intervals, density, max_toll)
 
 
 # -- file formats ----------------------------------------------------------

@@ -13,6 +13,7 @@ from tollshare.axioms import (
     evaluate_axiom,
     run_instance,
 )
+from tollshare.errors import InvalidTrialsError
 from tollshare.methods import TRIGGERS
 
 from helpers import seeded_matrices
@@ -265,6 +266,13 @@ class TestSuiteMachinery:
         assert not evaluate_axiom(ts.sps, "linearity", trials=80, seed=0).holds
         assert not evaluate_axiom(ts.scs, "segment_symmetry", trials=80, seed=0).holds
         assert not evaluate_axiom(ts.ses, "indifference_to_extensions", seed=0).holds
+
+    @pytest.mark.parametrize("axiom", ["efficiency", "indifference_to_extensions"])
+    def test_evaluate_axiom_rejects_negative_trials(self, axiom):
+        # an empty range of trials would read as a pass; an exhausted axiom
+        # ignores the count, but a negative one is still an error
+        with pytest.raises(InvalidTrialsError, match="trials must be at least 0, got -5"):
+            evaluate_axiom(ts.ses, axiom, trials=-5)
 
     def test_run_instance_dispatch(self, example3):
         verdict = run_instance(ts.ses, "efficiency", {"matrix": example3}, 1e-9)

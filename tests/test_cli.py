@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tollshare as ts
+from tollshare import cli
 from tollshare.cli import _render
 from tollshare.cli import main
 
@@ -566,3 +567,68 @@ class TestMalformedInput:
         code, _, err = run(capsys, "generate", "--blocks", "a-b", "--output", str(path))
         assert code == 2 and "--blocks 'a-b'" in err and "Traceback" not in err
         assert not path.exists()
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process, and a parse leaves
+    nothing behind for the next."""
+
+    def test_main_builds_one_parser(self, capsys, example3_csv, monkeypatch):
+        built = mock.Mock(wraps=cli.build_parser)
+        monkeypatch.setattr(cli, "build_parser", built)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["allocate", "--input", example3_csv],
+                         ["game", "--input", example3_csv, "--solution", "at"],
+                         ["axioms", "--trials", "2"]):
+                assert run(capsys, *argv)[0] == 0
+            assert built.call_count == 1
+        finally:
+            cli._parser.cache_clear()
+        assert cli.build_parser() is not cli.build_parser()
+
+    @pytest.mark.parametrize("command, first", [
+        ("allocate", ["--method", "ses", "--format", "csv"]),
+        ("axioms", ["--harness", "--trials", "3"]),
+    ])
+    def test_second_run_matches_a_fresh_process(self, capsys, example3_csv, command, first):
+        # the second run takes the defaults that the first one overrode
+        source = [] if command == "axioms" else ["--input", example3_csv]
+        parser = cli._parser()
+        run(capsys, command, *source, *first, "--no-timestamp")
+        code, out, err = run(capsys, command, *source, "--no-timestamp")
+        assert cli._parser() is parser
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        fresh = subprocess.run([sys.executable, "-m", "tollshare.cli", command, *source,
+                                "--no-timestamp"], env=env, capture_output=True, text=True)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+class TestRejectedOptions:
+    @pytest.mark.parametrize("command, tol", [
+        ("core", "-1"), ("core", "nan"), ("core", "inf"), ("game", "-1"), ("game", "-inf"),
+    ])
+    def test_bad_tolerance_exits_2(self, capsys, example3_csv, command, tol):
+        extra = ["--solution", "at"] if command == "game" else []
+        code, out, err = run(capsys, command, "--input", example3_csv, *extra, f"--tol={tol}")
+        assert code == 2 and out == ""
+        assert err == f"error: tolerance must be finite and non-negative, got {float(tol)!r}\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--harness"]])
+    @pytest.mark.parametrize("trials", ["-5", "0"])
+    def test_trials_below_one_exit_2(self, capsys, extra, trials):
+        code, out, err = run(capsys, "axioms", *extra, "--trials", trials, "--method", "ses")
+        assert code == 2 and out == ""
+        assert err == f"error: trials must be at least 1, got {trials}\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--blocks", "1-2,3"]])
+    def test_generate_rejects_a_negative_seed(self, capsys, tmp_path, extra):
+        path = tmp_path / "gen.csv"
+        code, out, err = run(capsys, "generate", "--seed", "-1", *extra, "--output", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not path.exists()
+
+    def test_axioms_takes_a_negative_seed(self, capsys):
+        code, out, _ = run(capsys, "axioms", "--seed", "-1", "--trials", "3", "--no-timestamp")
+        assert code == 0 and json.loads(out)["metadata"]["seed"] == -1

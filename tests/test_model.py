@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import tollshare as ts
 from tollshare import TollMatrix, model
 from tollshare.datasets import ap68
+from tollshare.errors import InvalidSeedError
 
 from helpers import (
     block_structured_loop,
@@ -347,6 +348,15 @@ class TestSingleFaults:
     def test_negative_scale_factor_is_reported(self):
         with pytest.raises(ts.NegativeTollError, match="scale factor is negative: -1.0"):
             TollMatrix(2, {(1, 2): 3.0}).scaled(-1.0)
+
+    @pytest.mark.parametrize("generate", [
+        lambda seed: ts.random_matrix(3, seed=seed),
+        lambda seed: ts.block_structured_matrix([range(1, 3), range(3, 4)], seed=seed),
+    ])
+    def test_generators_name_a_negative_seed(self, generate):
+        with pytest.raises(InvalidSeedError, match="got -1$") as err:
+            generate(-1)
+        assert isinstance(err.value, ts.TollValidationError) and err.value.seed == -1
 
     def test_block_generator_checks_max_toll(self):
         with pytest.raises(ts.TollValidationError, match="max_toll"):
