@@ -40,6 +40,7 @@ from .methods import TRIGGERS, MethodFn, allocation_method
 from .model import (
     DEFAULT_TOL,
     TollMatrix,
+    _trusted,
     block_structured_matrix,
     inessential_segments,
     sample_matrix,
@@ -102,8 +103,7 @@ def blocked_matrix(matrix: TollMatrix, cut: int) -> TollMatrix:
     """Zero every trip crossing the boundary between ``cut`` and ``cut + 1``."""
     if not (1 <= cut < matrix.n):
         raise SegmentIndexError(f"cut must lie in 1..{matrix.n - 1}, got {cut}")
-    kept = {(h, k): t for (h, k), t in matrix.trips() if not (h <= cut < k)}
-    return TollMatrix(matrix.n, kept)
+    return _trusted(matrix.n, {(h, k): t for (h, k), t in matrix.trips() if not (h <= cut < k)})
 
 
 def covariance_transform(matrix: TollMatrix, b: float, a: Sequence[float]) -> TollMatrix:
@@ -146,8 +146,8 @@ def check_inessential_segment(f: MethodFn, matrix: TollMatrix, tol: float = DEFA
 
 
 def check_additivity(f: MethodFn, matrix: TollMatrix, other: TollMatrix, tol: float = DEFAULT_TOL) -> AxiomVerdict:
-    combined = f(matrix + other)
-    split = f(matrix) + f(other)
+    combined = f(matrix + other).tolist()
+    split = (f(matrix) + f(other)).tolist()
     slack = tol * _scale(matrix.total + other.total)
     failures = [
         ({"segment": i + 1}, combined[i], split[i])
@@ -165,8 +165,8 @@ def check_linearity(
     b2: float,
     tol: float = DEFAULT_TOL,
 ) -> AxiomVerdict:
-    combined = f(matrix.scaled(b) + other.scaled(b2))
-    split = b * f(matrix) + b2 * f(other)
+    combined = f(matrix.scaled(b) + other.scaled(b2)).tolist()
+    split = (b * f(matrix) + b2 * f(other)).tolist()
     slack = tol * _scale(b * matrix.total + b2 * other.total)
     failures = [
         ({"segment": i + 1}, combined[i], split[i])
@@ -186,8 +186,8 @@ def check_covariance(
 ) -> AxiomVerdict:
     """Rescaling tolls rescales shares; extra single-segment toll passes through."""
     a = np.asarray(a, dtype=float)
-    transformed = f(covariance_transform(matrix, b, a))
-    expected = b * f(matrix) + a
+    transformed = f(covariance_transform(matrix, b, a)).tolist()
+    expected = (b * f(matrix) + a).tolist()
     slack = tol * _scale(b * matrix.total + float(a.sum()))
     failures = [
         ({"segment": i + 1}, transformed[i], expected[i])
@@ -207,7 +207,7 @@ def _common_interval(matrix: TollMatrix) -> tuple[int, int]:
 
 def check_segment_symmetry(f: MethodFn, matrix: TollMatrix, tol: float = DEFAULT_TOL) -> AxiomVerdict:
     """Two segments that appear in every positive trip get equal shares."""
-    shares = f(matrix)
+    shares = f(matrix).tolist()
     lo, hi = _common_interval(matrix)
     slack = tol * _scale(matrix.total)
     failures = []
@@ -362,13 +362,12 @@ def _rand(rng: np.random.Generator, n: int) -> TollMatrix:
 
 
 def _drop_segment(matrix: TollMatrix, segment: int) -> TollMatrix:
-    kept = {(h, k): t for (h, k), t in matrix.trips() if not (h <= segment <= k)}
-    return TollMatrix(matrix.n, kept)
+    return _trusted(matrix.n, {(h, k): t for (h, k), t in matrix.trips()
+                               if not (h <= segment <= k)})
 
 
 def _strip_diagonal(matrix: TollMatrix) -> TollMatrix:
-    kept = {(h, k): t for (h, k), t in matrix.trips() if h != k}
-    return TollMatrix(matrix.n, kept)
+    return _trusted(matrix.n, {(h, k): t for (h, k), t in matrix.trips() if h != k})
 
 
 def _draw_common_interval(rng: np.random.Generator, n: int) -> Mapping[str, object]:

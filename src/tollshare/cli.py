@@ -307,8 +307,8 @@ def _parse_blocks(spec: str) -> list[range]:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     options = dict(seed=args.seed, density=args.density, max_toll=args.max_toll)
-    matrix = (block_structured_matrix(_parse_blocks(args.blocks), **options) if args.blocks
-              else random_matrix(args.n, **options))
+    matrix = (random_matrix(args.n, **options) if args.blocks is None
+              else block_structured_matrix(_parse_blocks(args.blocks), **options))
     write_triplet_csv(matrix, args.output)
     return 0
 

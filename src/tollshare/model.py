@@ -3,42 +3,30 @@
 A problem is a toll matrix: for every trip ``[h, k]`` (enter at segment ``h``,
 leave at segment ``k``, ``1 <= h <= k <= n``) it records the total toll
 collected from all users of that trip.  Matrices are stored sparsely as a map
-from ``(entry, exit)`` int tuples to positive tolls; segment indices are
-1-based on every public interface.
+from ``(entry, exit)`` int tuples to positive tolls, in trip order; segment
+indices are 1-based on every public interface.
 
-``TollMatrix.__post_init__`` is the one place that rejects a trip for its
-range, finiteness or sign, or a total that is not finite.  Constructors and
-file readers only parse, keeping the checks of their own format (duplicate
-triplets; a square grid with nothing below the diagonal), and report
-malformed text as ``TollValidationError``; the readers add the file, and for
-CSV the line, to the message of a trip the constructor rejects.
+``TollMatrix.__post_init__`` checks each trip of a matrix built from outside
+input for its range, finiteness and sign, and rejects a total past the float
+limit; the file readers add the file, and for CSV the line, to its message.
+Builders whose trips already pass those checks skip them through
+``_trusted``, which checks only the total:
 
-Records become a matrix in one of two builders.  ``_from_records`` takes them
-one trip at a time, for ``from_triplets``, the JSON reader and the triplet
-CSV walk.  ``_from_arrays`` runs the same checks on arrays, for the triplet
-reader and the sampler; when a check fails it hands over to the per-trip
-path, so every error keeps that path's type and message.  It keeps the arrays
-as the matrix's ``columns`` and builds ``entries`` from them on the first
-lookup or iteration; from ``_ARRAY_LANE_TRIPS`` trips on, the methods,
-``diagonal``, ``game`` and ``write_triplet_csv`` read only the columns.
+* ``_from_arrays``, for the triplet reader and the array sampler, after
+  running the same checks on the arrays;
+* ``_sample``'s loop lane, whose cells are in range and in order and whose
+  tolls lie in ``(0, max_toll]`` for a finite ``max_toll``, unless it is so
+  small that a toll rounds to 0 (that draw takes the constructor);
+* ``+`` and ``scaled``, which derive each toll from valid ones and keep the
+  positive ones; a toll that overflows to ``inf`` (or a ``nan`` factor)
+  leaves a total that is not finite, and the constructor then names it;
+* ``axioms.blocked_matrix`` and the other surgery helpers, which keep some
+  of a valid matrix's trips in their order.
 
-``read_triplet_csv`` parses a file with one ``np.loadtxt`` call.  numpy
-reads fewer number forms than ``int`` and ``float`` (quoted cells, ``1_0``,
-blank cells, 20-digit integers), and, outside ASCII or with the separators
-of ``_NUMPY_ONLY_SPACE``, some that Python rejects.  So a file that is not
-ASCII or holds such a separator, or whose body numpy rejects or warns
-about, goes to the row walk, which parses every record with the ``csv``
-module before it builds the matrix: a parse fault is reported before a
-duplicate, and each error names its ``path:line``.  ``write_triplet_csv``
-writes the bytes ``csv.writer`` would, as no integer or float ``repr``
-needs quoting.
-
-``coverage`` and ``_sample`` each run a Python loop on small matrices,
-where numpy's fixed cost per call exceeds the loop's whole cost, and numpy
-from ``_ARRAY_LANE_TRIPS`` trips or cells on.  The two lanes return the
-same bits, so no result depends on the lane: ``coverage``'s lanes add the
-same terms in the same order, and ``_sample``'s read the same uniforms in
-the same chunks.
+``coverage`` and ``_sample`` each run a Python loop below
+``_ARRAY_LANE_TRIPS`` trips or cells and numpy from there on.  The lanes
+return the same bits: ``coverage``'s add the same terms in the same order,
+and ``_sample``'s read the same uniforms in the same order.
 """
 
 from __future__ import annotations
@@ -101,6 +89,17 @@ def _integral(value) -> int | None:
     return None if number != value or isinstance(value, (bool, np.bool_)) else number
 
 
+def _segment_count(n) -> int:
+    """``n`` as a plain ``int``, or the ``SegmentIndexError`` of a segment
+    count that is not an integer of at least 1."""
+    count = n if type(n) is int else _integral(n)
+    if count is None:
+        raise SegmentIndexError(f"segment count must be an integer, got {n!r}")
+    if count < 1:
+        raise SegmentIndexError(f"segment count must be >= 1, got {count}")
+    return count
+
+
 def _as_trip(entry, exit) -> tuple[int, int]:
     """The trip ``[entry, exit]`` as a plain tuple of ``_integral`` indices."""
     trip = _integral(entry), _integral(exit)
@@ -124,13 +123,7 @@ class TollMatrix:
     entries: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
-        n = self.n
-        if type(n) is not int:
-            if (n := _integral(n)) is None:
-                raise SegmentIndexError(f"segment count must be an integer, got {self.n!r}")
-            object.__setattr__(self, "n", n)
-        if n < 1:
-            raise SegmentIndexError(f"segment count must be >= 1, got {n}")
+        n = _segment_count(self.n)
         cleaned: dict[tuple[int, int], float] = {}
         for trip, value in self.entries.items():
             entry, exit = trip
@@ -152,11 +145,7 @@ class TollMatrix:
         ordered = sorted(trips)
         if ordered != trips:
             cleaned = {trip: cleaned[trip] for trip in ordered}
-        try:
-            object.__setattr__(self, "_total", math.fsum(cleaned.values()))
-        except OverflowError:
-            raise TollValidationError("the tolls add up to more than the largest float") from None
-        object.__setattr__(self, "entries", MappingProxyType(cleaned))
+        vars(self).update(vars(_trusted(n, cleaned)))
 
     def __hash__(self) -> int:
         # entries are sorted, so equal matrices list equal items in one order
@@ -264,15 +253,44 @@ class TollMatrix:
         merged = dict(self.entries)
         for trip, t in other.entries.items():
             merged[trip] = merged.get(trip, 0.0) + t
-        return TollMatrix(self.n, merged)
+        if len(merged) > len(self.entries):  # other brought a trip of its own
+            merged = dict(sorted(merged.items()))
+        return _trusted(self.n, merged)
 
     def scaled(self, factor: float) -> "TollMatrix":
         if factor < 0.0:
             raise NegativeFactorError(factor)
-        return TollMatrix(self.n, {trip: factor * t for trip, t in self.entries.items()})
+        factor = float(factor)
+        return _trusted(self.n, {trip: toll for trip, t in self.entries.items()
+                                 if (toll := factor * t)})
 
     def __repr__(self) -> str:
         return f"TollMatrix(n={self.n}, trips={len(self.entries)}, total={self.total:g})"
+
+
+def _trusted(n: int, entries: Mapping[tuple[int, int], float],
+             tolls: Iterable[float] | None = None, **cached) -> TollMatrix:
+    """The matrix over ``entries`` without the constructor's per-trip checks,
+    for builders whose input already passes them: ``n`` a plain ``int`` of at
+    least 1, and ``entries`` keyed in sorted order by plain ``(entry, exit)``
+    int tuples in range, each toll a positive float.  A dict is wrapped
+    read-only; ``tolls`` lists the tolls where reading ``entries`` would
+    build them, and ``cached`` sets cached properties.
+
+    Only the total is checked: one that is not finite means a toll that is
+    not, which the constructor names, and a sum past the float limit raises
+    the constructor's ``TollValidationError``.
+    """
+    try:
+        total = math.fsum(entries.values() if tolls is None else tolls)
+    except OverflowError:
+        raise TollValidationError("the tolls add up to more than the largest float") from None
+    if not math.isfinite(total):
+        return TollMatrix(n, dict(entries))
+    matrix = object.__new__(TollMatrix)
+    vars(matrix).update(n=n, entries=MappingProxyType(entries) if type(entries) is dict
+                        else entries, _total=total, **cached)
+    return matrix
 
 
 def _row_error(h: int, row) -> TollValidationError:
@@ -405,22 +423,24 @@ def is_unit_matrix(matrix: TollMatrix) -> bool:
 _DRAW_CHUNK = 1 << 16
 
 
-def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]],
+def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]] | None,
             density: float, max_toll: float) -> TollMatrix:
     """Occupy each trip inside a ``(start, end)`` block with probability
     ``density`` and toll uniform on ``(0, max_toll]``, in (entry, exit) order.
 
     Each chunk of uniforms is no longer than ``_DRAW_CHUNK``, nor than the
     fewest draws still owed: the draw at hand, a cell's or a hit's toll,
-    plus one per cell after it.  Every cell takes at least one draw, so no
-    chunk draws past the end of the stream.  From ``_ARRAY_LANE_TRIPS``
-    cells on, ``_sample_arrays`` takes the same chunks and resolves them in
-    numpy.
+    plus one per cell after it, or two at density 1, where every cell hits.
+    So no chunk draws past the end of the stream.  From ``_ARRAY_LANE_TRIPS``
+    cells on, ``_sample_arrays`` resolves the same draws in numpy.  ``n`` is
+    checked as the constructor checks it; ``blocks`` defaults to ``[(1, n)]``.
     """
     if not (0.0 < density <= 1.0):
         raise InvalidDensityError(density)
-    if max_toll <= 0.0:
-        raise TollValidationError(f"max_toll must be positive, got {max_toll!r}")
+    if not (0.0 < max_toll < math.inf):
+        raise TollValidationError(f"max_toll must be positive and finite, got {max_toll!r}")
+    n, max_toll = _segment_count(n), float(max_toll)
+    blocks = [(1, n)] if blocks is None else blocks
     widths = [max(end - start + 1, 0) for start, end in blocks]
     cells = sum(w * (w + 1) // 2 for w in widths)
     if cells >= _ARRAY_LANE_TRIPS:
@@ -429,17 +449,20 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]],
                             lambda: TollMatrix(n, _trip_dict(entry, exit, toll)))
     remaining = iter([cell for start, end in blocks
                       for cell in combinations_with_replacement(range(start, end + 1), 2)])
+    # every cell hits at density 1, so each cell after the draw at hand owes two
+    owed = 2 if density == 1.0 else 1
     # a new chunk is drawn only when the last is used up; a list is never None
     draws = chain.from_iterable(iter(
-        lambda: rng.random(min(length_hint(remaining) + 1, _DRAW_CHUNK)).tolist(), None))
-    return TollMatrix(n, {cell: max_toll * (1.0 - next(draws))
-                          for cell in remaining if next(draws) < density})
+        lambda: rng.random(min(owed * length_hint(remaining) + 1, _DRAW_CHUNK)).tolist(), None))
+    entries = {cell: max_toll * (1.0 - next(draws)) for cell in remaining if next(draws) < density}
+    # a toll is at least max_toll * 2**-53, positive unless max_toll is tiny
+    return (_trusted if max_toll * 2.0**-53 > 0.0 else TollMatrix)(n, entries)
 
 
 def _sample_arrays(rng: np.random.Generator, blocks: Sequence[tuple[int, int]], cells: int,
                    density: float, max_toll: float) -> TripColumns:
     """The hits of ``_sample``'s loop over ``cells`` cells as ``(entry, exit,
-    toll)`` arrays, from the same chunks of the same draws.
+    toll)`` arrays, from the same draws.
 
     In a chunk, a draw is a cell draw exactly when it lies an odd number of
     places after the last miss before it, a chunk's first cell draw
@@ -485,7 +508,7 @@ def sample_matrix(rng: np.random.Generator, n: int, density: float = 1.0,
                   max_toll: float = 10.0) -> TollMatrix:
     """Draw from an existing generator: each of the ``n(n+1)/2`` trips is
     occupied with probability ``density``, toll uniform on ``(0, max_toll]``."""
-    return _sample(rng, n, [(1, n)], density, max_toll)
+    return _sample(rng, n, None, density, max_toll)
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
@@ -534,7 +557,8 @@ def block_structured_matrix(
 TRIPLET_HEADER = ("entry", "exit", "toll")
 
 def write_triplet_csv(matrix: TollMatrix, path: str | Path) -> None:
-    """Write ``matrix.columns`` as triplet CSV, one text of ``_DRAW_CHUNK`` rows at a time."""
+    """Write ``matrix.columns`` as triplet CSV, one text of ``_DRAW_CHUNK`` rows at a time:
+    the bytes ``csv.writer`` writes, as no integer or float ``repr`` needs quoting."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRIPLET_HEADER) + "\r\n")
         for start in range(0, len(matrix.entries), _DRAW_CHUNK):
@@ -551,6 +575,10 @@ _NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 
 
 def read_triplet_csv(path: str | Path, n: int | None = None) -> TollMatrix:
+    """Read a triplet CSV with one ``np.loadtxt`` call, or with the row walk
+    where numpy may read a cell that Python would not (``_load_records``).
+    The walk parses every row before it builds the matrix, so a parse fault
+    is reported before a duplicate; each error names its ``path:line``."""
     try:
         records = _load_records(Path(path).read_bytes(), path)
         if records is None:
@@ -686,16 +714,13 @@ def _from_arrays(n: int | None, entry: np.ndarray, exit: np.ndarray, toll: np.nd
     live = toll > 0.0
     if not live.all():
         entry, exit, toll = entry[live], exit[live], toll[live]
-    try:
-        total = math.fsum(toll.tolist())
-    except OverflowError:
-        return otherwise()
     columns = TripColumns(entry, exit, toll)
     for column in columns:
         column.flags.writeable = False
-    matrix = object.__new__(TollMatrix)
-    vars(matrix).update(n=n, entries=_ColumnEntries(columns), _total=total, columns=columns)
-    return matrix
+    try:
+        return _trusted(n, _ColumnEntries(columns), toll.tolist(), columns=columns)
+    except TollValidationError:
+        return otherwise()
 
 
 def _increasing(entry: np.ndarray, exit: np.ndarray) -> bool:

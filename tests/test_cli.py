@@ -629,6 +629,22 @@ class TestRejectedOptions:
         assert err == "error: seed must be a non-negative integer, got -1\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--blocks", "1-2,3"]])
+    @pytest.mark.parametrize("max_toll", ["nan", "inf", "0"])
+    def test_generate_names_a_bad_max_toll(self, capsys, tmp_path, extra, max_toll):
+        path = tmp_path / "gen.csv"
+        code, out, err = run(capsys, "generate", "--max-toll", max_toll, *extra,
+                             "--output", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: max_toll must be positive and finite, got {float(max_toll)!r}\n"
+        assert not path.exists()
+
+    def test_generate_rejects_empty_blocks(self, capsys, tmp_path):
+        path = tmp_path / "gen.csv"
+        code, out, err = run(capsys, "generate", "--blocks", "", "--output", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: --blocks '': ") and not path.exists()
+
     def test_axioms_takes_a_negative_seed(self, capsys):
         code, out, _ = run(capsys, "axioms", "--seed", "-1", "--trials", "3", "--no-timestamp")
         assert code == 0 and json.loads(out)["metadata"]["seed"] == -1

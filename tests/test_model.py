@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tollshare as ts
-from tollshare import TollMatrix, model
+from tollshare import TollMatrix, axioms, model
 from tollshare.datasets import ap68
 from tollshare.errors import InvalidSeedError
 
@@ -90,7 +90,10 @@ class TestValidation:
         (lambda: TollMatrix.from_triplets([(1, 1, 1.0)], n=2.5), None),
         (lambda: TollMatrix(3.0, {(1, 1): 1.0}), 3),
         (lambda: ts.random_matrix(np.int64(30), 0.5, seed=1), 30),
-    ], ids=["float", "bool", "numpy_int", "str", "from_triplets", "integral_float", "sampler"])
+        (lambda: ts.random_matrix(np.int64(3), 0.5, seed=1), 3),
+        (lambda: ts.random_matrix(3.0, 0.5, seed=1), 3),
+    ], ids=["float", "bool", "numpy_int", "str", "from_triplets", "integral_float", "sampler",
+            "sampler_loop", "sampler_integral_float"])
     def test_segment_count_is_a_plain_int(self, build, n):
         if n is None:
             with pytest.raises(ts.SegmentIndexError, match="segment count must be an integer"):
@@ -361,6 +364,31 @@ class TestSingleFaults:
     def test_block_generator_checks_max_toll(self):
         with pytest.raises(ts.TollValidationError, match="max_toll"):
             ts.block_structured_matrix([range(1, 3)], max_toll=0.0)
+
+    @pytest.mark.parametrize("max_toll", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("generate", [
+        lambda max_toll: ts.random_matrix(1, density=0.01, max_toll=max_toll),
+        lambda max_toll: ts.random_matrix(20, max_toll=max_toll),
+        lambda max_toll: ts.block_structured_matrix([range(1, 3)], max_toll=max_toll),
+    ], ids=["sparse", "array_lane", "blocks"])
+    def test_generators_name_a_max_toll_that_is_not_positive_and_finite(self, generate,
+                                                                       max_toll):
+        with pytest.raises(ts.TollValidationError,
+                           match=f"^max_toll must be positive and finite, got {max_toll!r}$"):
+            generate(max_toll)
+
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "segment count must be an integer, got 2.5"),
+        (True, "segment count must be an integer, got True"),
+        ("3", "segment count must be an integer, got '3'"),
+        (0, "segment count must be >= 1, got 0"),
+        (-4, "segment count must be >= 1, got -4"),
+    ])
+    def test_generators_check_the_segment_count(self, n, message):
+        with pytest.raises(ts.SegmentIndexError, match=f"^{re.escape(message)}$"):
+            ts.random_matrix(n)
+        with pytest.raises(ts.SegmentIndexError, match=f"^{re.escape(message)}$"):
+            TollMatrix(n, {})
 
 
 class TestMalformedFiles:
@@ -814,3 +842,103 @@ class TestSamplerDrawStream:
             ts.random_matrix(20, max_toll=1e308)
         with pytest.raises(ts.TollValidationError, match="largest float"):
             sample_matrix_loop(np.random.default_rng(0), 20, max_toll=1e308)
+
+
+def _assert_constructor_build(matrix):
+    """``matrix`` is what the constructor builds from its own trips: equal,
+    with the same hash, trip order and total bits, plain int keys and ``n``,
+    and positive float tolls."""
+    fresh = TollMatrix(matrix.n, dict(matrix.entries))
+    assert matrix == fresh and fresh == matrix and hash(matrix) == hash(fresh)
+    assert list(matrix.trips()) == list(fresh.trips())
+    assert matrix.total.hex() == fresh.total.hex()
+    assert type(matrix.n) is int and all(_plain_key(key) for key in matrix.entries)
+    assert all(type(t) is float and t > 0.0 for t in matrix.entries.values())
+
+
+def _derived(matrix, other, factor, segment):
+    """Every matrix that a trusted builder derives from ``matrix`` and ``other``."""
+    empty = other.scaled(0.0)
+    derived = [matrix + other, other + matrix, matrix + empty, empty + other, empty,
+               matrix.scaled(factor), axioms._drop_segment(matrix, segment),
+               axioms._strip_diagonal(matrix)]
+    if matrix.n >= 2:
+        derived.append(axioms.blocked_matrix(other, min(segment, matrix.n - 1)))
+    return derived
+
+
+class TestTrustedBuilds:
+    """Matrices built without the constructor's per-trip checks (the sampler's
+    loop lane, ``+``, ``scaled`` and the axiom surgery helpers) are the
+    matrices the constructor builds, and fail as it does."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 15), densities=st.tuples(*[st.sampled_from((0.3, 0.7, 1.0))] * 2),
+           seed=st.integers(0, 2**64 - 1),
+           factor=st.one_of(st.sampled_from([0.0, 5e-324, 1e-320, 0.5, np.float64(2.0), 3]),
+                            st.floats(0.0, 1e300)),
+           segment=st.integers(1, 15))
+    def test_equal_to_constructor_builds(self, n, densities, seed, factor, segment):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = [ts.sample_matrix(rng, n, density=density) for density in densities]
+        reference = [sample_matrix_loop(ref_rng, n, density=density) for density in densities]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert n * (n + 1) // 2 < model._ARRAY_LANE_TRIPS and "columns" not in vars(drawn[0])
+        for matrix, expected in zip(drawn, reference):
+            assert list(matrix.trips()) == list(expected.trips())
+        for matrix in drawn + _derived(*drawn, factor, min(segment, n)):
+            _assert_constructor_build(matrix)
+
+    def test_underflow_and_tiny_tolls_are_dropped(self):
+        matrix = TollMatrix(2, {(1, 1): 0.25, (1, 2): 3.0, (2, 2): 1.0})
+        assert matrix.scaled(5e-324) == TollMatrix(2, {(1, 2): 1.5e-323, (2, 2): 5e-324})
+        assert matrix.scaled(0.0) == TollMatrix.zero(2) == matrix.scaled(0)
+        for drawn in (ts.random_matrix(8, max_toll=5e-324), ts.random_matrix(8, max_toll=1e-300),
+                      ts.random_matrix(8, 0.5, max_toll=2.0**-1021)):
+            _assert_constructor_build(drawn)
+        assert len(ts.random_matrix(8, max_toll=5e-324).entries) < 36
+
+    @pytest.mark.parametrize("factor", [math.inf, math.nan, 1e308])
+    def test_non_finite_scaling_fails_as_the_constructor(self, factor):
+        matrix = TollMatrix(3, {(1, 2): 3.0, (2, 3): 0.5, (3, 3): 7.0})
+        with pytest.raises(ts.TollValidationError) as want:
+            TollMatrix(matrix.n, {trip: factor * t for trip, t in matrix.trips()})
+        with pytest.raises(ts.TollValidationError) as got:
+            matrix.scaled(factor)
+        assert (got.type, str(got.value)) == (want.type, str(want.value))
+
+    @pytest.mark.parametrize("left, right", [
+        ({(1, 2): 1e308}, {(1, 2): 1e308}),
+        ({(1, 1): 1e308, (2, 2): 1.0}, {(1, 1): 1e308, (1, 2): 1.0}),
+        ({(1, 1): 1e308}, {(2, 2): 1e308}),
+    ], ids=["inf_toll", "inf_toll_new_trip", "total_past_the_limit"])
+    def test_overflowing_sum_fails_as_the_constructor(self, left, right):
+        a, b = TollMatrix(2, left), TollMatrix(2, right)
+        merged = dict(a.entries)
+        for trip, t in b.trips():
+            merged[trip] = merged.get(trip, 0.0) + t
+        with pytest.raises(ts.TollValidationError) as want:
+            TollMatrix(2, merged)
+        with pytest.raises(ts.TollValidationError) as got:
+            a + b
+        assert (got.type, str(got.value)) == (want.type, str(want.value))
+
+    def test_overflowing_loop_lane_draw_raises(self):
+        assert 15 * 16 // 2 < model._ARRAY_LANE_TRIPS
+        with pytest.raises(ts.TollValidationError, match="largest float"):
+            ts.random_matrix(15, max_toll=1e308)
+        with pytest.raises(ts.TollValidationError, match="largest float"):
+            sample_matrix_loop(np.random.default_rng(0), 15, max_toll=1e308)
+
+    def test_built_without_the_constructor(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        pairs = [(ts.sample_matrix(rng, n, 0.3), ts.sample_matrix(rng, n, 1.0)) for n in (3, 8)]
+        monkeypatch.setattr(TollMatrix, "__post_init__", mock.Mock(side_effect=AssertionError))
+        built = [ts.sample_matrix(rng, n, density) for n in range(1, 9)
+                 for density in (0.3, 0.7, 1.0)]
+        built += [derived for matrix, other in pairs
+                  for derived in _derived(matrix, other, 2.5, 3)]
+        assert not TollMatrix.__post_init__.called
+        monkeypatch.undo()
+        for matrix in built:
+            _assert_constructor_build(matrix)
