@@ -10,9 +10,7 @@ summarizes allocations with standard equity statistics.
 from .axioms import (
     ANCHORED_AXIOMS,
     AXIOMS,
-    AxiomVerdict,
     PreconditionNotMet,
-    Witness,
     axiom_matrix,
     blocked_matrix,
     check_additivity,
@@ -28,12 +26,11 @@ from .axioms import (
     check_weak_segment_symmetry,
     check_weighted_segment_symmetry,
     covariance_transform,
-    evaluate_axiom,
     independence_harness,
     replay,
 )
 from .datasets import ap68, ap68_path
-from .equity import LorenzCurve, Ranking, gini, lorenz, rank_correlations, ranking
+from .equity import gini, lorenz, rank_correlations, ranking
 from .errors import (
     BlocksNotPartitionError,
     ConstantVectorError,
@@ -43,7 +40,6 @@ from .errors import (
     InvalidDensityError,
     LengthMismatchError,
     LowerTriangularNonzeroError,
-    NegativeFactorError,
     NegativeTollError,
     NegativeWeightError,
     NoWitnessError,
@@ -60,11 +56,7 @@ from .errors import (
     ZeroTotalError,
 )
 from .game import (
-    CompromiseBounds,
-    CoreReport,
-    IntervalViolation,
     SegmentsGame,
-    SpsCoreCriterion,
     average_tree_value,
     compromise_bounds,
     core_check,
@@ -75,8 +67,6 @@ from .game import (
     tau_value,
 )
 from .methods import (
-    COUNTEREXAMPLES,
-    METHODS,
     SpsDecomposition,
     WeightScheme,
     allocation_method,

@@ -2,10 +2,16 @@
 
 Every checker takes a method (a function from toll matrices to share
 vectors) together with the concrete objects the axiom quantifies over, and
-returns a verdict.  A failed verdict carries a witness whose inputs replay
-to the same gap.  The suite-level runners falsify axioms over seeded random
-instances, exhausting the quantified set where it is finite (unit matrices,
-cuts, intervals, pairs).
+returns a verdict.  A checker only lists what it compares: comparisons
+``(location, lhs, rhs, slack)``, where ``location`` narrows a failure down
+as ``(key, value)`` pairs (segment, pair, cut, interval, trip).
+``_verdict`` scans them in order and stops at the first whose sides differ
+by more than its slack; that comparison becomes the witness, whose inputs
+replay to the same gap.  Pairwise, interval and extension comparisons are
+generated lazily, so a failing check stops computing where it fails.  The
+suite-level runners falsify axioms over seeded random instances, exhausting
+the quantified set where it is finite (unit matrices, cuts, intervals,
+pairs).
 
 ``CATALOGUE`` holds one ``AxiomSpec`` record per axiom, in report order: its
 checker, ``draw(rng, n)`` for a random instance, ``around(matrix, rng)`` for
@@ -23,6 +29,7 @@ trials is reported as holding for the tested population.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import zlib
@@ -75,22 +82,31 @@ class AxiomVerdict:
     witness: Witness | None = None
 
 
+#: One comparison of a checker: ``(location, lhs, rhs, slack)``, with the
+#: location as ``(key, value)`` pairs
+_Comparison = tuple[tuple[tuple[str, object], ...], float, float, float]
+
+
 def _stable_seed(seed: int, *parts: str) -> int:
     """Process-independent per-cell seed (str hash randomization is off-limits)."""
     return (zlib.crc32(":".join(parts).encode()) ^ (seed & 0xFFFFFFFF)) & 0x7FFFFFFF
 
 
-def _verdict(axiom, instance, tol, failures):
-    """Build a verdict from (location, lhs, rhs) triples of failures."""
-    if not failures:
-        return AxiomVerdict(axiom, True)
-    location, lhs, rhs = failures[0]
-    return AxiomVerdict(
-        axiom,
-        False,
-        Witness(dict(instance), dict(location), float(lhs), float(rhs),
-                abs(float(lhs) - float(rhs)), tol),
-    )
+def _verdict(axiom: str, instance: Mapping[str, object], tol: float,
+             comparisons: Iterable[_Comparison]) -> AxiomVerdict:
+    """The verdict on the first comparison whose sides differ by more than
+    its slack, or a holding verdict if none does."""
+    for location, lhs, rhs, slack in comparisons:
+        if abs(lhs - rhs) > slack:
+            lhs, rhs = float(lhs), float(rhs)
+            return AxiomVerdict(axiom, False, Witness(dict(instance), dict(location),
+                                                      lhs, rhs, abs(lhs - rhs), tol))
+    return AxiomVerdict(axiom, True)
+
+
+def _per_segment(lhs: list[float], rhs: list[float], slack: float) -> Iterator[_Comparison]:
+    """Two share vectors compared segment by segment."""
+    return (((("segment", i),), x, y, slack) for i, (x, y) in enumerate(zip(lhs, rhs), start=1))
 
 
 def _scale(*quantities: float) -> float:
@@ -127,74 +143,45 @@ def check_efficiency(f: MethodFn, matrix: TollMatrix, tol: float = DEFAULT_TOL) 
     """Shares must add up to the collected total."""
     allocated = float(f(matrix).sum())
     total = matrix.total
-    failures = []
-    if abs(allocated - total) > tol * _scale(total):
-        failures.append(({}, allocated, total))
-    return _verdict("efficiency", {"matrix": matrix}, tol, failures)
+    return _verdict("efficiency", {"matrix": matrix}, tol,
+                    [((), allocated, total, tol * _scale(total))])
 
 
 def check_inessential_segment(f: MethodFn, matrix: TollMatrix, tol: float = DEFAULT_TOL) -> AxiomVerdict:
     """Segments used by no positive trip receive nothing."""
     shares = f(matrix)
     slack = tol * _scale(matrix.total)
-    failures = [
-        ({"segment": i}, shares[i - 1], 0.0)
-        for i in inessential_segments(matrix)
-        if abs(shares[i - 1]) > slack
-    ]
-    return _verdict("inessential_segment", {"matrix": matrix}, tol, failures)
+    return _verdict("inessential_segment", {"matrix": matrix}, tol,
+                    (((("segment", i),), shares[i - 1], 0.0, slack)
+                     for i in inessential_segments(matrix)))
 
 
 def check_additivity(f: MethodFn, matrix: TollMatrix, other: TollMatrix, tol: float = DEFAULT_TOL) -> AxiomVerdict:
     combined = f(matrix + other).tolist()
     split = (f(matrix) + f(other)).tolist()
     slack = tol * _scale(matrix.total + other.total)
-    failures = [
-        ({"segment": i + 1}, combined[i], split[i])
-        for i in range(matrix.n)
-        if abs(combined[i] - split[i]) > slack
-    ]
-    return _verdict("additivity", {"matrix": matrix, "other": other}, tol, failures)
+    return _verdict("additivity", {"matrix": matrix, "other": other}, tol,
+                    _per_segment(combined, split, slack))
 
 
-def check_linearity(
-    f: MethodFn,
-    matrix: TollMatrix,
-    other: TollMatrix,
-    b: float,
-    b2: float,
-    tol: float = DEFAULT_TOL,
-) -> AxiomVerdict:
+def check_linearity(f: MethodFn, matrix: TollMatrix, other: TollMatrix, b: float, b2: float,
+                    tol: float = DEFAULT_TOL) -> AxiomVerdict:
     combined = f(matrix.scaled(b) + other.scaled(b2)).tolist()
     split = (b * f(matrix) + b2 * f(other)).tolist()
     slack = tol * _scale(b * matrix.total + b2 * other.total)
-    failures = [
-        ({"segment": i + 1}, combined[i], split[i])
-        for i in range(matrix.n)
-        if abs(combined[i] - split[i]) > slack
-    ]
     instance = {"matrix": matrix, "other": other, "b": b, "b2": b2}
-    return _verdict("linearity", instance, tol, failures)
+    return _verdict("linearity", instance, tol, _per_segment(combined, split, slack))
 
 
-def check_covariance(
-    f: MethodFn,
-    matrix: TollMatrix,
-    b: float,
-    a: Sequence[float],
-    tol: float = DEFAULT_TOL,
-) -> AxiomVerdict:
+def check_covariance(f: MethodFn, matrix: TollMatrix, b: float, a: Sequence[float],
+                     tol: float = DEFAULT_TOL) -> AxiomVerdict:
     """Rescaling tolls rescales shares; extra single-segment toll passes through."""
     a = np.asarray(a, dtype=float)
     transformed = f(covariance_transform(matrix, b, a)).tolist()
     expected = (b * f(matrix) + a).tolist()
     slack = tol * _scale(b * matrix.total + float(a.sum()))
-    failures = [
-        ({"segment": i + 1}, transformed[i], expected[i])
-        for i in range(matrix.n)
-        if abs(transformed[i] - expected[i]) > slack
-    ]
-    return _verdict("covariance", {"matrix": matrix, "b": b, "a": a}, tol, failures)
+    return _verdict("covariance", {"matrix": matrix, "b": b, "a": a}, tol,
+                    _per_segment(transformed, expected, slack))
 
 
 def _common_interval(matrix: TollMatrix) -> tuple[int, int]:
@@ -210,52 +197,43 @@ def check_segment_symmetry(f: MethodFn, matrix: TollMatrix, tol: float = DEFAULT
     shares = f(matrix).tolist()
     lo, hi = _common_interval(matrix)
     slack = tol * _scale(matrix.total)
-    failures = []
-    for i in range(lo, hi + 1):
-        for j in range(i + 1, hi + 1):
-            if abs(shares[i - 1] - shares[j - 1]) > slack:
-                failures.append(({"pair": (i, j)}, shares[i - 1], shares[j - 1]))
-    return _verdict("segment_symmetry", {"matrix": matrix}, tol, failures)
+    return _verdict("segment_symmetry", {"matrix": matrix}, tol,
+                    (((("pair", (i, j)),), shares[i - 1], shares[j - 1], slack)
+                     for i, j in combinations(range(lo, hi + 1), 2)))
 
 
 def check_weak_segment_symmetry(f: MethodFn, matrix: TollMatrix, tol: float = DEFAULT_TOL) -> AxiomVerdict:
     """With tolls only on the full-highway trip, all shares coincide."""
-    for (h, k), _ in matrix.trips():
-        if (h, k) != (1, matrix.n):
-            raise PreconditionNotMet(
-                "weak segment symmetry applies only when every positive trip "
-                "is the full-highway trip"
-            )
+    if any(trip != (1, matrix.n) for trip, _ in matrix.trips()):
+        raise PreconditionNotMet(
+            "weak segment symmetry applies only when every positive trip is the full-highway trip"
+        )
     shares = f(matrix)
     slack = tol * _scale(matrix.total)
-    failures = []
-    for i in range(1, matrix.n):
-        if abs(shares[i - 1] - shares[i]) > slack:
-            failures.append(({"pair": (i, i + 1)}, shares[i - 1], shares[i]))
-    return _verdict("weak_segment_symmetry", {"matrix": matrix}, tol, failures)
+    return _verdict("weak_segment_symmetry", {"matrix": matrix}, tol,
+                    (((("pair", (i, i + 1)),), shares[i - 1], shares[i], slack)
+                     for i in range(1, matrix.n)))
 
 
 def check_weighted_segment_symmetry(f: MethodFn, matrix: TollMatrix, tol: float = DEFAULT_TOL) -> AxiomVerdict:
     """Shares of essential segments stand in the ratio of their involvements.
 
     Applies only when no toll sits on a single-segment trip; compared by
-    cross-multiplication to avoid dividing by small shares.
+    cross-multiplication to avoid dividing by small shares, with a slack
+    scaled by each pair's products.
     """
     if np.any(matrix.diagonal() != 0.0):
         raise PreconditionNotMet(
             "weighted segment symmetry applies only when all single-segment tolls are zero"
         )
-    shares = f(matrix)
-    involvements = np.array([matrix.involvement(i) for i in range(1, matrix.n + 1)])
+    shares = f(matrix).tolist()
+    involvements = [matrix.involvement(i) for i in range(1, matrix.n + 1)]
     essential = [i for i in range(1, matrix.n + 1) if involvements[i - 1] > 0.0]
-    failures = []
-    for pos, i in enumerate(essential):
-        for j in essential[pos + 1 :]:
-            lhs = shares[i - 1] * involvements[j - 1]
-            rhs = shares[j - 1] * involvements[i - 1]
-            if abs(lhs - rhs) > tol * _scale(lhs, rhs):
-                failures.append(({"pair": (i, j)}, lhs, rhs))
-    return _verdict("weighted_segment_symmetry", {"matrix": matrix}, tol, failures)
+    products = ((i, j, shares[i - 1] * involvements[j - 1], shares[j - 1] * involvements[i - 1])
+                for i, j in combinations(essential, 2))
+    return _verdict("weighted_segment_symmetry", {"matrix": matrix}, tol,
+                    (((("pair", (i, j)),), lhs, rhs, tol * _scale(lhs, rhs))
+                     for i, j, lhs, rhs in products))
 
 
 def _blocking_loss(f: MethodFn, matrix: TollMatrix, cut: int, segments: slice) -> tuple[np.ndarray, float]:
@@ -269,10 +247,8 @@ def _blocking_loss(f: MethodFn, matrix: TollMatrix, cut: int, segments: slice) -
 def check_toll_fairness(f: MethodFn, matrix: TollMatrix, cut: int, tol: float = FAIRNESS_TOL) -> AxiomVerdict:
     """Blocking a boundary costs its two adjacent segments equally."""
     delta, size = _blocking_loss(f, matrix, cut, slice(cut - 1, cut + 1))
-    failures = []
-    if abs(delta[cut - 1] - delta[cut]) > tol * size:
-        failures.append(({"cut": cut}, delta[cut - 1], delta[cut]))
-    return _verdict("toll_fairness", {"matrix": matrix, "cut": cut}, tol, failures)
+    return _verdict("toll_fairness", {"matrix": matrix, "cut": cut}, tol,
+                    [((("cut", cut),), delta[cut - 1], delta[cut], tol * size)])
 
 
 def check_toll_component_fairness(
@@ -280,12 +256,9 @@ def check_toll_component_fairness(
 ) -> AxiomVerdict:
     """Blocking a boundary costs both resulting components the same average."""
     delta, size = _blocking_loss(f, matrix, cut, slice(None))
-    left = float(delta[:cut].mean())
-    right = float(delta[cut:].mean())
-    failures = []
-    if abs(left - right) > tol * size:
-        failures.append(({"cut": cut}, left, right))
-    return _verdict("toll_component_fairness", {"matrix": matrix, "cut": cut}, tol, failures)
+    return _verdict("toll_component_fairness", {"matrix": matrix, "cut": cut}, tol,
+                    [((("cut", cut),), float(delta[:cut].mean()), float(delta[cut:].mean()),
+                      tol * size)])
 
 
 def _subhighways(matrix: TollMatrix) -> Iterator[tuple[int, int]]:
@@ -301,48 +274,40 @@ def _subhighways(matrix: TollMatrix) -> Iterator[tuple[int, int]]:
 
 
 def check_subhighway_efficiency(f: MethodFn, matrix: TollMatrix, tol: float = DEFAULT_TOL) -> AxiomVerdict:
-    """Every sub-highway keeps exactly the tolls collected inside it."""
-    shares = f(matrix)
-    prefix = np.concatenate([[0.0], np.cumsum(shares)])
-    failures = []
-    for start, end in _subhighways(matrix):
-        internal = sum(
-            t for (h, k), t in matrix.trips() if start <= h and k <= end
-        )
-        allocated = float(prefix[end] - prefix[start - 1])
-        if abs(allocated - internal) > tol * _scale(internal):
-            failures.append(({"interval": (start, end)}, allocated, internal))
-    return _verdict("subhighway_efficiency", {"matrix": matrix}, tol, failures)
+    """Every sub-highway keeps exactly the tolls collected inside it, with a
+    slack scaled by each one's own tolls."""
+    prefix = np.concatenate([[0.0], np.cumsum(f(matrix))]).tolist()
+    internal = ((start, end, sum(t for (h, k), t in matrix.trips() if start <= h and k <= end))
+                for start, end in _subhighways(matrix))
+    return _verdict("subhighway_efficiency", {"matrix": matrix}, tol,
+                    (((("interval", (start, end)),), prefix[end] - prefix[start - 1], inside,
+                      tol * _scale(inside))
+                     for start, end, inside in internal))
 
 
 def check_indifference_to_extensions(f: MethodFn, n: int, tol: float = DEFAULT_TOL) -> AxiomVerdict:
     """Extending a unit trip by one segment only affects the new endpoint's
-    neighbor; all other segments of the original trip keep their share.
+    neighbor; all other segments of the original trip keep their share, up to
+    the absolute ``tol``.
 
     Exhausts every trip of an n-segment highway and both one-segment
-    extensions.
+    extensions, the left one first.
     """
-    failures = []
-    for h in range(1, n + 1):
-        for k in range(h, n + 1):
-            base = f(TollMatrix.unit(h, k, n))
-            if h > 1:
-                extended = f(TollMatrix.unit(h - 1, k, n))
-                for i in range(h + 1, k + 1):
-                    if abs(base[i - 1] - extended[i - 1]) > tol:
-                        failures.append(
-                            ({"trip": (h, k), "extended": (h - 1, k), "segment": i},
-                             base[i - 1], extended[i - 1])
-                        )
-            if k < n:
-                extended = f(TollMatrix.unit(h, k + 1, n))
-                for i in range(h, k):
-                    if abs(base[i - 1] - extended[i - 1]) > tol:
-                        failures.append(
-                            ({"trip": (h, k), "extended": (h, k + 1), "segment": i},
-                             base[i - 1], extended[i - 1])
-                        )
-    return _verdict("indifference_to_extensions", {"n": n}, tol, failures)
+
+    def comparisons() -> Iterator[_Comparison]:
+        for h, k in combinations_with_replacement(range(1, n + 1), 2):
+            base = f(TollMatrix.unit(h, k, n)).tolist()
+            # the left extension may move segment h's share, the right one k's
+            for left, right, moved in ((h - 1, k, h), (h, k + 1, k)):
+                if left < 1 or right > n:
+                    continue
+                extended = f(TollMatrix.unit(left, right, n)).tolist()
+                for i in range(h, k + 1):
+                    if i != moved:
+                        yield ((("trip", (h, k)), ("extended", (left, right)), ("segment", i)),
+                               base[i - 1], extended[i - 1], tol)
+
+    return _verdict("indifference_to_extensions", {"n": n}, tol, comparisons())
 
 
 # -- the catalogue ---------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Command-line frontend.
 
-Subcommands::
+Subcommands:
 
     allocate   per-segment shares and percentages for selected methods
     game       brute-force game solution vs. the matching closed-form method
@@ -9,20 +9,7 @@ Subcommands::
     equity     Gini, Lorenz points and rank correlations between methods
     generate   seeded random or block-structured problem files
 
-Each report command is a handler ``(args, matrix, method names)`` that
-returns its report, ``(document body, headers, rows, exit status)``, and does
-no I/O; ``rows`` is a callable that builds the table rows.  ``main`` alone
-loads ``--input``, resolves ``--method``, puts the metadata in front of the
-body and writes the report as json, csv or markdown.  ``_render`` writes the
-bytes of ``json.dumps(doc, indent=2)`` without the pure-Python encoder that
-an indent selects, and builds the rows only for csv and markdown.
-
-``main`` parses with one parser per process, built by ``build_parser`` on
-its first call: argparse makes a fresh namespace on every parse and leaves
-the parser as it was.  It rejects a negative or non-finite ``--tol`` and a
-``--trials`` below 1 before any work.
-
-Outputs are deterministic for fixed inputs and seed; pass ``--no-timestamp``
+Outputs are deterministic for fixed inputs and seed; pass --no-timestamp
 to make them byte-identical across runs.
 """
 
@@ -377,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
+    # one per process: a parse makes a fresh namespace and leaves the parser as it was
     return build_parser()
 
 

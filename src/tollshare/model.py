@@ -305,10 +305,8 @@ def _row_error(h: int, row) -> TollValidationError:
 
 
 #: Trip count from which ``coverage`` and the methods built on it take the
-#: array lane.  Timed per fresh matrix (column build plus ses, sps and scs)
-#: at n = 16 and 40, numpy is twice as slow at 20 trips, level at 50 to 80
-#: and a third faster at 128.  The margin keeps every matrix of the axiom
-#: audit (at most 36 trips) and AP68 (64) on the loop.
+#: array lane; below it the Python loop is faster.  Every matrix of the axiom
+#: audit (at most 36 trips) and AP68 (64) stays on the loop.
 _ARRAY_LANE_TRIPS = 128
 
 #: Rounding bound of a prefix sum, per segment and per unit of weight

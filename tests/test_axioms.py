@@ -1,5 +1,7 @@
 """Tests for the axiom checkers and the independence harness."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from tollshare.axioms import (
     run_instance,
 )
 from tollshare.errors import InvalidTrialsError
-from tollshare.methods import TRIGGERS
+from tollshare.methods import COUNTEREXAMPLES, TRIGGERS
 
 from helpers import seeded_matrices
 
@@ -283,6 +285,37 @@ class TestSuiteMachinery:
         for method, anchored in ts.ANCHORED_AXIOMS.items():
             for axiom in anchored:
                 assert grid[method][axiom].holds, (method, axiom)
+
+
+class TestPinnedWitnesses:
+    """The first failure each checker reports, pinned bit for bit.
+
+    The ``axioms`` report keeps only pass/FAIL, so this digest is what notices
+    a change in which comparison fails first or in its figures.
+    """
+
+    METHODS = ("ses", "sps", "scs", *COUNTEREXAMPLES)
+    DIGEST = "39945615bb3e4e772f6575f5ca0f86822d3b889bdf164ca1080ee2a890d82b5b"
+
+    def test_first_failures_are_unchanged(self):
+        digest, failed = hashlib.sha256(), []
+        for seed in (0, 3):
+            grid = ts.axiom_matrix(self.METHODS, trials=40, seed=seed)
+            for method, row in grid.items():
+                for axiom, verdict in row.items():
+                    if verdict.holds:
+                        continue
+                    w = verdict.witness
+                    cell = (method, axiom, sorted(w.location.items()),
+                            w.lhs.hex(), w.rhs.hex(), w.gap.hex(), w.tol)
+                    digest.update(repr(cell).encode())
+                    failed.append((method, verdict))
+        assert len(failed) == 83
+        assert digest.hexdigest() == self.DIGEST
+        for method, verdict in failed:
+            replayed = ts.replay(ts.allocation_method(method), verdict)
+            assert not replayed.holds
+            assert replayed.witness.gap == verdict.witness.gap, (method, verdict.axiom)
 
 
 class TestCatalogue:

@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tollshare as ts
@@ -648,3 +651,116 @@ class TestRejectedOptions:
     def test_axioms_takes_a_negative_seed(self, capsys):
         code, out, _ = run(capsys, "axioms", "--seed", "-1", "--trials", "3", "--no-timestamp")
         assert code == 0 and json.loads(out)["metadata"]["seed"] == -1
+
+
+#: Option values that a user may mistype: special floats, zero, a negative,
+#: empty and odd strings.
+_ODD = ("nan", "inf", "-inf", "0", "-1", "", " ", "x", "1e400", "0x10", "1,2", "½")
+
+#: Segment counts stay small: a huge count allocates arrays of that size.
+_COUNT = (("1", "2", "3", "5"), _ODD + ("40", "-7"))
+_PATH = "path"  # a path under the test's directory
+_FLAG = "flag"  # an option that takes no value
+_INPUT = {"--input": _PATH, "--segments": _COUNT}
+_COMMON = {"--format": (("json", "csv", "markdown"), ("xml", "")), "--output": _PATH,
+           "--no-timestamp": _FLAG}
+_METHOD = {"--method": (("ses", "sps,scs", "ses,sps,scs", " scs ", "ses,ses", "A2_zero,ses"),
+                        ("", ",", "bogus", "A1_tilde,"))}
+_TOL = {"--tol": (("1e-9", "0", "1e300"), _ODD + ("-0.0",))}
+#: Per subcommand, each option and its (usual, odd) values.
+_OPTIONS = {
+    "allocate": {**_INPUT, **_METHOD, **_COMMON},
+    "game": {**_INPUT, "--solution": (("shapley", "tau", "at"), ("x", "")),
+             "--limit": (("1", "3", "16"), _ODD + ("-5",)), **_TOL, **_COMMON},
+    "core": {**_INPUT, **_METHOD, **_TOL, **_COMMON},
+    "axioms": {**_METHOD, "--harness": _FLAG, "--seed": (("3", str(2**70), "-5"), _ODD),
+               "--trials": (("1", "2"), _ODD), **_COMMON},
+    "equity": {**_INPUT, **_METHOD, "--lorenz-out": _PATH, **_COMMON},
+    "generate": {"--n": _COUNT, "--density": (("0.5", "1", "1e-300"), _ODD + ("2",)),
+                 "--max-toll": (("10", "1e308", "5e-324"), _ODD),
+                 "--seed": (("3", str(2**70)), _ODD),
+                 "--blocks": (("1-3,4-5", "1,2-3", "2"), ("1-2,2-3", "3-1", "0-2", "a-b", "1-",
+                                                         "-", "1-2,,3", "")),
+                 "--output": _PATH},
+}
+
+_TOLL = st.one_of(st.floats(0.0, 10.0), st.sampled_from((-1.0, 1.7e308, math.inf, math.nan)))
+
+
+@st.composite
+def _problem_file(draw, odd: bool) -> tuple[str, bytes, bool]:
+    """A small triplet CSV, JSON export or dense grid: its suffix, its bytes
+    and whether it is dense.  An odd one may hold bad trips and tolls, take
+    the wrong reader or be cut short."""
+    n = draw(st.integers(1, 5))
+    index = st.integers(0, n + 1) if odd else st.integers(1, n)
+    trips = {(h, k): t for (h, k), t in draw(st.dictionaries(
+        st.tuples(index, index), _TOLL if odd else st.floats(0.0, 10.0), max_size=6)).items()
+        if odd or h <= k}
+    layout = draw(st.sampled_from(("triplet", "json", "dense")))
+    if layout == "triplet":
+        text = "entry,exit,toll\n" + "".join(f"{h},{k},{t!r}\n" for (h, k), t in trips.items())
+    elif layout == "json":
+        text = json.dumps({"n": n, "trips": [{"entry": h, "exit": k, "toll": t}
+                                             for (h, k), t in trips.items()]})
+    else:
+        text = "".join(",".join(repr(trips.get((h, k), 0.0)) for k in range(1, n + 1)) + "\n"
+                       for h in range(1, n + 1))
+    data, dense = text.encode(), layout == "dense"
+    if odd and draw(st.booleans()):
+        dense = not dense
+    if odd and draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data)))] + draw(st.sampled_from((b"", b"\xff", b"x")))
+    return ".json" if layout == "json" else ".csv", data, dense
+
+
+_PRESENT = st.sampled_from((True,) * 7 + (False,))
+
+
+@st.composite
+def _invocation(draw, root: Path) -> list[str]:
+    """An argv for one subcommand: each option is present with probability
+    7/8, and at most two of them take an odd value."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    odd = draw(st.sets(st.sampled_from(sorted(options)), max_size=2))
+    argv = [command]
+    for flag, values in options.items():
+        if not draw(_PRESENT):
+            continue
+        if values == _FLAG:
+            argv.append(flag)
+        elif flag == "--input":
+            suffix, data, dense = draw(_problem_file(flag in odd))
+            path = root / f"input{suffix}"
+            path.write_bytes(data)
+            if flag in odd and draw(st.booleans()):
+                path = draw(st.sampled_from((root / "missing.csv", root)))
+            argv += [flag, str(path)] + ["--dense"] * dense
+        elif values == _PATH:
+            path = root / ("lorenz-" if flag == "--lorenz-out" else "report.txt")
+            if flag in odd:
+                path = draw(st.sampled_from((root / "missing" / path.name, root)))
+            argv += [flag, str(path)]
+        else:
+            argv += [flag, draw(st.sampled_from(values[flag in odd]))]
+    return argv
+
+
+class TestMalformedInvocations:
+    """Whatever the options and the input, ``main`` exits 0, 1 or 2, and an
+    exit 2 names the error."""
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_status_and_message(self, tmp_path, data):
+        argv = data.draw(_invocation(tmp_path), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own exit, as the console script sees it
+                code = exc.code
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 2:
+            assert any("error:" in line for line in err.getvalue().splitlines()), err.getvalue()
