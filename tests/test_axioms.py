@@ -226,6 +226,20 @@ class TestIndifferenceChecker:
     def test_single_segment_vacuous(self):
         assert ts.check_indifference_to_extensions(ts.ses, 1).holds
 
+    def test_left_extension_is_compared_first(self):
+        # scs holds; moving toll inside trip [2,3] breaks both of its
+        # extensions, and [2,3] is the first trip whose comparisons see it
+        def perturbed(matrix):
+            shares = ts.scs(matrix)
+            if matrix == TollMatrix.unit(2, 3, 4):
+                shares = shares + np.array([0.0, 0.25, -0.25, 0.0])
+            return shares
+
+        verdict = ts.check_indifference_to_extensions(perturbed, 4)
+        assert not verdict.holds
+        assert verdict.witness.location == {"trip": (2, 3), "extended": (1, 3), "segment": 3}
+        assert verdict.witness.gap == 0.25
+
 
 class TestSuiteMachinery:
     def test_witness_replays_to_same_gap(self, example3):
