@@ -112,10 +112,10 @@ class NegativeWeightError(TollShareError, ValueError):
 
 
 class OracleSizeError(TollShareError, ValueError):
-    """Exhaustive enumeration was requested beyond the configured size limit."""
+    """A game table or exhaustive enumeration was requested beyond its size limit."""
 
-    def __init__(self, n: int, limit: int):
-        super().__init__(f"game has {n} segments; exhaustive limit is {limit}")
+    def __init__(self, n: int, limit: int, table: str = "exhaustive"):
+        super().__init__(f"game has {n} segments; {table} limit is {limit}")
         self.n, self.limit = n, limit
 
 

@@ -12,15 +12,19 @@ the closed-form allocation methods, so they must not share code with them.
 Every ``2^n`` vector (coalition worths, popcounts, summed payoffs) is built
 by bit-doubling subset DP: once the entries for masks below ``2^i`` are
 known, the masks that add player ``i`` follow as one array operation,
-``a[2^i:2^(i+1)] = a[:2^i] + x[i]``.  Per-player reductions read the
-``values.reshape(-1, 2, 1 << i)`` view, whose middle axis is bit ``i``.
-One ``2^n`` float vector is 2 MB at n=18 and 32 MB at n=22, and the oracles
-hold two to three of them, so :data:`EXHAUSTIVE_CEILING` caps ``n`` before
-anything is allocated, whatever ``limit`` a caller passes.
+``a[2^i:2^(i+1)] = a[:2^i] + x[i]``.  Per-player passes read the
+``values.reshape(-1, 2, 1 << i)`` view, whose middle axis is bit ``i``:
+Shapley's marginals go into one contiguous ``2^(n-1)`` buffer, and the
+minimal rights are maxima over the row and column maxima of a square.  One
+``2^n`` float vector is 2 MB at n=18 and 32 MB at n=22.  Shapley holds the
+worths and two half-length vectors, the compromise bounds two and the
+exhaustive core test three full-length ones, so :data:`EXHAUSTIVE_CEILING`
+caps ``n`` before anything is allocated, whatever ``limit`` a caller passes.
 
 The interval worths and the interval core tests are square array
 expressions over cumulative sums; no Python loop runs per coalition or per
-interval.
+interval.  :data:`INTERVAL_CEILING` caps ``n`` before the ``(n+2) x (n+2)``
+grid is allocated.
 """
 
 from __future__ import annotations
@@ -47,6 +51,10 @@ EXHAUSTIVE_LIMIT = 16
 #: 22 segments (the AP68 case study) need 32 MB per vector.
 EXHAUSTIVE_CEILING = 22
 
+#: Largest ``n`` whose ``(n+2) x (n+2)`` interval grid a game builds: 2^24
+#: floats, 128 MB; n = 2000 needs 32 MB.
+INTERVAL_CEILING = (1 << 12) - 2
+
 
 def _ending_tolls(matrix: TollMatrix) -> np.ndarray:
     """``S[a, k]``: total toll of trips that exit at ``k`` and enter at ``a`` or
@@ -62,9 +70,12 @@ class SegmentsGame:
     """Characteristic function derived from a toll matrix.
 
     ``value(S)`` is the total toll of trips whose whole path lies in ``S``.
+    Raises :class:`OracleSizeError` above :data:`INTERVAL_CEILING` segments.
     """
 
     def __init__(self, matrix: TollMatrix):
+        if matrix.n > INTERVAL_CEILING:
+            raise OracleSizeError(matrix.n, INTERVAL_CEILING, "interval grid")
         self.matrix = matrix
         self.n = matrix.n
         # interval[a, b] = sum over h >= a, k <= b of t_hk: the total toll of
@@ -160,9 +171,13 @@ def shapley_value(game: SegmentsGame, limit: int = EXHAUSTIVE_LIMIT) -> np.ndarr
 
     Every coalition S not containing player i contributes its marginal
     ``v(S + i) - v(S)`` with weight ``|S|! (n - |S| - 1)! / n!``.  The
-    weights are looked up by popcount, itself a doubling sum; the marginals
-    are taken on :func:`_split` views.  Holds two ``2^n`` float vectors and
-    one ``2^(n-1)`` buffer besides the worths.
+    marginals are taken on :func:`_split` views into one contiguous
+    ``2^(n-1)`` buffer, whose slot ``j`` holds the coalition made of the
+    other ``n - 1`` bits of ``j``; so one weight vector, looked up by the
+    popcount of ``j``, serves every player.  Where the runs of
+    :func:`_split` are 2 or 4 masks long, the marginals are taken one run
+    position at a time, as long strided subtractions.  Holds two
+    ``2^(n-1)`` float vectors besides the worths.
     """
     _require_small(game, limit)
     n = game.n
@@ -170,16 +185,19 @@ def shapley_value(game: SegmentsGame, limit: int = EXHAUSTIVE_LIMIT) -> np.ndarr
     fact = [1.0] * (n + 1)
     for s in range(1, n + 1):
         fact[s] = fact[s - 1] * s
-    # coeff[n] pads the grand coalition, which never lacks a player
-    coeff = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)] + [0.0])
-    weight = coeff[_doubling_sums(np.ones(n, dtype=np.uint8), dtype=np.uint8)]
-    buffer = np.empty(len(values) // 2)
+    coeff = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)])
+    weight = coeff[_doubling_sums(np.ones(n - 1, dtype=np.uint8), dtype=np.uint8)]
+    buffer = np.empty(len(weight))
     shapley = np.zeros(n)
     for i in range(n):
         without, with_i = _split(values, i)
         gains = buffer.reshape(without.shape)
-        np.subtract(with_i, without, out=gains)
-        gains *= _split(weight, i)[0]
+        if i in (1, 2):
+            for p in range(1 << i):
+                np.subtract(with_i[:, p], without[:, p], out=gains[:, p])
+        else:
+            np.subtract(with_i, without, out=gains)
+        buffer *= weight
         shapley[i] = float(gains.sum())
     return shapley
 
@@ -206,8 +224,11 @@ def compromise_bounds(
     ``M_i = v(N) - v(N without i)``; ``m_i`` maximizes, over all coalitions S
     containing i, what S can offer i after paying everyone else their utopia
     payoff.  The summed utopia payoffs of every coalition are a doubling
-    sum, and each maximum runs over a :func:`_split` view; one ``2^n``
-    float vector besides the worths.
+    sum, one ``2^n`` float vector besides the worths.  Laid out as a square
+    whose columns run over the low bits and rows over the high bits, its
+    column maxima hold each low player's maximum and its row maxima each
+    high player's, which :func:`_split` views of those short vectors then
+    take; ``max`` is exact in any order.
     """
     _require_small(game, limit)
     n = game.n
@@ -217,7 +238,11 @@ def compromise_bounds(
     utopia = np.array([grand - values[full & ~(1 << i)] for i in range(n)])
     slack = _doubling_sums(utopia)
     np.subtract(values, slack, out=slack)
-    rights = np.array([float(_split(slack, i)[1].max()) for i in range(n)]) + utopia
+    low = n // 2
+    square = slack.reshape(-1, 1 << low)
+    columns, rows = square.max(axis=0), square.max(axis=1)
+    rights = np.array([float(_split(columns, i)[1].max()) for i in range(low)]
+                      + [float(_split(rows, i)[1].max()) for i in range(n - low)]) + utopia
     denom = float(utopia.sum() - rights.sum())
     scale = max(1.0, abs(grand))
     alpha = None

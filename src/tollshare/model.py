@@ -37,9 +37,9 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, chain, combinations_with_replacement
-from operator import itemgetter, length_hint
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -421,17 +421,25 @@ def is_unit_matrix(matrix: TollMatrix) -> bool:
 _DRAW_CHUNK = 1 << 16
 
 
+@cache
+def _triangle(n: int) -> tuple[tuple[int, int], ...]:
+    """The cells of the block ``(1, n)`` in visiting order; the loop lane asks
+    only for ``n(n+1)/2 < _ARRAY_LANE_TRIPS``, so at most 15 are kept."""
+    return tuple(combinations_with_replacement(range(1, n + 1), 2))
+
+
 def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]] | None,
             density: float, max_toll: float) -> TollMatrix:
     """Occupy each trip inside a ``(start, end)`` block with probability
     ``density`` and toll uniform on ``(0, max_toll]``, in (entry, exit) order.
 
     Each chunk of uniforms is no longer than ``_DRAW_CHUNK``, nor than the
-    fewest draws still owed: the draw at hand, a cell's or a hit's toll,
-    plus one per cell after it, or two at density 1, where every cell hits.
-    So no chunk draws past the end of the stream.  From ``_ARRAY_LANE_TRIPS``
-    cells on, ``_sample_arrays`` resolves the same draws in numpy.  ``n`` is
-    checked as the constructor checks it; ``blocks`` defaults to ``[(1, n)]``.
+    fewest draws still owed: one per cell left, plus a hit's toll that the
+    last chunk lacked.  At density 1, where every cell hits, one chunk of
+    two draws per cell holds every toll at an odd place.  So no chunk draws
+    past the end of the stream.  From ``_ARRAY_LANE_TRIPS`` cells on,
+    ``_sample_arrays`` resolves the same draws in numpy.  ``n`` is checked
+    as the constructor checks it; ``blocks`` defaults to ``[(1, n)]``.
     """
     if not (0.0 < density <= 1.0):
         raise InvalidDensityError(density)
@@ -445,14 +453,24 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]] 
         entry, exit, toll = _sample_arrays(rng, blocks, cells, density, max_toll)
         return _from_arrays(n, entry, exit, toll,
                             lambda: TollMatrix(n, _trip_dict(entry, exit, toll)))
-    remaining = iter([cell for start, end in blocks
-                      for cell in combinations_with_replacement(range(start, end + 1), 2)])
-    # every cell hits at density 1, so each cell after the draw at hand owes two
-    owed = 2 if density == 1.0 else 1
-    # a new chunk is drawn only when the last is used up; a list is never None
-    draws = chain.from_iterable(iter(
-        lambda: rng.random(min(owed * length_hint(remaining) + 1, _DRAW_CHUNK)).tolist(), None))
-    entries = {cell: max_toll * (1.0 - next(draws)) for cell in remaining if next(draws) < density}
+    walk = _triangle(n) if blocks == [(1, n)] else [
+        cell for start, end in blocks
+        for cell in combinations_with_replacement(range(start, end + 1), 2)]
+    if density == 1.0 and 2 * cells <= _DRAW_CHUNK:
+        tolls = rng.random(2 * cells).tolist()[1::2]
+        entries = {cell: max_toll * (1.0 - draw) for cell, draw in zip(walk, tolls)}
+    else:
+        # ``pending`` is the hit whose toll is the next draw
+        entries, visited, pending = {}, 0, None
+        while visited < cells or pending is not None:
+            size = min(cells - visited + (pending is not None), _DRAW_CHUNK)
+            for draw in rng.random(size).tolist():
+                if pending is not None:
+                    entries[pending], pending = max_toll * (1.0 - draw), None
+                else:
+                    if draw < density:
+                        pending = walk[visited]
+                    visited += 1
     # a toll is at least max_toll * 2**-53, positive unless max_toll is tiny
     return (_trusted if max_toll * 2.0**-53 > 0.0 else TollMatrix)(n, entries)
 

@@ -15,6 +15,8 @@ from tollshare import (
     TollValidationError,
     random_matrix,
 )
+from tollshare.game import CompromiseBounds, _doubling_sums, _split
+from tollshare.model import DEFAULT_TOL
 
 
 def seeded_matrices(
@@ -108,6 +110,49 @@ def scs_loop(matrix: TollMatrix) -> np.ndarray:
         if k - h > 1:
             shares[h : k - 1] += toll / n
     return shares
+
+
+# -- loop references for the exhaustive game oracles --------------------------
+#
+# The per-player passes of shapley_value and compromise_bounds before they
+# read one contiguous weight vector and the row and column maxima of a
+# square; the output bits must stay identical.
+
+def shapley_strided_loop(game: SegmentsGame) -> np.ndarray:
+    """Marginals on ``_split`` views, weighted by a strided ``2^n`` weight view."""
+    n = game.n
+    values = game.mask_values()
+    fact = [1.0] * (n + 1)
+    for s in range(1, n + 1):
+        fact[s] = fact[s - 1] * s
+    coeff = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)] + [0.0])
+    weight = coeff[_doubling_sums(np.ones(n, dtype=np.uint8), dtype=np.uint8)]
+    buffer = np.empty(len(values) // 2)
+    shapley = np.zeros(n)
+    for i in range(n):
+        without, with_i = _split(values, i)
+        gains = buffer.reshape(without.shape)
+        np.subtract(with_i, without, out=gains)
+        gains *= _split(weight, i)[0]
+        shapley[i] = float(gains.sum())
+    return shapley
+
+
+def compromise_bounds_loop(game: SegmentsGame, tol: float = DEFAULT_TOL) -> CompromiseBounds:
+    """Minimal rights as one maximum per player over a ``_split`` half-vector."""
+    n = game.n
+    values = game.mask_values()
+    full = (1 << n) - 1
+    grand = values[full]
+    utopia = np.array([grand - values[full & ~(1 << i)] for i in range(n)])
+    slack = _doubling_sums(utopia)
+    np.subtract(values, slack, out=slack)
+    rights = np.array([float(_split(slack, i)[1].max()) for i in range(n)]) + utopia
+    denom = float(utopia.sum() - rights.sum())
+    alpha = None
+    if abs(denom) > tol * max(1.0, abs(grand)):
+        alpha = (grand - float(rights.sum())) / denom
+    return CompromiseBounds(utopia, rights, alpha)
 
 
 # -- loop references for the random generators --------------------------------

@@ -141,6 +141,14 @@ class TestGame:
             assert code == 2 and out == ""
             assert "exhaustive limit is 22" in err
 
+    def test_interval_grid_ceiling(self, capsys, tmp_path):
+        path = tmp_path / "two.csv"
+        ts.write_triplet_csv(ts.TollMatrix(3, {(1, 2): 3.0, (2, 3): 1.5}), path)
+        code, out, err = run(capsys, "core", "--input", str(path), "--segments", "100000000")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "interval grid limit" in err
+        assert "Traceback" not in err
+
     def test_zero_tolerance_forces_mismatch_exit(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         ts.write_triplet_csv(ts.random_matrix(6, density=1.0, seed=3), path)

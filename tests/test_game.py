@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tollshare as ts
-from tollshare import SegmentsGame, TollMatrix
-from tollshare.game import EXHAUSTIVE_CEILING
+from tollshare import SegmentsGame, TollMatrix, game as game_module
+from tollshare.game import EXHAUSTIVE_CEILING, INTERVAL_CEILING
 
 from helpers import (
     all_coalitions,
     coalition_value_by_enumeration,
+    compromise_bounds_loop,
     perturbed_allocation,
     seeded_matrices,
+    shapley_strided_loop,
 )
 
 
@@ -61,6 +65,80 @@ class TestGameValues:
     def test_out_of_range_member(self, example3):
         with pytest.raises(ts.SegmentIndexError):
             SegmentsGame(example3).value([4])
+
+
+class TestIntervalCeiling:
+    """The ``(n+2) x (n+2)`` interval grid is bounded before it is allocated."""
+
+    def test_refused_above_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(game_module, "INTERVAL_CEILING", 5)
+        assert SegmentsGame(ts.random_matrix(5, seed=1)).grand_value > 0.0
+        with pytest.raises(ts.OracleSizeError, match="interval grid limit is 5"):
+            SegmentsGame(TollMatrix.zero(6))
+
+    def test_default_ceiling(self):
+        assert 2000 < INTERVAL_CEILING and (INTERVAL_CEILING + 2) ** 2 == 1 << 24
+        assert SegmentsGame(TollMatrix(2000, {(1, 2000): 3.0})).grand_value == 3.0
+        with pytest.raises(ts.OracleSizeError, match="interval grid limit is 4094"):
+            SegmentsGame(TollMatrix.zero(INTERVAL_CEILING + 1))
+
+
+def _oracle_bytes(game: SegmentsGame, bounds) -> list[bytes]:
+    """Shapley, utopia, minimal rights, alpha and tau of ``game`` as bytes,
+    with tau from ``bounds`` by the formula of :func:`tollshare.tau_value`."""
+    grand = game.grand_value
+    if bounds.alpha is not None:
+        tau = bounds.minimal_rights + bounds.alpha * (bounds.utopia - bounds.minimal_rights)
+    elif abs(float(bounds.minimal_rights.sum()) - grand) <= ts.DEFAULT_TOL * max(1.0, abs(grand)):
+        tau = bounds.minimal_rights
+    else:
+        tau = None
+    return [bounds.utopia.tobytes(), bounds.minimal_rights.tobytes(), repr(bounds.alpha).encode(),
+            b"undefined" if tau is None else tau.tobytes()]
+
+
+class TestOracleBits:
+    """``shapley_value``, ``compromise_bounds`` and ``tau_value`` give the bits
+    of the per-player strided passes they replaced."""
+
+    @staticmethod
+    def _assert_same_bits(matrix, limit=EXHAUSTIVE_CEILING):
+        game = SegmentsGame(matrix)
+        shapley = ts.shapley_value(game, limit=limit)
+        assert shapley.tobytes() == shapley_strided_loop(game).tobytes()
+        try:
+            tau = ts.tau_value(game, limit=limit).tobytes()
+        except ts.TauUndefinedError:
+            tau = b"undefined"
+        expected = _oracle_bytes(game, compromise_bounds_loop(game))
+        assert _oracle_bytes(game, ts.compromise_bounds(game, limit=limit))[:3] == expected[:3]
+        assert tau == expected[3]
+        return shapley
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 12), density=st.sampled_from((0.1, 0.4, 0.7, 1.0)),
+           max_toll=st.sampled_from((1e-300, 1e-3, 10.0, 1e300)),
+           seed=st.integers(0, 2**32 - 1), null=st.integers(0, 12))
+    def test_same_bits_as_strided_passes(self, n, density, max_toll, seed, null):
+        matrix = ts.random_matrix(n, density=density, max_toll=max_toll, seed=seed)
+        self._assert_same_bits(matrix)
+        if 1 <= null <= n:
+            # no trip runs through segment ``null``: a null player
+            kept = {(h, k): t for (h, k), t in matrix.trips() if not h <= null <= k}
+            shapley = self._assert_same_bits(TollMatrix(n, kept))
+            assert shapley[null - 1].hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_and_two_players(self, n):
+        for seed in range(8):
+            for density in (0.3, 1.0):
+                self._assert_same_bits(ts.random_matrix(n, density=density, seed=seed))
+        self._assert_same_bits(TollMatrix.zero(n))
+        self._assert_same_bits(TollMatrix(n, {(n, n): 2.5}))
+
+    def test_ap68_and_oracle_sizes(self):
+        self._assert_same_bits(ts.random_matrix(16, density=0.7, seed=3))
+        self._assert_same_bits(ts.ap68())
 
 
 class TestSubsetDP:

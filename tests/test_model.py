@@ -828,6 +828,30 @@ class TestSamplerDrawStream:
                 assert list(drawn.entries) == list(reference.entries)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 15, 16, 20])
+    @pytest.mark.parametrize("density", [0.3, 0.7, 1.0])
+    def test_keeps_the_buffered_half_of_a_bounded_draw(self, n, density):
+        # a bounded integer draw leaves half of a 64-bit output buffered, as
+        # every audit draw does before it samples
+        layouts = ([(1, n)], [(1, 1), (2, n)] if n > 1 else [(1, 1)])
+        for seed in range(8):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert rng.integers(seed + 2) == ref_rng.integers(seed + 2)
+            assert rng.bit_generator.state["has_uint32"] == 1
+            if seed % 2:
+                blocks = layouts[seed // 2 % 2]
+                drawn = model._sample(rng, n, blocks, density, 10.0)
+                reference = sample_blocks_loop(ref_rng, n, blocks, density)
+            else:
+                drawn = ts.sample_matrix(rng, n, density=density)
+                reference = sample_matrix_loop(ref_rng, n, density=density)
+            assert list(drawn.trips()) == list(reference.trips())
+            state, ref_state = rng.bit_generator.state, ref_rng.bit_generator.state
+            assert (state["has_uint32"], state["uinteger"]) == \
+                (ref_state["has_uint32"], ref_state["uinteger"]) == (1, state["uinteger"])
+            assert state == ref_state
+            assert rng.integers(1 << 20, size=3).tolist() == ref_rng.integers(1 << 20, size=3).tolist()
+
     def test_draw_without_hits_past_the_array_threshold(self):
         n = 20
         assert n * (n + 1) // 2 >= model._ARRAY_LANE_TRIPS
