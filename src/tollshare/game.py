@@ -12,7 +12,8 @@ the closed-form allocation methods, so they must not share code with them.
 Every ``2^n`` vector (coalition worths, popcounts, summed payoffs) is built
 by bit-doubling subset DP: once the entries for masks below ``2^i`` are
 known, the masks that add player ``i`` follow as one array operation,
-``a[2^i:2^(i+1)] = a[:2^i] + x[i]``.  Per-player passes read the
+``a[2^i:2^(i+1)] = a[:2^i] + x[i]``, or for the worths one per length of
+the run of members below player ``i``.  Per-player passes read the
 ``values.reshape(-1, 2, 1 << i)`` view, whose middle axis is bit ``i``:
 Shapley's marginals go into one contiguous ``2^(n-1)`` buffer, and the
 minimal rights are maxima over the row and column maxima of a square.  One
@@ -119,26 +120,24 @@ class SegmentsGame:
 
         Subset DP: adding segment ``i+1`` on top of a mask below ``2^i`` adds
         the tolls of trips that exit at ``i+1`` and enter inside the run of
-        members just below it.  ``run`` holds that run length per mask and
-        doubles alongside the worths.  Needs one float and one byte per
-        coalition; raises :class:`OracleSizeError` above
-        :data:`EXHAUSTIVE_CEILING` before allocating.
+        members just below it.  The masks below ``2^i`` whose top run has
+        ``r`` members form one contiguous block, so each run length takes
+        one scalar addition over a slice.  Needs one float per coalition;
+        raises :class:`OracleSizeError` above :data:`EXHAUSTIVE_CEILING`
+        before allocating.
         """
         if self._mask_values is None:
             _require_small(self, EXHAUSTIVE_CEILING)
             ending = _ending_tolls(self.matrix)
             values = np.zeros(1 << self.n)
-            run = np.zeros(1 << self.n, dtype=np.uint8)
             for i in range(self.n):
                 half = 1 << i
                 # gained[r]: tolls of trips exiting at i+1 that enter at i+1-r or later
-                gained = ending[i + 1 : 0 : -1, i + 1]
-                # run[:half] <= i indexes gained in bounds; "clip" skips the
-                # buffered copy that bounds checking would make
-                np.take(gained, run[:half], out=values[half : 2 * half], mode="clip")
-                values[half : 2 * half] += values[:half]
-                np.add(run[:half], 1, out=run[half : 2 * half])
-                run[:half] = 0
+                gained = ending[i + 1 : 0 : -1, i + 1].tolist()
+                # the masks with bits i-1..i-r set and bit i-r-1 clear
+                for r in range(i + 1):
+                    lo, hi = half - (half >> r), half - (half >> (r + 1))
+                    np.add(values[lo:hi], gained[r], out=values[half + lo : half + hi])
             self._mask_values = values
         return self._mask_values
 

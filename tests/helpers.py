@@ -15,7 +15,7 @@ from tollshare import (
     TollValidationError,
     random_matrix,
 )
-from tollshare.game import CompromiseBounds, _doubling_sums, _split
+from tollshare.game import CompromiseBounds, _doubling_sums, _ending_tolls, _split
 from tollshare.model import DEFAULT_TOL
 
 
@@ -114,9 +114,26 @@ def scs_loop(matrix: TollMatrix) -> np.ndarray:
 
 # -- loop references for the exhaustive game oracles --------------------------
 #
-# The per-player passes of shapley_value and compromise_bounds before they
-# read one contiguous weight vector and the row and column maxima of a
-# square; the output bits must stay identical.
+# The worth DP before it took one contiguous block per run length, and the
+# per-player passes of shapley_value and compromise_bounds before they read
+# one contiguous weight vector and the row and column maxima of a square;
+# the output bits must stay identical.
+
+def mask_values_run_loop(matrix: TollMatrix) -> np.ndarray:
+    """Coalition worths by a per-mask run length that doubles with them."""
+    n = matrix.n
+    ending = _ending_tolls(matrix)
+    values = np.zeros(1 << n)
+    run = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        half = 1 << i
+        gained = ending[i + 1 : 0 : -1, i + 1]
+        np.take(gained, run[:half], out=values[half : 2 * half])
+        values[half : 2 * half] += values[:half]
+        np.add(run[:half], 1, out=run[half : 2 * half])
+        run[:half] = 0
+    return values
+
 
 def shapley_strided_loop(game: SegmentsGame) -> np.ndarray:
     """Marginals on ``_split`` views, weighted by a strided ``2^n`` weight view."""

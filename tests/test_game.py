@@ -13,6 +13,7 @@ from helpers import (
     all_coalitions,
     coalition_value_by_enumeration,
     compromise_bounds_loop,
+    mask_values_run_loop,
     perturbed_allocation,
     seeded_matrices,
     shapley_strided_loop,
@@ -98,12 +99,13 @@ def _oracle_bytes(game: SegmentsGame, bounds) -> list[bytes]:
 
 
 class TestOracleBits:
-    """``shapley_value``, ``compromise_bounds`` and ``tau_value`` give the bits
-    of the per-player strided passes they replaced."""
+    """``mask_values``, ``shapley_value``, ``compromise_bounds`` and
+    ``tau_value`` give the bits of the passes they replaced."""
 
     @staticmethod
     def _assert_same_bits(matrix, limit=EXHAUSTIVE_CEILING):
         game = SegmentsGame(matrix)
+        assert game.mask_values().tobytes() == mask_values_run_loop(matrix).tobytes()
         shapley = ts.shapley_value(game, limit=limit)
         assert shapley.tobytes() == shapley_strided_loop(game).tobytes()
         try:
