@@ -85,8 +85,8 @@ class TestIntervalCeiling:
 
 
 def _oracle_bytes(game: SegmentsGame, bounds) -> list[bytes]:
-    """Shapley, utopia, minimal rights, alpha and tau of ``game`` as bytes,
-    with tau from ``bounds`` by the formula of :func:`tollshare.tau_value`."""
+    """Utopia, minimal rights, alpha and tau of ``game`` as bytes, with tau
+    from ``bounds`` by the formula of :func:`tollshare.tau_value`."""
     grand = game.grand_value
     if bounds.alpha is not None:
         tau = bounds.minimal_rights + bounds.alpha * (bounds.utopia - bounds.minimal_rights)
