@@ -173,10 +173,8 @@ def shapley_value(game: SegmentsGame, limit: int = EXHAUSTIVE_LIMIT) -> np.ndarr
     marginals are taken on :func:`_split` views into one contiguous
     ``2^(n-1)`` buffer, whose slot ``j`` holds the coalition made of the
     other ``n - 1`` bits of ``j``; so one weight vector, looked up by the
-    popcount of ``j``, serves every player.  Where the runs of
-    :func:`_split` are 2 or 4 masks long, the marginals are taken one run
-    position at a time, as long strided subtractions.  Holds two
-    ``2^(n-1)`` float vectors besides the worths.
+    popcount of ``j``, serves every player.  Holds two ``2^(n-1)`` float
+    vectors besides the worths.
     """
     _require_small(game, limit)
     n = game.n
@@ -191,11 +189,7 @@ def shapley_value(game: SegmentsGame, limit: int = EXHAUSTIVE_LIMIT) -> np.ndarr
     for i in range(n):
         without, with_i = _split(values, i)
         gains = buffer.reshape(without.shape)
-        if i in (1, 2):
-            for p in range(1 << i):
-                np.subtract(with_i[:, p], without[:, p], out=gains[:, p])
-        else:
-            np.subtract(with_i, without, out=gains)
+        np.subtract(with_i, without, out=gains)
         buffer *= weight
         shapley[i] = float(gains.sum())
     return shapley

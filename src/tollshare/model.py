@@ -434,12 +434,11 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]] 
     ``density`` and toll uniform on ``(0, max_toll]``, in (entry, exit) order.
 
     Each chunk of uniforms is no longer than ``_DRAW_CHUNK``, nor than the
-    fewest draws still owed: one per cell left, plus a hit's toll that the
-    last chunk lacked.  At density 1, where every cell hits, one chunk of
-    two draws per cell holds every toll at an odd place.  So no chunk draws
-    past the end of the stream.  From ``_ARRAY_LANE_TRIPS`` cells on,
-    ``_sample_arrays`` resolves the same draws in numpy.  ``n`` is checked
-    as the constructor checks it; ``blocks`` defaults to ``[(1, n)]``.
+    fewest draws still owed: one per cell left, or two at density 1, where
+    every cell hits, plus a hit's toll that the last chunk lacked.  So no
+    chunk draws past the end of the stream.  From ``_ARRAY_LANE_TRIPS``
+    cells on, ``_sample_arrays`` resolves the same draws in numpy.  ``n`` is
+    checked as the constructor checks it; ``blocks`` defaults to ``[(1, n)]``.
     """
     if not (0.0 < density <= 1.0):
         raise InvalidDensityError(density)
@@ -456,21 +455,18 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]] 
     walk = _triangle(n) if blocks == [(1, n)] else [
         cell for start, end in blocks
         for cell in combinations_with_replacement(range(start, end + 1), 2)]
-    if density == 1.0 and 2 * cells <= _DRAW_CHUNK:
-        tolls = rng.random(2 * cells).tolist()[1::2]
-        entries = {cell: max_toll * (1.0 - draw) for cell, draw in zip(walk, tolls)}
-    else:
-        # ``pending`` is the hit whose toll is the next draw
-        entries, visited, pending = {}, 0, None
-        while visited < cells or pending is not None:
-            size = min(cells - visited + (pending is not None), _DRAW_CHUNK)
-            for draw in rng.random(size).tolist():
-                if pending is not None:
-                    entries[pending], pending = max_toll * (1.0 - draw), None
-                else:
-                    if draw < density:
-                        pending = walk[visited]
-                    visited += 1
+    owed = 2 if density == 1.0 else 1
+    # ``pending`` is the hit whose toll is the next draw
+    entries, visited, pending = {}, 0, None
+    while visited < cells or pending is not None:
+        size = min(owed * (cells - visited) + (pending is not None), _DRAW_CHUNK)
+        for draw in rng.random(size).tolist():
+            if pending is not None:
+                entries[pending], pending = max_toll * (1.0 - draw), None
+            else:
+                if draw < density:
+                    pending = walk[visited]
+                visited += 1
     # a toll is at least max_toll * 2**-53, positive unless max_toll is tiny
     return (_trusted if max_toll * 2.0**-53 > 0.0 else TollMatrix)(n, entries)
 
