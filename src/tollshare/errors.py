@@ -11,10 +11,24 @@ class TollValidationError(TollShareError, ValueError):
     """A toll matrix or its raw input violates the data model."""
 
 
-class NegativeTollError(TollValidationError):
-    def __init__(self, entry: int, exit: int, value: float):
-        super().__init__(f"toll for trip [{entry},{exit}] is negative: {value!r}")
+def clipped(text: str) -> str:
+    """``text`` cut to at most 200 characters, the cut marked with ``...``,
+    so that an error echoing a huge input cell stays readable."""
+    return text if len(text) <= 200 else text[:197] + "..."
+
+
+class _TollFault(TollValidationError):
+    """The toll ``value`` given for trip ``[entry, exit]`` is ``fault``."""
+
+    fault = ""
+
+    def __init__(self, entry: int, exit: int, value: object):
+        super().__init__(f"toll for trip [{entry},{exit}] is {self.fault}: {clipped(repr(value))}")
         self.entry, self.exit, self.value = entry, exit, value
+
+
+class NegativeTollError(_TollFault):
+    fault = "negative"
 
 
 class NegativeFactorError(NegativeTollError):
@@ -23,16 +37,12 @@ class NegativeFactorError(NegativeTollError):
         self.entry, self.exit, self.value = None, None, factor
 
 
-class NonFiniteError(TollValidationError):
-    def __init__(self, entry: int, exit: int, value: float):
-        super().__init__(f"toll for trip [{entry},{exit}] is not finite: {value!r}")
-        self.entry, self.exit, self.value = entry, exit, value
+class NonFiniteError(_TollFault):
+    fault = "not finite"
 
 
-class NonNumericTollError(TollValidationError):
-    def __init__(self, entry: int, exit: int, value: object):
-        super().__init__(f"toll for trip [{entry},{exit}] is not a number: {value!r}")
-        self.entry, self.exit, self.value = entry, exit, value
+class NonNumericTollError(_TollFault):
+    fault = "not a number"
 
 
 class LowerTriangularNonzeroError(TollValidationError):

@@ -58,11 +58,16 @@ from .errors import (
     NonNumericTollError,
     SegmentIndexError,
     TollValidationError,
+    clipped,
 )
 
 #: Default absolute tolerance for currency comparisons, scaled by the
 #: magnitude of the quantities involved where appropriate.
 DEFAULT_TOL = 1e-9
+
+#: What ``float`` raises for a value that is no float: not a number, or an
+#: integer past the float range.
+_NOT_A_FLOAT = (TypeError, ValueError, OverflowError)
 
 
 class TripColumns(NamedTuple):
@@ -133,7 +138,7 @@ class TollMatrix:
                 raise _bad_trip(entry, exit, n)
             try:
                 value = float(value)
-            except (TypeError, ValueError):
+            except _NOT_A_FLOAT:
                 raise NonNumericTollError(entry, exit, value) from None
             if not (0.0 <= value < math.inf):
                 fault = NonFiniteError if not math.isfinite(value) else NegativeTollError
@@ -169,7 +174,7 @@ class TollMatrix:
         for h, row in enumerate(grid, start=1):
             try:
                 rows.append(list(map(float, row)))
-            except (TypeError, ValueError):
+            except _NOT_A_FLOAT:
                 raise _row_error(h, row) from None
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
@@ -299,7 +304,7 @@ def _row_error(h: int, row) -> TollValidationError:
         for k, value in enumerate(row, start=1):
             try:
                 float(value)
-            except (TypeError, ValueError):
+            except _NOT_A_FLOAT:
                 return NonNumericTollError(h, k, value)
     return SegmentIndexError("dense toll grid must be square and nonempty")
 
@@ -450,8 +455,8 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]] 
     cells = sum(w * (w + 1) // 2 for w in widths)
     if cells >= _ARRAY_LANE_TRIPS:
         entry, exit, toll = _sample_arrays(rng, blocks, cells, density, max_toll)
-        return _from_arrays(n, entry, exit, toll,
-                            lambda: TollMatrix(n, _trip_dict(entry, exit, toll)))
+        matrix = _from_arrays(n, entry, exit, toll)
+        return TollMatrix(n, _trip_dict(entry, exit, toll)) if matrix is None else matrix
     walk = _triangle(n) if blocks == [(1, n)] else [
         cell for start, end in blocks
         for cell in combinations_with_replacement(range(start, end + 1), 2)]
@@ -587,16 +592,18 @@ _NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 
 
 def read_triplet_csv(path: str | Path, n: int | None = None) -> TollMatrix:
-    """Read a triplet CSV with one ``np.loadtxt`` call, or with the row walk
-    where numpy may read a cell that Python would not (``_load_records``).
-    The walk parses every row before it builds the matrix, so a parse fault
-    is reported before a duplicate; each error names its ``path:line``."""
+    """Read a triplet CSV: its bytes once, parsed by one ``np.loadtxt`` call
+    and built by ``_from_arrays``, or by the row walk where numpy may read a
+    cell that Python would not (``_load_records``) or ``_from_arrays``
+    refuses a check.  The walk parses every row before it builds the
+    matrix, so a parse fault is reported before a duplicate; each error
+    names its ``path:line``."""
     try:
-        records = _load_records(Path(path).read_bytes(), path)
-        if records is None:
-            return _walk_triplet_csv(path, n)
-        return _from_arrays(n, records["entry"], records["exit"], records["toll"],
-                            lambda: _walk_triplet_csv(path, n))
+        raw = Path(path).read_bytes()
+        records = _load_records(raw, path)
+        matrix = None if records is None else _from_arrays(
+            n, records["entry"], records["exit"], records["toll"])
+        return _walk_triplet_csv(raw, path, n) if matrix is None else matrix
     except (csv.Error, UnicodeDecodeError) as exc:
         raise TollValidationError(f"{path}: {exc}") from exc
 
@@ -605,14 +612,8 @@ def _check_header(reader: Iterator[list[str]], path: str | Path) -> None:
     header = next(reader, None)
     if header is None or [c.strip().lower() for c in header] != list(TRIPLET_HEADER):
         raise TollValidationError(
-            f"{path}: expected header {','.join(TRIPLET_HEADER)!r}, got {_clip(repr(header))}"
+            f"{path}: expected header {','.join(TRIPLET_HEADER)!r}, got {clipped(repr(header))}"
         )
-
-
-def _clip(text: str) -> str:
-    """``text`` cut to at most 200 characters, the cut marked with ``...``,
-    so that an error echoing a huge cell stays readable."""
-    return text if len(text) <= 200 else text[:197] + "..."
 
 
 def _load_records(raw: bytes, path: str | Path) -> np.ndarray | None:
@@ -640,24 +641,24 @@ def _load_records(raw: bytes, path: str | Path) -> np.ndarray | None:
             return None
 
 
-def _walk_triplet_csv(path: str | Path, n: int | None) -> TollMatrix:
-    """``read_triplet_csv`` row by row with the ``csv`` module: skips blank
-    rows and raises for the first bad one with its ``path:line``, lines
-    counting records, the header being line 1."""
+def _walk_triplet_csv(raw: bytes, path: str | Path, n: int | None) -> TollMatrix:
+    """``read_triplet_csv`` row by row with the ``csv`` module, over the
+    file's bytes ``raw`` decoded as ``open`` would: skips blank rows and
+    raises for the first bad one with its ``path:line``, lines counting
+    records, the header being line 1."""
     records, lines = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(reader, path)
-        for line, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise TollValidationError(f"{path}:{line}: expected 3 fields, got {len(row)}")
-            try:
-                records.append((int(row[0]), int(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise TollValidationError(f"{path}:{line}: {_clip(str(exc))}") from exc
-            lines.append(line)
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline=""))
+    _check_header(reader, path)
+    for line, row in enumerate(reader, start=2):
+        if not any(cell.strip() for cell in row):
+            continue
+        if len(row) != 3:
+            raise TollValidationError(f"{path}:{line}: expected 3 fields, got {len(row)}")
+        try:
+            records.append((int(row[0]), int(row[1]), float(row[2])))
+        except ValueError as exc:
+            raise TollValidationError(f"{path}:{line}: {clipped(str(exc))}") from exc
+        lines.append(line)
     return _from_records(records, n, str(path), lines)
 
 
@@ -698,17 +699,14 @@ def _from_records(records: Iterable[tuple[object, object, object]], n: int | Non
         raise
 
 
-def _from_arrays(n: int | None, entry: np.ndarray, exit: np.ndarray, toll: np.ndarray,
-                 otherwise: Callable[[], TollMatrix]) -> TollMatrix:
+def _from_arrays(n: int | None, entry: np.ndarray, exit: np.ndarray,
+                 toll: np.ndarray) -> TollMatrix | None:
     """The matrix of the records ``(entry[i], exit[i], toll[i])``, checked as
     arrays, with the arrays of its positive trips kept as its ``columns``.
 
-    ``n`` defaults to the largest exit.  When ``n`` or a record breaks a
-    check of ``_from_records`` or the constructor (an ``n`` that is not
-    ``_integral``, an index out of range, a negative or non-finite toll, a
-    repeated trip, a total past the float limit, or no record to infer ``n``
-    from), this returns ``otherwise()`` instead, the per-trip path that
-    raises the error.
+    ``n`` defaults to the largest exit.  ``None`` when ``n`` or a record
+    breaks a check of ``_from_records`` or the constructor: the caller then
+    builds through them, and they raise the error.
     """
     entry = np.ascontiguousarray(entry, dtype=np.intp)
     exit = np.ascontiguousarray(exit, dtype=np.intp)
@@ -717,12 +715,12 @@ def _from_arrays(n: int | None, entry: np.ndarray, exit: np.ndarray, toll: np.nd
         order = np.lexsort((exit, entry))
         entry, exit, toll = entry[order], exit[order], toll[order]
         if not _increasing(entry, exit):
-            return otherwise()
+            return None
     n = _integral(exit.max() if n is None and len(exit) else n)
     if not (n is not None and n >= 1 and np.all((toll >= 0.0) & (toll < math.inf))):
-        return otherwise()
+        return None
     if len(entry) and not (entry.min() >= 1 and int(exit.max()) <= n and np.all(entry <= exit)):
-        return otherwise()
+        return None
     live = toll > 0.0
     if not live.all():
         entry, exit, toll = entry[live], exit[live], toll[live]
@@ -732,7 +730,7 @@ def _from_arrays(n: int | None, entry: np.ndarray, exit: np.ndarray, toll: np.nd
     try:
         return _trusted(n, _ColumnEntries(columns), toll.tolist(), columns=columns)
     except TollValidationError:
-        return otherwise()
+        return None
 
 
 def _increasing(entry: np.ndarray, exit: np.ndarray) -> bool:
@@ -791,26 +789,19 @@ def write_dense_csv(matrix: TollMatrix, path: str | Path) -> None:
 
 
 def read_dense_csv(path: str | Path) -> TollMatrix:
-    rows: list[list[float]] = []
-    lines: list[int] = []
+    """Read a dense grid, one row per non-blank line, into ``from_dense``;
+    an error about a row's cell names that row's line."""
     try:
         with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(cell) for cell in row])
-                except ValueError as exc:
-                    raise TollValidationError(f"{path}:{lineno}: {_clip(str(exc))}") from exc
-                lines.append(lineno)
+            rows = [(line, row) for line, row in enumerate(csv.reader(fh), start=1) if row]
     except (csv.Error, UnicodeDecodeError) as exc:
         raise TollValidationError(f"{path}: {exc}") from exc
     try:
-        return TollMatrix.from_dense(rows)
+        return TollMatrix.from_dense([row for _, row in rows])
     except TollValidationError as exc:
         # a rejected cell's error names its grid row as the trip's entry
         row = getattr(exc, "entry", None)
-        _name_source(exc, f"{path}:{lines[row - 1]}" if row else str(path))
+        _name_source(exc, f"{path}:{rows[row - 1][0]}" if row else str(path))
         raise
 
 
@@ -830,16 +821,16 @@ def write_json(matrix: TollMatrix, path: str | Path) -> None:
 
 
 def read_json(path: str | Path) -> TollMatrix:
+    """Read a ``write_json`` export; ``_from_records`` checks its segment
+    count and trips, as JSON's ``null``, ``true`` and ``false`` are refused
+    here."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
+            n = payload["n"]
             fields = [(r["entry"], r["exit"], r["toll"]) for r in payload["trips"]]
-            records = [(h, k, float(t)) for h, k, t in fields]
-            n = int(payload["n"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise TollValidationError(f"{path}: not a toll matrix export ({exc!r})") from exc
-    if any(type(value) is bool for value in chain([payload["n"]], *fields)):
-        raise TollValidationError(f"{path}: a segment count, index or toll is true or false")
-    if n != payload["n"]:
-        raise TollValidationError(f"{path}: segment count is not an integer: {payload['n']!r}")
-    return _from_records(records, n, str(path))
+    if any(value is None or type(value) is bool for value in chain([n], *fields)):
+        raise TollValidationError(f"{path}: a segment count, index or toll is null, true or false")
+    return _from_records(fields, n, str(path))

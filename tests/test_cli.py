@@ -566,6 +566,14 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}") and "..." in err and len(err.encode()) < 400
 
+    def test_toll_past_the_float_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge_toll.json"
+        path.write_text('{"n": 1, "trips": [{"entry": 1, "exit": 1, "toll": 1' + "0" * 400 + "}]}")
+        code, out, err = run(capsys, "allocate", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: toll for trip [1,1] is not a number: 10")
+        assert "Traceback" not in err
+
     def test_boolean_segment_count_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bool_n.json"
         path.write_text('{"n": true, "trips": [{"entry": 1, "exit": 1, "toll": 1.0}]}')

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -117,6 +118,28 @@ class TestValidation:
             build()
         assert isinstance(err.value, ts.TollShareError) and isinstance(err.value, ValueError)
         assert (err.value.entry, err.value.exit) == (1, 2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: TollMatrix(1, {(1, 1): 10**400}),
+        lambda: TollMatrix.from_triplets([(1, 1, 10**400)]),
+        lambda: TollMatrix.from_dense([[10**400]]),
+    ], ids=["constructor", "from_triplets", "from_dense"])
+    def test_toll_past_the_float_range_is_not_a_number(self, build):
+        with pytest.raises(ts.NonNumericTollError, match=r"trip \[1,1\] is not a number: 10"):
+            build()
+
+    @pytest.mark.parametrize("error, fault", [
+        (ts.NegativeTollError, "negative"),
+        (ts.NonFiniteError, "not finite"),
+        (ts.NonNumericTollError, "not a number"),
+    ])
+    def test_toll_errors_share_one_message_and_clip(self, error, fault):
+        err = error(2, 3, -1.5)
+        assert str(err) == f"toll for trip [2,3] is {fault}: -1.5"
+        assert (err.entry, err.exit, err.value) == (2, 3, -1.5)
+        long = error(2, 3, "x" * 1000)
+        assert long.value == "x" * 1000
+        assert str(long) == f"toll for trip [2,3] is {fault}: " + repr("x" * 1000)[:197] + "..."
 
     def test_trip_keys_are_reused_and_others_converted(self):
         class Pair(tuple):
@@ -558,6 +581,26 @@ class TestTripletIO:
         # the header and the filler come before the tail, whose last line is at fault
         line = 1 + len(filler) + tail.count("\n")
         assert f"trips.csv:{line}: " in outcome[1]
+
+    @pytest.mark.parametrize("text, where", [
+        ("entry,exit,toll\n1,2,1\n\n1,2,2\n", "trips.csv:4: trip [1,2] appears more than once"),
+        ("entry,exit,toll\n1,2,1\n2,3,\u0661.5\n", None),
+    ], ids=["duplicate", "not_ascii"])
+    def test_the_walk_reads_the_file_once(self, tmp_path, text, where):
+        path = tmp_path / "trips.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(Path, "read_bytes", autospec=True,
+                               side_effect=Path.read_bytes) as read_bytes, \
+                mock.patch("builtins.open", wraps=open) as opened, \
+                mock.patch.object(model, "_walk_triplet_csv",
+                                  wraps=model._walk_triplet_csv) as walk:
+            outcome = _read_outcome(ts.read_triplet_csv, path, None)
+        walk.assert_called_once()
+        assert read_bytes.call_count + opened.call_count == 1
+        if where is None:
+            assert outcome == (TollMatrix(3, {(1, 2): 1.0, (2, 3): 1.5}), [(1, 2), (2, 3)])
+        else:
+            assert outcome[0] is ts.DuplicateTripError and where in outcome[1]
 
     @pytest.mark.parametrize("cell", ["2.5", "2.0"])
     def test_float_index_that_numpy_truncates_with_a_warning_falls_back(self, tmp_path, cell):
