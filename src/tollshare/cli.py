@@ -53,6 +53,7 @@ from .game import (
 from .methods import allocation_method, share_percentages
 from .model import (
     DEFAULT_TOL,
+    SEGMENT_CEILING,
     TollMatrix,
     block_structured_matrix,
     random_matrix,
@@ -282,11 +283,16 @@ def _write_lorenz(prefix: str, curves: dict) -> None:
 
 
 def _parse_blocks(spec: str) -> list[range]:
+    """The ``--blocks`` ranges, each ending at most at ``SEGMENT_CEILING``, so
+    that none is as long as a huge end."""
     blocks = []
     try:
         for part in spec.split(","):
             start, _, end = part.partition("-")
             blocks.append(range(int(start), int(end or start) + 1))
+            if blocks[-1].stop > SEGMENT_CEILING + 1:
+                raise ValueError(f"segment {blocks[-1].stop - 1} is past the limit "
+                                 f"of {SEGMENT_CEILING} segments")
     except ValueError as exc:
         raise TollValidationError(f"--blocks {spec!r}: {exc}") from exc
     return blocks

@@ -65,6 +65,10 @@ from .errors import (
 #: magnitude of the quantities involved where appropriate.
 DEFAULT_TOL = 1e-9
 
+#: Most segments a matrix may have: 8 MB per float array of length ``n``,
+#: far above the interval grid's ``game.INTERVAL_CEILING``.
+SEGMENT_CEILING = 1 << 20
+
 #: What ``float`` raises for a value that is no float: not a number, or an
 #: integer past the float range.
 _NOT_A_FLOAT = (TypeError, ValueError, OverflowError)
@@ -96,12 +100,14 @@ def _integral(value) -> int | None:
 
 def _segment_count(n) -> int:
     """``n`` as a plain ``int``, or the ``SegmentIndexError`` of a segment
-    count that is not an integer of at least 1."""
+    count that is not an integer from 1 to ``SEGMENT_CEILING``."""
     count = n if type(n) is int else _integral(n)
     if count is None:
         raise SegmentIndexError(f"segment count must be an integer, got {n!r}")
     if count < 1:
         raise SegmentIndexError(f"segment count must be >= 1, got {count}")
+    if count > SEGMENT_CEILING:
+        raise SegmentIndexError(f"segment count must be at most {SEGMENT_CEILING}, got {count}")
     return count
 
 
@@ -556,7 +562,7 @@ def block_structured_matrix(
         members = sorted(set(int(i) for i in block))
         if not members:
             raise BlocksNotPartitionError("empty block")
-        if members != list(range(members[0], members[-1] + 1)):
+        if members[-1] - members[0] >= len(members):  # distinct, so a gap
             raise BlocksNotPartitionError(f"block {members} is not contiguous")
         intervals.append((members[0], members[-1]))
     intervals.sort()
@@ -564,7 +570,8 @@ def block_structured_matrix(
     covered: list[int] = []
     for start, end in intervals:
         covered.extend(range(start, end + 1))
-    if covered != list(range(1, n + 1)):
+    # a list as long as the members, not as n: covering 1..len in order, they end at n
+    if covered != list(range(1, len(covered) + 1)):
         raise BlocksNotPartitionError(f"blocks cover {covered}, expected 1..{n}")
     return _sample(_seeded_rng(seed), n, intervals, density, max_toll)
 
@@ -716,8 +723,11 @@ def _from_arrays(n: int | None, entry: np.ndarray, exit: np.ndarray,
         entry, exit, toll = entry[order], exit[order], toll[order]
         if not _increasing(entry, exit):
             return None
-    n = _integral(exit.max() if n is None and len(exit) else n)
-    if not (n is not None and n >= 1 and np.all((toll >= 0.0) & (toll < math.inf))):
+    try:
+        n = _segment_count(exit.max() if n is None and len(exit) else n)
+    except SegmentIndexError:
+        return None
+    if not np.all((toll >= 0.0) & (toll < math.inf)):
         return None
     if len(entry) and not (entry.min() >= 1 and int(exit.max()) <= n and np.all(entry <= exit)):
         return None

@@ -144,10 +144,31 @@ class TestGame:
     def test_interval_grid_ceiling(self, capsys, tmp_path):
         path = tmp_path / "two.csv"
         ts.write_triplet_csv(ts.TollMatrix(3, {(1, 2): 3.0, (2, 3): 1.5}), path)
-        code, out, err = run(capsys, "core", "--input", str(path), "--segments", "100000000")
+        code, out, err = run(capsys, "core", "--input", str(path), "--segments", "5000")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "interval grid limit" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, where", [
+        (["allocate", "--input", "two.csv", "--segments", "100000000"], "two.csv: segment count"),
+        (["core", "--input", "two.csv", "--segments", "100000000"], "two.csv: segment count"),
+        (["allocate", "--input", "far.csv"], "far.csv: segment count"),
+        (["allocate", "--input", "huge_n.json"], "huge_n.json: segment count"),
+        (["generate", "--n", "100000000000", "--output", "gen.csv"], "error: segment count"),
+        (["generate", "--blocks", "1-100000000000", "--output", "gen.csv"],
+         "error: --blocks '1-100000000000': segment 100000000000"),
+    ], ids=["allocate_segments", "core_segments", "exit_index", "json_n", "generate_n",
+            "generate_blocks"])
+    def test_segment_ceiling(self, capsys, tmp_path, argv, where):
+        # each count is refused before anything of its size is built
+        ts.write_triplet_csv(ts.TollMatrix(3, {(1, 2): 3.0, (2, 3): 1.5}), tmp_path / "two.csv")
+        (tmp_path / "far.csv").write_text("entry,exit,toll\n1,2,1\n5,100000000,2\n")
+        (tmp_path / "huge_n.json").write_text('{"n": 100000000000, "trips": []}')
+        argv = [str(tmp_path / arg) if "." in arg else arg for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert where in err and str(ts.model.SEGMENT_CEILING) in err and "Traceback" not in err
+        assert not (tmp_path / "gen.csv").exists()
 
     def test_zero_tolerance_forces_mismatch_exit(self, capsys, tmp_path):
         path = tmp_path / "m.csv"

@@ -413,6 +413,25 @@ class TestSingleFaults:
         with pytest.raises(ts.SegmentIndexError, match=f"^{re.escape(message)}$"):
             TollMatrix(n, {})
 
+    def test_segment_count_ceiling(self, tmp_path):
+        ceiling = model.SEGMENT_CEILING
+        assert TollMatrix.zero(ceiling).n == ceiling
+        path = _written(tmp_path / "trips.csv", "entry,exit,toll\n1,2,1\n")
+        message = f"segment count must be at most {ceiling}, got {ceiling + 1}"
+        for build in (lambda: TollMatrix(ceiling + 1, {}), lambda: ts.random_matrix(ceiling + 1),
+                      lambda: TollMatrix.from_triplets([(1, ceiling + 1, 1.0)]),
+                      lambda: ts.read_triplet_csv(path, n=ceiling + 1)):
+            with pytest.raises(ts.SegmentIndexError, match=f"{re.escape(message)}$"):
+                build()
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([{1, 10**12}], "is not contiguous"),
+        ([{1}, {10**12}], "blocks cover [1, 1000000000000], expected 1..1000000000000"),
+    ])
+    def test_blocks_far_apart_are_refused_without_a_list_of_n(self, blocks, message):
+        with pytest.raises(ts.BlocksNotPartitionError, match=re.escape(message)):
+            ts.block_structured_matrix(blocks)
+
 
 class TestMalformedFiles:
     def test_dense_csv_non_numeric_cell(self, tmp_path):
