@@ -283,8 +283,8 @@ def _write_lorenz(prefix: str, curves: dict) -> None:
 
 
 def _parse_blocks(spec: str) -> list[range]:
-    """The ``--blocks`` ranges, each ending at most at ``SEGMENT_CEILING``, so
-    that none is as long as a huge end."""
+    """The ``--blocks`` ranges.  An end past ``SEGMENT_CEILING`` is refused
+    here, before ``block_structured_matrix`` lists a range that long."""
     blocks = []
     try:
         for part in spec.split(","):

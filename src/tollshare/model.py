@@ -6,20 +6,24 @@ collected from all users of that trip.  Matrices are stored sparsely as a map
 from ``(entry, exit)`` int tuples to positive tolls, in trip order; segment
 indices are 1-based on every public interface.
 
-``TollMatrix.__post_init__`` checks each trip of a matrix built from outside
-input for its range, finiteness and sign, and rejects a total past the float
-limit; the file readers add the file, and for CSV the line, to its message.
-Builders whose trips already pass those checks skip them through
-``_trusted``, which checks only the total:
+One path turns values from outside into a matrix: ``_segment_count``
+takes the segment count, an integer from 1 to ``SEGMENT_CEILING``, and
+``TollMatrix.__post_init__`` each trip's indices and toll.  ``from_dense``
+and ``_from_records`` (behind ``from_triplets`` and the readers) hand it
+the cells as given, and a reader adds only the file, and for CSV the
+line, to an error.  The JSON and dense readers convert no cell; the
+triplet reader's row walk parses its cells only to name the line of one
+that is no number.  Builders whose trips already pass the checks skip them through
+``_trusted``:
 
-* ``_from_arrays``, for the triplet reader and the array sampler, after
-  running the same checks on the arrays;
+* ``_from_arrays``, for the triplet reader's ``np.loadtxt`` records and
+  the array sampler, after running the same checks on the arrays; when
+  one fails it returns ``None``, and the caller takes the per-trip path;
 * ``_sample``'s loop lane, whose cells are in range and in order and whose
   tolls lie in ``(0, max_toll]`` for a finite ``max_toll``, unless it is so
   small that a toll rounds to 0 (that draw takes the constructor);
 * ``+`` and ``scaled``, which derive each toll from valid ones and keep the
-  positive ones; a toll that overflows to ``inf`` (or a ``nan`` factor)
-  leaves a total that is not finite, and the constructor then names it;
+  positive ones;
 * ``axioms.blocked_matrix`` and the other surgery helpers, which keep some
   of a valid matrix's trips in their order.
 
@@ -570,7 +574,7 @@ def block_structured_matrix(
     covered: list[int] = []
     for start, end in intervals:
         covered.extend(range(start, end + 1))
-    # a list as long as the members, not as n: covering 1..len in order, they end at n
+    # 1..len(covered) is as long as the members, not as n; covered in order, it ends at n
     if covered != list(range(1, len(covered) + 1)):
         raise BlocksNotPartitionError(f"blocks cover {covered}, expected 1..{n}")
     return _sample(_seeded_rng(seed), n, intervals, density, max_toll)
@@ -654,18 +658,19 @@ def _walk_triplet_csv(raw: bytes, path: str | Path, n: int | None) -> TollMatrix
     raises for the first bad one with its ``path:line``, lines counting
     records, the header being line 1."""
     records, lines = [], []
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline=""))
-    _check_header(reader, path)
-    for line, row in enumerate(reader, start=2):
-        if not any(cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
-            raise TollValidationError(f"{path}:{line}: expected 3 fields, got {len(row)}")
-        try:
-            records.append((int(row[0]), int(row[1]), float(row[2])))
-        except ValueError as exc:
-            raise TollValidationError(f"{path}:{line}: {clipped(str(exc))}") from exc
-        lines.append(line)
+    with io.TextIOWrapper(io.BytesIO(raw), newline="") as text:
+        reader = csv.reader(text)
+        _check_header(reader, path)
+        for line, row in enumerate(reader, start=2):
+            if not any(cell.strip() for cell in row):
+                continue
+            if len(row) != 3:
+                raise TollValidationError(f"{path}:{line}: expected 3 fields, got {len(row)}")
+            try:
+                records.append((int(row[0]), int(row[1]), float(row[2])))
+            except ValueError as exc:
+                raise TollValidationError(f"{path}:{line}: {clipped(str(exc))}") from exc
+            lines.append(line)
     return _from_records(records, n, str(path), lines)
 
 
@@ -831,9 +836,9 @@ def write_json(matrix: TollMatrix, path: str | Path) -> None:
 
 
 def read_json(path: str | Path) -> TollMatrix:
-    """Read a ``write_json`` export; ``_from_records`` checks its segment
-    count and trips, as JSON's ``null``, ``true`` and ``false`` are refused
-    here."""
+    """Read a ``write_json`` export, whose segment count and trips
+    ``_from_records`` checks.  JSON's ``null``, ``true`` and ``false`` are
+    refused here: it would take them for an absent count or a number."""
     with open(path) as fh:
         try:
             payload = json.load(fh)

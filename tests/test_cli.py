@@ -533,6 +533,8 @@ class TestMalformedInput:
          "frac_n.json: segment count"),
         ("inf_n.json", '{"n": Infinity, "trips": []}', [], "inf_n.json"),
         ("huge.csv", "entry,exit,toll\n1,3,1.7e308\n1,1,1.7e308\n", [], "huge.csv: the tolls"),
+        ("huge_toll.json", '{"n": 1, "trips": [{"entry": 1, "exit": 1, "toll": 1' + "0" * 400 + "}]}",
+         [], "huge_toll.json: toll for trip [1,1] is not a number: 10"),
     ])
     def test_allocate_rejects_file(self, capsys, tmp_path, name, text, extra, where):
         path = tmp_path / name
@@ -586,14 +588,6 @@ class TestMalformedInput:
         code, out, err = run(capsys, "allocate", "--input", str(path), *extra)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}") and "..." in err and len(err.encode()) < 400
-
-    def test_toll_past_the_float_range_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "huge_toll.json"
-        path.write_text('{"n": 1, "trips": [{"entry": 1, "exit": 1, "toll": 1' + "0" * 400 + "}]}")
-        code, out, err = run(capsys, "allocate", "--input", str(path))
-        assert code == 2 and out == ""
-        assert err.startswith(f"error: {path}: toll for trip [1,1] is not a number: 10")
-        assert "Traceback" not in err
 
     def test_boolean_segment_count_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bool_n.json"

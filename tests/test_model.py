@@ -112,21 +112,16 @@ class TestValidation:
         lambda: TollMatrix(3, {(1, 2): None}),
         lambda: TollMatrix.from_triplets([(1, 2, "x")]),
         lambda: TollMatrix.from_dense([[0.0, "x"], [0.0, 0.0]]),
+        # integers past the float range
+        lambda: TollMatrix(3, {(1, 2): 10**400}),
+        lambda: TollMatrix.from_triplets([(1, 2, 10**400)]),
+        lambda: TollMatrix.from_dense([[0.0, 10**400], [0.0, 0.0]]),
     ])
     def test_non_numeric_toll(self, build):
         with pytest.raises(ts.NonNumericTollError, match=r"trip \[1,2\] is not a number") as err:
             build()
         assert isinstance(err.value, ts.TollShareError) and isinstance(err.value, ValueError)
         assert (err.value.entry, err.value.exit) == (1, 2)
-
-    @pytest.mark.parametrize("build", [
-        lambda: TollMatrix(1, {(1, 1): 10**400}),
-        lambda: TollMatrix.from_triplets([(1, 1, 10**400)]),
-        lambda: TollMatrix.from_dense([[10**400]]),
-    ], ids=["constructor", "from_triplets", "from_dense"])
-    def test_toll_past_the_float_range_is_not_a_number(self, build):
-        with pytest.raises(ts.NonNumericTollError, match=r"trip \[1,1\] is not a number: 10"):
-            build()
 
     @pytest.mark.parametrize("error, fault", [
         (ts.NegativeTollError, "negative"),
@@ -406,23 +401,14 @@ class TestSingleFaults:
         ("3", "segment count must be an integer, got '3'"),
         (0, "segment count must be >= 1, got 0"),
         (-4, "segment count must be >= 1, got -4"),
+        (model.SEGMENT_CEILING + 1,
+         f"segment count must be at most {model.SEGMENT_CEILING}, got {model.SEGMENT_CEILING + 1}"),
     ])
     def test_generators_check_the_segment_count(self, n, message):
         with pytest.raises(ts.SegmentIndexError, match=f"^{re.escape(message)}$"):
             ts.random_matrix(n)
         with pytest.raises(ts.SegmentIndexError, match=f"^{re.escape(message)}$"):
             TollMatrix(n, {})
-
-    def test_segment_count_ceiling(self, tmp_path):
-        ceiling = model.SEGMENT_CEILING
-        assert TollMatrix.zero(ceiling).n == ceiling
-        path = _written(tmp_path / "trips.csv", "entry,exit,toll\n1,2,1\n")
-        message = f"segment count must be at most {ceiling}, got {ceiling + 1}"
-        for build in (lambda: TollMatrix(ceiling + 1, {}), lambda: ts.random_matrix(ceiling + 1),
-                      lambda: TollMatrix.from_triplets([(1, ceiling + 1, 1.0)]),
-                      lambda: ts.read_triplet_csv(path, n=ceiling + 1)):
-            with pytest.raises(ts.SegmentIndexError, match=f"{re.escape(message)}$"):
-                build()
 
     @pytest.mark.parametrize("blocks, message", [
         ([{1, 10**12}], "is not contiguous"),
