@@ -289,10 +289,10 @@ def _parse_blocks(spec: str) -> list[range]:
     try:
         for part in spec.split(","):
             start, _, end = part.partition("-")
-            blocks.append(range(int(start), int(end or start) + 1))
-            if blocks[-1].stop > SEGMENT_CEILING + 1:
-                raise ValueError(f"segment {blocks[-1].stop - 1} is past the limit "
-                                 f"of {SEGMENT_CEILING} segments")
+            start, end = int(start), int(end or start)
+            if end > SEGMENT_CEILING:
+                raise ValueError(f"segment {end} is past the limit of {SEGMENT_CEILING} segments")
+            blocks.append(range(start, end + 1))
     except ValueError as exc:
         raise TollValidationError(f"--blocks {spec!r}: {exc}") from exc
     return blocks
