@@ -844,7 +844,8 @@ def read_json(path: str | Path) -> TollMatrix:
             payload = json.load(fh)
             n = payload["n"]
             fields = [(r["entry"], r["exit"], r["toll"]) for r in payload["trips"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        # RecursionError: arrays or objects nested deeper than the parser's stack
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise TollValidationError(f"{path}: not a toll matrix export ({exc!r})") from exc
     if any(value is None or type(value) is bool for value in chain([n], *fields)):
         raise TollValidationError(f"{path}: a segment count, index or toll is null, true or false")

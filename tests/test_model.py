@@ -446,6 +446,7 @@ class TestMalformedFiles:
         '{"n": 3, "trips": [{"entry": 1, "exit": 2, "toll": null}]}',
         '[1, 2]',
         '{"n": 3,',
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested_past_the_stack"),
     ])
     def test_json_not_a_matrix_export(self, tmp_path, text):
         path = tmp_path / "bad.json"
