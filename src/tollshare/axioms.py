@@ -1,35 +1,22 @@
 """Executable checkers for the allocation-method axioms.
 
 Every checker takes a method (a function from toll matrices to share
-vectors) together with the concrete objects the axiom quantifies over, and
-returns a verdict.  A checker only lists what it compares: comparisons
-``(location, lhs, rhs, slack)``, where ``location`` narrows a failure down
-as ``(key, value)`` pairs (segment, pair, cut, interval, trip).
-``_verdict`` scans them in order and stops at the first whose sides differ
-by more than its slack; that comparison becomes the witness, whose inputs
-replay to the same gap.  Pairwise, interval and extension comparisons are
-generated lazily, so a failing check stops computing where it fails.  The
-suite-level runners falsify axioms over seeded random instances, exhausting
-the quantified set where it is finite (unit matrices, cuts, intervals,
-pairs).
+vectors) and the objects the axiom quantifies over, and hands its
+comparisons to ``_verdict``.  ``CATALOGUE`` holds one ``AxiomSpec`` per
+axiom, in report order; the runners look an axiom up there and never branch
+on its name.
 
-``CATALOGUE`` holds one ``AxiomSpec`` record per axiom, in report order: its
-checker, ``draw(rng, n)`` for a random instance, ``around(matrix, rng)`` for
-an instance on a counterexample's trigger matrix (``methods.TRIGGERS``), its
-minimum size and default tolerance, and whether it is exhausted per size
-rather than sampled.  The runners look an axiom up there and never branch
-on its name.  Seeded verdicts depend on the draw stream, so the draw order
-is fixed: ``generate_instance`` draws the size, then the builder draws in
-the order it is written.  Golden digests of the ``axioms`` output pin it.
-
-Checking can only falsify, never prove: a method that survives the seeded
-trials is reported as holding for the tested population.
+Seeded verdicts depend on the draw stream, so the draw order is fixed:
+``generate_instance`` draws the size, then the builder draws in the order
+it is written.  Golden digests of the ``axioms`` output pin it.  Checking
+can only falsify, never prove: a method that survives the seeded trials is
+reported as holding for the tested population.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import zlib
@@ -48,6 +35,7 @@ from .model import (
     DEFAULT_TOL,
     TollMatrix,
     _trusted,
+    allowance,
     block_structured_matrix,
     inessential_segments,
     sample_matrix,
@@ -95,7 +83,9 @@ def _stable_seed(seed: int, *parts: str) -> int:
 def _verdict(axiom: str, instance: Mapping[str, object], tol: float,
              comparisons: Iterable[_Comparison]) -> AxiomVerdict:
     """The verdict on the first comparison whose sides differ by more than
-    its slack, or a holding verdict if none does."""
+    its slack, or a holding verdict if none does.  Checkers may pass a
+    generator, so a failing check stops computing where it fails; the
+    witness's inputs replay to the same gap."""
     for location, lhs, rhs, slack in comparisons:
         if abs(lhs - rhs) > slack:
             lhs, rhs = float(lhs), float(rhs)
@@ -107,10 +97,6 @@ def _verdict(axiom: str, instance: Mapping[str, object], tol: float,
 def _per_segment(lhs: list[float], rhs: list[float], slack: float) -> Iterator[_Comparison]:
     """Two share vectors compared segment by segment."""
     return (((("segment", i),), x, y, slack) for i, (x, y) in enumerate(zip(lhs, rhs), start=1))
-
-
-def _scale(*quantities: float) -> float:
-    return max(1.0, *(abs(q) for q in quantities))
 
 
 # -- matrix surgery ----------------------------------------------------------
@@ -144,13 +130,13 @@ def check_efficiency(f: MethodFn, matrix: TollMatrix, tol: float = DEFAULT_TOL) 
     allocated = float(f(matrix).sum())
     total = matrix.total
     return _verdict("efficiency", {"matrix": matrix}, tol,
-                    [((), allocated, total, tol * _scale(total))])
+                    [((), allocated, total, allowance(tol, total))])
 
 
 def check_inessential_segment(f: MethodFn, matrix: TollMatrix, tol: float = DEFAULT_TOL) -> AxiomVerdict:
     """Segments used by no positive trip receive nothing."""
     shares = f(matrix)
-    slack = tol * _scale(matrix.total)
+    slack = allowance(tol, matrix.total)
     return _verdict("inessential_segment", {"matrix": matrix}, tol,
                     (((("segment", i),), shares[i - 1], 0.0, slack)
                      for i in inessential_segments(matrix)))
@@ -159,7 +145,7 @@ def check_inessential_segment(f: MethodFn, matrix: TollMatrix, tol: float = DEFA
 def check_additivity(f: MethodFn, matrix: TollMatrix, other: TollMatrix, tol: float = DEFAULT_TOL) -> AxiomVerdict:
     combined = f(matrix + other).tolist()
     split = (f(matrix) + f(other)).tolist()
-    slack = tol * _scale(matrix.total + other.total)
+    slack = allowance(tol, matrix.total + other.total)
     return _verdict("additivity", {"matrix": matrix, "other": other}, tol,
                     _per_segment(combined, split, slack))
 
@@ -168,7 +154,7 @@ def check_linearity(f: MethodFn, matrix: TollMatrix, other: TollMatrix, b: float
                     tol: float = DEFAULT_TOL) -> AxiomVerdict:
     combined = f(matrix.scaled(b) + other.scaled(b2)).tolist()
     split = (b * f(matrix) + b2 * f(other)).tolist()
-    slack = tol * _scale(b * matrix.total + b2 * other.total)
+    slack = allowance(tol, b * matrix.total + b2 * other.total)
     instance = {"matrix": matrix, "other": other, "b": b, "b2": b2}
     return _verdict("linearity", instance, tol, _per_segment(combined, split, slack))
 
@@ -179,7 +165,7 @@ def check_covariance(f: MethodFn, matrix: TollMatrix, b: float, a: Sequence[floa
     a = np.asarray(a, dtype=float)
     transformed = f(covariance_transform(matrix, b, a)).tolist()
     expected = (b * f(matrix) + a).tolist()
-    slack = tol * _scale(b * matrix.total + float(a.sum()))
+    slack = allowance(tol, b * matrix.total + float(a.sum()))
     return _verdict("covariance", {"matrix": matrix, "b": b, "a": a}, tol,
                     _per_segment(transformed, expected, slack))
 
@@ -196,7 +182,7 @@ def check_segment_symmetry(f: MethodFn, matrix: TollMatrix, tol: float = DEFAULT
     """Two segments that appear in every positive trip get equal shares."""
     shares = f(matrix).tolist()
     lo, hi = _common_interval(matrix)
-    slack = tol * _scale(matrix.total)
+    slack = allowance(tol, matrix.total)
     return _verdict("segment_symmetry", {"matrix": matrix}, tol,
                     (((("pair", (i, j)),), shares[i - 1], shares[j - 1], slack)
                      for i, j in combinations(range(lo, hi + 1), 2)))
@@ -209,7 +195,7 @@ def check_weak_segment_symmetry(f: MethodFn, matrix: TollMatrix, tol: float = DE
             "weak segment symmetry applies only when every positive trip is the full-highway trip"
         )
     shares = f(matrix)
-    slack = tol * _scale(matrix.total)
+    slack = allowance(tol, matrix.total)
     return _verdict("weak_segment_symmetry", {"matrix": matrix}, tol,
                     (((("pair", (i, i + 1)),), shares[i - 1], shares[i], slack)
                      for i in range(1, matrix.n)))
@@ -232,7 +218,7 @@ def check_weighted_segment_symmetry(f: MethodFn, matrix: TollMatrix, tol: float 
     products = ((i, j, shares[i - 1] * involvements[j - 1], shares[j - 1] * involvements[i - 1])
                 for i, j in combinations(essential, 2))
     return _verdict("weighted_segment_symmetry", {"matrix": matrix}, tol,
-                    (((("pair", (i, j)),), lhs, rhs, tol * _scale(lhs, rhs))
+                    (((("pair", (i, j)),), lhs, rhs, allowance(tol, lhs, rhs))
                      for i, j, lhs, rhs in products))
 
 
@@ -241,14 +227,14 @@ def _blocking_loss(f: MethodFn, matrix: TollMatrix, cut: int, segments: slice) -
     on ``segments``."""
     before, after = f(matrix), f(blocked_matrix(matrix, cut))
     size = max(np.max(np.abs(before[segments])), np.max(np.abs(after[segments])))
-    return before - after, _scale(float(size))
+    return before - after, float(size)
 
 
 def check_toll_fairness(f: MethodFn, matrix: TollMatrix, cut: int, tol: float = FAIRNESS_TOL) -> AxiomVerdict:
     """Blocking a boundary costs its two adjacent segments equally."""
     delta, size = _blocking_loss(f, matrix, cut, slice(cut - 1, cut + 1))
     return _verdict("toll_fairness", {"matrix": matrix, "cut": cut}, tol,
-                    [((("cut", cut),), delta[cut - 1], delta[cut], tol * size)])
+                    [((("cut", cut),), delta[cut - 1], delta[cut], allowance(tol, size))])
 
 
 def check_toll_component_fairness(
@@ -258,19 +244,18 @@ def check_toll_component_fairness(
     delta, size = _blocking_loss(f, matrix, cut, slice(None))
     return _verdict("toll_component_fairness", {"matrix": matrix, "cut": cut}, tol,
                     [((("cut", cut),), float(delta[:cut].mean()), float(delta[cut:].mean()),
-                      tol * size)])
+                      allowance(tol, size))])
 
 
 def _subhighways(matrix: TollMatrix) -> Iterator[tuple[int, int]]:
-    """Contiguous intervals that no positive trip partially overlaps."""
-    for start in range(1, matrix.n + 1):
-        for end in range(start, matrix.n + 1):
-            for (h, k), _ in matrix.trips():
-                inside = start <= h and k <= end
-                if not (inside or k < start or h > end):
-                    break
-            else:
-                yield start, end
+    """Contiguous intervals that no positive trip partially overlaps: those
+    between two cuts that no trip crosses, cut ``c`` following segment ``c``."""
+    crossing = [0] * (matrix.n + 1)
+    for (h, k), _ in matrix.trips():
+        crossing[h] += 1
+        crossing[k] -= 1
+    cuts = [c for c, trips in enumerate(accumulate(crossing)) if not trips]
+    return ((a + 1, b) for a, b in combinations(cuts, 2))
 
 
 def check_subhighway_efficiency(f: MethodFn, matrix: TollMatrix, tol: float = DEFAULT_TOL) -> AxiomVerdict:
@@ -281,7 +266,7 @@ def check_subhighway_efficiency(f: MethodFn, matrix: TollMatrix, tol: float = DE
                 for start, end in _subhighways(matrix))
     return _verdict("subhighway_efficiency", {"matrix": matrix}, tol,
                     (((("interval", (start, end)),), prefix[end] - prefix[start - 1], inside,
-                      tol * _scale(inside))
+                      allowance(tol, inside))
                      for start, end, inside in internal))
 
 

@@ -55,6 +55,7 @@ from .model import (
     DEFAULT_TOL,
     SEGMENT_CEILING,
     TollMatrix,
+    allowance,
     block_structured_matrix,
     random_matrix,
     read_dense_csv,
@@ -181,7 +182,7 @@ def cmd_game(args: argparse.Namespace, matrix: TollMatrix, names: None) -> Repor
     vector = solver(SegmentsGame(matrix), limit=args.limit)
     method_vector = allocation_method(method_name)(matrix)
     diff = float(np.max(np.abs(vector - method_vector)))
-    matches = diff <= args.tol * max(1.0, matrix.total)
+    matches = diff <= allowance(args.tol, matrix.total)
     body = {
         "solution": args.solution,
         "vector": vector.tolist(),

@@ -2,30 +2,14 @@
 
 A coalition of segments is worth the tolls of the trips it fully contains.
 Because trips are contiguous, a coalition's worth decomposes over its maximal
-contiguous blocks, which is what makes the interval-based core test below
+contiguous blocks, which is what makes the interval-based core test
 sufficient for nonnegative allocations.
 
 The Shapley, compromise (tau) and average-tree solutions are computed here by
 exhaustive enumeration on purpose: they serve as independent cross-checks of
 the closed-form allocation methods, so they must not share code with them.
-
-Every ``2^n`` vector (coalition worths, popcounts, summed payoffs) is built
-by bit-doubling subset DP: once the entries for masks below ``2^i`` are
-known, the masks that add player ``i`` follow as one array operation,
-``a[2^i:2^(i+1)] = a[:2^i] + x[i]``, or for the worths one per length of
-the run of members below player ``i``.  Per-player passes read the
-``values.reshape(-1, 2, 1 << i)`` view, whose middle axis is bit ``i``:
-Shapley's marginals go into one contiguous ``2^(n-1)`` buffer, and the
-minimal rights are maxima over the row and column maxima of a square.  One
-``2^n`` float vector is 2 MB at n=18 and 32 MB at n=22.  Shapley holds the
-worths and two half-length vectors, the compromise bounds two and the
-exhaustive core test three full-length ones, so :data:`EXHAUSTIVE_CEILING`
-caps ``n`` before anything is allocated, whatever ``limit`` a caller passes.
-
-The interval worths and the interval core tests are square array
-expressions over cumulative sums; no Python loop runs per coalition or per
-interval.  :data:`INTERVAL_CEILING` caps ``n`` before the ``(n+2) x (n+2)``
-grid is allocated.
+Each function names the ``2^n`` vectors it holds; :data:`EXHAUSTIVE_CEILING`
+and :data:`INTERVAL_CEILING` bound them and the interval grid.
 """
 
 from __future__ import annotations
@@ -43,7 +27,7 @@ from .errors import (
     TauUndefinedError,
 )
 from .methods import WeightScheme, sps_decomposition
-from .model import DEFAULT_TOL, TollMatrix
+from .model import DEFAULT_TOL, TollMatrix, allowance
 
 #: Largest segment count for which full-subset enumeration is allowed.
 EXHAUSTIVE_LIMIT = 16
@@ -237,10 +221,7 @@ def compromise_bounds(
     rights = np.array([float(_split(columns, i)[1].max()) for i in range(low)]
                       + [float(_split(rows, i)[1].max()) for i in range(n - low)]) + utopia
     denom = float(utopia.sum() - rights.sum())
-    scale = max(1.0, abs(grand))
-    alpha = None
-    if abs(denom) > tol * scale:
-        alpha = (grand - float(rights.sum())) / denom
+    alpha = (grand - float(rights.sum())) / denom if abs(denom) > allowance(tol, grand) else None
     return CompromiseBounds(utopia, rights, alpha)
 
 
@@ -256,7 +237,7 @@ def tau_value(
     grand = game.grand_value
     if bounds.alpha is None:
         gap = abs(float(bounds.minimal_rights.sum()) - grand)
-        if gap <= tol * max(1.0, abs(grand)):
+        if gap <= allowance(tol, grand):
             return bounds.minimal_rights.copy()
         raise TauUndefinedError(
             f"bounds coincide but miss the grand value by {gap:g}"
@@ -367,8 +348,7 @@ def core_check(
     """
     x = _check_shares(game, shares)
     n = game.n
-    scale = max(1.0, abs(game.grand_value))
-    slack = tol * scale
+    slack = allowance(tol, game.grand_value)
     prefix = _prefix(x)
     gap = float(prefix[n] - game.grand_value)
     efficient = abs(gap) <= slack
@@ -407,8 +387,7 @@ def core_check_exhaustive(
     _require_small(game, limit)
     x = _check_shares(game, shares)
     values = game.mask_values()
-    scale = max(1.0, abs(game.grand_value))
-    slack = tol * scale
+    slack = allowance(tol, game.grand_value)
     efficient = abs(float(x.sum()) - game.grand_value) <= slack
     short = _doubling_sums(x) < values - slack
     # the empty and the grand coalition are not stability constraints
@@ -459,8 +438,6 @@ def sps_core_criterion(
     denom = _span_sums(_prefix(d.nonseparable))
     counted = _proper_intervals(n)
     counted &= denom > 0.0
-    if not counted.any():
-        return SpsCoreCriterion(True, None, None, d.beta)
     np.divide(rhs, denom, out=rhs, where=counted)
     rhs[~counted] = -np.inf
     # argmax keeps the first maximum in (start, end) order

@@ -1,27 +1,13 @@
 """Toll allocation methods.
 
-Three named methods are provided:
-
-* ``ses`` (segments equal sharing): every trip's toll is split equally over
-  the segments it uses.
-* ``sps`` (segments proportional sharing): every segment keeps its own
-  single-segment toll and receives a share of the pooled multi-segment
-  revenue proportional to its involvement in it.
-* ``scs`` (segments compensated sharing): a position-weighted split that
-  compensates entry and exit segments according to where they sit on the
-  highway.
-
+Three named methods are provided: ``ses`` (segments equal sharing), ``sps``
+(segments proportional sharing) and ``scs`` (segments compensated sharing).
 All three are instances of a generic family: a weight scheme assigns a
 nonnegative weight to every (trip, segment) pair, and a segment's share is
 the weighted sum of the tolls of the trips through it.  The closed forms run
-on ``model.coverage``; ``family_allocate`` stays off it to cross-check them.
-
-``ses``, ``sps_decomposition`` and ``scs`` hand ``coverage`` their weights in
-the form of its lane: a generator over ``trips()`` below
-``model._ARRAY_LANE_TRIPS`` trips, an array computed from the matrix's
-columns from there on.  Both forms do the same float operations on each
-trip, and ``scs`` adds its entry and exit terms in the loop's order, so a
-method returns the same bits in either lane.
+on ``model.coverage`` and hand it their weights in the form of its lane, so
+each returns the same bits in either lane; ``family_allocate`` stays off it
+to cross-check them.
 """
 
 from __future__ import annotations

@@ -6,31 +6,10 @@ collected from all users of that trip.  Matrices are stored sparsely as a map
 from ``(entry, exit)`` int tuples to positive tolls, in trip order; segment
 indices are 1-based on every public interface.
 
-One path turns values from outside into a matrix: ``_segment_count``
-takes the segment count, an integer from 1 to ``SEGMENT_CEILING``, and
-``TollMatrix.__post_init__`` each trip's indices and toll.  ``from_dense``
-and ``_from_records`` (behind ``from_triplets`` and the readers) hand it
-the cells as given, and a reader adds only the file, and for CSV the
-line, to an error.  The JSON and dense readers convert no cell; the
-triplet reader's row walk parses its cells only to name the line of one
-that is no number.  Builders whose trips already pass the checks skip them through
-``_trusted``:
-
-* ``_from_arrays``, for the triplet reader's ``np.loadtxt`` records and
-  the array sampler, after running the same checks on the arrays; when
-  one fails it returns ``None``, and the caller takes the per-trip path;
-* ``_sample``'s loop lane, whose cells are in range and in order and whose
-  tolls lie in ``(0, max_toll]`` for a finite ``max_toll``, unless it is so
-  small that a toll rounds to 0 (that draw takes the constructor);
-* ``+`` and ``scaled``, which derive each toll from valid ones and keep the
-  positive ones;
-* ``axioms.blocked_matrix`` and the other surgery helpers, which keep some
-  of a valid matrix's trips in their order.
-
-``coverage`` and ``_sample`` each run a Python loop below
-``_ARRAY_LANE_TRIPS`` trips or cells and numpy from there on.  The lanes
-return the same bits: ``coverage``'s add the same terms in the same order,
-and ``_sample``'s read the same uniforms in the same order.
+Where each rule lives: ``_segment_count`` and ``TollMatrix.__post_init__``
+check every value from outside, and ``_trusted`` builds what already passes
+them; ``allowance`` is the one tolerance rule; ``coverage`` and ``_sample``
+state the bit-identity rules of their Python and numpy lanes.
 """
 
 from __future__ import annotations
@@ -65,8 +44,7 @@ from .errors import (
     clipped,
 )
 
-#: Default absolute tolerance for currency comparisons, scaled by the
-#: magnitude of the quantities involved where appropriate.
+#: Default tolerance for currency comparisons, scaled by ``allowance``.
 DEFAULT_TOL = 1e-9
 
 #: Most segments a matrix may have: 8 MB per float array of length ``n``,
@@ -76,6 +54,12 @@ SEGMENT_CEILING = 1 << 20
 #: What ``float`` raises for a value that is no float: not a number, or an
 #: integer past the float range.
 _NOT_A_FLOAT = (TypeError, ValueError, OverflowError)
+
+
+def allowance(tol: float, *amounts: float) -> float:
+    """How far two amounts may differ and still count as equal: ``tol``
+    relative to the largest of ``amounts`` in size, absolute below 1."""
+    return tol * max(1.0, *map(abs, amounts))
 
 
 class TripColumns(NamedTuple):
@@ -180,12 +164,18 @@ class TollMatrix:
     @classmethod
     def from_dense(cls, grid: Sequence[Sequence[float]] | np.ndarray) -> "TollMatrix":
         """Build a matrix from a square grid with nothing below the diagonal."""
-        rows = []
+        rows: list[list[float]] = []
         for h, row in enumerate(grid, start=1):
-            try:
-                rows.append(list(map(float, row)))
-            except _NOT_A_FLOAT:
-                raise _row_error(h, row) from None
+            if not isinstance(row, Iterable):
+                rows = []  # so the grid is not square
+                break
+            cells = []
+            for k, value in enumerate(row, start=1):
+                try:
+                    cells.append(float(value))
+                except _NOT_A_FLOAT:
+                    raise NonNumericTollError(h, k, value) from None
+            rows.append(cells)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise SegmentIndexError("dense toll grid must be square and nonempty")
@@ -306,17 +296,6 @@ def _trusted(n: int, entries: Mapping[tuple[int, int], float],
     vars(matrix).update(n=n, entries=MappingProxyType(entries) if type(entries) is dict
                         else entries, _total=total, **cached)
     return matrix
-
-
-def _row_error(h: int, row) -> TollValidationError:
-    """Why ``float`` rejected row ``h`` of a dense grid: its first non-numeric cell."""
-    if isinstance(row, Iterable):
-        for k, value in enumerate(row, start=1):
-            try:
-                float(value)
-            except _NOT_A_FLOAT:
-                return NonNumericTollError(h, k, value)
-    return SegmentIndexError("dense toll grid must be square and nonempty")
 
 
 #: Trip count from which ``coverage`` and the methods built on it take the
@@ -629,25 +608,19 @@ def _check_header(reader: Iterator[list[str]], path: str | Path) -> None:
 
 def _load_records(raw: bytes, path: str | Path) -> np.ndarray | None:
     """The records after the header, parsed by ``np.loadtxt``; ``None`` when
-    the body has no record, or numpy rejects it or warns about it, or may
-    read a cell that Python would not: the file is not ASCII or holds a
-    numpy-only space.  Warnings count as rejections because numpy releases
+    numpy rejects the body or warns about it, as it does about a body with
+    no record, or may read a cell that Python would not: the file is not
+    ASCII or holds a numpy-only space.  Warnings count as rejections because numpy releases
     that only deprecate a cast, such as a float cell into an integer field,
     read the cell with a ``DeprecationWarning`` instead of raising."""
     if not raw.isascii() or any(space in raw for space in _NUMPY_ONLY_SPACE):
         return None
     text = io.TextIOWrapper(io.BytesIO(raw), encoding="ascii", newline="")
     _check_header(csv.reader(text), path)
-    for line in text:
-        if line.strip():
-            break
-    else:
-        return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return np.loadtxt(chain([line], text), delimiter=",", dtype=_RECORD,
-                              comments=None, ndmin=1)
+            return np.loadtxt(text, delimiter=",", dtype=_RECORD, comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
 
