@@ -51,6 +51,11 @@ DEFAULT_TOL = 1e-9
 #: far above the interval grid's ``game.INTERVAL_CEILING``.
 SEGMENT_CEILING = 1 << 20
 
+#: Most cells, trips inside a block, that ``_sample`` draws for: n = 2047 at
+#: density 1, where ``generate`` peaked at 236 MB RSS (one child interpreter,
+#: 2-core Linux host, numpy 2.4.6).  n = 2000 has 2,001,000 cells.
+CELL_CEILING = 1 << 21
+
 #: What ``float`` raises for a value that is no float: not a number, or an
 #: integer past the float range.
 _NOT_A_FLOAT = (TypeError, ValueError, OverflowError)
@@ -167,7 +172,7 @@ class TollMatrix:
         rows: list[list[float]] = []
         for h, row in enumerate(grid, start=1):
             if not isinstance(row, Iterable):
-                rows = []  # so the grid is not square
+                rows = []  # not a grid of rows: refused below
                 break
             cells = []
             for k, value in enumerate(row, start=1):
@@ -432,7 +437,8 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]] 
     every cell hits, plus a hit's toll that the last chunk lacked.  So no
     chunk draws past the end of the stream.  From ``_ARRAY_LANE_TRIPS``
     cells on, ``_sample_arrays`` resolves the same draws in numpy.  ``n`` is
-    checked as the constructor checks it; ``blocks`` defaults to ``[(1, n)]``.
+    checked as the constructor checks it, and the cell count against
+    ``CELL_CEILING`` before any draw; ``blocks`` defaults to ``[(1, n)]``.
     """
     if not (0.0 < density <= 1.0):
         raise InvalidDensityError(density)
@@ -442,6 +448,8 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]] 
     blocks = [(1, n)] if blocks is None else blocks
     widths = [max(end - start + 1, 0) for start, end in blocks]
     cells = sum(w * (w + 1) // 2 for w in widths)
+    if cells > CELL_CEILING:
+        raise SegmentIndexError(f"{cells} trips to draw for; the limit is {CELL_CEILING}")
     if cells >= _ARRAY_LANE_TRIPS:
         entry, exit, toll = _sample_arrays(rng, blocks, cells, density, max_toll)
         matrix = _from_arrays(n, entry, exit, toll)
@@ -610,9 +618,10 @@ def _load_records(raw: bytes, path: str | Path) -> np.ndarray | None:
     """The records after the header, parsed by ``np.loadtxt``; ``None`` when
     numpy rejects the body or warns about it, as it does about a body with
     no record, or may read a cell that Python would not: the file is not
-    ASCII or holds a numpy-only space.  Warnings count as rejections because numpy releases
-    that only deprecate a cast, such as a float cell into an integer field,
-    read the cell with a ``DeprecationWarning`` instead of raising."""
+    ASCII or holds a numpy-only space.  Warnings count as rejections because
+    numpy releases that only deprecate a cast, such as a float cell into an
+    integer field, read the cell with a ``DeprecationWarning`` instead of
+    raising."""
     if not raw.isascii() or any(space in raw for space in _NUMPY_ONLY_SPACE):
         return None
     text = io.TextIOWrapper(io.BytesIO(raw), encoding="ascii", newline="")

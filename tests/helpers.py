@@ -277,3 +277,20 @@ def _triplet_origin(path, rows, blank_lines, exc) -> str:
         if blank <= line:
             line += 1
     return f"{path}:{line}"
+
+
+# -- loop reference for the sub-highway scan ------------------------------------
+#
+# The interval-by-trip scan that ``axioms._subhighways`` ran before it paired
+# the cuts no trip crosses; both must list the same intervals in one order.
+
+def subhighways_scan(matrix: TollMatrix):
+    """Contiguous intervals that no positive trip partially overlaps."""
+    for start in range(1, matrix.n + 1):
+        for end in range(start, matrix.n + 1):
+            for (h, k), _ in matrix.trips():
+                inside = start <= h and k <= end
+                if not (inside or k < start or h > end):
+                    break
+            else:
+                yield start, end

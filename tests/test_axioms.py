@@ -1,6 +1,7 @@
 """Tests for the axiom checkers and the independence harness."""
 
 import hashlib
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -10,15 +11,17 @@ from tollshare import TollMatrix
 from tollshare.axioms import (
     CATALOGUE,
     PreconditionNotMet,
+    _draw_subhighways,
     _pass_instances,
     _pick,
+    _subhighways,
     evaluate_axiom,
     run_instance,
 )
 from tollshare.errors import InvalidTrialsError
 from tollshare.methods import COUNTEREXAMPLES, TRIGGERS
 
-from helpers import seeded_matrices
+from helpers import seeded_matrices, subhighways_scan
 
 
 class TestEfficiencyChecker:
@@ -145,6 +148,10 @@ class TestCovarianceChecker:
         assert not verdict.holds
         assert verdict.witness.gap == pytest.approx(1.0)
 
+    def test_transform_checks_the_shift_length(self):
+        with pytest.raises(ts.SegmentIndexError, match="shift vector must have length 3"):
+            ts.covariance_transform(TollMatrix.zero(3), 1.0, [1.0, 2.0])
+
 
 class TestFairnessCheckers:
     def test_toll_fairness_equal_sharing(self, example3):
@@ -205,6 +212,25 @@ class TestSubhighwayChecker:
     def test_proportional_fails_across_unequal_blocks(self):
         matrix = TollMatrix(5, {(1, 2): 1.0, (3, 5): 1.0})
         assert not ts.check_subhighway_efficiency(ts.sps, matrix).holds
+
+
+class TestSubhighwayCuts:
+    """The sub-highways paired from uncrossed cuts against the interval scan."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_trip_set(self, n):
+        trips = list(combinations_with_replacement(range(1, n + 1), 2))
+        for mask in range(1 << len(trips)):
+            matrix = TollMatrix(n, {trip: 1.0 for i, trip in enumerate(trips) if mask >> i & 1})
+            assert list(_subhighways(matrix)) == list(subhighways_scan(matrix))
+
+    def test_seeded_matrices(self):
+        rng = np.random.default_rng(2506)
+        matrices = list(seeded_matrices(32, sizes=(5, 6, 7, 8), densities=(0.05, 0.2)))
+        matrices += [_draw_subhighways(rng, n)["matrix"] for n in range(1, 9) for _ in range(6)]
+        assert any(len(list(_subhighways(m))) > 1 for m in matrices)
+        for matrix in matrices:
+            assert list(_subhighways(matrix)) == list(subhighways_scan(matrix))
 
 
 class TestIndifferenceChecker:

@@ -170,6 +170,17 @@ class TestGame:
         assert where in err and str(ts.model.SEGMENT_CEILING) in err and "Traceback" not in err
         assert not (tmp_path / "gen.csv").exists()
 
+    @pytest.mark.parametrize("argv, cells", [
+        (["--n", "100000"], 5000050000),
+        (["--n", "2048", "--density", "0.001"], 2098176),
+        (["--blocks", "1-100000"], 5000050000),
+    ], ids=["n", "sparse_n", "blocks"])
+    def test_cell_ceiling(self, capsys, tmp_path, argv, cells):
+        code, out, err = run(capsys, "generate", *argv, "--output", str(tmp_path / "gen.csv"))
+        assert code == 2 and out == ""
+        assert err == f"error: {cells} trips to draw for; the limit is {ts.model.CELL_CEILING}\n"
+        assert not (tmp_path / "gen.csv").exists()
+
     def test_zero_tolerance_forces_mismatch_exit(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         ts.write_triplet_csv(ts.random_matrix(6, density=1.0, seed=3), path)
@@ -279,6 +290,22 @@ class TestAxioms:
         )
         assert code == 0
         assert out.startswith("| axiom | ses |")
+
+    def test_failed_anchored_axiom_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ANCHORED_AXIOMS", {"ses": ("indifference_to_extensions",)})
+        code, out, err = run(capsys, "axioms", "--method", "ses", "--trials", "3",
+                             "--no-timestamp")
+        assert code == 1
+        assert json.loads(out)["verdicts"]["ses"]["indifference_to_extensions"] is False
+        assert err == "expected axiom failed: ses / indifference_to_extensions\n"
+
+    def test_harness_mismatch_exits_1(self, capsys, monkeypatch):
+        # claim a failure that never happens: ses is efficient
+        fake = (ts.axioms.Characterization("fake", ("efficiency",), {"ses": "efficiency"}),)
+        monkeypatch.setattr(ts.axioms, "CHARACTERIZATIONS", fake)
+        code, out, err = run(capsys, "axioms", "--harness", "--trials", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("harness mismatch: ")
 
 
 class TestEquity:

@@ -67,6 +67,13 @@ class TestGameValues:
         with pytest.raises(ts.SegmentIndexError):
             SegmentsGame(example3).value([4])
 
+    def test_interval_value_bounds(self, example3):
+        game = SegmentsGame(example3)
+        assert game.interval_value(3, 2) == 0.0
+        for start, end in ((0, 2), (2, 4)):
+            with pytest.raises(ts.SegmentIndexError, match=r"out of range 1\.\.3"):
+                game.interval_value(start, end)
+
 
 class TestIntervalCeiling:
     """The ``(n+2) x (n+2)`` interval grid is bounded before it is allocated."""
@@ -406,6 +413,14 @@ class TestSpsCoreCriterion:
         assert built == []
         monkeypatch.undo()
         assert criterion == ts.sps_core_criterion(example61)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_a_defined_beta_always_counts_an_interval(self, scale):
+        # the first segment with nonseparable load spans exactly that load
+        for matrix in seeded_matrices(84, sizes=(2, 3, 4, 5, 6, 7, 8), densities=(0.1, 0.3, 1.0)):
+            crit = ts.sps_core_criterion(matrix.scaled(scale))
+            if crit.beta is not None:
+                assert crit.worst_interval is not None and crit.rhs_max > -np.inf
 
 
 class TestCoreSchemeCheck:

@@ -241,6 +241,10 @@ class TestAlgebra:
         with pytest.raises(ts.SegmentIndexError):
             TollMatrix.zero(2) + TollMatrix.zero(3)
 
+    def test_add_takes_only_matrices(self):
+        with pytest.raises(TypeError):
+            TollMatrix.zero(2) + 1.0
+
     def test_scaled(self):
         matrix = TollMatrix(2, {(1, 2): 3.0})
         assert matrix.scaled(2.0).toll(1, 2) == 6.0
@@ -360,6 +364,12 @@ class TestSingleFaults:
         (lambda: TollMatrix(3, {(1, 2.5): 1.0}), ts.SegmentIndexError),
         (lambda: TollMatrix.from_triplets([(1, "a", 1.0)]), ts.SegmentIndexError),
         (lambda: TollMatrix.from_triplets([(1.5, 2, 1.0)]), ts.SegmentIndexError),
+        (lambda: TollMatrix.from_dense([1.0]), ts.SegmentIndexError),
+        (lambda: TollMatrix.zero(3).toll(0, 1), ts.SegmentIndexError),
+        (lambda: TollMatrix.zero(3).toll(2, 4), ts.SegmentIndexError),
+        (lambda: TollMatrix.zero(3).involvement(0), ts.SegmentIndexError),
+        (lambda: TollMatrix.zero(3).involvement(4), ts.SegmentIndexError),
+        (lambda: ts.block_structured_matrix([set()]), ts.BlocksNotPartitionError),
     ])
     def test_error_type(self, build, error):
         with pytest.raises(error) as err:
@@ -417,6 +427,32 @@ class TestSingleFaults:
     def test_blocks_far_apart_are_refused_without_a_list_of_n(self, blocks, message):
         with pytest.raises(ts.BlocksNotPartitionError, match=re.escape(message)):
             ts.block_structured_matrix(blocks)
+
+    def test_empty_block_is_named(self):
+        with pytest.raises(ts.BlocksNotPartitionError, match=": empty block$"):
+            ts.block_structured_matrix([range(1, 3), set()])
+
+    def test_cell_ceiling_admits_the_largest_scale(self):
+        assert 2000 * 2001 // 2 <= model.CELL_CEILING < 2048 * 2049 // 2
+
+    @pytest.mark.parametrize("generate, cells", [
+        (lambda rng: ts.sample_matrix(rng, 100000), 5000050000),
+        (lambda rng: ts.sample_matrix(rng, 2048, density=0.001), 2098176),
+        (lambda rng: ts.random_matrix(100000), 5000050000),
+        (lambda rng: ts.block_structured_matrix([range(1, 100001)]), 5000050000),
+        (lambda rng: ts.block_structured_matrix([range(1, 2049), range(2049, 2051)]), 2098179),
+    ], ids=["sample", "sparse_sample", "random", "one_block", "two_blocks"])
+    def test_cell_ceiling_refuses_before_drawing(self, monkeypatch, generate, cells):
+        def no_arrays(*args):
+            raise AssertionError("drew past the cell ceiling")
+
+        monkeypatch.setattr(model, "_sample_arrays", no_arrays)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        message = f"{cells} trips to draw for; the limit is {model.CELL_CEILING}"
+        with pytest.raises(ts.SegmentIndexError, match=f"^{message}$"):
+            generate(rng)
+        assert rng.bit_generator.state == state
 
 
 class TestMalformedFiles:
@@ -638,6 +674,17 @@ class TestTripletIO:
             assert ts.read_triplet_csv(path, n=3) == TollMatrix.zero(3)
             with pytest.raises(ts.SegmentIndexError, match="cannot infer the segment count"):
                 ts.read_triplet_csv(path)
+
+    @pytest.mark.parametrize("body", [
+        "\n\n\n", "\r\n \r\n\t\r\n", " \n1,2,3.0\n", "\t\r\n \r\n2,3,1.5\r\n1,1,2\r\n",
+        "\n \n1,1,1\n \n2,2,2\n", "  \n1,2,3\n1,2,4\n", " \n1,2,x\n", " \n3,2,1\n",
+    ])
+    @pytest.mark.parametrize("n", [None, 3])
+    def test_blank_lines_before_the_first_record(self, tmp_path, body, n):
+        path = tmp_path / "trips.csv"
+        path.write_bytes(b"entry,exit,toll\n" + body.encode())
+        assert _read_outcome(ts.read_triplet_csv, path, n) == \
+            _read_outcome(read_triplet_csv_loop, path, n)
 
     @settings(max_examples=300)
     @given(text=_triplet_texts(), n=st.sampled_from([None, 4, 6]))
