@@ -11,14 +11,24 @@ Seeded verdicts depend on the draw stream, so the draw order is fixed:
 it is written.  Golden digests of the ``axioms`` output pin it.  Checking
 can only falsify, never prove: a method that survives the seeded trials is
 reported as holding for the tested population.
+
+``axiom_matrix`` and ``independence_harness`` run their cells through
+``_map_cells``: the caller and one forked child per other CPU the process
+may use each take a share.  The report bytes cannot depend on the split,
+since each cell draws from its own ``_stable_seed`` and the verdicts merge
+in cell order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, combinations_with_replacement
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
 
+import gc
+import os
+import pickle
+import threading
 import zlib
 
 import numpy as np
@@ -527,6 +537,103 @@ ANCHORED_AXIOMS: Mapping[str, tuple[str, ...]] = {
 }
 
 
+# -- running cells -----------------------------------------------------------
+
+_T = TypeVar("_T")
+
+#: Signal that ends a child the caller no longer waits for (9 on every POSIX
+#: system; ``signal`` is not loaded for one constant).
+_SIGKILL = 9
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _map_cells(run: Callable[..., _T], cells: Sequence[tuple]) -> Iterator[_T]:
+    """``run(*cell)`` for each cell, yielded in cell order.
+
+    Cells must not depend on one another.  The caller runs every
+    ``workers``-th cell from the first; each other share runs in a forked
+    child, which sends its results back pickled.  A cell that no share
+    returned, because it raised or its child died, runs here when its turn
+    comes, so errors are those of a loop over the cells.  With one worker,
+    no ``os.fork`` or another live thread (forking then can deadlock), every
+    cell runs here in turn.
+    """
+    done = _run_shares(run, cells)
+    for i, cell in enumerate(cells):
+        yield done[i] if i in done else run(*cell)
+
+
+def _run_shares(run: Callable[..., _T], cells: Sequence[tuple]) -> dict[int, _T]:
+    """The results, by cell index, of every share but up to its first
+    failing cell; all children are reaped before it returns or raises."""
+    workers = min(_worker_count(), len(cells))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return {}
+    children: list[tuple[int, int, int]] = []  # (pid, read end, share)
+    try:
+        for share in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no room for a child: its share runs here
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _child(run, cells[share::workers], write)
+            os.close(write)
+            children.append((pid, read, share))
+        done = dict(zip(range(0, len(cells), workers), _prefix(run, cells[::workers])))
+        for _, read, share in children:
+            done.update(zip(range(share, len(cells), workers), _receive(read)))
+        return done
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, _SIGKILL)
+        raise
+    finally:
+        for pid, read, _ in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+
+
+def _prefix(run: Callable[..., _T], share: Sequence[tuple]) -> list[_T]:
+    """The results of ``share`` up to its first cell that raises an ``Exception``."""
+    results = []
+    try:
+        for cell in share:
+            results.append(run(*cell))
+    except Exception:
+        pass  # the cell runs again in turn and raises there
+    return results
+
+
+def _child(run: Callable[..., _T], share: Sequence[tuple], write: int) -> NoReturn:
+    """Run ``share`` in a forked child, write the results to ``write`` and
+    leave without returning into the caller's stack."""
+    try:
+        # objects from before the fork are the caller's to collect; a
+        # collection here would run their finalizers a second time
+        gc.freeze()
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(_prefix(run, share)))
+    finally:
+        os._exit(0)
+
+
+def _receive(read: int) -> list:
+    """A child's results; empty if it died before writing them all."""
+    with open(read, "rb", closefd=False) as pipe:
+        try:
+            return pickle.load(pipe)
+        except Exception:
+            return []
+
+
 def axiom_matrix(
     method_names: Sequence[str] = ("ses", "sps", "scs"),
     axioms: Sequence[str] = AXIOMS,
@@ -536,15 +643,15 @@ def axiom_matrix(
     sizes: Sequence[int] = tuple(range(1, 9)),
 ) -> dict[str, dict[str, AxiomVerdict]]:
     """Verdict grid: one falsification run per (method, axiom) cell."""
-    grid: dict[str, dict[str, AxiomVerdict]] = {}
-    for name in method_names:
-        f = allocation_method(name)
-        grid[name] = {}
-        for axiom in axioms:
-            cell_seed = _stable_seed(seed, name, axiom)
-            grid[name][axiom] = evaluate_axiom(
-                f, axiom, trials=trials, seed=cell_seed, sizes=sizes
-            )
+
+    def cell(name: str, axiom: str) -> AxiomVerdict:
+        return evaluate_axiom(allocation_method(name), axiom, trials=trials,
+                              seed=_stable_seed(seed, name, axiom), sizes=sizes)
+
+    cells = [(name, axiom) for name in method_names for axiom in axioms]
+    grid: dict[str, dict[str, AxiomVerdict]] = {name: {} for name in method_names}
+    for (name, axiom), verdict in zip(cells, _map_cells(cell, cells)):
+        grid[name][axiom] = verdict
     return grid
 
 
@@ -649,22 +756,28 @@ def independence_harness(
     contradicts the expected pattern.
     """
     designated = _designated_failures()
+
+    def cell(char: str, method: str, axiom: str, should_fail: bool) -> AxiomVerdict:
+        cell_seed = _stable_seed(seed, char, method, axiom)
+        if should_fail:
+            extras = designated.get((method, axiom), [])
+        else:
+            extras = _pass_instances(method, axiom, np.random.default_rng(cell_seed))
+        return evaluate_axiom(allocation_method(method), axiom, trials=trials, seed=cell_seed,
+                              sizes=sizes, extra_instances=extras)
+
+    cells = [(char.name, method, axiom, expected_fail == axiom)
+             for char in CHARACTERIZATIONS
+             for method, expected_fail in char.failures.items()
+             for axiom in char.axioms]
+    merged = _map_cells(cell, cells)
     rows: list[HarnessRow] = []
     for char in CHARACTERIZATIONS:
         for method_name, expected_fail in char.failures.items():
-            f = allocation_method(method_name)
             verdicts: dict[str, bool] = {}
             for axiom in char.axioms:
-                cell_seed = _stable_seed(seed, char.name, method_name, axiom)
                 should_fail = expected_fail == axiom
-                if should_fail:
-                    extras = designated.get((method_name, axiom), [])
-                else:
-                    extras = _pass_instances(method_name, axiom, np.random.default_rng(cell_seed))
-                verdict = evaluate_axiom(
-                    f, axiom, trials=trials, seed=cell_seed, sizes=sizes,
-                    extra_instances=extras,
-                )
+                verdict = next(merged)
                 verdicts[axiom] = verdict.holds
                 if verdict.holds == should_fail:
                     raise HarnessMismatchError(

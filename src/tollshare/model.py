@@ -155,6 +155,10 @@ class TollMatrix:
         # entries are sorted, so equal matrices list equal items in one order
         return hash((self.n, tuple(self.entries.items())))
 
+    def __reduce__(self):
+        # rebuilt through the constructor: the read-only entries do not pickle
+        return TollMatrix, (self.n, dict(self.entries))
+
     # -- construction -----------------------------------------------------
 
     @classmethod
@@ -170,17 +174,17 @@ class TollMatrix:
     def from_dense(cls, grid: Sequence[Sequence[float]] | np.ndarray) -> "TollMatrix":
         """Build a matrix from a square grid with nothing below the diagonal."""
         rows: list[list[float]] = []
-        for h, row in enumerate(grid, start=1):
-            if not isinstance(row, Iterable):
-                rows = []  # not a grid of rows: refused below
-                break
-            cells = []
-            for k, value in enumerate(row, start=1):
-                try:
-                    cells.append(float(value))
-                except _NOT_A_FLOAT:
-                    raise NonNumericTollError(h, k, value) from None
-            rows.append(cells)
+        try:
+            for h, row in enumerate(grid, start=1):
+                cells = []
+                for k, value in enumerate(row, start=1):
+                    try:
+                        cells.append(float(value))
+                    except _NOT_A_FLOAT:
+                        raise NonNumericTollError(h, k, value) from None
+                rows.append(cells)
+        except TypeError:  # the grid or a row is not iterable: refused below
+            rows = []
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise SegmentIndexError("dense toll grid must be square and nonempty")

@@ -1,12 +1,18 @@
 """Tests for the axiom checkers and the independence harness."""
 
+import dataclasses
 import hashlib
+import os
+import pickle
+import threading
+import time
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 import tollshare as ts
+import tollshare.axioms as ax
 from tollshare import TollMatrix
 from tollshare.axioms import (
     CATALOGUE,
@@ -414,3 +420,174 @@ class TestIndependenceHarness:
         monkeypatch.setattr(ax, "CHARACTERIZATIONS", fake)
         with pytest.raises(ts.HarnessMismatchError, match="unexpected failure"):
             ts.independence_harness(trials=20, seed=0)
+
+
+def _verdict_bits(verdict):
+    """A verdict with its witness's inputs, location and figures bit for bit."""
+    w = verdict.witness
+    if w is None:
+        return verdict.axiom, verdict.holds, None
+    instance = {key: value.tobytes() if isinstance(value, np.ndarray) else value
+                for key, value in w.instance.items()}
+    return (verdict.axiom, verdict.holds, instance, dict(w.location),
+            w.lhs.hex(), w.rhs.hex(), w.gap.hex(), w.tol)
+
+
+def _grid_bits(grid):
+    return {(method, axiom): _verdict_bits(verdict)
+            for method, row in grid.items() for axiom, verdict in row.items()}
+
+
+def test_verdicts_pickle_with_their_witness():
+    covariance = ts.check_covariance(ts.counterexample_method("A1_swap_diag"),
+                                     TollMatrix.zero(2), 1.0, np.array([1.0, 2.0]))
+    linearity = evaluate_axiom(ts.sps, "linearity", trials=80, seed=0)
+    assert isinstance(covariance.witness.instance["a"], np.ndarray)
+    assert isinstance(linearity.witness.instance["other"], TollMatrix)
+    for method, verdict in (("A1_swap_diag", covariance), ("sps", linearity)):
+        copied = pickle.loads(pickle.dumps(verdict))
+        assert _verdict_bits(copied) == _verdict_bits(verdict)
+        replayed = ts.replay(ts.allocation_method(method), copied)
+        assert replayed.witness.gap == verdict.witness.gap
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of ``os.fork`` calls the caller makes."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        made.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestForkedCells:
+    """The grid and the harness give what one loop over their cells gives,
+    however many workers split the cells."""
+
+    METHODS = ("ses", "sps", "scs", *COUNTEREXAMPLES)
+    SEEDS = range(5)
+
+    @pytest.fixture(scope="class")
+    def looped(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ax, "_worker_count", lambda: 1)
+            grids = [_grid_bits(ts.axiom_matrix(self.METHODS, trials=6, seed=seed))
+                     for seed in self.SEEDS]
+            harnesses = [ts.independence_harness(trials=6, seed=seed) for seed in self.SEEDS]
+        return grids, harnesses
+
+    def test_worker_count_is_the_affinity(self):
+        assert ax._worker_count() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_grid_and_harness_match_the_loop(self, monkeypatch, forks, looped, workers):
+        monkeypatch.setattr(ax, "_worker_count", lambda: workers)
+        grids = [_grid_bits(ts.axiom_matrix(self.METHODS, trials=6, seed=seed))
+                 for seed in self.SEEDS]
+        harnesses = [ts.independence_harness(trials=6, seed=seed) for seed in self.SEEDS]
+        assert (grids, harnesses) == looped
+        assert sum(bits[1] is False for grid in grids for bits in grid.values()) > 100
+        assert len(forks) == 2 * len(self.SEEDS) * (workers - 1)
+        assert _no_children_left()
+
+    @staticmethod
+    def _patch_check(monkeypatch, axiom, action):
+        """Have ``axiom``'s checker call ``action(method name)`` first."""
+        names = {ts.allocation_method(name): name for name in ("ses", "sps", "scs")}
+        spec = CATALOGUE[axiom]
+
+        def check(f, *args, **kwargs):
+            action(names.get(f))
+            return spec.check(f, *args, **kwargs)
+
+        monkeypatch.setitem(CATALOGUE, axiom, dataclasses.replace(spec, check=check))
+
+    # cell index = 12 * method + axiom; with 2 and 3 workers the first
+    # raising cell lies in a child's share, the caller's or both
+    @pytest.mark.parametrize("raising", [
+        [("sps", "efficiency"), ("ses", "inessential_segment")],
+        [("sps", "linearity"), ("ses", "covariance")],
+        [("scs", "subhighway_efficiency")],
+    ])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_first_raising_cell_in_cell_order_raises(self, monkeypatch, workers, raising):
+        monkeypatch.setattr(ax, "_worker_count", lambda: workers)
+        for axiom in {axiom for _, axiom in raising}:
+            def fail(name, axiom=axiom):
+                if (name, axiom) in raising:
+                    raise RuntimeError(f"{name} / {axiom}")
+
+            self._patch_check(monkeypatch, axiom, fail)
+        methods = ("ses", "sps", "scs")
+        first = min(raising, key=lambda cell: (methods.index(cell[0]), ts.AXIOMS.index(cell[1])))
+        with pytest.raises(RuntimeError, match=f"^{' / '.join(first)}$"):
+            ts.axiom_matrix(methods, trials=5, seed=0)
+        assert _no_children_left()
+
+    def test_a_dead_child_s_cells_run_in_the_caller(self, monkeypatch, forks, tmp_path):
+        monkeypatch.setattr(ax, "_worker_count", lambda: 2)
+        caller, died = os.getpid(), tmp_path / "died"
+
+        def die_in_a_child(name):
+            if os.getpid() != caller:
+                died.touch()
+                os._exit(3)
+
+        # linearity is the fourth axiom: its cells lie in the child's share
+        self._patch_check(monkeypatch, "linearity", die_in_a_child)
+        grid = ts.axiom_matrix(trials=5, seed=1)
+        assert died.exists() and len(forks) == 1 and _no_children_left()
+        monkeypatch.setattr(ax, "_worker_count", lambda: 1)
+        assert _grid_bits(grid) == _grid_bits(ts.axiom_matrix(trials=5, seed=1))
+
+    def test_an_interrupted_caller_kills_its_children(self, monkeypatch):
+        monkeypatch.setattr(ax, "_worker_count", lambda: 3)
+        caller = os.getpid()
+
+        def stall_or_interrupt(name):
+            if os.getpid() != caller:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        self._patch_check(monkeypatch, "efficiency", stall_or_interrupt)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            ts.axiom_matrix(("ses",), ("efficiency", "efficiency", "efficiency"), trials=1)
+        assert _no_children_left() and time.monotonic() - start < 30
+
+    @pytest.mark.parametrize("refusal", ["live thread", "no fork", "fork fails"])
+    def test_cells_run_in_the_caller_when_it_may_not_fork(self, monkeypatch, refusal):
+        monkeypatch.setattr(ax, "_worker_count", lambda: 2)
+        looped = _grid_bits(ts.axiom_matrix(("ses", "A2_zero"), trials=5, seed=2))
+        attempts = []
+
+        def fork():
+            attempts.append(None)
+            raise OSError("no room for a process")
+
+        monkeypatch.setattr(os, "fork", fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if refusal == "live thread":
+            thread.start()
+        elif refusal == "no fork":
+            monkeypatch.delattr(os, "fork")
+        try:
+            grid = ts.axiom_matrix(("ses", "A2_zero"), trials=5, seed=2)
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join()
+        assert _grid_bits(grid) == looped
+        assert len(attempts) == (refusal == "fork fails")

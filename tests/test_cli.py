@@ -515,14 +515,27 @@ class TestJsonRender:
         assert table and all(len(row) == len(headers) for row in table)
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is a test-only reference; the runtime must not import it."""
+def _loaded_by_cli_import(*packages: str) -> list[str]:
+    """The modules of ``packages`` that ``import tollshare.cli`` loads in a
+    fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    code = ("import sys, tollshare.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    code = (f"import json, sys, tollshare.cli; roots = {packages!r}; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if any(m == root or m.startswith(root + '.') for root in roots))))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return json.loads(result.stdout)
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only reference; the runtime must not import it."""
+    assert _loaded_by_cli_import("scipy") == []
+
+
+def test_cli_import_loads_no_process_pools():
+    """The axiom audit forks with ``os`` alone: the pool packages would add
+    about a megabyte of RSS to every start."""
+    assert _loaded_by_cli_import("multiprocessing", "concurrent.futures") == []
 
 
 class TestOptions:

@@ -1,9 +1,12 @@
 """Tests for the toll matrix data model, generators, and file round-trips."""
 
+import copy
 import math
+import pickle
 import re
 import warnings
 from pathlib import Path
+from types import MappingProxyType
 from unittest import mock
 
 import numpy as np
@@ -365,6 +368,9 @@ class TestSingleFaults:
         (lambda: TollMatrix.from_triplets([(1, "a", 1.0)]), ts.SegmentIndexError),
         (lambda: TollMatrix.from_triplets([(1.5, 2, 1.0)]), ts.SegmentIndexError),
         (lambda: TollMatrix.from_dense([1.0]), ts.SegmentIndexError),
+        (lambda: TollMatrix.from_dense(5), ts.SegmentIndexError),
+        (lambda: TollMatrix.from_dense(None), ts.SegmentIndexError),
+        (lambda: TollMatrix.from_dense(3.0), ts.SegmentIndexError),
         (lambda: TollMatrix.zero(3).toll(0, 1), ts.SegmentIndexError),
         (lambda: TollMatrix.zero(3).toll(2, 4), ts.SegmentIndexError),
         (lambda: TollMatrix.zero(3).involvement(0), ts.SegmentIndexError),
@@ -756,6 +762,18 @@ class TestHashing:
         assert "columns" not in vars(fresh)
         assert cached == fresh and hash(cached) == hash(fresh)
         assert len({cached, fresh}) == 1
+
+    @pytest.mark.parametrize("build, backing", [
+        (lambda: TollMatrix(3, {(2, 3): 1.5, (1, 2): 1.0}), MappingProxyType),
+        (lambda: ts.random_matrix(20, seed=6), model._ColumnEntries),  # 210 trips
+    ])
+    def test_pickle_and_deepcopy_rebuild_an_equal_matrix(self, build, backing):
+        matrix = build()
+        assert type(matrix.entries) is backing
+        for copied in (pickle.loads(pickle.dumps(matrix)), copy.deepcopy(matrix)):
+            assert copied == matrix and hash(copied) == hash(matrix)
+            assert copied.total == matrix.total
+            assert list(copied.trips()) == list(matrix.trips())
 
 
 def _handed_over(tmp_path):
