@@ -14,9 +14,10 @@ reported as holding for the tested population.
 
 ``axiom_matrix`` and ``independence_harness`` run their cells through
 ``_map_cells``: the caller and one forked child per other CPU the process
-may use each take a share.  The report bytes cannot depend on the split,
-since each cell draws from its own ``_stable_seed`` and the verdicts merge
-in cell order.
+may use pull cells from one shared queue until it is empty.  Which worker
+runs a cell depends on timing, but the report bytes cannot, since each
+cell draws from its own ``_stable_seed`` and the verdicts merge in cell
+order.
 """
 
 from __future__ import annotations
@@ -545,6 +546,11 @@ _T = TypeVar("_T")
 #: system; ``signal`` is not loaded for one constant).
 _SIGKILL = 9
 
+#: Bytes of one queue record, a cell index, and the most records a queue
+#: holds: one page of 4,096 bytes, the least a pipe can hold.
+_RECORD = 4
+_RECORDS = 4096 // _RECORD
+
 
 def _worker_count() -> int:
     """CPUs this process may run on."""
@@ -554,13 +560,15 @@ def _worker_count() -> int:
 def _map_cells(run: Callable[..., _T], cells: Sequence[tuple]) -> Iterator[_T]:
     """``run(*cell)`` for each cell, yielded in cell order.
 
-    Cells must not depend on one another.  The caller runs every
-    ``workers``-th cell from the first; each other share runs in a forked
-    child, which sends its results back pickled.  A cell that no share
-    returned, because it raised or its child died, runs here when its turn
-    comes, so errors are those of a loop over the cells.  With one worker,
-    no ``os.fork`` or another live thread (forking then can deadlock), every
-    cell runs here in turn.
+    Cells must not depend on one another.  The caller and one forked child
+    per other worker pull cells from one shared queue, each taking the next
+    cell when it finishes one, so a worker held up by a slow cell does not
+    hold back cells another worker could run; each child sends its results
+    back pickled.  Which worker ran a cell depends on timing, but its result
+    does not.  A cell that no worker returned, because it raised or its
+    child died, runs here when its turn comes, so errors are those of a loop
+    over the cells.  With one worker, no ``os.fork`` or another live thread
+    (forking then can deadlock), every cell runs here in turn.
     """
     done = _run_shares(run, cells)
     for i, cell in enumerate(cells):
@@ -568,59 +576,84 @@ def _map_cells(run: Callable[..., _T], cells: Sequence[tuple]) -> Iterator[_T]:
 
 
 def _run_shares(run: Callable[..., _T], cells: Sequence[tuple]) -> dict[int, _T]:
-    """The results, by cell index, of every share but up to its first
-    failing cell; all children are reaped before it returns or raises."""
+    """The results, by cell index, of the cells each worker pulled before
+    its first failing cell; all children are reaped before it returns or
+    raises."""
     workers = min(_worker_count(), len(cells))
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return {}
-    children: list[tuple[int, int, int]] = []  # (pid, read end, share)
+    queue, step = _queue(len(cells))
+    children: list[tuple[int, int]] = []  # (pid, read end)
     try:
-        for share in range(1, workers):
+        for _ in range(1, workers):
             read, write = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no room for a child: its share runs here
+            except OSError:  # no room for a child: the others pull its cells
                 os.close(read)
                 os.close(write)
                 break
             if pid == 0:
-                _child(run, cells[share::workers], write)
+                _child(run, cells, queue, step, write)
             os.close(write)
-            children.append((pid, read, share))
-        done = dict(zip(range(0, len(cells), workers), _prefix(run, cells[::workers])))
-        for _, read, share in children:
-            done.update(zip(range(share, len(cells), workers), _receive(read)))
+            children.append((pid, read))
+        done = dict(_pull(run, cells, queue, step))
+        for _, read in children:
+            done.update(_receive(read))
         return done
     except BaseException:
-        for pid, _, _ in children:
+        for pid, _ in children:
             os.kill(pid, _SIGKILL)
         raise
     finally:
-        for pid, read, _ in children:
+        os.close(queue)
+        for pid, read in children:
             os.close(read)
             os.waitpid(pid, 0)
 
 
-def _prefix(run: Callable[..., _T], share: Sequence[tuple]) -> list[_T]:
-    """The results of ``share`` up to its first cell that raises an ``Exception``."""
+def _queue(count: int) -> tuple[int, int]:
+    """The read end of a pipe holding the first index of each run of
+    ``step`` cells, in cell order, and ``step``.
+
+    Every record is written, and the write end closed, before any worker
+    reads, so a read past the last record returns ``b""``.  A pipe holds at
+    least one page (pipe(7)), so the records never fill it: ``step`` is 1 up
+    to ``_RECORDS`` cells and grows beyond."""
+    step = -(-count // _RECORDS)
+    read, write = os.pipe()
+    try:
+        os.write(write, b"".join(i.to_bytes(_RECORD, "little") for i in range(0, count, step)))
+    finally:
+        os.close(write)
+    return read, step
+
+
+def _pull(run: Callable[..., _T], cells: Sequence[tuple], queue: int,
+          step: int) -> list[tuple[int, _T]]:
+    """``(index, result)`` for each cell this worker pulls from ``queue``, up
+    to its first cell that raises an ``Exception``."""
     results = []
     try:
-        for cell in share:
-            results.append(run(*cell))
+        while record := os.read(queue, _RECORD):
+            first = int.from_bytes(record, "little")
+            for i, cell in enumerate(cells[first:first + step], first):
+                results.append((i, run(*cell)))
     except Exception:
         pass  # the cell runs again in turn and raises there
     return results
 
 
-def _child(run: Callable[..., _T], share: Sequence[tuple], write: int) -> NoReturn:
-    """Run ``share`` in a forked child, write the results to ``write`` and
+def _child(run: Callable[..., _T], cells: Sequence[tuple], queue: int, step: int,
+           write: int) -> NoReturn:
+    """Pull cells in a forked child, write the results to ``write`` and
     leave without returning into the caller's stack."""
     try:
         # objects from before the fork are the caller's to collect; a
         # collection here would run their finalizers a second time
         gc.freeze()
         with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(_prefix(run, share)))
+            pipe.write(pickle.dumps(_pull(run, cells, queue, step)))
     finally:
         os._exit(0)
 

@@ -357,8 +357,8 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
             by_entry = [0.0] * n
             for (h, _), w in zip(matrix.entries, weights):
                 by_entry[h - 1] += w
-            loads = _settle(loads, accumulate(diff[:n]), accumulate(by_entry), lambda i: math.fsum(
-                w for (h, k), w in zip(matrix.entries, weights) if h <= i <= k))
+            loads = _settle(loads, accumulate(diff[:n]), accumulate(by_entry), lambda segments:
+                            _exact_loads(n, *matrix.columns[:2], np.array(weights), segments))
         return np.array(loads)
     entry, exit, _ = columns
     if not isinstance(weights, np.ndarray):
@@ -372,7 +372,7 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
     loads = _clear_loads(n, prefix, np.cumsum(count[:n]).tolist(), float(weights.sum()))
     if None in loads:
         loads = _settle(loads, prefix, np.cumsum(np.bincount(start, weights, minlength=n)).tolist(),
-                        lambda i: math.fsum(weights[(entry <= i) & (i <= exit)].tolist()))
+                        lambda segments: _exact_loads(n, entry, exit, weights, segments))
     return np.array(loads)
 
 
@@ -392,15 +392,42 @@ def _clear_loads(n: int, prefix: Iterable[float], covering: Iterable[int],
 
 
 def _settle(loads: list[float | None], prefix: Iterable[float], entered: Iterable[float],
-            exact: Callable[[int], float]) -> list[float]:
+            exact: Callable[[list[int]], list[float]]) -> list[float]:
     """``loads`` with each ``None`` decided: the segment's prefix sum where it
     clears its rounding bound, ``_RESIDUE * n`` times the weight entered up
-    to the segment (``entered`` lists it per segment), and
-    ``exact(segment)`` otherwise, as rounding residue there can be as large
-    as the load."""
+    to the segment (``entered`` lists it per segment).  Rounding residue can
+    be as large as the load on the other segments, so they take
+    ``exact(segments)``, called once with all of them, or not at all."""
     residue = _RESIDUE * len(loads)
-    return [(s if s > residue * e else exact(i)) if load is None else load
-            for i, (load, s, e) in enumerate(zip(loads, prefix, entered), start=1)]
+    loads = [(s if s > residue * e else None) if load is None else load
+             for load, s, e in zip(loads, prefix, entered)]
+    segments = [i for i, load in enumerate(loads, start=1) if load is None]
+    for i, load in zip(segments, exact(segments) if segments else ()):
+        loads[i - 1] = load
+    return loads
+
+
+def _exact_loads(n: int, entry: np.ndarray, exit: np.ndarray, weights: np.ndarray,
+                 segments: Sequence[int]) -> list[float]:
+    """Per segment of ``segments``, the sum of ``weights`` over the trips
+    ``entry[j]..exit[j]`` that use it, exact and rounded once, as
+    ``math.fsum`` rounds it, in one pass over the trips and segments.
+
+    Every float is an integer times a power of two, so each weight scaled
+    by ``2 ** -low``, with ``2 ** low`` the smallest such power among them
+    and 1, is an integer.  Python ints add those exactly in a difference
+    array, and ``int / int`` rounds the exact quotient once."""
+    mantissa, exponent = np.frexp(weights)
+    mantissa = (mantissa * 2.0 ** 53).astype(np.int64)
+    exponent = exponent.astype(np.int64) - 53
+    live = mantissa != 0
+    low = int(np.min(exponent, where=live, initial=0))
+    scaled = mantissa.astype(object) << np.where(live, exponent - low, 0).astype(object)
+    diff = np.zeros(n + 1, dtype=object)
+    np.add.at(diff, entry - 1, scaled)
+    np.subtract.at(diff, exit, scaled)
+    sums = np.cumsum(diff[:n]).tolist()
+    return [sums[i - 1] / (1 << -low) for i in segments]
 
 
 def inessential_segments(matrix: TollMatrix) -> list[int]:

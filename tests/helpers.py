@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -77,6 +78,12 @@ def ses_loop(matrix: TollMatrix) -> np.ndarray:
     for (h, k), toll in matrix.trips():
         shares[h - 1 : k] += toll / (k - h + 1)
     return shares
+
+
+def exact_loads_loop(n, entry, exit, weights, segments) -> list[float]:
+    """``model._exact_loads`` as ``coverage`` computed it before: one
+    ``math.fsum`` per segment over a mask of every trip, O(n * T)."""
+    return [math.fsum(weights[(entry <= i) & (i <= exit)].tolist()) for i in segments]
 
 
 def sps_decomposition_loop(matrix: TollMatrix) -> SpsDecomposition:

@@ -471,6 +471,21 @@ def _no_children_left():
     return True
 
 
+def _wait_for(condition, timeout=60.0):
+    """Poll ``condition`` until it holds (True) or ``timeout`` seconds pass
+    (False)."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def _square(i):
+    return i * i
+
+
 class TestForkedCells:
     """The grid and the harness give what one loop over their cells gives,
     however many workers split the cells."""
@@ -535,21 +550,92 @@ class TestForkedCells:
             ts.axiom_matrix(methods, trials=5, seed=0)
         assert _no_children_left()
 
-    def test_a_dead_child_s_cells_run_in_the_caller(self, monkeypatch, forks, tmp_path):
-        monkeypatch.setattr(ax, "_worker_count", lambda: 2)
-        caller, died = os.getpid(), tmp_path / "died"
+    @classmethod
+    def _die_in_a_child(cls, monkeypatch, died, axiom="linearity"):
+        """Have ``axiom``'s checker end any child that calls it.  The caller
+        waits in its calls until a child has died, so that a child surely
+        pulls such a cell; the list returned holds each wait's outcome."""
+        caller, waits = os.getpid(), []
 
         def die_in_a_child(name):
             if os.getpid() != caller:
                 died.touch()
                 os._exit(3)
+            waits.append(_wait_for(died.exists))
 
-        # linearity is the fourth axiom: its cells lie in the child's share
-        self._patch_check(monkeypatch, "linearity", die_in_a_child)
+        cls._patch_check(monkeypatch, axiom, die_in_a_child)
+        return waits
+
+    def test_a_dead_child_s_cells_run_in_the_caller(self, monkeypatch, forks, tmp_path):
+        monkeypatch.setattr(ax, "_worker_count", lambda: 2)
+        died = tmp_path / "died"
+        waits = self._die_in_a_child(monkeypatch, died)
         grid = ts.axiom_matrix(trials=5, seed=1)
-        assert died.exists() and len(forks) == 1 and _no_children_left()
+        # every linearity check ran in the caller, which waited for the
+        # child to die at its first
+        assert died.exists() and waits and all(waits)
+        assert len(forks) == 1 and _no_children_left()
         monkeypatch.setattr(ax, "_worker_count", lambda: 1)
         assert _grid_bits(grid) == _grid_bits(ts.axiom_matrix(trials=5, seed=1))
+
+    def test_a_worker_held_by_a_slow_cell_leaves_the_rest_to_the_other(self, monkeypatch,
+                                                                      tmp_path):
+        # under a fixed split the waiting worker would hold the rest of its
+        # share, and the wait would time out
+        monkeypatch.setattr(ax, "_worker_count", lambda: 2)
+        cells = [(i,) for i in range(8)]
+
+        def run(i):
+            if i == 0:
+                others = [tmp_path / str(j) for j in range(1, len(cells))]
+                return os.getpid(), _wait_for(lambda: all(map(os.path.exists, others)))
+            (tmp_path / str(i)).touch()
+            return os.getpid(), None
+
+        results = list(ax._map_cells(run, cells))
+        (waiter, waited), *rest = results
+        assert waited is True
+        assert all(pid != waiter and mark is None for pid, mark in rest)
+        assert _no_children_left()
+
+    @pytest.mark.parametrize("count", [ax._RECORDS, ax._RECORDS + 1, 5000])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_more_cells_than_one_page_of_records(self, monkeypatch, forks, tmp_path, workers,
+                                                 count):
+        monkeypatch.setattr(ax, "_worker_count", lambda: workers)
+        cells = [(i,) for i in range(count)]
+        assert list(ax._map_cells(_square, cells)) == [i * i for i in range(count)]
+        # each cell is pulled by one worker exactly: none is lost, run
+        # twice or left for the merge
+        log = os.open(tmp_path / "runs", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            done = ax._run_shares(lambda i: os.write(log, b"%d\n" % i), cells)
+        finally:
+            os.close(log)
+        assert sorted(done) == list(range(count))
+        assert sorted(map(int, (tmp_path / "runs").read_text().split())) == list(range(count))
+        assert len(forks) == 2 * (workers - 1) and _no_children_left()
+
+    @pytest.mark.parametrize("case", ["return", "raise", "die"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_no_descriptor_is_left_open(self, monkeypatch, tmp_path, workers, case):
+        monkeypatch.setattr(ax, "_worker_count", lambda: workers)
+        if case == "raise":
+            def fail(name):
+                if name == "sps":
+                    raise RuntimeError("sps")
+
+            self._patch_check(monkeypatch, "covariance", fail)
+        elif case == "die":
+            self._die_in_a_child(monkeypatch, tmp_path / "died")
+        before = sorted(os.listdir("/proc/self/fd"))
+        if case == "raise":
+            with pytest.raises(RuntimeError, match="^sps$"):
+                ts.axiom_matrix(trials=3, seed=4)
+        else:
+            ts.axiom_matrix(trials=3, seed=4)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert _no_children_left()
 
     def test_an_interrupted_caller_kills_its_children(self, monkeypatch):
         monkeypatch.setattr(ax, "_worker_count", lambda: 3)

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 import tollshare as ts
 from tollshare import TollMatrix, model
 
-from helpers import scs_loop, seeded_matrices, ses_loop, sps_decomposition_loop, sps_loop
+from helpers import (
+    exact_loads_loop,
+    scs_loop,
+    seeded_matrices,
+    ses_loop,
+    sps_decomposition_loop,
+    sps_loop,
+)
 
 
 class TestKnownValues:
@@ -239,6 +246,18 @@ def wide_matrices(draw):
     return TollMatrix(n, {trip: draw(tolls) for trip in trips})
 
 
+@st.composite
+def wide_array_matrices(draw):
+    """Array-lane matrices: 16..40 segments, 128 trips or more, each toll
+    log-uniform from 1e-300 to 1e300."""
+    n = draw(st.integers(16, 40))
+    cells = [(h, k) for h in range(1, n + 1) for k in range(h, n + 1)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    picked = np.sort(rng.choice(len(cells), draw(st.integers(128, len(cells))), replace=False))
+    tolls = 10.0 ** rng.uniform(-300.0, 300.0, len(picked))
+    return TollMatrix(n, {cells[j]: float(t) for j, t in zip(picked, tolls)})
+
+
 def sps_exact(matrix):
     """sps in rational arithmetic, rounded once per share.  ``sps_loop``
     takes the pooled revenue as the total less the diagonal, which is all
@@ -345,6 +364,43 @@ class TestCoverageKernel:
             assert np.all(shares[covered] > 0.0), method.__name__
             assert np.all(shares[~covered] == 0.0), method.__name__
             assert np.max(np.abs(shares - reference(matrix))) <= bound, method.__name__
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(wide_array_matrices())
+    def test_exact_loads_match_the_per_segment_sum(self, matrix):
+        entry, exit, toll = matrix.columns
+        segments = list(range(1, matrix.n + 1))
+        for weights in (toll, toll / (exit - entry + 1)):
+            assert (model._exact_loads(matrix.n, entry, exit, weights, segments)
+                    == exact_loads_loop(matrix.n, entry, exit, weights, segments))
+        shares = _lane_outputs(matrix)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_exact_loads", exact_loads_loop)
+            for new, former in zip(shares, _lane_outputs(matrix)):
+                assert np.array_equal(new, former)
+
+    def test_a_huge_toll_reads_each_trip_once(self, monkeypatch):
+        # once the 1e16 trip has exited, every later prefix sum is mostly
+        # its residue, so nearly every segment is summed exactly
+        entries = dict(ts.random_matrix(1000, density=0.2, seed=3).entries)
+        entries[1, 1] = 1e16
+        matrix = TollMatrix(1000, entries)
+        calls = []
+
+        def counted(n, entry, exit, weights, segments):
+            calls.append((len(weights), segments))
+            return exact(n, entry, exit, weights, segments)
+
+        exact = model._exact_loads
+        monkeypatch.setattr(model, "_exact_loads", counted)
+        shares = ts.ses(matrix)
+        ts.scs(matrix)
+        assert [trips for trips, _ in calls] == [99630, 99630]
+        assert all(len(segments) > 900 for _, segments in calls)
+        entry, exit, toll = matrix.columns
+        sample = calls[0][1][::97]
+        assert (shares[np.array(sample) - 1].tolist()
+                == exact_loads_loop(1000, entry, exit, toll / (exit - entry + 1), sample))
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(toll_matrices())
