@@ -551,8 +551,8 @@ class TestForkedCells:
         assert _no_children_left()
 
     @classmethod
-    def _die_in_a_child(cls, monkeypatch, died, axiom="linearity"):
-        """Have ``axiom``'s checker end any child that calls it.  The caller
+    def _die_in_a_child(cls, monkeypatch, died):
+        """Have the linearity checker end any child that calls it.  The caller
         waits in its calls until a child has died, so that a child surely
         pulls such a cell; the list returned holds each wait's outcome."""
         caller, waits = os.getpid(), []
@@ -563,7 +563,7 @@ class TestForkedCells:
                 os._exit(3)
             waits.append(_wait_for(died.exists))
 
-        cls._patch_check(monkeypatch, axiom, die_in_a_child)
+        cls._patch_check(monkeypatch, "linearity", die_in_a_child)
         return waits
 
     def test_a_dead_child_s_cells_run_in_the_caller(self, monkeypatch, forks, tmp_path):
