@@ -9,7 +9,8 @@ The Shapley, compromise (tau) and average-tree solutions are computed here by
 exhaustive enumeration on purpose: they serve as independent cross-checks of
 the closed-form allocation methods, so they must not share code with them.
 Each function names the ``2^n`` vectors it holds; :data:`EXHAUSTIVE_CEILING`
-and :data:`INTERVAL_CEILING` bound them and the interval grid.
+and :data:`INTERVAL_CEILING` bound them and the interval grid, which the core
+tests read in bands of at most :data:`BAND_CELLS` cells.
 """
 
 from __future__ import annotations
@@ -29,16 +30,19 @@ from .errors import (
 from .methods import WeightScheme, sps_decomposition
 from .model import DEFAULT_TOL, TollMatrix, allowance
 
-#: Largest segment count for which full-subset enumeration is allowed.
-EXHAUSTIVE_LIMIT = 16
-
 #: Hard cap on ``n`` for any ``2^n`` vector, whatever limit is requested:
 #: 22 segments (the AP68 case study) need 32 MB per vector.
 EXHAUSTIVE_CEILING = 22
 
+#: Default segment count up to which full-subset enumeration runs.
+EXHAUSTIVE_LIMIT = EXHAUSTIVE_CEILING
+
 #: Largest ``n`` whose ``(n+2) x (n+2)`` interval grid a game builds: 2^24
-#: floats, 128 MB; n = 2000 needs 32 MB.
+#: floats, 128 MB; n = 2000 needs 32 MB.  It is the only ``n x n`` table.
 INTERVAL_CEILING = (1 << 12) - 2
+
+#: Cells of one band of start rows in the core tests (see :func:`_bands`).
+BAND_CELLS = 1 << 15
 
 
 def _ending_tolls(matrix: TollMatrix) -> np.ndarray:
@@ -317,18 +321,19 @@ def _prefix(x: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(x)])
 
 
-def _span_sums(prefix: np.ndarray) -> np.ndarray:
-    """``out[s-1, e-1] = prefix[e] - prefix[s-1]``, the sum over segments
-    ``s..e``; only entries with ``s <= e`` mean anything."""
-    return prefix[None, 1:] - prefix[:-1, None]
-
-
-def _proper_intervals(n: int) -> np.ndarray:
-    """Mask of the intervals ``[s, e]``, ``s <= e``, other than the grand
-    coalition, in the layout of :func:`_span_sums`."""
-    mask = np.triu(np.ones((n, n), dtype=bool))
-    mask[0, n - 1] = False
-    return mask
+def _bands(game: SegmentsGame):
+    """Consecutive bands of start rows ``s0..s1-1`` (0-based) over the end
+    columns ``s0..n-1``, of at most :data:`BAND_CELLS` cells unless one row
+    is wider.  Yields ``s0``, ``s1``, the band's interval worths and the mask
+    of its intervals ``[s, e]``, ``s <= e``, other than the grand coalition."""
+    n, s0 = game.n, 0
+    while s0 < n:
+        s1 = min(n, s0 + max(1, BAND_CELLS // (n - s0)))
+        proper = np.arange(s0, n) >= np.arange(s0, s1)[:, None]
+        if s0 == 0:
+            proper[0, n - 1] = False
+        yield s0, s1, game._interval[s0 + 1 : s1 + 1, s0 + 1 : n + 1], proper
+        s0 = s1
 
 
 def core_check(
@@ -342,9 +347,9 @@ def core_check(
     coalition.  For this game class, a nonnegative allocation that satisfies
     all interval inequalities satisfies them for arbitrary coalitions too,
     because a coalition's worth is the sum over its contiguous blocks while
-    its allocated total only grows with extra members.  All intervals are
-    compared at once as ``n x n`` arrays; violations are listed by start,
-    then end.
+    its allocated total only grows with extra members.  The intervals are
+    compared a band of start rows at a time (:func:`_bands`); violations are
+    listed by start, then end.
     """
     x = _check_shares(game, shares)
     n = game.n
@@ -352,18 +357,17 @@ def core_check(
     prefix = _prefix(x)
     gap = float(prefix[n] - game.grand_value)
     efficient = abs(gap) <= slack
-    worth = game._interval[1 : n + 1, 1 : n + 1]
-    allocated = _span_sums(prefix)
-    short = _proper_intervals(n)
-    short &= allocated < worth - slack
-    starts, ends = np.nonzero(short)
-    violations = tuple(
-        IntervalViolation(start + 1, end + 1, w, a, w - a)
-        for start, end, w, a in zip(
-            starts.tolist(), ends.tolist(),
-            worth[starts, ends].tolist(), allocated[starts, ends].tolist(),
-        )
-    )
+    found: list = []
+    for s0, s1, worth, short in _bands(game):
+        # the sum over segments s..e is prefix[e] - prefix[s-1]
+        allocated = prefix[s0 + 1 :] - prefix[s0:s1, None]
+        short &= allocated < worth - slack
+        if not short.any():
+            continue
+        starts, ends = np.nonzero(short)
+        found += zip((starts + s0 + 1).tolist(), (ends + s0 + 1).tolist(),
+                     worth[starts, ends].tolist(), allocated[starts, ends].tolist())
+    violations = tuple(IntervalViolation(s, e, w, a, w - a) for s, e, w, a in found)
     return CoreReport(
         is_member=efficient and not violations,
         efficient=efficient,
@@ -427,22 +431,24 @@ def sps_core_criterion(
     d = sps_decomposition(matrix)
     if d.beta is None:
         return SpsCoreCriterion(True, None, None, None)
-    n = matrix.n
-    # rhs = (worth - separable) / nonseparable per interval; a game built
-    # here is dropped before the denominators exist, so it adds at most one
-    # n x n float table to the two this function holds
-    rhs = _span_sums(_prefix(d.separable))
-    worths = game._interval if game is not None else SegmentsGame(matrix)._interval
-    np.subtract(worths[1 : n + 1, 1 : n + 1], rhs, out=rhs)
-    del worths
-    denom = _span_sums(_prefix(d.nonseparable))
-    counted = _proper_intervals(n)
-    counted &= denom > 0.0
-    np.divide(rhs, denom, out=rhs, where=counted)
-    rhs[~counted] = -np.inf
-    # argmax keeps the first maximum in (start, end) order
-    start, end = divmod(int(np.argmax(rhs)), n)
-    rhs_max = float(rhs[start, end])
+    game = game if game is not None else SegmentsGame(matrix)
+    separable, nonseparable = _prefix(d.separable), _prefix(d.nonseparable)
+    # each band holds rhs = (worth - separable) / nonseparable and its
+    # denominators; a running maximum, replaced only by a greater one, keeps
+    # argmax's first maximum in (start, end) order across the bands
+    rhs_max, start, end = -np.inf, 0, 0
+    for s0, s1, worth, counted in _bands(game):
+        rhs = separable[s0 + 1 :] - separable[s0:s1, None]
+        np.subtract(worth, rhs, out=rhs)
+        denom = nonseparable[s0 + 1 :] - nonseparable[s0:s1, None]
+        counted &= denom > 0.0
+        np.divide(rhs, denom, out=rhs, where=counted)
+        rhs[~counted] = -np.inf
+        best = int(np.argmax(rhs))
+        if rhs.flat[best] > rhs_max:
+            rhs_max = float(rhs.flat[best])
+            row, col = divmod(best, rhs.shape[1])
+            start, end = s0 + row, s0 + col
     return SpsCoreCriterion(d.beta >= rhs_max - tol, (start + 1, end + 1), rhs_max, d.beta)
 
 

@@ -16,8 +16,19 @@ from tollshare import (
     TollValidationError,
     random_matrix,
 )
-from tollshare.game import CompromiseBounds, _doubling_sums, _ending_tolls, _split
-from tollshare.model import DEFAULT_TOL
+from tollshare.game import (
+    CompromiseBounds,
+    CoreReport,
+    IntervalViolation,
+    SpsCoreCriterion,
+    _check_shares,
+    _doubling_sums,
+    _ending_tolls,
+    _prefix,
+    _split,
+)
+from tollshare.methods import sps_decomposition
+from tollshare.model import DEFAULT_TOL, allowance
 
 
 def seeded_matrices(
@@ -177,6 +188,66 @@ def compromise_bounds_loop(game: SegmentsGame, tol: float = DEFAULT_TOL) -> Comp
     if abs(denom) > tol * max(1.0, abs(grand)):
         alpha = (grand - float(rights.sum())) / denom
     return CompromiseBounds(utopia, rights, alpha)
+
+
+# -- full-grid references for the interval core tests -------------------------
+#
+# core_check and sps_core_criterion as they were before they swept the grid
+# in bands of start rows: every interval at once, as ``n x n`` arrays.  The
+# reports must stay equal, float bits included.
+
+def _span_sums(prefix: np.ndarray) -> np.ndarray:
+    """``out[s-1, e-1] = prefix[e] - prefix[s-1]``, the sum over segments
+    ``s..e``; only entries with ``s <= e`` mean anything."""
+    return prefix[None, 1:] - prefix[:-1, None]
+
+
+def _proper_intervals(n: int) -> np.ndarray:
+    """Mask of the intervals ``[s, e]``, ``s <= e``, other than the grand
+    coalition, in the layout of :func:`_span_sums`."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask[0, n - 1] = False
+    return mask
+
+
+def core_check_full_grid(game: SegmentsGame, shares, tol: float = DEFAULT_TOL) -> CoreReport:
+    x = _check_shares(game, shares)
+    n = game.n
+    slack = allowance(tol, game.grand_value)
+    prefix = _prefix(x)
+    gap = float(prefix[n] - game.grand_value)
+    efficient = abs(gap) <= slack
+    worth = game._interval[1 : n + 1, 1 : n + 1]
+    allocated = _span_sums(prefix)
+    short = _proper_intervals(n)
+    short &= allocated < worth - slack
+    starts, ends = np.nonzero(short)
+    violations = tuple(
+        IntervalViolation(start + 1, end + 1, w, a, w - a)
+        for start, end, w, a in zip(
+            starts.tolist(), ends.tolist(),
+            worth[starts, ends].tolist(), allocated[starts, ends].tolist(),
+        )
+    )
+    return CoreReport(efficient and not violations, efficient, gap, violations)
+
+
+def sps_core_criterion_full_grid(matrix: TollMatrix, tol: float = DEFAULT_TOL) -> SpsCoreCriterion:
+    d = sps_decomposition(matrix)
+    if d.beta is None:
+        return SpsCoreCriterion(True, None, None, None)
+    n = matrix.n
+    rhs = _span_sums(_prefix(d.separable))
+    np.subtract(SegmentsGame(matrix)._interval[1 : n + 1, 1 : n + 1], rhs, out=rhs)
+    denom = _span_sums(_prefix(d.nonseparable))
+    counted = _proper_intervals(n)
+    counted &= denom > 0.0
+    np.divide(rhs, denom, out=rhs, where=counted)
+    rhs[~counted] = -np.inf
+    # argmax keeps the first maximum in (start, end) order
+    start, end = divmod(int(np.argmax(rhs)), n)
+    rhs_max = float(rhs[start, end])
+    return SpsCoreCriterion(d.beta >= rhs_max - tol, (start + 1, end + 1), rhs_max, d.beta)
 
 
 # -- loop references for the random generators --------------------------------

@@ -124,11 +124,21 @@ class TestGame:
 
     def test_oracle_limit(self, capsys, tmp_path):
         path = tmp_path / "big.csv"
-        ts.write_triplet_csv(ts.random_matrix(20, density=0.2, seed=0), path)
+        ts.write_triplet_csv(ts.random_matrix(23, density=0.2, seed=0), path)
         code, _, err = run(
             capsys, "game", "--input", str(path), "--solution", "shapley"
         )
         assert code == 2 and "exhaustive limit" in err
+
+    @pytest.mark.parametrize("solution, method", [("shapley", "ses"), ("tau", "sps")])
+    def test_ap68_oracles_run_by_default(self, capsys, solution, method):
+        code, out, _ = run(
+            capsys, "game", "--input", str(ts.ap68_path()), "--segments", "22",
+            "--solution", solution, "--no-timestamp",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["method"] == method and doc["matches_method"] is True
 
     def test_oracle_ceiling_overrides_limit(self, capsys, tmp_path):
         path = tmp_path / "huge.csv"

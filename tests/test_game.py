@@ -1,5 +1,7 @@
 """Tests for the segments game, brute-force solutions, and core machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +11,17 @@ import tollshare as ts
 from tollshare import SegmentsGame, TollMatrix, game as game_module
 from tollshare.game import EXHAUSTIVE_CEILING, INTERVAL_CEILING
 
+import helpers
 from helpers import (
     all_coalitions,
     coalition_value_by_enumeration,
     compromise_bounds_loop,
+    core_check_full_grid,
     mask_values_run_loop,
     perturbed_allocation,
     seeded_matrices,
     shapley_strided_loop,
+    sps_core_criterion_full_grid,
 )
 
 
@@ -251,7 +256,7 @@ class TestShapley:
             assert np.allclose(ts.shapley_value(game), ts.ses(matrix), atol=1e-9)
 
     def test_size_limit(self):
-        game = SegmentsGame(TollMatrix.zero(20))
+        game = SegmentsGame(TollMatrix.zero(EXHAUSTIVE_CEILING + 1))
         with pytest.raises(ts.OracleSizeError):
             ts.shapley_value(game)
         with pytest.raises(ts.OracleSizeError):
@@ -421,6 +426,122 @@ class TestSpsCoreCriterion:
             crit = ts.sps_core_criterion(matrix.scaled(scale))
             if crit.beta is not None:
                 assert crit.worst_interval is not None and crit.rhs_max > -np.inf
+
+
+def _tracemalloc_peak(call) -> int:
+    """Bytes at the tracemalloc peak while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBandedCoreTests:
+    """``core_check`` and ``sps_core_criterion`` sweep the interval grid in
+    bands of start rows and give the reports of the full-grid versions."""
+
+    @staticmethod
+    def _assert_same_reports(matrix, allocations):
+        game = SegmentsGame(matrix)
+        for x in allocations:
+            banded, full = ts.core_check(game, x), core_check_full_grid(game, x)
+            assert banded == full and repr(banded) == repr(full)
+        expected = sps_core_criterion_full_grid(matrix)
+        for source in (matrix, game):
+            criterion = ts.sps_core_criterion(source)
+            assert criterion == expected and repr(criterion) == repr(expected)
+        return expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 40), density=st.sampled_from((0.1, 0.4, 1.0)),
+           tolls=st.sampled_from(("uniform", "one_or_two", "diagonal")),
+           seed=st.integers(0, 2**32 - 1), cut=st.integers(0, 40))
+    def test_same_reports_as_the_full_grid(self, n, density, tolls, seed, cut):
+        matrix = ts.random_matrix(n, density=density, seed=seed)
+        if tolls == "one_or_two":
+            # few distinct ratios, so the worst interval ties across bands
+            matrix = TollMatrix(n, {trip: float(1 + int(t) % 2) for trip, t in matrix.trips()})
+        elif tolls == "diagonal":
+            matrix = TollMatrix(n, {(h, k): t for (h, k), t in matrix.trips() if h == k})
+        if 1 <= cut < n:
+            # no multi-segment trip past ``cut``: start rows there count no interval
+            matrix = TollMatrix(n, {(h, k): t for (h, k), t in matrix.trips()
+                                    if h == k or k <= cut})
+        rng = np.random.default_rng(seed)
+        allocations = [ts.ses(matrix), ts.sps(matrix), ts.scs(matrix),
+                       perturbed_allocation(ts.sps(matrix), rng),
+                       perturbed_allocation(ts.ses(matrix), rng)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(game_module, "BAND_CELLS", 8)
+            self._assert_same_reports(matrix, allocations)
+
+    def test_ties_keep_the_first_interval(self, monkeypatch):
+        # one toll on every trip [i, i+1]: [1, n-1] and [2, n] tie for the worst ratio
+        monkeypatch.setattr(game_module, "BAND_CELLS", 8)
+        matrix = TollMatrix(9, {(i, i + 1): 1.0 for i in range(1, 9)})
+        criterion = self._assert_same_reports(matrix, [ts.sps(matrix)])
+        assert criterion.worst_interval == (1, 8)
+
+    def test_no_counted_interval_gives_the_first_cell(self, monkeypatch):
+        def no_nonseparable_load(matrix):
+            d = ts.sps_decomposition(matrix)
+            return ts.SpsDecomposition(d.separable, np.zeros(matrix.n), d.nonseparable_total, 1.0)
+
+        monkeypatch.setattr(game_module, "BAND_CELLS", 8)
+        for module in (game_module, helpers):
+            monkeypatch.setattr(module, "sps_decomposition", no_nonseparable_load)
+        criterion = self._assert_same_reports(ts.random_matrix(12, seed=4), [])
+        assert criterion == game_module.SpsCoreCriterion(True, (1, 1), -np.inf, 1.0)
+
+    def test_the_real_budget(self):
+        rng = np.random.default_rng(300)
+        for seed, density in ((1, 0.05), (2, 0.3)):
+            matrix = ts.random_matrix(300, density=density, seed=seed)
+            x = perturbed_allocation(ts.sps(matrix), rng)
+            self._assert_same_reports(matrix, [ts.ses(matrix), ts.sps(matrix), x])
+
+    @pytest.mark.parametrize("budget", [1, 8, 100, 1 << 15])
+    def test_bands_tile_the_proper_intervals(self, monkeypatch, budget):
+        monkeypatch.setattr(game_module, "BAND_CELLS", budget)
+        for n in (1, 2, 7, 300):
+            game = SegmentsGame(ts.random_matrix(n, seed=n))
+            seen = np.zeros((n, n), dtype=int)
+            next_row = 0
+            for s0, s1, worth, proper in game_module._bands(game):
+                assert s0 == next_row < s1 and proper.shape == worth.shape == (s1 - s0, n - s0)
+                assert worth[0, 0] == game.interval_value(s0 + 1, s0 + 1)
+                assert worth[-1, -1] == game.interval_value(s1, n)
+                assert proper.size <= budget or s1 - s0 == 1
+                seen[s0:s1, s0:] += proper
+                next_row = s1
+            assert next_row == n
+            expected = np.triu(np.ones((n, n), dtype=int))
+            expected[0, n - 1] = 0
+            assert np.array_equal(seen, expected)
+
+    def test_memory_is_bounded_by_the_band(self):
+        # one n x n float table is 18 MB here; the full-grid tests held two
+        matrix = ts.random_matrix(1500, density=0.2, seed=3)
+        game = SegmentsGame(matrix)
+        for method in (ts.ses, ts.sps, ts.scs):
+            x = method(matrix)
+            assert _tracemalloc_peak(lambda: ts.core_check(game, x)) < 4 << 20
+        # the criterion first splits the 225k trips' tolls, O(trips) memory
+        # of its own; the bands add less than 4 MB on top of that
+        decomposition = _tracemalloc_peak(lambda: ts.sps_decomposition(matrix))
+        criterion = _tracemalloc_peak(lambda: ts.sps_core_criterion(game))
+        assert criterion < decomposition + (4 << 20)
+
+    def test_criterion_refuses_a_huge_matrix_before_any_grid_work(self):
+        matrix = TollMatrix(INTERVAL_CEILING + 1000, {(1, 2): 1.0, (3, 3): 1.0})
+
+        def refused():
+            with pytest.raises(ts.OracleSizeError, match="interval grid limit"):
+                ts.sps_core_criterion(matrix)
+
+        assert _tracemalloc_peak(refused) < 1 << 20
 
 
 class TestCoreSchemeCheck:
