@@ -24,6 +24,7 @@ import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -50,7 +51,7 @@ from .game import (
     sps_core_criterion,
     tau_value,
 )
-from .methods import allocation_method, share_percentages
+from .methods import allocation_method, share_percentages, sps_decomposition
 from .model import (
     DEFAULT_TOL,
     SEGMENT_CEILING,
@@ -116,8 +117,10 @@ def _json(value, pad: str = "") -> str:
     Dicts with str keys, lists and tuples are laid out here, as ``json``
     lays them out with an indent (in pure Python).  A list of finite floats
     is one C-level join of ``float.__repr__``, which ``json`` writes for a
-    float subclass such as ``np.float64`` too.  Every other leaf, and a dict
-    with a key that is not a str, goes to ``json.dumps``.
+    float subclass such as ``np.float64`` too.  A list of pairs, lists or
+    tuples of two finite floats such as Lorenz points, is one C-level ``%``
+    format over those reprs.  Every other leaf, and a dict with a key that
+    is not a str, goes to ``json.dumps``.
     """
     if isinstance(value, dict):
         if not value:
@@ -134,7 +137,12 @@ def _json(value, pad: str = "") -> str:
         inner = pad + "  "
         sep = ",\n" + inner
         try:
-            text = sep.join(map(float.__repr__, value))
+            if all(isinstance(item, (list, tuple)) and len(item) == 2 for item in value):
+                pair = "[\n" + inner + "  %s,\n" + inner + "  %s\n" + inner + "]"
+                cells = tuple(map(float.__repr__, chain.from_iterable(value)))
+                text = sep.join([pair] * len(value)) % cells
+            else:
+                text = sep.join(map(float.__repr__, value))
         except TypeError:  # an item that is not a float
             text = None
         if text is None or "n" in text:  # "inf" and "nan" are the reprs with an "n"
@@ -200,14 +208,16 @@ def cmd_game(args: argparse.Namespace, matrix: TollMatrix, names: None) -> Repor
 
 def cmd_core(args: argparse.Namespace, matrix: TollMatrix, names: list[str]) -> Report:
     game = SegmentsGame(matrix)
+    # the sps shares and the sps criterion start from one decomposition
+    decomposition = sps_decomposition(matrix) if "sps" in names else None
     body: dict = {"reports": {}}
     reports = []
     for name in names:
-        shares = allocation_method(name)(matrix)
+        shares = decomposition.shares() if name == "sps" else allocation_method(name)(matrix)
         report = core_check(game, shares, tol=args.tol)
         payload = report.to_json_dict()
         if name == "sps":
-            payload["criterion"] = asdict(sps_core_criterion(game, tol=args.tol))
+            payload["criterion"] = asdict(sps_core_criterion(game, args.tol, decomposition))
         body["reports"][name] = payload
         reports.append((name, report))
 

@@ -27,7 +27,7 @@ from .errors import (
     SegmentIndexError,
     TauUndefinedError,
 )
-from .methods import WeightScheme, sps_decomposition
+from .methods import SpsDecomposition, WeightScheme, sps_decomposition
 from .model import DEFAULT_TOL, TollMatrix, allowance
 
 #: Hard cap on ``n`` for any ``2^n`` vector, whatever limit is requested:
@@ -420,15 +420,18 @@ class SpsCoreCriterion:
 
 
 def sps_core_criterion(
-    matrix: TollMatrix | SegmentsGame, tol: float = DEFAULT_TOL
+    matrix: TollMatrix | SegmentsGame, tol: float = DEFAULT_TOL,
+    decomposition: SpsDecomposition | None = None,
 ) -> SpsCoreCriterion:
     """Evaluate the criterion on a toll matrix, or on the :class:`SegmentsGame`
-    already built from one, whose interval worths are then reused."""
+    already built from one, whose interval worths are then reused;
+    ``decomposition``, the matrix's :func:`sps_decomposition` where the
+    caller holds it already, is reused too."""
     if isinstance(matrix, SegmentsGame):
         game, matrix = matrix, matrix.matrix
     else:
         game = None
-    d = sps_decomposition(matrix)
+    d = sps_decomposition(matrix) if decomposition is None else decomposition
     if d.beta is None:
         return SpsCoreCriterion(True, None, None, None)
     game = game if game is not None else SegmentsGame(matrix)

@@ -49,6 +49,13 @@ class SpsDecomposition:
     nonseparable_total: float
     beta: float | None
 
+    def shares(self) -> np.ndarray:
+        """The proportional split ``t_ii + beta * NS_i``, or a copy of the
+        diagonal when ``beta`` is ``None``."""
+        if self.beta is None:
+            return self.separable.copy()
+        return self.separable + self.beta * self.nonseparable
+
 
 def sps_decomposition(matrix: TollMatrix) -> SpsDecomposition:
     separable = matrix.diagonal()
@@ -77,10 +84,7 @@ def sps(matrix: TollMatrix) -> np.ndarray:
     When every toll sits on a single-segment trip the pooled revenue is zero
     and the method degenerates to the diagonal itself.
     """
-    d = sps_decomposition(matrix)
-    if d.beta is None:
-        return d.separable.copy()
-    return d.separable + d.beta * d.nonseparable
+    return sps_decomposition(matrix).shares()
 
 
 def scs(matrix: TollMatrix) -> np.ndarray:

@@ -604,32 +604,45 @@ TRIPLET_HEADER = ("entry", "exit", "toll")
 
 def write_triplet_csv(matrix: TollMatrix, path: str | Path) -> None:
     """Write ``matrix.columns`` as triplet CSV, one text of ``_DRAW_CHUNK`` rows at a time:
-    the bytes ``csv.writer`` writes, as no integer or float ``repr`` needs quoting."""
+    the bytes ``csv.writer`` writes, as no integer or float ``repr`` needs quoting.
+
+    A text is one ``%`` format of ``"%d,%d,%r\\r\\n"`` repeated once per row
+    over the row's cells, interleaved in one list, so no Python code runs
+    per row; float ``repr`` is most of what is left."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRIPLET_HEADER) + "\r\n")
         for start in range(0, len(matrix.entries), _DRAW_CHUNK):
-            rows = zip(*(column[start:start + _DRAW_CHUNK].tolist() for column in matrix.columns))
-            fh.write("".join([f"{h},{k},{t!r}\r\n" for h, k, t in rows]))
+            columns = [column[start:start + _DRAW_CHUNK].tolist() for column in matrix.columns]
+            cells = [None] * (3 * len(columns[0]))
+            for offset, column in enumerate(columns):
+                cells[offset::3] = column
+            fh.write("%d,%d,%r\r\n" * len(columns[0]) % tuple(cells))
 
 
 #: One triplet record as ``np.loadtxt`` parses it.
 _RECORD = np.dtype([("entry", np.int64), ("exit", np.int64), ("toll", np.float64)])
 
-#: ASCII separators that numpy strips from a number as white space and
-#: ``int`` and ``float`` do not.
-_NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+#: Bytes that send a file to the row walk: the ASCII separators, which
+#: numpy strips from a number as white space and ``int`` and ``float`` do
+#: not, and the vertical tab and form feed; ``str.splitlines`` ends a line
+#: at each of them but the unit separator, and the ``csv`` module at none.
+_WALK_BYTES = b"\x1c\x1d\x1e\x1f\v\f"
+
+#: Least bytes ``_pieces`` decodes at once; a piece runs on to the end of
+#: the line it stops in.
+_PIECE_BYTES = 1 << 20
 
 
 def read_triplet_csv(path: str | Path, n: int | None = None) -> TollMatrix:
     """Read a triplet CSV: its bytes once, parsed by one ``np.loadtxt`` call
-    and built by ``_from_arrays``, or by the row walk where numpy may read a
-    cell that Python would not (``_load_records``) or ``_from_arrays``
-    refuses a check.  The walk parses every row before it builds the
-    matrix, so a parse fault is reported before a duplicate; each error
-    names its ``path:line``."""
+    over its lines and built by ``_from_arrays``, or by the row walk where
+    the header is not plain, numpy may read a cell that Python would not
+    (``_load_records``) or ``_from_arrays`` refuses a check.  The walk
+    parses every row before it builds the matrix, so a parse fault is
+    reported before a duplicate; each error names its ``path:line``."""
     try:
         raw = Path(path).read_bytes()
-        records = _load_records(raw, path)
+        records = _load_records(raw)
         matrix = None if records is None else _from_arrays(
             n, records["entry"], records["exit"], records["toll"])
         return _walk_triplet_csv(raw, path, n) if matrix is None else matrix
@@ -645,24 +658,48 @@ def _check_header(reader: Iterator[list[str]], path: str | Path) -> None:
         )
 
 
-def _load_records(raw: bytes, path: str | Path) -> np.ndarray | None:
-    """The records after the header, parsed by ``np.loadtxt``; ``None`` when
-    numpy rejects the body or warns about it, as it does about a body with
-    no record, or may read a cell that Python would not: the file is not
-    ASCII or holds a numpy-only space.  Warnings count as rejections because
-    numpy releases that only deprecate a cast, such as a float cell into an
-    integer field, read the cell with a ``DeprecationWarning`` instead of
-    raising."""
-    if not raw.isascii() or any(space in raw for space in _NUMPY_ONLY_SPACE):
+def _load_records(raw: bytes) -> np.ndarray | None:
+    """The records after the header, parsed by one ``np.loadtxt`` call over
+    the lines of the text, which ``_pieces`` decodes a piece at a time, so
+    at most one piece's lines are held at once.  ``None`` sends the file to
+    the walk, which reports any fault: when the first line is not the header
+    as plain comma-separated cells; when numpy rejects the body or warns
+    about it, as it does about a body with no record; or when numpy may read
+    a cell that Python would not, or ``str.splitlines`` split a line that
+    the ``csv`` module does not: the file is not ASCII or holds one of
+    ``_WALK_BYTES``.  Warnings count as rejections because numpy releases
+    that only deprecate a cast, such as a float cell into an integer field,
+    read the cell with a ``DeprecationWarning`` instead of raising.
+
+    Those bytes aside, ``str.splitlines`` ends an ASCII line at ``\\n``,
+    ``\\r`` or ``\\r\\n``, as the ``csv`` module reads a file opened with
+    ``newline=""``; a quote, which could join lines, is no number to numpy
+    and sends the file to the walk."""
+    if not raw.isascii() or any(byte in raw for byte in _WALK_BYTES):
         return None
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="ascii", newline="")
-    _check_header(csv.reader(text), path)
+    # one piece's lines at a time, split as ``splitlines`` splits the whole text
+    lines = chain.from_iterable(map(str.splitlines, _pieces(raw)))
+    header = next(lines, "")
+    if [cell.strip().lower() for cell in header.split(",")] != list(TRIPLET_HEADER):
+        return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return np.loadtxt(text, delimiter=",", dtype=_RECORD, comments=None, ndmin=1)
+            return np.loadtxt(lines, delimiter=",", dtype=_RECORD, comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
+
+
+def _pieces(raw: bytes) -> Iterator[str]:
+    """The ASCII text ``raw`` decoded one piece of at least ``_PIECE_BYTES``
+    at a time, each piece ending just after a ``\\n`` or at the end of
+    ``raw``, so no line end is split between two pieces."""
+    view = memoryview(raw)
+    start = 0
+    while start < len(raw):
+        end = raw.find(b"\n", start + _PIECE_BYTES) + 1 or len(raw)
+        yield str(view[start:end], "ascii")
+        start = end
 
 
 def _walk_triplet_csv(raw: bytes, path: str | Path, n: int | None) -> TollMatrix:

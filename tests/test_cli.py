@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,11 +14,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tollshare as ts
 from tollshare import cli
+from tollshare import game as game_module
+from tollshare import methods as methods_module
 from tollshare.cli import _render
 from tollshare.cli import main
 
@@ -229,6 +232,29 @@ class TestCore:
         monkeypatch.setattr(ts.SegmentsGame, "__init__", counting_init)
         code, _, _ = run(capsys, "core", "--input", example61_csv, "--no-timestamp")
         assert code == 0 and len(built) == 1
+
+    @pytest.mark.parametrize("names, decompositions", [
+        ("ses,sps,scs", 1), ("sps", 1), ("ses,scs", 0),
+    ])
+    def test_decomposes_once_for_the_sps_shares_and_criterion(self, capsys, example61_csv,
+                                                               monkeypatch, names,
+                                                               decompositions):
+        calls = []
+        decompose = ts.sps_decomposition
+
+        def counting(matrix):
+            calls.append(matrix)
+            return decompose(matrix)
+
+        for module in (cli, game_module, methods_module):
+            monkeypatch.setattr(module, "sps_decomposition", counting)
+        code, out, _ = run(capsys, "core", "--input", example61_csv, "--method", names,
+                           "--no-timestamp")
+        assert code == 0 and len(calls) == decompositions
+        if decompositions:
+            criterion = ts.sps_core_criterion(ts.read_triplet_csv(example61_csv))
+            assert json.loads(out)["reports"]["sps"]["criterion"] == \
+                json.loads(json.dumps(dataclasses.asdict(criterion)))
 
     def test_members_on_ap68(self, capsys):
         code, out, _ = run(
@@ -476,7 +502,10 @@ _DOCUMENTS = st.recursive(
     lambda children: (st.lists(children) | st.lists(children).map(tuple)
                       | st.dictionaries(st.text(), children)
                       # the renderer joins a list of floats in one piece
-                      | st.lists(_FLOATS | _FLOATS.map(np.float64), min_size=1)),
+                      | st.lists(_FLOATS | _FLOATS.map(np.float64), min_size=1)
+                      # and formats a list of float pairs, such as Lorenz points, in one piece
+                      | st.lists(st.tuples(_FLOATS, _FLOATS).map(list)
+                                 | st.tuples(_FLOATS, _FLOATS), min_size=1)),
     max_leaves=30,
 )
 
@@ -486,6 +515,18 @@ class TestJsonRender:
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(doc=_DOCUMENTS)
+    @example(doc={"lorenz": {"ses": [[0.0, 0.0], [0.5, 0.25], [1.0, 1.0]], "sps": []}})
+    @example(doc=[[0.0, float("nan")], [1.0, 1.0]])
+    @example(doc=[[float("inf"), 0.5], [float("-inf"), 1.0]])
+    @example(doc=[[0, 0.5], [1.0, 1]])
+    @example(doc=[[True, 0.5], [1.0, False]])
+    @example(doc=[(0.0, 0.5), [0.5, 1.0], (1.0, np.float64(1.0))])
+    @example(doc=[[0.5], [0.0, 1.0]])
+    @example(doc=[[0.0, 0.5, 1.0], [0.0, 1.0]])
+    @example(doc=[[0.5], [0.0, 1.0, 2.0]])  # four cells, but not two pairs
+    @example(doc=[[-0.0, 0.0], [0.0, -0.0]])
+    @example(doc=[[[0.5], 1.0], [0.0, {"a": 1.0}]])
+    @example(doc={"pairs": [], "nested": [[[0.1, 0.2], [0.3, 0.4]]]})
     def test_matches_json_dumps(self, doc):
         assert _render(doc, [], lambda: [], "json") == json.dumps(doc, indent=2) + "\n"
 

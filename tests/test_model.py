@@ -601,11 +601,29 @@ class TestTripletIO:
     @example(text="entry,exit,toll\n1,1\u01fe,2\n", n=None)
     @example(text="entry,exit,toll\n1,\x1c2,2\n", n=None)
     @example(text="entry,exit,toll\n1,2,3\x1f\n", n=None)
+    # bare CR and CR CR LF line ends
+    @example(text="entry,exit,toll\r1,2,3\r\r2,2,1.5\r", n=None)
+    @example(text="entry,exit,toll\r\r\n1,2,3\r\r\n2,2,1.5\r\r\n", n=None)
+    # splitlines ends a line at a vertical tab or a form feed, the csv module does not
+    @example(text="entry,exit,toll\n1,2,\v3\n2,2,\f1.5\n", n=None)
+    @example(text="entry,exit,toll\n1,2,3\v2,2,1.5\n", n=None)
+    @example(text="entry,exit,toll\n1,2,3\f\n", n=6)
+    # a last line without a line end; a header and nothing else
+    @example(text="entry,exit,toll\n1,2,3\n2,2,1.5", n=None)
+    @example(text="entry,exit,toll", n=None)
+    @example(text="entry,exit,toll", n=6)
+    @example(text="entry,exit,toll\n", n=None)
+    @example(text="entry,exit,toll\r\n", n=6)
+    # runs of blank lines, which the small pieces below split
+    @example(text="entry,exit,toll\n1,2,3\n\n\n\n\n2,2,1.5\n\n\n", n=None)
+    @example(text="entry,exit,toll\r\n\r\n\r\n1,2,3\r\n\r\n\r\n\r\n2,2,1.5\r\n", n=6)
     def test_reader_matches_row_loop_on_number_grammar(self, tmp_path_factory, text, n):
         path = tmp_path_factory.mktemp("csv") / "trips.csv"
         path.write_bytes(text.encode())
-        assert _read_outcome(ts.read_triplet_csv, path, n) == \
-            _read_outcome(read_triplet_csv_loop, path, n)
+        expected = _read_outcome(read_triplet_csv_loop, path, n)
+        for piece in (model._PIECE_BYTES, 1, 7):
+            with mock.patch.object(model, "_PIECE_BYTES", piece):
+                assert _read_outcome(ts.read_triplet_csv, path, n) == expected
 
     @pytest.mark.parametrize("tail, error", [
         ("101,101,x\n", ts.TollValidationError),
@@ -734,6 +752,68 @@ class TestTripletIO:
         write_triplet_csv_loop(matrix, tmp_path / "loop.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
         assert ts.read_triplet_csv(tmp_path / "new.csv", n=matrix.n) == matrix
+
+    @pytest.mark.parametrize("end", ["\r\n", "\n"])
+    def test_a_clean_file_never_walks(self, tmp_path, monkeypatch, end):
+        matrix = ts.random_matrix(60, density=0.5, seed=5)
+        path = tmp_path / "trips.csv"
+        ts.write_triplet_csv(matrix, path)
+        path.write_bytes(path.read_bytes().replace(b"\r\n", end.encode()))
+        monkeypatch.setattr(model, "_PIECE_BYTES", 100)
+        monkeypatch.setattr(model, "_walk_triplet_csv", mock.Mock(side_effect=AssertionError))
+        assert ts.read_triplet_csv(path) == matrix
+
+    def test_pieces_handed_to_loadtxt_stay_small(self, tmp_path, monkeypatch):
+        # 13.5k lines, 359 kB, in pieces of about 1 kB
+        matrix = ts.random_matrix(300, density=0.3, seed=2)
+        path = tmp_path / "trips.csv"
+        ts.write_triplet_csv(matrix, path)
+        raw = path.read_bytes()
+        monkeypatch.setattr(model, "_PIECE_BYTES", 1000)
+        pieces, at_loadtxt = [], []
+        split, loadtxt = model._pieces, np.loadtxt
+
+        def recorded(raw):
+            for piece in split(raw):
+                pieces.append(piece)
+                yield piece
+
+        def counted(lines, **kwargs):
+            at_loadtxt.append(len(pieces))
+            return loadtxt(lines, **kwargs)
+
+        monkeypatch.setattr(model, "_pieces", recorded)
+        monkeypatch.setattr(np, "loadtxt", counted)
+        assert ts.read_triplet_csv(path) == matrix
+        longest = max(map(len, raw.splitlines(keepends=True)))
+        # the header's piece alone is decoded before loadtxt starts
+        assert at_loadtxt == [1] and len(pieces) > 300
+        assert max(map(len, pieces)) < 1000 + longest
+        assert "".join(pieces).encode() == raw
+        assert all(piece.endswith("\n") for piece in pieces)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tolls=st.lists(st.one_of(
+        st.floats(5e-324, 1.7e308),
+        st.integers(1, 2**63).map(float),
+        # the shortest reprs that switch to an exponent, and their neighbours
+        st.sampled_from([1e16, 1e-05, 9999999999999998.0, 0.0001, 1.5e16, 2.5e-05]),
+    ), max_size=25))
+    @example(tolls=[5e-324, 1.7e308])
+    def test_writer_bytes_match_the_loop_for_any_toll(self, tmp_path_factory, tolls):
+        kept, total = [], 0.0
+        for toll in tolls:  # a total past the float range is no matrix
+            if total + toll < math.inf:
+                kept.append(toll)
+                total += toll
+        n = max(len(kept), 1)
+        matrix = TollMatrix(n, {(k, n): toll for k, toll in enumerate(kept, start=1)})
+        folder = tmp_path_factory.mktemp("csv")
+        write_triplet_csv_loop(matrix, folder / "loop.csv")
+        for cap in (1, 2, 7):
+            with mock.patch.object(model, "_DRAW_CHUNK", cap):
+                ts.write_triplet_csv(matrix, folder / "new.csv")
+            assert (folder / "new.csv").read_bytes() == (folder / "loop.csv").read_bytes()
 
     @pytest.mark.parametrize("cap", [1, 7, 1 << 16])
     def test_writer_slices_give_the_same_bytes(self, tmp_path, monkeypatch, cap):
