@@ -117,10 +117,10 @@ def _json(value, pad: str = "") -> str:
     Dicts with str keys, lists and tuples are laid out here, as ``json``
     lays them out with an indent (in pure Python).  A list of finite floats
     is one C-level join of ``float.__repr__``, which ``json`` writes for a
-    float subclass such as ``np.float64`` too.  A list of pairs, lists or
-    tuples of two finite floats such as Lorenz points, is one C-level ``%``
-    format over those reprs.  Every other leaf, and a dict with a key that
-    is not a str, goes to ``json.dumps``.
+    float subclass such as ``np.float64`` too.  A list of pairs (lists or
+    tuples of two finite floats), such as Lorenz points, is one C-level
+    ``%`` format over those reprs.  Every other leaf, and a dict with a key
+    that is not a str, goes to ``json.dumps``.
     """
     if isinstance(value, dict):
         if not value:

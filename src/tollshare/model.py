@@ -603,12 +603,10 @@ def block_structured_matrix(
 TRIPLET_HEADER = ("entry", "exit", "toll")
 
 def write_triplet_csv(matrix: TollMatrix, path: str | Path) -> None:
-    """Write ``matrix.columns`` as triplet CSV, one text of ``_DRAW_CHUNK`` rows at a time:
-    the bytes ``csv.writer`` writes, as no integer or float ``repr`` needs quoting.
-
-    A text is one ``%`` format of ``"%d,%d,%r\\r\\n"`` repeated once per row
-    over the row's cells, interleaved in one list, so no Python code runs
-    per row; float ``repr`` is most of what is left."""
+    """Write ``matrix.columns`` as triplet CSV, the bytes ``csv.writer`` writes, as no
+    integer or float ``repr`` needs quoting: each slice of ``_DRAW_CHUNK`` rows is one
+    ``%`` format, ``"%d,%d,%r\\r\\n"`` once per row, over the slice's cells
+    interleaved in one list, so no Python code runs per row."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRIPLET_HEADER) + "\r\n")
         for start in range(0, len(matrix.entries), _DRAW_CHUNK):
@@ -660,24 +658,17 @@ def _check_header(reader: Iterator[list[str]], path: str | Path) -> None:
 
 def _load_records(raw: bytes) -> np.ndarray | None:
     """The records after the header, parsed by one ``np.loadtxt`` call over
-    the lines of the text, which ``_pieces`` decodes a piece at a time, so
-    at most one piece's lines are held at once.  ``None`` sends the file to
-    the walk, which reports any fault: when the first line is not the header
-    as plain comma-separated cells; when numpy rejects the body or warns
-    about it, as it does about a body with no record; or when numpy may read
-    a cell that Python would not, or ``str.splitlines`` split a line that
-    the ``csv`` module does not: the file is not ASCII or holds one of
-    ``_WALK_BYTES``.  Warnings count as rejections because numpy releases
-    that only deprecate a cast, such as a float cell into an integer field,
-    read the cell with a ``DeprecationWarning`` instead of raising.
-
-    Those bytes aside, ``str.splitlines`` ends an ASCII line at ``\\n``,
-    ``\\r`` or ``\\r\\n``, as the ``csv`` module reads a file opened with
-    ``newline=""``; a quote, which could join lines, is no number to numpy
-    and sends the file to the walk."""
+    the text's lines, split one ``_pieces`` piece at a time.  ``None`` sends
+    the file to the walk, which reports any fault: the first line is not
+    the plain header; numpy rejects the body or warns about it, as about a
+    body with no record or, in releases that only deprecate the cast, a
+    float cell in an integer field; or the file is not ASCII or holds one
+    of ``_WALK_BYTES``.  Otherwise ``str.splitlines`` ends lines where the
+    ``csv`` module does in a file opened with ``newline=""``, at ``\\n``,
+    ``\\r`` and ``\\r\\n``; a quote, which could join lines, is no number to
+    numpy."""
     if not raw.isascii() or any(byte in raw for byte in _WALK_BYTES):
         return None
-    # one piece's lines at a time, split as ``splitlines`` splits the whole text
     lines = chain.from_iterable(map(str.splitlines, _pieces(raw)))
     header = next(lines, "")
     if [cell.strip().lower() for cell in header.split(",")] != list(TRIPLET_HEADER):
