@@ -37,13 +37,13 @@ from .errors import (
     HarnessMismatchError,
     InvalidToleranceError,
     InvalidTrialsError,
+    OracleSizeError,
     TollShareError,
     TollValidationError,
     UnknownMethodError,
 )
 from .game import (
     EXHAUSTIVE_CEILING,
-    EXHAUSTIVE_LIMIT,
     SegmentsGame,
     average_tree_value,
     core_check,
@@ -69,12 +69,12 @@ from .model import (
 #: that builds the table rows, status
 Report = tuple[dict, list[str], Callable[[], list[list]], int | str]
 
-#: solution -> (solver(game, limit), the method it must reproduce); the
-#: average-tree value enumerates nothing, so it ignores ``limit``
+#: solution -> (solver(game), the method it must reproduce); ``--limit`` bounds
+#: every solver but the average-tree value, which enumerates nothing
 _SOLUTIONS = {
     "shapley": (shapley_value, "ses"),
     "tau": (tau_value, "sps"),
-    "at": (lambda game, limit: average_tree_value(game), "scs"),
+    "at": (average_tree_value, "scs"),
 }
 
 
@@ -187,7 +187,10 @@ def cmd_allocate(args: argparse.Namespace, matrix: TollMatrix, names: list[str])
 
 def cmd_game(args: argparse.Namespace, matrix: TollMatrix, names: None) -> Report:
     solver, method_name = _SOLUTIONS[args.solution]
-    vector = solver(SegmentsGame(matrix), limit=args.limit)
+    game = SegmentsGame(matrix)
+    if args.solution != "at" and matrix.n > args.limit:
+        raise OracleSizeError(matrix.n, args.limit)
+    vector = solver(game)
     method_vector = allocation_method(method_name)(matrix)
     diff = float(np.max(np.abs(vector - method_vector)))
     matches = diff <= allowance(args.tol, matrix.total)
@@ -323,9 +326,9 @@ _REPORTS = (
     ("allocate", cmd_allocate, "per-segment toll shares", True, True, False, False, ()),
     ("game", cmd_game, "compare a game solution with its method", True, False, True, False, (
         ("--solution", dict(choices=sorted(_SOLUTIONS), required=True)),
-        ("--limit", dict(type=int, default=EXHAUSTIVE_LIMIT,
-                         help="largest n for exhaustive enumeration "
-                              f"(never above {EXHAUSTIVE_CEILING})")),
+        ("--limit", dict(type=int, default=EXHAUSTIVE_CEILING,
+                         help="refuse a larger game; the oracles never "
+                              f"enumerate above {EXHAUSTIVE_CEILING} segments")),
     )),
     ("core", cmd_core, "core-membership reports", True, True, True, False, ()),
     ("axioms", cmd_axioms, "axiom verdict matrix / independence harness",

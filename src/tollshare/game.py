@@ -30,12 +30,9 @@ from .errors import (
 from .methods import SpsDecomposition, WeightScheme, sps_decomposition
 from .model import DEFAULT_TOL, TollMatrix, allowance
 
-#: Hard cap on ``n`` for any ``2^n`` vector, whatever limit is requested:
-#: 22 segments (the AP68 case study) need 32 MB per vector.
+#: Largest ``n`` for any ``2^n`` vector, the one size bound of the
+#: exhaustive oracles: 22 segments (the AP68 case study) need 32 MB per vector.
 EXHAUSTIVE_CEILING = 22
-
-#: Default segment count up to which full-subset enumeration runs.
-EXHAUSTIVE_LIMIT = EXHAUSTIVE_CEILING
 
 #: Largest ``n`` whose ``(n+2) x (n+2)`` interval grid a game builds: 2^24
 #: floats, 128 MB; n = 2000 needs 32 MB.  It is the only ``n x n`` table.
@@ -115,7 +112,8 @@ class SegmentsGame:
         before allocating.
         """
         if self._mask_values is None:
-            _require_small(self, EXHAUSTIVE_CEILING)
+            if self.n > EXHAUSTIVE_CEILING:
+                raise OracleSizeError(self.n, EXHAUSTIVE_CEILING)
             ending = _ending_tolls(self.matrix)
             values = np.zeros(1 << self.n)
             for i in range(self.n):
@@ -128,12 +126,6 @@ class SegmentsGame:
                     np.add(values[lo:hi], gained[r], out=values[half + lo : half + hi])
             self._mask_values = values
         return self._mask_values
-
-
-def _require_small(game: SegmentsGame, limit: int) -> None:
-    limit = min(limit, EXHAUSTIVE_CEILING)
-    if game.n > limit:
-        raise OracleSizeError(game.n, limit)
 
 
 def _doubling_sums(x: np.ndarray, dtype=float) -> np.ndarray:
@@ -153,7 +145,7 @@ def _split(vector: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     return view[:, 0, :], view[:, 1, :]
 
 
-def shapley_value(game: SegmentsGame, limit: int = EXHAUSTIVE_LIMIT) -> np.ndarray:
+def shapley_value(game: SegmentsGame) -> np.ndarray:
     """Exact Shapley value by full subset enumeration.
 
     Every coalition S not containing player i contributes its marginal
@@ -164,7 +156,6 @@ def shapley_value(game: SegmentsGame, limit: int = EXHAUSTIVE_LIMIT) -> np.ndarr
     popcount of ``j``, serves every player.  Holds two ``2^(n-1)`` float
     vectors besides the worths.
     """
-    _require_small(game, limit)
     n = game.n
     values = game.mask_values()
     fact = [1.0] * (n + 1)
@@ -195,11 +186,7 @@ class CompromiseBounds:
     alpha: float | None
 
 
-def compromise_bounds(
-    game: SegmentsGame,
-    limit: int = EXHAUSTIVE_LIMIT,
-    tol: float = DEFAULT_TOL,
-) -> CompromiseBounds:
+def compromise_bounds(game: SegmentsGame, *, tol: float = DEFAULT_TOL) -> CompromiseBounds:
     """Utopia vector M and minimal-rights vector m by full enumeration.
 
     ``M_i = v(N) - v(N without i)``; ``m_i`` maximizes, over all coalitions S
@@ -211,7 +198,6 @@ def compromise_bounds(
     high player's, which :func:`_split` views of those short vectors then
     take; ``max`` is exact in any order.
     """
-    _require_small(game, limit)
     n = game.n
     values = game.mask_values()
     full = (1 << n) - 1
@@ -229,15 +215,11 @@ def compromise_bounds(
     return CompromiseBounds(utopia, rights, alpha)
 
 
-def tau_value(
-    game: SegmentsGame,
-    limit: int = EXHAUSTIVE_LIMIT,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
+def tau_value(game: SegmentsGame, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Compromise value: the efficient convex mix of minimal rights and
     utopia payoffs.  Raises :class:`TauUndefinedError` when the bounds
     coincide but are not efficient."""
-    bounds = compromise_bounds(game, limit=limit, tol=tol)
+    bounds = compromise_bounds(game, tol=tol)
     grand = game.grand_value
     if bounds.alpha is None:
         gap = abs(float(bounds.minimal_rights.sum()) - grand)
@@ -380,7 +362,6 @@ def core_check_exhaustive(
     game: SegmentsGame,
     shares: Sequence[float],
     tol: float = DEFAULT_TOL,
-    limit: int = EXHAUSTIVE_LIMIT,
 ) -> tuple[bool, list[tuple[int, ...]]]:
     """Full ``2^n`` core test; a cross-check for :func:`core_check`.
 
@@ -388,7 +369,6 @@ def core_check_exhaustive(
     ascending mask order.  Every coalition's allocated total is a doubling
     sum; two ``2^n`` float vectors besides the worths.
     """
-    _require_small(game, limit)
     x = _check_shares(game, shares)
     values = game.mask_values()
     slack = allowance(tol, game.grand_value)

@@ -25,7 +25,7 @@ from itertools import accumulate, chain, combinations_with_replacement
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -336,9 +336,9 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
     bin the loop subtracts the weights of the trips that exit there before
     it adds those of the trips that enter at the next segment, so the array
     lane starts from the negated exits and adds the entries in trip order,
-    and the two return the same bits.  ``_clear_loads`` and, where it leaves
-    a segment open, ``_settle`` turn either lane's prefix sums into the
-    result.
+    and the two return the same bits.  ``_clear_loads`` turns either lane's
+    prefix sums into the result; where it leaves a segment open, the loop
+    lane hands over to the array lane, whose ``_settle`` decides it.
     """
     n = matrix.n
     columns = array_lane(matrix)
@@ -353,13 +353,9 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
                 count[h - 1] += 1
                 count[k] -= 1
         loads = _clear_loads(n, accumulate(diff[:n]), accumulate(count[:n]), sum(weights))
-        if None in loads:
-            by_entry = [0.0] * n
-            for (h, _), w in zip(matrix.entries, weights):
-                by_entry[h - 1] += w
-            loads = _settle(loads, accumulate(diff[:n]), accumulate(by_entry), lambda segments:
-                            _exact_loads(n, *matrix.columns[:2], np.array(weights), segments))
-        return np.array(loads)
+        if None not in loads:
+            return np.array(loads)
+        columns = matrix.columns
     entry, exit, _ = columns
     if not isinstance(weights, np.ndarray):
         weights = np.fromiter(weights, dtype=float, count=len(entry))
@@ -371,8 +367,7 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
     prefix = np.cumsum(diff[:n]).tolist()
     loads = _clear_loads(n, prefix, np.cumsum(count[:n]).tolist(), float(weights.sum()))
     if None in loads:
-        loads = _settle(loads, prefix, np.cumsum(np.bincount(start, weights, minlength=n)).tolist(),
-                        lambda segments: _exact_loads(n, entry, exit, weights, segments))
+        loads = _settle(loads, prefix, entry, exit, weights)
     return np.array(loads)
 
 
@@ -391,19 +386,22 @@ def _clear_loads(n: int, prefix: Iterable[float], covering: Iterable[int],
     return [(s if s > quick else None) if c else 0.0 for s, c in zip(prefix, covering)]
 
 
-def _settle(loads: list[float | None], prefix: Iterable[float], entered: Iterable[float],
-            exact: Callable[[list[int]], list[float]]) -> list[float]:
+def _settle(loads: list[float | None], prefix: Iterable[float], entry: np.ndarray,
+            exit: np.ndarray, weights: np.ndarray) -> list[float]:
     """``loads`` with each ``None`` decided: the segment's prefix sum where it
     clears its rounding bound, ``_RESIDUE * n`` times the weight entered up
-    to the segment (``entered`` lists it per segment).  Rounding residue can
-    be as large as the load on the other segments, so they take
-    ``exact(segments)``, called once with all of them, or not at all."""
-    residue = _RESIDUE * len(loads)
+    to the segment.  Rounding residue can be as large as the load on the
+    other segments, so they take ``_exact_loads``, called once with all of
+    them, or not at all."""
+    n = len(loads)
+    residue = _RESIDUE * n
+    entered = np.cumsum(np.bincount(entry - 1, weights, minlength=n)).tolist()
     loads = [(s if s > residue * e else None) if load is None else load
              for load, s, e in zip(loads, prefix, entered)]
     segments = [i for i, load in enumerate(loads, start=1) if load is None]
-    for i, load in zip(segments, exact(segments) if segments else ()):
-        loads[i - 1] = load
+    if segments:
+        for i, load in zip(segments, _exact_loads(n, entry, exit, weights, segments)):
+            loads[i - 1] = load
     return loads
 
 

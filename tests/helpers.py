@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from tollshare.game import (
     _prefix,
     _split,
 )
+from tollshare import model
 from tollshare.methods import sps_decomposition
 from tollshare.model import DEFAULT_TOL, allowance
 
@@ -95,6 +97,37 @@ def exact_loads_loop(n, entry, exit, weights, segments) -> list[float]:
     """``model._exact_loads`` as ``coverage`` computed it before: one
     ``math.fsum`` per segment over a mask of every trip, O(n * T)."""
     return [math.fsum(weights[(entry <= i) & (i <= exit)].tolist()) for i in segments]
+
+
+def coverage_loop_settle(matrix: TollMatrix, weights) -> np.ndarray:
+    """``coverage``'s loop lane as it was before it handed an open segment
+    to the array lane: its own pass for the weight entered up to each
+    segment and its own settle, on the loop's prefix sums."""
+    n = matrix.n
+    weights = list(weights)
+    diff = [0.0] * (n + 1)
+    count = [0] * (n + 1)
+    for (h, k), w in zip(matrix.entries, weights):
+        if w:
+            diff[h - 1] += w
+            diff[k] -= w
+            count[h - 1] += 1
+            count[k] -= 1
+    loads = model._clear_loads(n, accumulate(diff[:n]), accumulate(count[:n]), sum(weights))
+    if None in loads:
+        by_entry = [0.0] * n
+        for (h, _), w in zip(matrix.entries, weights):
+            by_entry[h - 1] += w
+        residue = model._RESIDUE * n
+        loads = [(s if s > residue * e else None) if load is None else load
+                 for load, s, e in zip(loads, accumulate(diff[:n]), accumulate(by_entry))]
+        segments = [i for i, load in enumerate(loads, start=1) if load is None]
+        if segments:
+            entry, exit, _ = matrix.columns
+            exact = model._exact_loads(n, entry, exit, np.array(weights), segments)
+            for i, load in zip(segments, exact):
+                loads[i - 1] = load
+    return np.array(loads)
 
 
 def sps_decomposition_loop(matrix: TollMatrix) -> SpsDecomposition:

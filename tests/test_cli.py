@@ -154,6 +154,22 @@ class TestGame:
             assert code == 2 and out == ""
             assert "exhaustive limit is 22" in err
 
+    @pytest.mark.parametrize("solution", ["shapley", "tau"])
+    def test_limit_below_the_game_refuses(self, capsys, example61_csv, solution):
+        code, out, err = run(
+            capsys, "game", "--input", example61_csv, "--solution", solution,
+            "--limit", "3",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: game has 5 segments; exhaustive limit is 3\n"
+
+    def test_average_tree_ignores_the_limit(self, capsys, example61_csv):
+        code, out, _ = run(
+            capsys, "game", "--input", example61_csv, "--solution", "at",
+            "--limit", "1", "--no-timestamp",
+        )
+        assert code == 0 and json.loads(out)["matches_method"] is True
+
     def test_interval_grid_ceiling(self, capsys, tmp_path):
         path = tmp_path / "two.csv"
         ts.write_triplet_csv(ts.TollMatrix(3, {(1, 2): 3.0, (2, 3): 1.5}), path)

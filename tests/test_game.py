@@ -116,17 +116,17 @@ class TestOracleBits:
     ``tau_value`` give the bits of the passes they replaced."""
 
     @staticmethod
-    def _assert_same_bits(matrix, limit=EXHAUSTIVE_CEILING):
+    def _assert_same_bits(matrix):
         game = SegmentsGame(matrix)
         assert game.mask_values().tobytes() == mask_values_run_loop(matrix).tobytes()
-        shapley = ts.shapley_value(game, limit=limit)
+        shapley = ts.shapley_value(game)
         assert shapley.tobytes() == shapley_strided_loop(game).tobytes()
         try:
-            tau = ts.tau_value(game, limit=limit).tobytes()
+            tau = ts.tau_value(game).tobytes()
         except ts.TauUndefinedError:
             tau = b"undefined"
         expected = _oracle_bytes(game, compromise_bounds_loop(game))
-        assert _oracle_bytes(game, ts.compromise_bounds(game, limit=limit))[:3] == expected[:3]
+        assert _oracle_bytes(game, ts.compromise_bounds(game))[:3] == expected[:3]
         assert tau == expected[3]
         return shapley
 
@@ -205,13 +205,27 @@ class TestSubsetDP:
         with pytest.raises(ts.OracleSizeError):
             SegmentsGame(TollMatrix.zero(EXHAUSTIVE_CEILING + 1)).mask_values()
 
-    def test_ceiling_overrides_limit(self):
+    @staticmethod
+    def _oracles(game):
+        return (lambda: ts.shapley_value(game), lambda: ts.tau_value(game),
+                lambda: ts.compromise_bounds(game),
+                lambda: ts.core_check_exhaustive(game, np.zeros(game.n)))
+
+    def test_each_oracle_refuses_past_the_ceiling(self):
         game = SegmentsGame(TollMatrix.zero(EXHAUSTIVE_CEILING + 1))
-        for oracle in (ts.shapley_value, ts.tau_value, ts.compromise_bounds):
+        for oracle in self._oracles(game):
             with pytest.raises(ts.OracleSizeError, match="exhaustive limit is 22"):
-                oracle(game, limit=30)
-        with pytest.raises(ts.OracleSizeError):
-            ts.core_check_exhaustive(game, np.zeros(game.n), limit=30)
+                oracle()
+
+    def test_each_oracle_refuses_before_any_enumeration(self):
+        # one vector of 2^23 worths is 64 MB; the refusal allocates none
+        game = SegmentsGame(ts.random_matrix(EXHAUSTIVE_CEILING + 1, density=0.5, seed=1))
+        for oracle in self._oracles(game):
+            def refused():
+                with pytest.raises(ts.OracleSizeError, match="exhaustive limit is 22"):
+                    oracle()
+
+            assert _tracemalloc_peak(refused) < 1 << 20
 
 
 class TestAP68Oracles:
@@ -223,23 +237,23 @@ class TestAP68Oracles:
 
     def test_shapley_is_equal_sharing(self, ap68_game):
         matrix = ap68_game.matrix
-        shapley = ts.shapley_value(ap68_game, limit=22)
+        shapley = ts.shapley_value(ap68_game)
         assert np.max(np.abs(shapley - ts.ses(matrix))) <= 1e-9 * matrix.total
 
     def test_tau_is_proportional_sharing(self, ap68_game):
         matrix = ap68_game.matrix
-        tau = ts.tau_value(ap68_game, limit=22)
+        tau = ts.tau_value(ap68_game)
         assert np.max(np.abs(tau - ts.sps(matrix))) <= 1e-9 * matrix.total
 
     def test_exhaustive_core_agrees_with_interval_core(self, ap68_game):
         matrix = ap68_game.matrix
         for method in (ts.ses, ts.sps):
             x = method(matrix)
-            member, violating = ts.core_check_exhaustive(ap68_game, x, limit=22)
+            member, violating = ts.core_check_exhaustive(ap68_game, x)
             report = ts.core_check(ap68_game, x)
             assert member == report.is_member
             assert bool(violating) == bool(report.violations)
-        assert ts.core_check_exhaustive(ap68_game, ts.ses(matrix), limit=22) == (True, [])
+        assert ts.core_check_exhaustive(ap68_game, ts.ses(matrix)) == (True, [])
 
 
 class TestShapley:
@@ -263,10 +277,19 @@ class TestShapley:
         with pytest.raises(ts.OracleSizeError):
             ts.tau_value(game)
         with pytest.raises(ts.OracleSizeError):
-            ts.compromise_bounds(game, limit=8)
+            ts.compromise_bounds(game)
 
 
 class TestTau:
+    def test_tolerance_is_keyword_only(self, example3):
+        # a second positional argument was once a size limit; it must not
+        # pass for a tolerance
+        game = SegmentsGame(example3)
+        for oracle in (ts.tau_value, ts.compromise_bounds):
+            with pytest.raises(TypeError):
+                oracle(game, 22)
+        assert np.array_equal(ts.tau_value(game, tol=1e-6), ts.tau_value(game))
+
     def test_example(self, example3):
         tau = ts.tau_value(SegmentsGame(example3))
         assert np.allclose(tau, [4 / 5, 4 / 5, 2 / 5], atol=1e-12)

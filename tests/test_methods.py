@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tollshare as ts
 from tollshare import TollMatrix, model
 
 from helpers import (
+    coverage_loop_settle,
     exact_loads_loop,
     scs_loop,
     seeded_matrices,
@@ -335,6 +336,19 @@ class TestCoverageKernel:
                 results.append(_lane_outputs(matrix))
         for array, loop in zip(*results):
             assert np.array_equal(array, loop)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(wide_matrices())
+    @example(TollMatrix(8, {(2, 5): 1e300, (1, 8): 1e-300}))
+    def test_loop_lane_settles_as_it_did_on_its_own(self, matrix):
+        """Below ``_ARRAY_LANE_TRIPS`` trips, a segment left open goes to the
+        array lane, with the bits of the loop lane's former own settle."""
+        assert len(matrix.entries) < model._ARRAY_LANE_TRIPS
+        tolls = [t for _, t in matrix.trips()]
+        for weights in (tolls, [t / (k - h + 1) for (h, k), t in matrix.trips()],
+                        [0.0 if j % 3 == 1 else t for j, t in enumerate(tolls)]):
+            assert (ts.coverage(matrix, weights).tobytes()
+                    == coverage_loop_settle(matrix, weights).tobytes())
 
     def test_large_matrix_takes_the_array_lane_with_the_loop_bits(self, monkeypatch):
         matrix = ts.random_matrix(300, density=1.0, seed=8)
