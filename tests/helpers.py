@@ -15,6 +15,7 @@ from tollshare import (
     SpsDecomposition,
     TollMatrix,
     TollValidationError,
+    model,
     random_matrix,
 )
 from tollshare.game import (
@@ -28,7 +29,6 @@ from tollshare.game import (
     _prefix,
     _split,
 )
-from tollshare import model
 from tollshare.methods import sps_decomposition
 from tollshare.model import DEFAULT_TOL, allowance
 

@@ -282,8 +282,7 @@ class TestShapley:
 
 class TestTau:
     def test_tolerance_is_keyword_only(self, example3):
-        # a second positional argument was once a size limit; it must not
-        # pass for a tolerance
+        # so that a size limit passed by position cannot pass for a tolerance
         game = SegmentsGame(example3)
         for oracle in (ts.tau_value, ts.compromise_bounds):
             with pytest.raises(TypeError):
