@@ -2,10 +2,14 @@ r"""Count the lines of each module of a source tree, and its code lines.
 
     python3 scripts/count_lines.py            # the modules under src/
     python3 scripts/count_lines.py src/tollshare/model.py tests
+    python3 scripts/count_lines.py --against HEAD~1   # src/ then and now
 
 A code line is a non-blank line that is neither part of a module, class or
 function docstring nor a line holding only a comment.  Prints one row per
-module, ``lines code path``, and the totals last.
+module, ``lines code path``, and the totals last.  With ``--against REV``
+each row starts with the module's ``lines code`` at the git revision REV,
+read with ``git show``, and a ``-`` pair stands for a module missing on
+one side.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import subprocess
 import tokenize
 from pathlib import Path
 
@@ -45,21 +50,54 @@ def count(source: str) -> tuple[int, int]:
     return len(text), sum(1 for line in code if text[line - 1].strip())
 
 
+def git(where: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(where), *args], check=True,
+                          capture_output=True, text=True).stdout
+
+
+def at_revision(rev: str, paths: list[Path]) -> dict[Path, str]:
+    """The text at ``rev`` of each module under ``paths``, keyed by its path
+    in the working tree."""
+    texts: dict[Path, str] = {}
+    for path in (path.resolve() for path in paths):
+        top = Path(git(path if path.is_dir() else path.parent,
+                       "rev-parse", "--show-toplevel").strip())
+        listed = git(top, "ls-tree", "-r", "-z", "--name-only", rev, "--",
+                     str(path.relative_to(top)))
+        for name in filter(None, listed.split("\0")):
+            if name.endswith(".py"):
+                texts[top / name] = git(top, "show", f"{rev}:{name}")
+    return texts
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", type=Path, default=[ROOT / "src"],
                         help="modules or directories to count (default: src/)")
+    parser.add_argument("--against", metavar="REV",
+                        help="also count the modules at the git revision REV")
     args = parser.parse_args(argv)
-    modules = sorted(module for path in args.paths
-                     for module in ([path] if path.is_file() else path.rglob("*.py")))
-    totals = [0, 0]
-    for module in modules:
-        lines, code = count(module.read_text())
-        totals[0] += lines
-        totals[1] += code
+    modules = (module for path in args.paths
+               for module in ([path] if path.is_file() else path.rglob("*.py")))
+    sides = [{module.resolve(): count(module.read_text()) for module in modules}]
+    if args.against is not None:
+        try:
+            texts = at_revision(args.against, args.paths)
+        except subprocess.CalledProcessError as exc:
+            parser.error(f"--against {args.against}: {exc.stderr.strip()}")
+        sides.insert(0, {module: count(text) for module, text in texts.items()})
+    totals = [[0, 0] for _ in sides]
+    for module in sorted(set().union(*sides)):
+        cells = []
+        for side, total in zip(sides, totals):
+            lines, code = side.get(module, ("-", "-"))
+            if module in side:
+                total[0] += lines
+                total[1] += code
+            cells.append(f"{lines:>6} {code:>6}")
         shown = module.relative_to(ROOT) if module.is_relative_to(ROOT) else module
-        print(f"{lines:6d} {code:6d} {shown}")
-    print(f"{totals[0]:6d} {totals[1]:6d} total")
+        print(*cells, shown)
+    print(*(f"{lines:6d} {code:6d}" for lines, code in totals), "total")
     return 0
 
 

@@ -4,7 +4,10 @@ Every checker takes a method (a function from toll matrices to share
 vectors) and the objects the axiom quantifies over, and hands its
 comparisons to ``_verdict``.  ``CATALOGUE`` holds one ``AxiomSpec`` per
 axiom, in report order; the runners look an axiom up there and never branch
-on its name.
+on its name.  The per-method axiom claims live in ``ANCHORED_AXIOMS``, and
+the paper's characterizations in ``CHARACTERIZATIONS``, each with every
+counterexample's failing axiom and the instances on which it fails; both
+are built from one named tuple per axiom set.
 
 Seeded verdicts depend on the draw stream, so the draw order is fixed:
 ``generate_instance`` draws the size, then the builder draws in the order
@@ -22,7 +25,7 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, combinations, combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
 
@@ -41,7 +44,7 @@ from .errors import (
     PreconditionNotMet,
     SegmentIndexError,
 )
-from .methods import TRIGGERS, MethodFn, allocation_method
+from .methods import METHODS, TRIGGERS, MethodFn, allocation_method
 from .model import (
     DEFAULT_TOL,
     TollMatrix,
@@ -509,6 +512,13 @@ def evaluate_axiom(
     return AxiomVerdict(axiom, True)
 
 
+#: The axiom sets of the paper's characterizations of sps and of scs, which
+#: ``ANCHORED_AXIOMS`` and ``CHARACTERIZATIONS`` share.
+_PROPORTIONAL = ("efficiency", "inessential_segment", "weighted_segment_symmetry", "covariance")
+_COMPENSATED = ("efficiency", "linearity", "inessential_segment", "weak_segment_symmetry",
+                "indifference_to_extensions")
+_COMPENSATED_FAIRNESS = ("toll_component_fairness", "subhighway_efficiency")
+
 #: Axiom sets with explicit support, per method; these are asserted by the
 #: acceptance suite.
 ANCHORED_AXIOMS: Mapping[str, tuple[str, ...]] = {
@@ -520,21 +530,8 @@ ANCHORED_AXIOMS: Mapping[str, tuple[str, ...]] = {
         "toll_fairness",
         "subhighway_efficiency",
     ),
-    "sps": (
-        "efficiency",
-        "inessential_segment",
-        "weighted_segment_symmetry",
-        "covariance",
-    ),
-    "scs": (
-        "efficiency",
-        "linearity",
-        "inessential_segment",
-        "weak_segment_symmetry",
-        "indifference_to_extensions",
-        "toll_component_fairness",
-        "subhighway_efficiency",
-    ),
+    "sps": _PROPORTIONAL,
+    "scs": _COMPENSATED + _COMPENSATED_FAIRNESS,
 }
 
 
@@ -668,7 +665,7 @@ def _receive(read: int) -> list:
 
 
 def axiom_matrix(
-    method_names: Sequence[str] = ("ses", "sps", "scs"),
+    method_names: Sequence[str] = tuple(METHODS),
     axioms: Sequence[str] = AXIOMS,
     *,
     trials: int = 200,
@@ -695,71 +692,47 @@ class Characterization:
     """An axiom set together with the methods that pin down its minimality.
 
     ``failures`` maps each alternative method to the single axiom of the set
-    it is expected to violate.
+    it is expected to violate, and ``instances`` maps a method to the
+    hand-built instances on which it provably does, which the harness checks
+    before its seeded trials.
     """
 
     name: str
     axioms: tuple[str, ...]
     failures: Mapping[str, str]
+    instances: Mapping[str, Sequence[Mapping[str, object]]] = field(default_factory=dict)
 
+
+_T3 = TollMatrix(3, {(1, 2): 1.0, (1, 3): 1.0})
 
 CHARACTERIZATIONS: tuple[Characterization, ...] = (
     Characterization(
-        "proportional_axioms",
-        ("efficiency", "inessential_segment", "weighted_segment_symmetry", "covariance"),
-        {
-            "A1_involvement_sum": "efficiency",
-            "A1_swap_diag": "covariance",
-            "ses": "weighted_segment_symmetry",
-            "A1_tilde": "inessential_segment",
-        },
+        "proportional_axioms", _PROPORTIONAL,
+        {"A1_involvement_sum": "efficiency", "A1_swap_diag": "covariance",
+         "ses": "weighted_segment_symmetry", "A1_tilde": "inessential_segment"},
+        {"A1_involvement_sum": [{"matrix": _T3}],
+         "A1_swap_diag": [{"matrix": TollMatrix.zero(2), "b": 1.0, "a": (1.0, 2.0)}],
+         "ses": [{"matrix": _T3}],
+         "A1_tilde": [{"matrix": TollMatrix(3, {(2, 3): 1.0})}]},
     ),
     Characterization(
-        "compensated_axioms",
-        ("efficiency", "linearity", "inessential_segment", "weak_segment_symmetry",
-         "indifference_to_extensions"),
-        {
-            "ses": "indifference_to_extensions",
-            "A2_uniform": "inessential_segment",
-            "A2_zero": "efficiency",
-            "A2_entrance": "weak_segment_symmetry",
-            "A2_hybrid": "linearity",
-        },
+        "compensated_axioms", _COMPENSATED,
+        {"ses": "indifference_to_extensions", "A2_uniform": "inessential_segment",
+         "A2_zero": "efficiency", "A2_entrance": "weak_segment_symmetry",
+         "A2_hybrid": "linearity"},
+        {"ses": [{"n": 3}],
+         "A2_uniform": [{"matrix": TollMatrix(4, {(1, 2): 1.0, (1, 3): 1.0})}],
+         "A2_zero": [{"matrix": _T3}],
+         "A2_entrance": [{"matrix": TollMatrix.unit(1, 3, 3)}],
+         "A2_hybrid": [{"matrix": TollMatrix.unit(1, 2, 3), "other": TollMatrix.unit(1, 3, 3),
+                        "b": 1.0, "b2": 1.0}]},
     ),
     Characterization(
-        "compensated_fairness_axioms",
-        ("toll_component_fairness", "subhighway_efficiency"),
-        {
-            "A2_zero": "subhighway_efficiency",
-            "ses": "toll_component_fairness",
-        },
+        "compensated_fairness_axioms", _COMPENSATED_FAIRNESS,
+        {"A2_zero": "subhighway_efficiency", "ses": "toll_component_fairness"},
+        {"A2_zero": [{"matrix": _T3}], "ses": [{"matrix": _T3, "cut": 1}]},
     ),
 )
-
-
-def _designated_failures() -> dict[tuple[str, str], list[Mapping[str, object]]]:
-    """Hand-built instances on which each flawed method provably fails."""
-    t3 = TollMatrix(3, {(1, 2): 1.0, (1, 3): 1.0})
-    return {
-        ("A1_involvement_sum", "efficiency"): [{"matrix": t3}],
-        ("A1_swap_diag", "covariance"): [
-            {"matrix": TollMatrix.zero(2), "b": 1.0, "a": np.array([1.0, 2.0])}
-        ],
-        ("ses", "weighted_segment_symmetry"): [{"matrix": t3}],
-        ("A1_tilde", "inessential_segment"): [{"matrix": TollMatrix(3, {(2, 3): 1.0})}],
-        ("ses", "indifference_to_extensions"): [{"n": 3}],
-        ("A2_uniform", "inessential_segment"): [
-            {"matrix": TollMatrix(4, {(1, 2): 1.0, (1, 3): 1.0})}
-        ],
-        ("A2_zero", "efficiency"): [{"matrix": t3}],
-        ("A2_entrance", "weak_segment_symmetry"): [{"matrix": TollMatrix.unit(1, 3, 3)}],
-        ("A2_hybrid", "linearity"): [
-            {"matrix": TollMatrix.unit(1, 2, 3), "other": TollMatrix.unit(1, 3, 3),
-             "b": 1.0, "b2": 1.0}
-        ],
-        ("A2_zero", "subhighway_efficiency"): [{"matrix": t3}],
-        ("ses", "toll_component_fairness"): [{"matrix": t3, "cut": 1}],
-    }
 
 
 def _pass_instances(method: str, axiom: str, rng: np.random.Generator) -> list[Mapping[str, object]]:
@@ -788,18 +761,17 @@ def independence_harness(
     Raises :class:`HarnessMismatchError` on the first cell whose verdict
     contradicts the expected pattern.
     """
-    designated = _designated_failures()
-
-    def cell(char: str, method: str, axiom: str, should_fail: bool) -> AxiomVerdict:
-        cell_seed = _stable_seed(seed, char, method, axiom)
+    def cell(char: Characterization, method: str, axiom: str,
+             should_fail: bool) -> AxiomVerdict:
+        cell_seed = _stable_seed(seed, char.name, method, axiom)
         if should_fail:
-            extras = designated.get((method, axiom), [])
+            extras = char.instances.get(method, [])
         else:
             extras = _pass_instances(method, axiom, np.random.default_rng(cell_seed))
         return evaluate_axiom(allocation_method(method), axiom, trials=trials, seed=cell_seed,
                               sizes=sizes, extra_instances=extras)
 
-    cells = [(char.name, method, axiom, expected_fail == axiom)
+    cells = [(char, method, axiom, expected_fail == axiom)
              for char in CHARACTERIZATIONS
              for method, expected_fail in char.failures.items()
              for axiom in char.axioms]

@@ -51,7 +51,7 @@ from .game import (
     sps_core_criterion,
     tau_value,
 )
-from .methods import allocation_method, share_percentages, sps_decomposition
+from .methods import METHODS, allocation_method, share_percentages, sps_decomposition
 from .model import (
     DEFAULT_TOL,
     SEGMENT_CEILING,
@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dense", action="store_true",
                            help="read --input as a dense n-by-n CSV grid")
         if takes_method:
-            p.add_argument("--method", default="ses,sps,scs")
+            p.add_argument("--method", default=",".join(METHODS))
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=("csv", "json", "markdown"), default="json")

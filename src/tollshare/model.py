@@ -9,7 +9,9 @@ indices are 1-based on every public interface.
 Where each rule lives: ``_segment_count`` and ``TollMatrix.__post_init__``
 check every value from outside, and ``_trusted`` builds what already passes
 them; ``allowance`` is the one tolerance rule; ``coverage`` and ``_sample``
-state the bit-identity rules of their Python and numpy lanes.
+state the bit-identity rules of their Python and numpy lanes, and
+``coverage`` states once the rounding bound by which it settles a segment's
+load in either lane.
 """
 
 from __future__ import annotations
@@ -253,12 +255,6 @@ class TollMatrix:
         single = columns.entry == columns.exit
         return np.bincount(columns.entry[single] - 1, columns.toll[single], minlength=self.n)
 
-    def to_dense(self) -> np.ndarray:
-        grid = np.zeros((self.n, self.n))
-        for (h, k), t in self.entries.items():
-            grid[h - 1, k - 1] = t
-        return grid
-
     def __add__(self, other: "TollMatrix") -> "TollMatrix":
         if not isinstance(other, TollMatrix):
             return NotImplemented
@@ -336,9 +332,16 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
     bin the loop subtracts the weights of the trips that exit there before
     it adds those of the trips that enter at the next segment, so the array
     lane starts from the negated exits and adds the entries in trip order,
-    and the two return the same bits.  ``_clear_loads`` turns either lane's
-    prefix sums into the result; where it leaves a segment open, the loop
-    lane hands over to the array lane, whose ``_settle`` decides it.
+    and the two return the same bits.
+
+    A segment that no trip of nonzero weight covers gets 0.  A covered one
+    gets its prefix sum where that is above its rounding bound, ``_RESIDUE
+    * n`` times the weight entered up to the segment; rounding residue can
+    be as large as the load on the other segments, so they take
+    ``_exact_loads``, called once with all of them.  The weight entered is
+    at most twice the sum of all weights, so the loop lane clears a prefix
+    sum above twice the bound on that sum without the per-segment pass, and
+    hands the matrix over to the array lane if any segment stays open.
     """
     n = matrix.n
     columns = array_lane(matrix)
@@ -352,7 +355,9 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
                 diff[k] -= w
                 count[h - 1] += 1
                 count[k] -= 1
-        loads = _clear_loads(n, accumulate(diff[:n]), accumulate(count[:n]), sum(weights))
+        quick = 2.0 * _RESIDUE * n * sum(weights)
+        loads = [(s if s > quick else None) if c else 0.0
+                 for s, c in zip(accumulate(diff[:n]), accumulate(count[:n]))]
         if None not in loads:
             return np.array(loads)
         columns = matrix.columns
@@ -364,44 +369,14 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
     np.add.at(diff, start, weights)
     live = weights != 0.0
     count = np.bincount(start[live], minlength=n + 1) - np.bincount(exit[live], minlength=n + 1)
-    prefix = np.cumsum(diff[:n]).tolist()
-    loads = _clear_loads(n, prefix, np.cumsum(count[:n]).tolist(), float(weights.sum()))
-    if None in loads:
-        loads = _settle(loads, prefix, entry, exit, weights)
-    return np.array(loads)
-
-
-def _clear_loads(n: int, prefix: Iterable[float], covering: Iterable[int],
-                 total: float) -> list[float | None]:
-    """Segment loads from a difference array's prefix sums, where they are
-    clear: 0 where no trip of nonzero weight covers the segment (``covering``
-    counts them), and the prefix sum where it is above twice the rounding
-    bound on ``total``, the sum of all weights.  ``None`` marks the other
-    segments, which ``_settle`` decides.
-
-    The bound on a segment is ``_RESIDUE * n`` times the weight entered up
-    to it, which is at most ``total`` up to rounding, so a prefix sum above
-    twice the bound on ``total`` clears its own bound."""
-    quick = 2.0 * _RESIDUE * n * total
-    return [(s if s > quick else None) if c else 0.0 for s, c in zip(prefix, covering)]
-
-
-def _settle(loads: list[float | None], prefix: Iterable[float], entry: np.ndarray,
-            exit: np.ndarray, weights: np.ndarray) -> list[float]:
-    """``loads`` with each ``None`` decided: the segment's prefix sum where it
-    clears its rounding bound, ``_RESIDUE * n`` times the weight entered up
-    to the segment.  Rounding residue can be as large as the load on the
-    other segments, so they take ``_exact_loads``, called once with all of
-    them, or not at all."""
-    n = len(loads)
-    residue = _RESIDUE * n
-    entered = np.cumsum(np.bincount(entry - 1, weights, minlength=n)).tolist()
-    loads = [(s if s > residue * e else None) if load is None else load
-             for load, s, e in zip(loads, prefix, entered)]
-    segments = [i for i, load in enumerate(loads, start=1) if load is None]
-    if segments:
-        for i, load in zip(segments, _exact_loads(n, entry, exit, weights, segments)):
-            loads[i - 1] = load
+    entered = np.cumsum(np.bincount(start, weights, minlength=n))
+    covered = np.cumsum(count[:n]) != 0
+    loads = np.cumsum(diff[:n])
+    missed = covered & ~(loads > _RESIDUE * n * entered)
+    loads[~covered] = 0.0
+    if missed.any():
+        segments = (np.flatnonzero(missed) + 1).tolist()
+        loads[missed] = _exact_loads(n, entry, exit, weights, segments)
     return loads
 
 
@@ -835,11 +810,18 @@ def _name_source(exc: TollValidationError, where: str | None) -> None:
 
 
 def write_dense_csv(matrix: TollMatrix, path: str | Path) -> None:
-    grid = matrix.to_dense()
+    """Write the n-by-n grid one row at a time, from ``matrix.entries``, so
+    that only one row of the grid is ever held."""
+    rows: dict[int, list[tuple[int, float]]] = {}
+    for (h, k), t in matrix.trips():
+        rows.setdefault(h, []).append((k, t))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        for row in grid:
-            writer.writerow([repr(float(v)) for v in row])
+        for h in range(1, matrix.n + 1):
+            row = ["0.0"] * matrix.n
+            for k, t in rows.get(h, ()):
+                row[k - 1] = repr(t)
+            writer.writerow(row)
 
 
 def read_dense_csv(path: str | Path) -> TollMatrix:

@@ -113,7 +113,9 @@ def coverage_loop_settle(matrix: TollMatrix, weights) -> np.ndarray:
             diff[k] -= w
             count[h - 1] += 1
             count[k] -= 1
-    loads = model._clear_loads(n, accumulate(diff[:n]), accumulate(count[:n]), sum(weights))
+    quick = 2.0 * model._RESIDUE * n * sum(weights)
+    loads = [(s if s > quick else None) if c else 0.0
+             for s, c in zip(accumulate(diff[:n]), accumulate(count[:n]))]
     if None in loads:
         by_entry = [0.0] * n
         for (h, _), w in zip(matrix.entries, weights):
@@ -128,6 +130,64 @@ def coverage_loop_settle(matrix: TollMatrix, weights) -> np.ndarray:
             for i, load in zip(segments, exact):
                 loads[i - 1] = load
     return np.array(loads)
+
+
+def coverage_two_step(matrix: TollMatrix, weights) -> np.ndarray:
+    """``coverage`` as it settled before the rule was stated once: each lane
+    clears what the bound on the total weight clears (``clear_loads``), and
+    the array lane decides the rest by the per-segment bound (``settle``)."""
+    n = matrix.n
+    columns = model.array_lane(matrix)
+    if columns is None:
+        weights = list(weights)
+        diff = [0.0] * (n + 1)
+        count = [0] * (n + 1)
+        for (h, k), w in zip(matrix.entries, weights):
+            if w:
+                diff[h - 1] += w
+                diff[k] -= w
+                count[h - 1] += 1
+                count[k] -= 1
+        loads = clear_loads(n, accumulate(diff[:n]), accumulate(count[:n]), sum(weights))
+        if None not in loads:
+            return np.array(loads)
+        columns = matrix.columns
+    entry, exit, _ = columns
+    if not isinstance(weights, np.ndarray):
+        weights = np.fromiter(weights, dtype=float, count=len(entry))
+    start = entry - 1
+    diff = -np.bincount(exit, weights, minlength=n + 1)
+    np.add.at(diff, start, weights)
+    live = weights != 0.0
+    count = np.bincount(start[live], minlength=n + 1) - np.bincount(exit[live], minlength=n + 1)
+    prefix = np.cumsum(diff[:n]).tolist()
+    loads = clear_loads(n, prefix, np.cumsum(count[:n]).tolist(), float(weights.sum()))
+    if None in loads:
+        loads = settle(loads, prefix, entry, exit, weights)
+    return np.array(loads)
+
+
+def clear_loads(n, prefix, covering, total) -> list:
+    """Loads where the bound on ``total`` clears them: 0 where ``covering``
+    counts no trip, the prefix sum where it is above twice that bound, and
+    ``None`` elsewhere."""
+    quick = 2.0 * model._RESIDUE * n * total
+    return [(s if s > quick else None) if c else 0.0 for s, c in zip(prefix, covering)]
+
+
+def settle(loads, prefix, entry, exit, weights) -> list[float]:
+    """``loads`` with each ``None`` decided by the per-segment bound, and
+    the segments that miss it summed by ``model._exact_loads``."""
+    n = len(loads)
+    residue = model._RESIDUE * n
+    entered = np.cumsum(np.bincount(entry - 1, weights, minlength=n)).tolist()
+    loads = [(s if s > residue * e else None) if load is None else load
+             for load, s, e in zip(loads, prefix, entered)]
+    segments = [i for i, load in enumerate(loads, start=1) if load is None]
+    if segments:
+        for i, load in zip(segments, model._exact_loads(n, entry, exit, weights, segments)):
+            loads[i - 1] = load
+    return loads
 
 
 def sps_decomposition_loop(matrix: TollMatrix) -> SpsDecomposition:
@@ -328,7 +388,19 @@ def sample_blocks_loop(rng: np.random.Generator, n: int, intervals, density: flo
 #
 # The row-by-row reader, with the duplicate check and segment-count inference
 # of ``from_triplets``, and the ``csv.writer`` writer that the column reader and
-# the one-shot writer replaced; results, errors and bytes must stay identical.
+# the one-shot writer replaced, and the dense writer that built the whole grid;
+# results, errors and bytes must stay identical.
+
+def write_dense_csv_grid(matrix: TollMatrix, path) -> None:
+    """The dense writer as it was: every row of an ``n x n`` float grid."""
+    grid = np.zeros((matrix.n, matrix.n))
+    for (h, k), t in matrix.trips():
+        grid[h - 1, k - 1] = t
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in grid:
+            writer.writerow([repr(float(v)) for v in row])
+
 
 def write_triplet_csv_loop(matrix: TollMatrix, path) -> None:
     with open(path, "w", newline="") as fh:

@@ -403,6 +403,32 @@ class TestIndependenceHarness:
             for axiom, holds in row.verdicts.items():
                 assert holds == (axiom != row.failed_axiom), (row.method, axiom)
 
+    def test_anchored_sets_are_the_characterizations(self):
+        # the proportional set, and the compensated sets one after the other
+        assert ts.ANCHORED_AXIOMS == {
+            "ses": ("efficiency", "additivity", "inessential_segment", "segment_symmetry",
+                    "toll_fairness", "subhighway_efficiency"),
+            "sps": ("efficiency", "inessential_segment", "weighted_segment_symmetry",
+                    "covariance"),
+            "scs": ("efficiency", "linearity", "inessential_segment", "weak_segment_symmetry",
+                    "indifference_to_extensions", "toll_component_fairness",
+                    "subhighway_efficiency"),
+        }
+        sets = {char.name: char.axioms for char in ax.CHARACTERIZATIONS}
+        assert ts.ANCHORED_AXIOMS["sps"] == sets["proportional_axioms"]
+        assert ts.ANCHORED_AXIOMS["scs"] == (sets["compensated_axioms"]
+                                            + sets["compensated_fairness_axioms"])
+
+    def test_each_designated_instance_breaks_its_axiom(self):
+        for char in ax.CHARACTERIZATIONS:
+            assert char.instances.keys() == char.failures.keys(), char.name
+            for method, axiom in char.failures.items():
+                assert axiom in char.axioms
+                for instance in char.instances[method]:
+                    verdict = run_instance(ts.allocation_method(method), axiom, instance,
+                                           CATALOGUE[axiom].tol)
+                    assert not verdict.holds, (char.name, method, axiom)
+
     def test_mismatch_raises(self, monkeypatch):
         import tollshare.axioms as ax
 

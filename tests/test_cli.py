@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -624,6 +625,13 @@ class TestOptions:
         source = [] if command == "axioms" else ["--input", example3_csv]
         code, out, err = run(capsys, command, *source, "--method", "bogus", *extra)
         assert code == 2 and out == "" and "bogus" in err
+
+    @pytest.mark.parametrize("command", ["allocate", "core", "equity", "axioms"])
+    def test_default_methods_are_the_named_three(self, example3_csv, command):
+        source = [] if command == "axioms" else ["--input", example3_csv]
+        assert cli._parser().parse_args([command, *source]).method == "ses,sps,scs"
+        default = inspect.signature(ts.axiom_matrix).parameters["method_names"].default
+        assert default == ("ses", "sps", "scs")
 
 
 class TestMalformedInput:

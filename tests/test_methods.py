@@ -13,6 +13,7 @@ from tollshare import TollMatrix, model
 
 from helpers import (
     coverage_loop_settle,
+    coverage_two_step,
     exact_loads_loop,
     scs_loop,
     seeded_matrices,
@@ -259,6 +260,22 @@ def wide_array_matrices(draw):
     return TollMatrix(n, {cells[j]: float(t) for j, t in zip(picked, tolls)})
 
 
+@st.composite
+def open_segment_matrices(draw):
+    """n = 1..12 with tolls that leave prefix sums short of their bound:
+    each log-uniform from 5e-324 to 1e300, or each from 0.01 to 10 but
+    one of 1e16."""
+    n = draw(st.integers(1, 12))
+    cells = [(h, k) for h in range(1, n + 1) for k in range(h, n + 1)]
+    trips = draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+    if draw(st.booleans()):
+        tolls = st.floats(-1074.0, math.log2(1e300)).map(lambda e: 2.0 ** e)
+        return TollMatrix(n, {trip: draw(tolls) for trip in trips})
+    entries = {trip: draw(st.floats(0.01, 10.0)) for trip in trips}
+    entries[draw(st.sampled_from(trips))] = 1e16
+    return TollMatrix(n, entries)
+
+
 def sps_exact(matrix):
     """sps in rational arithmetic, rounded once per share.  ``sps_loop``
     takes the pooled revenue as the total less the diagonal, which is all
@@ -349,6 +366,24 @@ class TestCoverageKernel:
                         [0.0 if j % 3 == 1 else t for j, t in enumerate(tolls)]):
             assert (ts.coverage(matrix, weights).tobytes()
                     == coverage_loop_settle(matrix, weights).tobytes())
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(open_segment_matrices())
+    @example(TollMatrix(8, {(2, 5): 1e300, (1, 8): 1e-300}))
+    @example(TollMatrix(60, {**ts.random_matrix(60, density=0.2, seed=3).entries, (1, 1): 1e16}))
+    def test_settles_as_the_two_step_rule_did(self, matrix):
+        """In either lane, one per-segment bound decides what the bound on
+        the total weight cleared first and the array lane's settle decided
+        after, with the same bits."""
+        tolls = [t for _, t in matrix.trips()]
+        for weights in (tolls, [t / (k - h + 1) for (h, k), t in matrix.trips()],
+                        [0.0 if j % 3 == 1 else t for j, t in enumerate(tolls)]):
+            for threshold in (0, _LOOP_ONLY):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(model, "_ARRAY_LANE_TRIPS", threshold)
+                    for passed in (weights, np.array(weights)):
+                        assert (ts.coverage(matrix, passed).tobytes()
+                                == coverage_two_step(matrix, passed).tobytes())
 
     def test_large_matrix_takes_the_array_lane_with_the_loop_bits(self, monkeypatch):
         matrix = ts.random_matrix(300, density=1.0, seed=8)
@@ -482,12 +517,19 @@ def test_interval_core_test_agrees_with_the_exhaustive_one(matrix):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(wide_matrices())
+@example(TollMatrix(12, {(1, 10): 2.225073858507e-311}))
 def test_efficiency_across_wide_magnitudes(matrix):
     """ses, sps and scs hand out the whole total, within the bound of
-    ``test_wide_magnitudes_share_every_covered_segment``."""
-    underflow = 4 * len(matrix.entries) * np.finfo(float).smallest_subnormal
-    bound = 8 * matrix.n * np.finfo(float).eps * matrix.total + underflow
-    for method in (ts.ses, ts.sps, ts.scs):
+    ``test_wide_magnitudes_share_every_covered_segment`` summed over the
+    roundings below the normal range: four smallest subnormals per trip
+    for ses and sps, and per segment that a trip covers for scs, which
+    rounds ``toll / n`` once on each of them."""
+    tiny = np.finfo(float).smallest_subnormal
+    relative = 8 * matrix.n * np.finfo(float).eps * matrix.total
+    covered = sum(k - h + 1 for (h, k), _ in matrix.trips())
+    for method, roundings in ((ts.ses, len(matrix.entries)), (ts.sps, len(matrix.entries)),
+                              (ts.scs, covered)):
+        bound = relative + 4 * roundings * tiny
         assert abs(math.fsum(method(matrix)) - matrix.total) <= bound, method.__name__
 
 

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import MappingProxyType
@@ -25,6 +26,7 @@ from helpers import (
     sample_blocks_loop,
     sample_matrix_loop,
     seeded_matrices,
+    write_dense_csv_grid,
     write_triplet_csv_loop,
 )
 
@@ -332,6 +334,28 @@ class TestRoundTrips:
         path = tmp_path / "m.csv"
         ts.write_dense_csv(matrix, path)
         assert ts.read_dense_csv(path) == matrix
+
+    @pytest.mark.parametrize("matrix", [
+        TollMatrix.zero(1), TollMatrix.zero(4), TollMatrix(3, {(1, 1): 0.1, (2, 3): 1e300}),
+        TollMatrix(4, {(1, 4): 5e-324, (3, 3): 2.5, (4, 4): 1e16}),
+        ts.random_matrix(9, density=0.4, seed=2), ts.random_matrix(30, density=1.0, seed=5),
+    ])
+    def test_dense_csv_bytes_match_the_grid_writer(self, tmp_path, matrix):
+        ts.write_dense_csv(matrix, tmp_path / "rows.csv")
+        write_dense_csv_grid(matrix, tmp_path / "grid.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "grid.csv").read_bytes()
+
+    def test_dense_csv_holds_no_grid(self, tmp_path):
+        # the 600 x 600 float grid alone would take 2.9 MB
+        matrix = TollMatrix(600, {(1, 600): 1.0, (300, 301): 2.0})
+        tracemalloc.start()
+        try:
+            ts.write_dense_csv(matrix, tmp_path / "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 << 10
+        assert ts.read_dense_csv(tmp_path / "m.csv") == matrix
 
     def test_json(self, tmp_path):
         matrix = ts.random_matrix(6, density=0.5, seed=13)
