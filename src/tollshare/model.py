@@ -336,9 +336,9 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
 
     A segment that no trip of nonzero weight covers gets 0.  A covered one
     gets its prefix sum where that is above its rounding bound, ``_RESIDUE
-    * n`` times the weight entered up to the segment; rounding residue can
-    be as large as the load on the other segments, so they take
-    ``_exact_loads``, called once with all of them.  The weight entered is
+    * n`` times the weight entered up to the segment.  Below the bound the
+    prefix sum may be all rounding residue, so the segments that miss it
+    take ``_exact_loads``, called once with all of them.  The weight entered is
     at most twice the sum of all weights, so the loop lane clears a prefix
     sum above twice the bound on that sum without the per-segment pass, and
     hands the matrix over to the array lane if any segment stays open.

@@ -35,7 +35,8 @@ def _commit(repo: Path, files: dict[str, str | None]) -> None:
 
 
 def test_counts_docstrings_comments_and_blanks_apart(count_lines):
-    source = '"""Module.\n\nMore."""\n\n# a comment\nx = 1  # trailing\n\n\ndef f():\n    """Doc."""\n    return (1,\n            2)\n'
+    source = ('"""Module.\n\nMore."""\n\n# a comment\nx = 1  # trailing\n\n\n'
+              'def f():\n    """Doc."""\n    return (1,\n            2)\n')
     assert count_lines.count(source) == (12, 4)
 
 
