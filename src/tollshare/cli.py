@@ -46,9 +46,8 @@ from .game import (
     EXHAUSTIVE_CEILING,
     SegmentsGame,
     average_tree_value,
-    core_check,
+    interval_tests,
     shapley_value,
-    sps_core_criterion,
     tau_value,
 )
 from .methods import METHODS, allocation_method, share_percentages, sps_decomposition
@@ -213,20 +212,23 @@ def cmd_core(args: argparse.Namespace, matrix: TollMatrix, names: list[str]) -> 
     game = SegmentsGame(matrix)
     # the sps shares and the sps criterion start from one decomposition
     decomposition = sps_decomposition(matrix) if "sps" in names else None
+    unique = list(dict.fromkeys(names))
+    shares = [decomposition.shares() if name == "sps" else allocation_method(name)(matrix)
+              for name in unique]
+    # one sweep of the interval worths tests every allocation and the criterion
+    checked, criterion = interval_tests(game, shares, args.tol, decomposition)
+    reports = dict(zip(unique, checked))
     body: dict = {"reports": {}}
-    reports = []
-    for name in names:
-        shares = decomposition.shares() if name == "sps" else allocation_method(name)(matrix)
-        report = core_check(game, shares, tol=args.tol)
+    for name, report in reports.items():
         payload = report.to_json_dict()
         if name == "sps":
-            payload["criterion"] = asdict(sps_core_criterion(game, args.tol, decomposition))
+            payload["criterion"] = asdict(criterion)
         body["reports"][name] = payload
-        reports.append((name, report))
 
     def rows() -> list[list]:
         table = []
-        for name, report in reports:
+        for name in names:
+            report = reports[name]
             table += [[name, report.is_member, f"[{v.start},{v.end}]",
                        f"{v.value:.6f}", f"{v.allocated:.6f}", f"{v.deficit:.6f}"]
                       for v in report.violations] or [[name, report.is_member, "-", "-", "-", "-"]]

@@ -8,15 +8,19 @@ sufficient for nonnegative allocations.
 The Shapley, compromise (tau) and average-tree solutions are computed here by
 exhaustive enumeration on purpose: they serve as independent cross-checks of
 the closed-form allocation methods, so they must not share code with them.
-Each function names the ``2^n`` vectors it holds; :data:`EXHAUSTIVE_CEILING`
-and :data:`INTERVAL_CEILING` bound them and the interval grid, which the core
-tests read in bands of at most :data:`BAND_CELLS` cells.
+Each function names the ``2^n`` vectors it holds, which
+:data:`EXHAUSTIVE_CEILING` bounds.  No ``n x n`` table is kept: the interval
+core tests and the average-tree value read the interval worths from one
+sweep (:func:`_sweep`) in bands of at most :data:`BAND_CELLS` cells, and
+:data:`SWEEP_CEILING` bounds the ``O(n^2)`` time of that sweep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,11 +38,13 @@ from .model import DEFAULT_TOL, TollMatrix, allowance
 #: exhaustive oracles: 22 segments (the AP68 case study) need 32 MB per vector.
 EXHAUSTIVE_CEILING = 22
 
-#: Largest ``n`` whose ``(n+2) x (n+2)`` interval grid a game builds: 2^24
-#: floats, 128 MB; n = 2000 needs 32 MB.  It is the only ``n x n`` table.
-INTERVAL_CEILING = (1 << 12) - 2
+#: Largest ``n`` whose game is built, a bound on the ``O(n^2)`` time of the
+#: interval sweep.  One sweep serving three core tests and the sps criterion
+#: took 20 ns per interval at n = 2000 to 8000 (2-vCPU Linux host, numpy
+#: 2.4.6), so the ``n(n+1)/2`` intervals of n = 16,383 take about 2.7 s.
+SWEEP_CEILING = (1 << 14) - 1
 
-#: Cells of one band of start rows in the core tests (see :func:`_bands`).
+#: Cells of one band of start rows in the sweep (see :func:`_sweep`).
 BAND_CELLS = 1 << 15
 
 
@@ -56,24 +62,35 @@ class SegmentsGame:
     """Characteristic function derived from a toll matrix.
 
     ``value(S)`` is the total toll of trips whose whole path lies in ``S``.
-    Raises :class:`OracleSizeError` above :data:`INTERVAL_CEILING` segments.
+    Raises :class:`OracleSizeError` above :data:`SWEEP_CEILING` segments.
     """
 
     def __init__(self, matrix: TollMatrix):
-        if matrix.n > INTERVAL_CEILING:
-            raise OracleSizeError(matrix.n, INTERVAL_CEILING, "interval grid")
+        if matrix.n > SWEEP_CEILING:
+            raise OracleSizeError(matrix.n, SWEEP_CEILING, "interval sweep")
         self.matrix = matrix
         self.n = matrix.n
-        # interval[a, b] = sum over h >= a, k <= b of t_hk: the total toll of
-        # trips inside [a, b], and 0 when a > b because the grid is upper
-        # triangular.  A suffix sum over entries, then a prefix sum over exits.
-        interval = _ending_tolls(matrix)
-        self._interval = np.cumsum(interval, axis=1, out=interval)
         self._mask_values: np.ndarray | None = None
 
-    @property
+    def _row(self, start: int, end: int) -> np.ndarray:
+        """Worths of the intervals ``start..e`` for ``e = start..end``, with the
+        float additions of :func:`_sweep`: per exit ``k``, ``S[start, k]``
+        adds the tolls of the trips ``[h, k]``, ``h >= start``, from the last
+        entry up, and the worths are its running sums over ``k``.  The trips
+        are read in slices of :data:`BAND_CELLS`, last slice first."""
+        entry, exit, toll = self.matrix.columns
+        ending = np.zeros(end + 1)
+        first = int(np.searchsorted(entry, start))
+        for stop in range(len(exit), first, -BAND_CELLS):
+            exits, tolls = (column[max(first, stop - BAND_CELLS) : stop][::-1]
+                            for column in (exit, toll))
+            inside = exits <= end
+            np.add.at(ending, exits[inside], tolls[inside])
+        return np.cumsum(ending[start:])
+
+    @cached_property
     def grand_value(self) -> float:
-        return float(self._interval[1, self.n])
+        return float(self._row(1, self.n)[-1])
 
     def interval_value(self, start: int, end: int) -> float:
         """Worth of the contiguous coalition ``start..end`` (0 when empty)."""
@@ -81,7 +98,7 @@ class SegmentsGame:
             return 0.0
         if not (1 <= start and end <= self.n):
             raise SegmentIndexError(f"interval [{start},{end}] out of range 1..{self.n}")
-        return float(self._interval[start, end])
+        return float(self._row(start, end)[-1])
 
     def value(self, coalition: Iterable[int]) -> float:
         """Worth of an arbitrary coalition of 1-based segments."""
@@ -96,7 +113,7 @@ class SegmentsGame:
             end = low
             while (mask >> (end + 1)) & 1:
                 end += 1
-            value += self._interval[low + 1, end + 1]
+            value += self.interval_value(low + 1, end + 1)
             mask &= ~((1 << (end + 1)) - 1)
         return value
 
@@ -236,16 +253,18 @@ def average_tree_value(game: SegmentsGame) -> np.ndarray:
 
     For player i with left block L = 1..i-1 and right block R = i+1..n, the
     n rooted trees contribute (i-1) marginals against R, one residual term,
-    and (n-i) marginals against L, averaged over n.
+    and (n-i) marginals against L, averaged over n.  The worths of the
+    intervals ``1..e`` and ``s..n`` are the first row and the last column
+    of the interval table; the last column comes from one :func:`_sweep`.
     """
     n = game.n
     grand = game.grand_value
-    interval = game._interval
     i = np.arange(1, n + 1)
-    left = interval[1, :n]
-    right = interval[2:, n]
-    join_right = interval[1 : n + 1, n]
-    join_left = interval[1, 1 : n + 1]
+    join_left = game._row(1, n)
+    ends = [worth[:, -1].copy() for _, _, worth in _sweep(game)]
+    join_right = np.concatenate(ends[::-1])
+    left = np.concatenate([[0.0], join_left[:-1]])
+    right = np.append(join_right[1:], 0.0)
     return (
         (i - 1) * (join_right - right)
         + (grand - left - right)
@@ -303,19 +322,39 @@ def _prefix(x: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(x)])
 
 
-def _bands(game: SegmentsGame):
-    """Consecutive bands of start rows ``s0..s1-1`` (0-based) over the end
-    columns ``s0..n-1``, of at most :data:`BAND_CELLS` cells unless one row
-    is wider.  Yields ``s0``, ``s1``, the band's interval worths and the mask
-    of its intervals ``[s, e]``, ``s <= e``, other than the grand coalition."""
-    n, s0 = game.n, 0
-    while s0 < n:
-        s1 = min(n, s0 + max(1, BAND_CELLS // (n - s0)))
-        proper = np.arange(s0, n) >= np.arange(s0, s1)[:, None]
-        if s0 == 0:
-            proper[0, n - 1] = False
-        yield s0, s1, game._interval[s0 + 1 : s1 + 1, s0 + 1 : n + 1], proper
-        s0 = s1
+def _sweep(game: SegmentsGame) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The interval worths in bands of start rows ``s0..s1-1`` (0-based),
+    from the bottom row up: ``worth[s - s0, e - s0]`` is the worth of the
+    interval ``[s+1, e+1]`` for the end columns ``e = s0..n-1``, and 0
+    where ``e < s``.  A band holds at most :data:`BAND_CELLS` cells unless
+    one row is wider.
+
+    ``S[a, k]``, the toll of the trips that exit at ``k`` and enter at ``a``
+    or later, is ``S[a+1, k]`` plus the toll of ``[a, k]``, and the worth of
+    ``[a, b]`` is the running sum of ``S[a, k]`` over ``k <= b``.  A band
+    scatters the tolls of the trips entering in it under the ``S`` row
+    carried from below it, takes one reversed ``cumsum`` over the rows and
+    one ``cumsum`` over the columns, and carries its top ``S`` row up.  So
+    every worth takes the same float additions in the same order wherever
+    the bands fall, those of the two ``cumsum`` over a full table.
+    """
+    n = game.n
+    entry, exit, toll = game.matrix.columns
+    carry = np.zeros(0)
+    s1 = n
+    while s1 > 0:
+        # the most rows r whose band, r rows of n - s1 + r cells, fits the budget
+        width = n - s1
+        rows = min(s1, max(1, (math.isqrt(width * width + 4 * BAND_CELLS) - width) // 2))
+        s0 = s1 - rows
+        block = np.zeros((rows + 1, n - s0))
+        block[rows, rows:] = carry
+        first, last = np.searchsorted(entry, (s0 + 1, s1 + 1))
+        block[entry[first:last] - 1 - s0, exit[first:last] - 1 - s0] = toll[first:last]
+        np.cumsum(block[::-1], axis=0, out=block[::-1])
+        carry = block[0].copy()
+        yield s0, s1, np.cumsum(block[:rows], axis=1, out=block[:rows])
+        s1 = s0
 
 
 def core_check(
@@ -330,32 +369,10 @@ def core_check(
     all interval inequalities satisfies them for arbitrary coalitions too,
     because a coalition's worth is the sum over its contiguous blocks while
     its allocated total only grows with extra members.  The intervals are
-    compared a band of start rows at a time (:func:`_bands`); violations are
-    listed by start, then end.
+    compared a band of start rows at a time (:func:`interval_tests`);
+    violations are listed by start, then end.
     """
-    x = _check_shares(game, shares)
-    n = game.n
-    slack = allowance(tol, game.grand_value)
-    prefix = _prefix(x)
-    gap = float(prefix[n] - game.grand_value)
-    efficient = abs(gap) <= slack
-    found: list = []
-    for s0, s1, worth, short in _bands(game):
-        # the sum over segments s..e is prefix[e] - prefix[s-1]
-        allocated = prefix[s0 + 1 :] - prefix[s0:s1, None]
-        short &= allocated < worth - slack
-        if not short.any():
-            continue
-        starts, ends = np.nonzero(short)
-        found += zip((starts + s0 + 1).tolist(), (ends + s0 + 1).tolist(),
-                     worth[starts, ends].tolist(), allocated[starts, ends].tolist())
-    violations = tuple(IntervalViolation(s, e, w, a, w - a) for s, e, w, a in found)
-    return CoreReport(
-        is_member=efficient and not violations,
-        efficient=efficient,
-        efficiency_gap=gap,
-        violations=violations,
-    )
+    return interval_tests(game, [shares], tol)[0][0]
 
 
 def core_check_exhaustive(
@@ -404,9 +421,9 @@ def sps_core_criterion(
     decomposition: SpsDecomposition | None = None,
 ) -> SpsCoreCriterion:
     """Evaluate the criterion on a toll matrix, or on the :class:`SegmentsGame`
-    already built from one, whose interval worths are then reused;
-    ``decomposition``, the matrix's :func:`sps_decomposition` where the
-    caller holds it already, is reused too."""
+    already built from one; ``decomposition``, the matrix's
+    :func:`sps_decomposition` where the caller holds it already, is reused.
+    A matrix gets its game only when ``beta`` is defined."""
     if isinstance(matrix, SegmentsGame):
         game, matrix = matrix, matrix.matrix
     else:
@@ -415,24 +432,75 @@ def sps_core_criterion(
     if d.beta is None:
         return SpsCoreCriterion(True, None, None, None)
     game = game if game is not None else SegmentsGame(matrix)
-    separable, nonseparable = _prefix(d.separable), _prefix(d.nonseparable)
-    # each band holds rhs = (worth - separable) / nonseparable and its
-    # denominators; a running maximum, replaced only by a greater one, keeps
-    # argmax's first maximum in (start, end) order across the bands
+    return interval_tests(game, [], tol, d)[1]
+
+
+def interval_tests(
+    game: SegmentsGame,
+    allocations: Sequence[Sequence[float]],
+    tol: float = DEFAULT_TOL,
+    decomposition: SpsDecomposition | None = None,
+) -> tuple[list[CoreReport], SpsCoreCriterion | None]:
+    """:func:`core_check` of each allocation and, given the matrix's
+    :func:`sps_decomposition`, :func:`sps_core_criterion` (else ``None``),
+    all from one :func:`_sweep` of the interval worths.
+
+    The bands come bottom row first.  So each report lists its bands'
+    violations in reverse, and an equal maximum of a later band, whose
+    start rows are lower, replaces the criterion's running maximum: that
+    keeps ``np.argmax``'s first maximum in (start, end) order.
+    """
+    xs = [_check_shares(game, shares) for shares in allocations]
+    n, grand = game.n, game.grand_value
+    slack = allowance(tol, grand)
+    prefixes = [_prefix(x) for x in xs]
+    found: list[list[list]] = [[] for _ in xs]
+    criterion = decomposition is not None and decomposition.beta is not None
+    if criterion:
+        separable = _prefix(decomposition.separable)
+        nonseparable = _prefix(decomposition.nonseparable)
     rhs_max, start, end = -np.inf, 0, 0
-    for s0, s1, worth, counted in _bands(game):
-        rhs = separable[s0 + 1 :] - separable[s0:s1, None]
-        np.subtract(worth, rhs, out=rhs)
-        denom = nonseparable[s0 + 1 :] - nonseparable[s0:s1, None]
-        counted &= denom > 0.0
-        np.divide(rhs, denom, out=rhs, where=counted)
-        rhs[~counted] = -np.inf
-        best = int(np.argmax(rhs))
-        if rhs.flat[best] > rhs_max:
-            rhs_max = float(rhs.flat[best])
-            row, col = divmod(best, rhs.shape[1])
-            start, end = s0 + row, s0 + col
-    return SpsCoreCriterion(d.beta >= rhs_max - tol, (start + 1, end + 1), rhs_max, d.beta)
+    for s0, s1, worth in _sweep(game):
+        # the intervals [s, e], s <= e, other than the grand coalition
+        proper = np.arange(s0, n) >= np.arange(s0, s1)[:, None]
+        if s0 == 0:
+            proper[0, n - 1] = False
+        limit = worth - slack
+        for prefix, bands in zip(prefixes, found):
+            # the sum over segments s..e is prefix[e] - prefix[s-1]
+            allocated = prefix[s0 + 1 :] - prefix[s0:s1, None]
+            short = proper & (allocated < limit)
+            if short.any():
+                starts, ends = np.nonzero(short)
+                bands.append(list(zip((starts + s0 + 1).tolist(), (ends + s0 + 1).tolist(),
+                                      worth[starts, ends].tolist(),
+                                      allocated[starts, ends].tolist())))
+        if criterion:
+            # rhs = (worth - separable) / nonseparable where that counts, else -inf
+            rhs = separable[s0 + 1 :] - separable[s0:s1, None]
+            np.subtract(worth, rhs, out=rhs)
+            denom = nonseparable[s0 + 1 :] - nonseparable[s0:s1, None]
+            counted = proper & (denom > 0.0)
+            np.divide(rhs, denom, out=rhs, where=counted)
+            rhs[~counted] = -np.inf
+            best = int(np.argmax(rhs))
+            if rhs.flat[best] >= rhs_max:
+                rhs_max = float(rhs.flat[best])
+                row, col = divmod(best, rhs.shape[1])
+                start, end = s0 + row, s0 + col
+    reports = []
+    for prefix, bands in zip(prefixes, found):
+        violations = tuple(IntervalViolation(s, e, w, a, w - a)
+                           for band in reversed(bands) for s, e, w, a in band)
+        gap = float(prefix[n] - grand)
+        efficient = abs(gap) <= slack
+        reports.append(CoreReport(efficient and not violations, efficient, gap, violations))
+    if decomposition is None:
+        return reports, None
+    if not criterion:
+        return reports, SpsCoreCriterion(True, None, None, None)
+    beta = decomposition.beta
+    return reports, SpsCoreCriterion(beta >= rhs_max - tol, (start + 1, end + 1), rhs_max, beta)
 
 
 def core_scheme_check(scheme: WeightScheme, n: int, tol: float = DEFAULT_TOL) -> bool:

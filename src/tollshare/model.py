@@ -50,7 +50,7 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 
 #: Most segments a matrix may have: 8 MB per float array of length ``n``,
-#: far above the interval grid's ``game.INTERVAL_CEILING``.
+#: far above the ``game.SWEEP_CEILING`` of the interval core tests.
 SEGMENT_CEILING = 1 << 20
 
 #: Most cells, trips inside a block, that ``_sample`` draws for: n = 2047 at
@@ -368,7 +368,9 @@ def coverage(matrix: TollMatrix, weights: Iterable[float] | np.ndarray) -> np.nd
     diff = -np.bincount(exit, weights, minlength=n + 1)
     np.add.at(diff, start, weights)
     live = weights != 0.0
-    count = np.bincount(start[live], minlength=n + 1) - np.bincount(exit[live], minlength=n + 1)
+    # trips of nonzero weight per bin; ses and scs weigh every trip
+    starts, exits = (start, exit) if live.all() else (start[live], exit[live])
+    count = np.bincount(starts, minlength=n + 1) - np.bincount(exits, minlength=n + 1)
     entered = np.cumsum(np.bincount(start, weights, minlength=n))
     covered = np.cumsum(count[:n]) != 0
     loads = np.cumsum(diff[:n])
@@ -419,9 +421,13 @@ def is_unit_matrix(matrix: TollMatrix) -> bool:
 
 # -- random generators ----------------------------------------------------
 
-#: Most uniforms ``_sample`` draws at once: a sparse matrix owes one draw per
-#: cell but keeps few, so an uncapped first chunk costs ``n(n+1)/2`` floats.
-_DRAW_CHUNK = 1 << 16
+#: Most uniforms ``_sample`` draws at once, and most rows ``write_triplet_csv``
+#: formats at once: a sparse matrix owes one draw per cell but keeps few, so
+#: an uncapped first chunk costs ``n(n+1)/2`` floats, and a slice of rows
+#: holds 190 to 250 bytes of Python objects per row.  At 8,192 the writer
+#: peaked at 1.6 MB on a 25k-trip matrix (4.0 MB at 65,536) and wrote as
+#: fast, and sampling n = 2000 took 3% longer (16% at 4,096).
+_DRAW_CHUNK = 1 << 13
 
 
 @cache
@@ -600,8 +606,9 @@ _RECORD = np.dtype([("entry", np.int64), ("exit", np.int64), ("toll", np.float64
 _WALK_BYTES = b"\x1c\x1d\x1e\x1f\v\f"
 
 #: Least bytes ``_pieces`` decodes at once; a piece runs on to the end of
-#: the line it stops in.
-_PIECE_BYTES = 1 << 20
+#: the line it stops in.  Its lines are held as ``str`` objects, about three
+#: times the piece; from 16 KB to 1 MB a read took as long.
+_PIECE_BYTES = 1 << 16
 
 
 def read_triplet_csv(path: str | Path, n: int | None = None) -> TollMatrix:
@@ -613,9 +620,8 @@ def read_triplet_csv(path: str | Path, n: int | None = None) -> TollMatrix:
     reported before a duplicate; each error names its ``path:line``."""
     try:
         raw = Path(path).read_bytes()
-        records = _load_records(raw)
-        matrix = None if records is None else _from_arrays(
-            n, records["entry"], records["exit"], records["toll"])
+        fields = _load_records(raw)
+        matrix = None if fields is None else _from_arrays(n, *fields)
         return _walk_triplet_csv(raw, path, n) if matrix is None else matrix
     except (csv.Error, UnicodeDecodeError) as exc:
         raise TollValidationError(f"{path}: {exc}") from exc
@@ -629,9 +635,11 @@ def _check_header(reader: Iterator[list[str]], path: str | Path) -> None:
         )
 
 
-def _load_records(raw: bytes) -> np.ndarray | None:
+def _load_records(raw: bytes) -> list[np.ndarray] | None:
     """The records after the header, parsed by one ``np.loadtxt`` call over
-    the text's lines, split one ``_pieces`` piece at a time.  ``None`` sends
+    the text's lines, split one ``_pieces`` piece at a time, as one
+    contiguous array per field; the parsed records are freed on return, so
+    the checks of ``_from_arrays`` do not run beside them.  ``None`` sends
     the file to the walk, which reports any fault: the first line is not
     the plain header; numpy rejects the body or warns about it, as about a
     body with no record or, in releases that only deprecate the cast, a
@@ -649,9 +657,10 @@ def _load_records(raw: bytes) -> np.ndarray | None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return np.loadtxt(lines, delimiter=",", dtype=_RECORD, comments=None, ndmin=1)
+            records = np.loadtxt(lines, delimiter=",", dtype=_RECORD, comments=None, ndmin=1)
         except (ValueError, Warning):
             return None
+    return [np.ascontiguousarray(records[name]) for name in TRIPLET_HEADER]
 
 
 def _pieces(raw: bytes) -> Iterator[str]:
@@ -757,7 +766,7 @@ def _from_arrays(n: int | None, entry: np.ndarray, exit: np.ndarray,
     for column in columns:
         column.flags.writeable = False
     try:
-        return _trusted(n, _ColumnEntries(columns), toll.tolist(), columns=columns)
+        return _trusted(n, _ColumnEntries(columns), memoryview(toll), columns=columns)
     except TollValidationError:
         return None
 

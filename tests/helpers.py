@@ -285,9 +285,21 @@ def compromise_bounds_loop(game: SegmentsGame, tol: float = DEFAULT_TOL) -> Comp
 
 # -- full-grid references for the interval core tests -------------------------
 #
-# core_check and sps_core_criterion as they were before they swept the grid
-# in bands of start rows: every interval at once, as ``n x n`` arrays.  The
-# reports must stay equal, float bits included.
+# The interval worths as one ``(n+2) x (n+2)`` table, the way SegmentsGame
+# built it before it swept bands of start rows, and core_check and
+# sps_core_criterion over every interval of that table at once, as ``n x n``
+# arrays.  The worths and the reports must stay equal, float bits included.
+
+def interval_grid(matrix: TollMatrix) -> np.ndarray:
+    """``grid[a, b]``: the total toll of the trips inside ``[a, b]``, 1-based,
+    0 when ``a > b``: a suffix sum over entries, then a prefix sum over exits."""
+    n = matrix.n
+    dense = np.zeros((n + 2, n + 2))
+    entry, exit, toll = matrix.columns
+    dense[entry, exit] = toll
+    ending = np.cumsum(dense[::-1], axis=0)[::-1]
+    return np.cumsum(ending, axis=1)
+
 
 def _span_sums(prefix: np.ndarray) -> np.ndarray:
     """``out[s-1, e-1] = prefix[e] - prefix[s-1]``, the sum over segments
@@ -306,11 +318,13 @@ def _proper_intervals(n: int) -> np.ndarray:
 def core_check_full_grid(game: SegmentsGame, shares, tol: float = DEFAULT_TOL) -> CoreReport:
     x = _check_shares(game, shares)
     n = game.n
-    slack = allowance(tol, game.grand_value)
+    grid = interval_grid(game.matrix)
+    grand = float(grid[1, n])
+    slack = allowance(tol, grand)
     prefix = _prefix(x)
-    gap = float(prefix[n] - game.grand_value)
+    gap = float(prefix[n] - grand)
     efficient = abs(gap) <= slack
-    worth = game._interval[1 : n + 1, 1 : n + 1]
+    worth = grid[1 : n + 1, 1 : n + 1]
     allocated = _span_sums(prefix)
     short = _proper_intervals(n)
     short &= allocated < worth - slack
@@ -331,7 +345,7 @@ def sps_core_criterion_full_grid(matrix: TollMatrix, tol: float = DEFAULT_TOL) -
         return SpsCoreCriterion(True, None, None, None)
     n = matrix.n
     rhs = _span_sums(_prefix(d.separable))
-    np.subtract(SegmentsGame(matrix)._interval[1 : n + 1, 1 : n + 1], rhs, out=rhs)
+    np.subtract(interval_grid(matrix)[1 : n + 1, 1 : n + 1], rhs, out=rhs)
     denom = _span_sums(_prefix(d.nonseparable))
     counted = _proper_intervals(n)
     counted &= denom > 0.0

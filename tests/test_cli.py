@@ -174,9 +174,9 @@ class TestGame:
     def test_interval_grid_ceiling(self, capsys, tmp_path):
         path = tmp_path / "two.csv"
         ts.write_triplet_csv(ts.TollMatrix(3, {(1, 2): 3.0, (2, 3): 1.5}), path)
-        code, out, err = run(capsys, "core", "--input", str(path), "--segments", "5000")
+        code, out, err = run(capsys, "core", "--input", str(path), "--segments", "20000")
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "interval grid limit" in err
+        assert err.startswith("error:") and "interval sweep limit" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, where", [

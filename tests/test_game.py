@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import tollshare as ts
 from tollshare import SegmentsGame, TollMatrix, game as game_module
-from tollshare.game import EXHAUSTIVE_CEILING, INTERVAL_CEILING
+from tollshare.game import EXHAUSTIVE_CEILING, SWEEP_CEILING
 
 import helpers
 from helpers import (
@@ -18,6 +18,7 @@ from helpers import (
     coalition_value_by_enumeration,
     compromise_bounds_loop,
     core_check_full_grid,
+    interval_grid,
     mask_values_run_loop,
     perturbed_allocation,
     seeded_matrices,
@@ -82,19 +83,19 @@ class TestGameValues:
 
 
 class TestIntervalCeiling:
-    """The ``(n+2) x (n+2)`` interval grid is bounded before it is allocated."""
+    """The ``O(n^2)`` interval sweep is bounded before a game is built."""
 
     def test_refused_above_the_ceiling(self, monkeypatch):
-        monkeypatch.setattr(game_module, "INTERVAL_CEILING", 5)
+        monkeypatch.setattr(game_module, "SWEEP_CEILING", 5)
         assert SegmentsGame(ts.random_matrix(5, seed=1)).grand_value > 0.0
-        with pytest.raises(ts.OracleSizeError, match="interval grid limit is 5"):
+        with pytest.raises(ts.OracleSizeError, match="interval sweep limit is 5"):
             SegmentsGame(TollMatrix.zero(6))
 
     def test_default_ceiling(self):
-        assert 2000 < INTERVAL_CEILING and (INTERVAL_CEILING + 2) ** 2 == 1 << 24
+        assert SWEEP_CEILING == (1 << 14) - 1
         assert SegmentsGame(TollMatrix(2000, {(1, 2000): 3.0})).grand_value == 3.0
-        with pytest.raises(ts.OracleSizeError, match="interval grid limit is 4094"):
-            SegmentsGame(TollMatrix.zero(INTERVAL_CEILING + 1))
+        with pytest.raises(ts.OracleSizeError, match="interval sweep limit is 16383"):
+            SegmentsGame(TollMatrix.zero(SWEEP_CEILING + 1))
 
 
 def _oracle_bytes(game: SegmentsGame, bounds) -> list[bytes]:
@@ -473,19 +474,25 @@ def _tracemalloc_peak(call) -> int:
 
 
 class TestBandedCoreTests:
-    """``core_check`` and ``sps_core_criterion`` sweep the interval grid in
-    bands of start rows and give the reports of the full-grid versions."""
+    """``core_check`` and ``sps_core_criterion`` read the interval worths from
+    a sweep in bands of start rows, one sweep for every allocation and the
+    criterion in ``interval_tests``, and give the reports of the full-grid
+    versions."""
 
     @staticmethod
     def _assert_same_reports(matrix, allocations):
         game = SegmentsGame(matrix)
-        for x in allocations:
-            banded, full = ts.core_check(game, x), core_check_full_grid(game, x)
+        fulls = [core_check_full_grid(game, x) for x in allocations]
+        for x, full in zip(allocations, fulls):
+            banded = ts.core_check(game, x)
             assert banded == full and repr(banded) == repr(full)
         expected = sps_core_criterion_full_grid(matrix)
         for source in (matrix, game):
             criterion = ts.sps_core_criterion(source)
             assert criterion == expected and repr(criterion) == repr(expected)
+        reports, criterion = game_module.interval_tests(
+            game, allocations, ts.DEFAULT_TOL, game_module.sps_decomposition(matrix))
+        assert repr(reports) == repr(fulls) and repr(criterion) == repr(expected)
         return expected
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -541,19 +548,16 @@ class TestBandedCoreTests:
         monkeypatch.setattr(game_module, "BAND_CELLS", budget)
         for n in (1, 2, 7, 300):
             game = SegmentsGame(ts.random_matrix(n, seed=n))
-            seen = np.zeros((n, n), dtype=int)
-            next_row = 0
-            for s0, s1, worth, proper in game_module._bands(game):
-                assert s0 == next_row < s1 and proper.shape == worth.shape == (s1 - s0, n - s0)
-                assert worth[0, 0] == game.interval_value(s0 + 1, s0 + 1)
-                assert worth[-1, -1] == game.interval_value(s1, n)
-                assert proper.size <= budget or s1 - s0 == 1
-                seen[s0:s1, s0:] += proper
-                next_row = s1
-            assert next_row == n
-            expected = np.triu(np.ones((n, n), dtype=int))
-            expected[0, n - 1] = 0
-            assert np.array_equal(seen, expected)
+            grid = interval_grid(game.matrix)
+            next_row = n
+            for s0, s1, worth in game_module._sweep(game):
+                assert 0 <= s0 < s1 == next_row and worth.shape == (s1 - s0, n - s0)
+                assert worth.size <= budget or s1 - s0 == 1
+                assert np.array_equal(worth, grid[s0 + 1 : s1 + 1, s0 + 1 : n + 1])
+                next_row = s0
+            assert next_row == 0
+            assert np.array_equal(game._row(1, n), grid[1, 1 : n + 1])
+            assert game.grand_value == grid[1, n]
 
     def test_memory_is_bounded_by_the_band(self):
         # one n x n float table is 18 MB here; the full-grid tests held two
@@ -567,12 +571,17 @@ class TestBandedCoreTests:
         decomposition = _tracemalloc_peak(lambda: ts.sps_decomposition(matrix))
         criterion = _tracemalloc_peak(lambda: ts.sps_core_criterion(game))
         assert criterion < decomposition + (4 << 20)
+        # a new game's one sweep for all three allocations and the criterion
+        shares = [method(matrix) for method in (ts.ses, ts.sps, ts.scs)]
+        d = ts.sps_decomposition(matrix)
+        assert _tracemalloc_peak(lambda: game_module.interval_tests(
+            SegmentsGame(matrix), shares, ts.DEFAULT_TOL, d)) < 4 << 20
 
     def test_criterion_refuses_a_huge_matrix_before_any_grid_work(self):
-        matrix = TollMatrix(INTERVAL_CEILING + 1000, {(1, 2): 1.0, (3, 3): 1.0})
+        matrix = TollMatrix(SWEEP_CEILING + 1000, {(1, 2): 1.0, (3, 3): 1.0})
 
         def refused():
-            with pytest.raises(ts.OracleSizeError, match="interval grid limit"):
+            with pytest.raises(ts.OracleSizeError, match="interval sweep limit"):
                 ts.sps_core_criterion(matrix)
 
         assert _tracemalloc_peak(refused) < 1 << 20

@@ -385,6 +385,20 @@ class TestCoverageKernel:
                         assert (ts.coverage(matrix, passed).tobytes()
                                 == coverage_two_step(matrix, passed).tobytes())
 
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_array_lane_counts_the_trips_of_nonzero_weight(self, zero):
+        # segments 4 and 5 meet only the last trip: without its weight, the
+        # prefix sums there are residue (5.6e-17), and the loads must be 0
+        matrix = TollMatrix(5, {(1, 2): 0.1, (2, 3): 0.2, (4, 5): 0.7})
+        weights = np.array([0.1, 0.2, 0.0 if zero else 0.7])
+        lanes = []
+        for threshold in (0, _LOOP_ONLY):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(model, "_ARRAY_LANE_TRIPS", threshold)
+                lanes.append(ts.coverage(matrix, weights).tobytes())
+        assert lanes[0] == lanes[1]
+        assert np.frombuffer(lanes[0])[3:].tolist() == ([0.0, 0.0] if zero else [0.7, 0.7])
+
     def test_large_matrix_takes_the_array_lane_with_the_loop_bits(self, monkeypatch):
         matrix = ts.random_matrix(300, density=1.0, seed=8)
         assert len(matrix.entries) == 45150 >= model._ARRAY_LANE_TRIPS
@@ -518,17 +532,18 @@ def test_interval_core_test_agrees_with_the_exhaustive_one(matrix):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(wide_matrices())
 @example(TollMatrix(12, {(1, 10): 2.225073858507e-311}))
+@example(TollMatrix(12, {(1, 12): 17 * 5e-324}))
 def test_efficiency_across_wide_magnitudes(matrix):
     """ses, sps and scs hand out the whole total, within the bound of
     ``test_wide_magnitudes_share_every_covered_segment`` summed over the
-    roundings below the normal range: four smallest subnormals per trip
-    for ses and sps, and per segment that a trip covers for scs, which
-    rounds ``toll / n`` once on each of them."""
+    roundings each method makes below the normal range, four smallest
+    subnormals per rounding: ses rounds ``toll / (k - h + 1)`` once and
+    hands it to each segment the trip covers, scs rounds ``toll / n`` once
+    on each of them, and sps rounds ``beta * NS_i`` once per segment."""
     tiny = np.finfo(float).smallest_subnormal
     relative = 8 * matrix.n * np.finfo(float).eps * matrix.total
     covered = sum(k - h + 1 for (h, k), _ in matrix.trips())
-    for method, roundings in ((ts.ses, len(matrix.entries)), (ts.sps, len(matrix.entries)),
-                              (ts.scs, covered)):
+    for method, roundings in ((ts.ses, covered), (ts.sps, matrix.n), (ts.scs, covered)):
         bound = relative + 4 * roundings * tiny
         assert abs(math.fsum(method(matrix)) - matrix.total) <= bound, method.__name__
 

@@ -847,6 +847,33 @@ class TestTripletIO:
             write_triplet_csv_loop(matrix, tmp_path / "loop.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
+    def test_writer_and_reader_peaks_do_not_grow_with_the_file(self, tmp_path):
+        """The writer holds one slice of rows on top of the matrix's columns;
+        the reader holds the file's bytes and, while it copies them into
+        columns, the parsed records: one more set of columns.  What either
+        holds beyond that is a fixed margin, the same for 25k as 100k trips."""
+        def peak(call) -> int:
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        margins = []
+        for n in (500, 1000):
+            matrix = ts.random_matrix(n, density=0.2, seed=3)
+            columns = sum(column.nbytes for column in matrix.columns)
+            path = tmp_path / f"{n}.csv"
+            write = peak(lambda: ts.write_triplet_csv(matrix, path))
+            read = peak(lambda: ts.read_triplet_csv(path)) - path.stat().st_size - 2 * columns
+            margins.append((write, read))
+        assert len(matrix.entries) == 99630
+        for write, read in margins:
+            assert write < 3 << 20 and read < 256 << 10
+        (write_25k, read_25k), (write_100k, read_100k) = margins
+        assert write_100k - write_25k < 1 << 20 and read_100k - read_25k < 64 << 10
+
 
 class TestHashing:
     def test_equal_matrices_hash_equal(self):
@@ -1029,7 +1056,7 @@ class TestSamplerDrawStream:
         assert list(drawn.entries) == list(reference.entries)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("cap", [1, 2, 7, model._DRAW_CHUNK])
+    @pytest.mark.parametrize("cap", [1, 2, 7, 1 << 16])
     def test_loop_lane_leaves_the_generator_state_of_scalar_draws(self, monkeypatch, cap):
         monkeypatch.setattr(model, "_DRAW_CHUNK", cap)
         layouts = {n: [[(1, n)], [(1, 1), (2, n)], [(1, n // 2), (n // 2 + 1, n)]]
