@@ -9,8 +9,8 @@ report with ``--no-timestamp`` beside the file.  Prints one row per command:
 its peak resident set size in MB and its wall time in seconds.  The peak is
 the ``ru_maxrss`` of the child's own rusage, as ``os.wait4`` returns it; the
 ``RUSAGE_CHILDREN`` maximum of the parent would carry over from one child to
-the next.  The files go to ``--workdir``, or to a temporary directory that
-is removed at the end.  A command that exits nonzero stops the run.
+the next.  The files go to ``--workdir``, made if missing, or to a
+temporary directory that is removed at the end.  A command that exits nonzero stops the run.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     with (contextlib.nullcontext(args.workdir) if args.workdir
           else tempfile.TemporaryDirectory(prefix="peak-rss-")) as workdir:
+        Path(workdir).mkdir(parents=True, exist_ok=True)
         problem = Path(workdir) / "trips.csv"
         runs = [("generate", ["generate", "--n", str(args.n), "--density", str(args.density),
                               "--seed", str(args.seed), "--output", str(problem)])]

@@ -82,8 +82,8 @@ class SegmentsGame:
         ending = np.zeros(end + 1)
         first = int(np.searchsorted(entry, start))
         for stop in range(len(exit), first, -BAND_CELLS):
-            exits, tolls = (column[max(first, stop - BAND_CELLS) : stop][::-1]
-                            for column in (exit, toll))
+            part = slice(max(first, stop - BAND_CELLS), stop)
+            exits, tolls = exit[part][::-1], toll[part][::-1]
             inside = exits <= end
             np.add.at(ending, exits[inside], tolls[inside])
         return np.cumsum(ending[start:])

@@ -54,8 +54,9 @@ DEFAULT_TOL = 1e-9
 SEGMENT_CEILING = 1 << 20
 
 #: Most cells, trips inside a block, that ``_sample`` draws for: n = 2047 at
-#: density 1, where ``generate`` peaked at 236 MB RSS (one child interpreter,
-#: 2-core Linux host, numpy 2.4.6).  n = 2000 has 2,001,000 cells.
+#: density 1, where ``generate`` peaked at 204 MB RSS (``scripts/peak_rss.py
+#: --n 2047 --density 1 --seed 3``, 2-core Linux host, numpy 2.4.6).  n = 2000
+#: has 2,001,000 cells.
 CELL_CEILING = 1 << 21
 
 #: What ``float`` raises for a value that is no float: not a number, or an
