@@ -1,11 +1,14 @@
-r"""Peak RSS and wall time of the CLI commands on one generated problem.
+r"""Peak RSS and wall time of the CLI commands on one generated problem and on AP68.
 
     python3 scripts/peak_rss.py --n 2000 --density 0.2 --seed 3
 
 Runs ``generate`` with the given size, density and seed, then ``allocate``,
-``core`` and ``equity`` on the file it wrote, each in a child interpreter
-that imports ``tollshare`` from ``src/`` of this checkout and writes its
-report with ``--no-timestamp`` beside the file.  Prints one row per command:
+``core`` and ``equity`` on the file it wrote, then ``game --solution
+shapley`` and ``game --solution tau`` on the bundled 22-segment AP68, whose
+``2^22`` coalitions the exhaustive oracles enumerate.  Each command runs in a
+child interpreter that imports ``tollshare`` from ``src/`` of this checkout
+and writes its report with ``--no-timestamp`` beside the file.  Prints one
+row per command, the last two named ``shapley`` and ``tau``:
 its peak resident set size in MB and its wall time in seconds.  The peak is
 the ``ru_maxrss`` of the child's own rusage, as ``os.wait4`` returns it; the
 ``RUSAGE_CHILDREN`` maximum of the parent would carry over from one child to
@@ -26,6 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 _CLI = "import sys; from tollshare.cli import main; sys.exit(main(sys.argv[1:]))"
 COMMANDS = ("allocate", "core", "equity")
+SOLUTIONS = ("shapley", "tau")
+AP68 = ROOT / "src" / "tollshare" / "data" / "ap68_trips.csv"
 
 
 def run_child(argv: list[str]) -> tuple[float, float]:
@@ -58,6 +63,10 @@ def main(argv: list[str] | None = None) -> int:
         runs += [(command, [command, "--input", str(problem), "--no-timestamp",
                             "--output", str(Path(workdir) / f"{command}.json")])
                  for command in COMMANDS]
+        runs += [(solution, ["game", "--input", str(AP68), "--segments", "22",
+                             "--solution", solution, "--no-timestamp",
+                             "--output", str(Path(workdir) / f"{solution}.json")])
+                 for solution in SOLUTIONS]
         print(f"n={args.n} density={args.density:g} seed={args.seed}")
         print(f"{'command':<10}{'peak_rss_mb':>12}{'wall_s':>9}")
         for command, child_argv in runs:

@@ -8,8 +8,9 @@ sufficient for nonnegative allocations.
 The Shapley, compromise (tau) and average-tree solutions are computed here by
 exhaustive enumeration on purpose: they serve as independent cross-checks of
 the closed-form allocation methods, so they must not share code with them.
-Each function names the ``2^n`` vectors it holds, which
-:data:`EXHAUSTIVE_CEILING` bounds.  No ``n x n`` table is kept: the interval
+The worths of :meth:`SegmentsGame.mask_values` are their only ``2^n`` vector,
+which :data:`EXHAUSTIVE_CEILING` bounds; they read it in blocks of
+:data:`ORACLE_BLOCK` masks.  No ``n x n`` table is kept: the interval
 core tests and the average-tree value read the interval worths from one
 sweep (:func:`_sweep`) in bands of at most :data:`BAND_CELLS` cells, and
 :data:`SWEEP_CEILING` bounds the ``O(n^2)`` time of that sweep.
@@ -34,9 +35,18 @@ from .errors import (
 from .methods import SpsDecomposition, WeightScheme, sps_decomposition
 from .model import DEFAULT_TOL, TollMatrix, allowance
 
-#: Largest ``n`` for any ``2^n`` vector, the one size bound of the
-#: exhaustive oracles: 22 segments (the AP68 case study) need 32 MB per vector.
+#: Largest ``n`` for the ``2^n`` worth vector, the one size bound of the
+#: exhaustive oracles: its 22 segments (the AP68 case study) take 32 MB.
 EXHAUSTIVE_CEILING = 22
+
+#: Masks in one block of the exhaustive oracles, which hold about one block
+#: of floats per segment past the block's own bits.  A block's sum is one node of the
+#: pairwise sum numpy takes over a whole vector: that sum splits a
+#: power-of-two length into exact halves, down to leaves of 128 elements.
+#: So the block sums, combined as a perfect binary tree (:func:`_tree_sum`),
+#: give the bits of one sum over all masks, as long as this is a power of
+#: two of at least 2^7.
+ORACLE_BLOCK = 1 << 13
 
 #: Largest ``n`` whose game is built, a bound on the ``O(n^2)`` time of the
 #: interval sweep.  One sweep serving three core tests and the sps criterion
@@ -155,6 +165,47 @@ def _doubling_sums(x: np.ndarray, dtype=float) -> np.ndarray:
     return out
 
 
+def _block_bits(n: int) -> int:
+    """``b`` such that the ``2^n`` masks of ``n`` bits fall in blocks of
+    ``2^b``: :data:`ORACLE_BLOCK`, or one block when that is larger."""
+    return min(n, ORACLE_BLOCK.bit_length() - 1)
+
+
+def _block_sums(x: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``(high, sums)`` for each block of the ``2^len(x)`` masks, with
+    ``sums[low] = _doubling_sums(x)[high << b | low]`` bit for bit, where
+    ``b = _block_bits(len(x))``.
+
+    The sums over the low ``b`` bits are taken once; the block ``high`` adds
+    ``x[b + k]`` for each bit ``k`` of ``high``, lowest first, which is the
+    fold order of :func:`_doubling_sums`.  The blocks are walked depth first
+    over those bits, so each adds only its highest bit, to the sums of the
+    block without it: one addition per mask, with one spare block per high
+    bit.  They come in bit-reversed order of ``high``, and a later block may
+    overwrite ``sums``.
+    """
+    bits = _block_bits(len(x))
+    tops = x[bits:]
+    spare = np.empty((len(tops), 1 << bits))
+
+    def walk(sums: np.ndarray, high: int, k: int) -> Iterator[tuple[int, np.ndarray]]:
+        if k == len(tops):
+            yield high, sums
+            return
+        yield from walk(sums, high, k + 1)
+        np.add(sums, tops[k], out=spare[k])
+        yield from walk(spare[k], high | 1 << k, k + 1)
+
+    return walk(_doubling_sums(x[:bits]), 0, 0)
+
+
+def _tree_sum(parts: np.ndarray) -> float:
+    """Sum of a power-of-two number of block sums, adjacent pairs first."""
+    while len(parts) > 1:
+        parts = parts[0::2] + parts[1::2]
+    return float(parts[0])
+
+
 def _split(vector: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of a ``2^n`` vector over the masks without and with bit ``i``,
     aligned so that ``with_i[j] = vector[without_i_mask[j] | 1 << i]``."""
@@ -166,12 +217,16 @@ def shapley_value(game: SegmentsGame) -> np.ndarray:
     """Exact Shapley value by full subset enumeration.
 
     Every coalition S not containing player i contributes its marginal
-    ``v(S + i) - v(S)`` with weight ``|S|! (n - |S| - 1)! / n!``.  The
-    marginals are taken on :func:`_split` views into one contiguous
-    ``2^(n-1)`` buffer, whose slot ``j`` holds the coalition made of the
-    other ``n - 1`` bits of ``j``; so one weight vector, looked up by the
-    popcount of ``j``, serves every player.  Holds two ``2^(n-1)`` float
-    vectors besides the worths.
+    ``v(S + i) - v(S)`` with weight ``|S|! (n - |S| - 1)! / n!``.  Slot
+    ``j`` of player i's ``2^(n-1)`` marginals holds the coalition made of
+    the other ``n - 1`` bits of ``j``, so one weight, looked up by the
+    popcount of ``j``, serves every player.  The slots go a block of
+    :data:`ORACLE_BLOCK` at a time: when ``2^i`` is below the block, the
+    marginals are :func:`_split` views of twice as many worths, else two
+    slices ``2^i`` apart.  A block's weights depend only on the popcount of
+    its high bits and are built once per popcount; the block sums combine
+    by :func:`_tree_sum`.  Besides the worths, holds one block of floats
+    per high bit and two more.
     """
     n = game.n
     values = game.mask_values()
@@ -179,15 +234,27 @@ def shapley_value(game: SegmentsGame) -> np.ndarray:
     for s in range(1, n + 1):
         fact[s] = fact[s - 1] * s
     coeff = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)])
-    weight = coeff[_doubling_sums(np.ones(n - 1, dtype=np.uint8), dtype=np.uint8)]
-    buffer = np.empty(len(weight))
+    bits = _block_bits(n - 1)
+    block = 1 << bits
+    low_popcounts = _doubling_sums(np.ones(bits, dtype=np.uint8), dtype=np.uint8)
+    weights = [coeff[h : h + bits + 1][low_popcounts] for h in range(n - bits)]
+    buffer = np.empty(block)
+    parts = np.empty(1 << (n - 1 - bits))
     shapley = np.zeros(n)
     for i in range(n):
-        without, with_i = _split(values, i)
-        gains = buffer.reshape(without.shape)
-        np.subtract(with_i, without, out=gains)
-        buffer *= weight
-        shapley[i] = float(gains.sum())
+        for high in range(len(parts)):
+            # the worth of slot j is at mask j with a 0 put in at bit i
+            lo = high << bits
+            start = lo + (lo >> i << i)
+            if i < bits:
+                without, with_i = _split(values[start : start + 2 * block], i)
+            else:
+                without = values[start : start + block]
+                with_i = values[start + (1 << i) : start + (1 << i) + block]
+            np.subtract(with_i, without, out=buffer.reshape(without.shape))
+            buffer *= weights[high.bit_count()]
+            parts[high] = buffer.sum()
+        shapley[i] = _tree_sum(parts)
     return shapley
 
 
@@ -208,25 +275,29 @@ def compromise_bounds(game: SegmentsGame, *, tol: float = DEFAULT_TOL) -> Compro
 
     ``M_i = v(N) - v(N without i)``; ``m_i`` maximizes, over all coalitions S
     containing i, what S can offer i after paying everyone else their utopia
-    payoff.  The summed utopia payoffs of every coalition are a doubling
-    sum, one ``2^n`` float vector besides the worths.  Laid out as a square
-    whose columns run over the low bits and rows over the high bits, its
-    column maxima hold each low player's maximum and its row maxima each
-    high player's, which :func:`_split` views of those short vectors then
-    take; ``max`` is exact in any order.
+    payoff.  The summed utopia payoffs come a block of masks at a time from
+    :func:`_block_sums`.  The running maxima over the blocks, slot by slot,
+    hold each low player's maximum and the maxima of the blocks each high
+    player's, which :func:`_split` views of those short vectors then take;
+    ``max`` is exact in any order.  Besides the worths, holds one block of
+    floats per high bit and three more.
     """
     n = game.n
     values = game.mask_values()
     full = (1 << n) - 1
     grand = values[full]
     utopia = np.array([grand - values[full & ~(1 << i)] for i in range(n)])
-    slack = _doubling_sums(utopia)
-    np.subtract(values, slack, out=slack)
-    low = n // 2
-    square = slack.reshape(-1, 1 << low)
-    columns, rows = square.max(axis=0), square.max(axis=1)
-    rights = np.array([float(_split(columns, i)[1].max()) for i in range(low)]
-                      + [float(_split(rows, i)[1].max()) for i in range(n - low)]) + utopia
+    bits = _block_bits(n)
+    block = 1 << bits
+    slack = np.empty(block)
+    columns = np.full(block, -np.inf)
+    rows = np.empty(1 << (n - bits))
+    for high, sums in _block_sums(utopia):
+        np.subtract(values[high * block : (high + 1) * block], sums, out=slack)
+        np.maximum(columns, slack, out=columns)
+        rows[high] = slack.max()
+    rights = np.array([float(_split(columns, i)[1].max()) for i in range(bits)]
+                      + [float(_split(rows, i)[1].max()) for i in range(n - bits)]) + utopia
     denom = float(utopia.sum() - rights.sum())
     alpha = (grand - float(rights.sum())) / denom if abs(denom) > allowance(tol, grand) else None
     return CompromiseBounds(utopia, rights, alpha)
@@ -383,20 +454,26 @@ def core_check_exhaustive(
     """Full ``2^n`` core test; a cross-check for :func:`core_check`.
 
     Returns membership plus the violating coalitions as member tuples, in
-    ascending mask order.  Every coalition's allocated total is a doubling
-    sum; two ``2^n`` float vectors besides the worths.
+    ascending mask order.  The coalitions' allocated totals come a block of
+    masks at a time from :func:`_block_sums`.  Besides the worths and the
+    violations, holds one block of floats per high bit and two more.
     """
     x = _check_shares(game, shares)
     values = game.mask_values()
     slack = allowance(tol, game.grand_value)
     efficient = abs(float(x.sum()) - game.grand_value) <= slack
-    short = _doubling_sums(x) < values - slack
-    # the empty and the grand coalition are not stability constraints
-    short[0] = short[-1] = False
     n = game.n
+    block = 1 << _block_bits(n)
+    found: list[list[int]] = [[] for _ in range(len(values) // block)]
+    for high, sums in _block_sums(x):
+        start = high * block
+        short = sums < values[start : start + block] - slack
+        found[high] = (np.flatnonzero(short) + start).tolist()
+    # the empty and the grand coalition are not stability constraints
+    full = len(values) - 1
     violating = [
         tuple(i + 1 for i in range(n) if mask >> i & 1)
-        for mask in np.flatnonzero(short).tolist()
+        for masks in found for mask in masks if 0 < mask < full
     ]
     return efficient and not violating, violating
 

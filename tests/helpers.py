@@ -225,10 +225,12 @@ def scs_loop(matrix: TollMatrix) -> np.ndarray:
 
 # -- loop references for the exhaustive game oracles --------------------------
 #
-# The worth DP before it took one contiguous block per run length, and the
+# The worth DP before it took one contiguous block per run length, the
 # per-player passes of shapley_value and compromise_bounds before they read
-# one contiguous weight vector and the row and column maxima of a square;
-# the output bits must stay identical.
+# one contiguous weight vector and the row and column maxima of a square,
+# and core_check_exhaustive as it compared two whole 2^n vectors.  The
+# oracles now read the worths in blocks of game.ORACLE_BLOCK masks; the
+# output bits must stay identical.
 
 def mask_values_run_loop(matrix: TollMatrix) -> np.ndarray:
     """Coalition worths by a per-mask run length that doubles with them."""
@@ -281,6 +283,20 @@ def compromise_bounds_loop(game: SegmentsGame, tol: float = DEFAULT_TOL) -> Comp
     if abs(denom) > tol * max(1.0, abs(grand)):
         alpha = (grand - float(rights.sum())) / denom
     return CompromiseBounds(utopia, rights, alpha)
+
+
+def core_check_exhaustive_full(game: SegmentsGame, shares, tol: float = DEFAULT_TOL):
+    """Membership and violating coalitions from every coalition's allocated
+    total as one doubling sum over all ``2^n`` masks."""
+    x = _check_shares(game, shares)
+    values = game.mask_values()
+    slack = allowance(tol, game.grand_value)
+    efficient = abs(float(x.sum()) - game.grand_value) <= slack
+    short = _doubling_sums(x) < values - slack
+    short[0] = short[-1] = False
+    violating = [tuple(i + 1 for i in range(game.n) if mask >> i & 1)
+                 for mask in np.flatnonzero(short).tolist()]
+    return efficient and not violating, violating
 
 
 # -- full-grid references for the interval core tests -------------------------

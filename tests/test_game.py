@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tollshare as ts
@@ -17,6 +17,7 @@ from helpers import (
     all_coalitions,
     coalition_value_by_enumeration,
     compromise_bounds_loop,
+    core_check_exhaustive_full,
     core_check_full_grid,
     interval_grid,
     mask_values_run_loop,
@@ -155,6 +156,43 @@ class TestOracleBits:
     def test_ap68_and_oracle_sizes(self):
         self._assert_same_bits(ts.random_matrix(16, density=0.7, seed=3))
         self._assert_same_bits(ts.ap68())
+
+
+class TestOracleBlocks:
+    """``shapley_value``, ``compromise_bounds`` and ``core_check_exhaustive``
+    read the worths in blocks of ``ORACLE_BLOCK`` masks and give the bits of
+    one pass over all of them.  With blocks of 2^7 the bounds and the core
+    test span several blocks from n = 8 on, Shapley from n = 9, where
+    players below and above bit 7 take different views."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 12), density=st.sampled_from((0.1, 0.4, 1.0)),
+           max_toll=st.sampled_from((1e-300, 1.0, 1e300)), seed=st.integers(0, 2**32 - 1))
+    @example(n=9, density=1.0, max_toll=1.0, seed=1)
+    @example(n=12, density=0.4, max_toll=1.0, seed=2)
+    def test_same_bits_as_one_pass(self, n, density, max_toll, seed):
+        matrix = ts.random_matrix(n, density=density, max_toll=max_toll, seed=seed)
+        rng = np.random.default_rng(seed)
+        allocations = [ts.ses(matrix), perturbed_allocation(ts.sps(matrix), rng),
+                       0.9 * ts.scs(matrix), np.zeros(n)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(game_module, "ORACLE_BLOCK", 1 << 7)
+            game = SegmentsGame(matrix)
+            assert ts.shapley_value(game).tobytes() == shapley_strided_loop(game).tobytes()
+            assert (_oracle_bytes(game, ts.compromise_bounds(game))[:3]
+                    == _oracle_bytes(game, compromise_bounds_loop(game))[:3])
+            for x in allocations:
+                assert ts.core_check_exhaustive(game, x) == core_check_exhaustive_full(game, x)
+
+    def test_no_vector_besides_the_worths(self):
+        # one 2^20 float vector is 8 MB; ses is in the core, so no violations
+        matrix = ts.random_matrix(20, density=0.5, seed=7)
+        game = SegmentsGame(matrix)
+        game.mask_values()
+        x = ts.ses(matrix)
+        for oracle in (lambda: ts.shapley_value(game), lambda: ts.compromise_bounds(game),
+                       lambda: ts.core_check_exhaustive(game, x)):
+            assert _tracemalloc_peak(oracle) < 2 << 20
 
 
 class TestSubsetDP:
