@@ -775,21 +775,17 @@ def independence_harness(
              for char in CHARACTERIZATIONS
              for method, expected_fail in char.failures.items()
              for axiom in char.axioms]
-    merged = _map_cells(cell, cells)
-    rows: list[HarnessRow] = []
-    for char in CHARACTERIZATIONS:
-        for method_name, expected_fail in char.failures.items():
-            verdicts: dict[str, bool] = {}
-            for axiom in char.axioms:
-                should_fail = expected_fail == axiom
-                verdict = next(merged)
-                verdicts[axiom] = verdict.holds
-                if verdict.holds == should_fail:
-                    raise HarnessMismatchError(
-                        method_name, axiom,
-                        "expected failure was not observed" if should_fail else
-                        f"unexpected failure (designated axiom is {expected_fail}); "
-                        f"witness gap {verdict.witness.gap:g}",
-                    )
-            rows.append(HarnessRow(char.name, method_name, expected_fail, verdicts))
-    return rows
+    rows: dict[tuple[str, str], HarnessRow] = {}
+    for (char, method, axiom, should_fail), verdict in zip(cells, _map_cells(cell, cells)):
+        expected_fail = char.failures[method]
+        if verdict.holds == should_fail:
+            raise HarnessMismatchError(
+                method, axiom,
+                "expected failure was not observed" if should_fail else
+                f"unexpected failure (designated axiom is {expected_fail}); "
+                f"witness gap {verdict.witness.gap:g}",
+            )
+        row = rows.setdefault((char.name, method),
+                              HarnessRow(char.name, method, expected_fail, {}))
+        row.verdicts[axiom] = verdict.holds
+    return list(rows.values())

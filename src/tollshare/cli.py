@@ -68,12 +68,12 @@ from .model import (
 #: that builds the table rows, status
 Report = tuple[dict, list[str], Callable[[], list[list]], int | str]
 
-#: solution -> (solver(game), the method it must reproduce); ``--limit`` bounds
-#: every solver but the average-tree value, which enumerates nothing
+#: solution -> (solver(game, tol), the method it must reproduce); ``--limit``
+#: bounds every solver but the average-tree value, which enumerates nothing
 _SOLUTIONS = {
-    "shapley": (shapley_value, "ses"),
-    "tau": (tau_value, "sps"),
-    "at": (average_tree_value, "scs"),
+    "shapley": (lambda game, tol: shapley_value(game), "ses"),
+    "tau": (lambda game, tol: tau_value(game, tol=tol), "sps"),
+    "at": (lambda game, tol: average_tree_value(game), "scs"),
 }
 
 
@@ -189,7 +189,7 @@ def cmd_game(args: argparse.Namespace, matrix: TollMatrix, names: None) -> Repor
     game = SegmentsGame(matrix)
     if args.solution != "at" and matrix.n > args.limit:
         raise OracleSizeError(matrix.n, args.limit)
-    vector = solver(game)
+    vector = solver(game, args.tol)
     method_vector = allocation_method(method_name)(matrix)
     diff = float(np.max(np.abs(vector - method_vector)))
     matches = diff <= allowance(args.tol, matrix.total)
@@ -300,7 +300,7 @@ def _write_lorenz(prefix: str, curves: dict) -> None:
 
 def _parse_blocks(spec: str) -> list[range]:
     """The ``--blocks`` ranges.  An end past ``SEGMENT_CEILING`` is refused
-    here, before ``block_structured_matrix`` lists a range that long."""
+    here, under the option's name."""
     blocks = []
     try:
         for part in spec.split(","):

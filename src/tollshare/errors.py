@@ -122,7 +122,7 @@ class NegativeWeightError(TollShareError, ValueError):
 
 
 class OracleSizeError(TollShareError, ValueError):
-    """A game table or exhaustive enumeration was requested beyond its size limit."""
+    """The interval sweep or an exhaustive enumeration was requested beyond its size limit."""
 
     def __init__(self, n: int, limit: int, table: str = "exhaustive"):
         super().__init__(f"game has {n} segments; {table} limit is {limit}")

@@ -58,16 +58,6 @@ SWEEP_CEILING = (1 << 14) - 1
 BAND_CELLS = 1 << 15
 
 
-def _ending_tolls(matrix: TollMatrix) -> np.ndarray:
-    """``S[a, k]``: total toll of trips that exit at ``k`` and enter at ``a`` or
-    later, on a zero-padded 1-based ``(n+2) x (n+2)`` grid."""
-    n = matrix.n
-    dense = np.zeros((n + 2, n + 2))
-    entry, exit, toll = matrix.columns
-    dense[entry, exit] = toll
-    return np.cumsum(dense[::-1], axis=0, out=dense[::-1])[::-1]
-
-
 class SegmentsGame:
     """Characteristic function derived from a toll matrix.
 
@@ -141,12 +131,14 @@ class SegmentsGame:
         if self._mask_values is None:
             if self.n > EXHAUSTIVE_CEILING:
                 raise OracleSizeError(self.n, EXHAUSTIVE_CEILING)
-            ending = _ending_tolls(self.matrix)
+            ending = np.zeros((self.n, self.n))
+            for s0, s1, band in _ending_bands(self):
+                ending[s0:s1, s0:] = band
             values = np.zeros(1 << self.n)
             for i in range(self.n):
                 half = 1 << i
                 # gained[r]: tolls of trips exiting at i+1 that enter at i+1-r or later
-                gained = ending[i + 1 : 0 : -1, i + 1].tolist()
+                gained = ending[i::-1, i].tolist()
                 # the masks with bits i-1..i-r set and bit i-r-1 clear
                 for r in range(i + 1):
                     lo, hi = half - (half >> r), half - (half >> (r + 1))
@@ -393,21 +385,18 @@ def _prefix(x: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(x)])
 
 
-def _sweep(game: SegmentsGame) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The interval worths in bands of start rows ``s0..s1-1`` (0-based),
-    from the bottom row up: ``worth[s - s0, e - s0]`` is the worth of the
-    interval ``[s+1, e+1]`` for the end columns ``e = s0..n-1``, and 0
-    where ``e < s``.  A band holds at most :data:`BAND_CELLS` cells unless
-    one row is wider.
+def _ending_bands(game: SegmentsGame) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``S[a, k]``, the toll of the trips that exit at ``k`` and enter at
+    ``a`` or later, in bands of start rows ``s0..s1-1`` (0-based) from the
+    bottom row up: ``ending[s - s0, k - s0]`` is ``S[s+1, k+1]`` for
+    ``k = s0..n-1``.  A band holds at most :data:`BAND_CELLS` cells unless
+    one row is wider; the caller may overwrite it.
 
-    ``S[a, k]``, the toll of the trips that exit at ``k`` and enter at ``a``
-    or later, is ``S[a+1, k]`` plus the toll of ``[a, k]``, and the worth of
-    ``[a, b]`` is the running sum of ``S[a, k]`` over ``k <= b``.  A band
+    ``S[a, k]`` is ``S[a+1, k]`` plus the toll of ``[a, k]``: a band
     scatters the tolls of the trips entering in it under the ``S`` row
     carried from below it, takes one reversed ``cumsum`` over the rows and
-    one ``cumsum`` over the columns, and carries its top ``S`` row up.  So
-    every worth takes the same float additions in the same order wherever
-    the bands fall, those of the two ``cumsum`` over a full table.
+    carries its top row up.  So every ``S[a, k]`` takes the additions of
+    one reversed ``cumsum`` over a full table, wherever the bands fall.
     """
     n = game.n
     entry, exit, toll = game.matrix.columns
@@ -424,8 +413,17 @@ def _sweep(game: SegmentsGame) -> Iterator[tuple[int, int, np.ndarray]]:
         block[entry[first:last] - 1 - s0, exit[first:last] - 1 - s0] = toll[first:last]
         np.cumsum(block[::-1], axis=0, out=block[::-1])
         carry = block[0].copy()
-        yield s0, s1, np.cumsum(block[:rows], axis=1, out=block[:rows])
+        yield s0, s1, block[:rows]
         s1 = s0
+
+
+def _sweep(game: SegmentsGame) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The interval worths in the bands of :func:`_ending_bands`: ``worth[s - s0,
+    e - s0]``, the worth of ``[s+1, e+1]``, is the running sum of ``S[s+1, k]``
+    over ``k <= e`` (0 where ``e < s``), with the additions of two full-table
+    ``cumsum``."""
+    for s0, s1, ending in _ending_bands(game):
+        yield s0, s1, np.cumsum(ending, axis=1, out=ending)
 
 
 def core_check(
@@ -495,17 +493,15 @@ class SpsCoreCriterion:
 
 def sps_core_criterion(
     matrix: TollMatrix | SegmentsGame, tol: float = DEFAULT_TOL,
-    decomposition: SpsDecomposition | None = None,
 ) -> SpsCoreCriterion:
     """Evaluate the criterion on a toll matrix, or on the :class:`SegmentsGame`
-    already built from one; ``decomposition``, the matrix's
-    :func:`sps_decomposition` where the caller holds it already, is reused.
-    A matrix gets its game only when ``beta`` is defined."""
+    already built from one.  A matrix gets its game only when ``beta`` is
+    defined."""
     if isinstance(matrix, SegmentsGame):
         game, matrix = matrix, matrix.matrix
     else:
         game = None
-    d = sps_decomposition(matrix) if decomposition is None else decomposition
+    d = sps_decomposition(matrix)
     if d.beta is None:
         return SpsCoreCriterion(True, None, None, None)
     game = game if game is not None else SegmentsGame(matrix)
@@ -589,7 +585,7 @@ def core_scheme_check(scheme: WeightScheme, n: int, tol: float = DEFAULT_TOL) ->
     """
     if not scheme.t_independent:
         return False
-    weight = scheme.weights_for(TollMatrix.zero(n))
+    weight = scheme.factory(TollMatrix.zero(n))
     for h in range(1, n + 1):
         for k in range(h, n + 1):
             total = sum(weight(h, k, i) for i in range(h, k + 1))

@@ -138,9 +138,6 @@ class WeightScheme:
     t_independent: bool
     factory: Callable[[TollMatrix], WeightFn]
 
-    def weights_for(self, matrix: TollMatrix) -> WeightFn:
-        return self.factory(matrix)
-
     def weight(self, matrix: TollMatrix, entry: int, exit: int, segment: int) -> float:
         if not (entry <= segment <= exit):
             raise SegmentIndexError(f"segment {segment} is not on trip [{entry},{exit}]")
@@ -198,7 +195,7 @@ def family_allocate(matrix: TollMatrix, scheme: WeightScheme) -> np.ndarray:
     The result is nonnegative by weight admissibility but is efficient only
     for schemes whose per-trip weights sum to 1.
     """
-    weight = scheme.weights_for(matrix)
+    weight = scheme.factory(matrix)
     shares = np.zeros(matrix.n)
     for (h, k), toll in matrix.trips():
         for i in range(h, k + 1):

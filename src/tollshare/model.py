@@ -457,7 +457,7 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]] 
         raise TollValidationError(f"max_toll must be positive and finite, got {max_toll!r}")
     n, max_toll = _segment_count(n), float(max_toll)
     blocks = [(1, n)] if blocks is None else blocks
-    widths = [max(end - start + 1, 0) for start, end in blocks]
+    widths = [end - start + 1 for start, end in blocks]
     cells = sum(w * (w + 1) // 2 for w in widths)
     if cells > CELL_CEILING:
         raise SegmentIndexError(f"{cells} trips to draw for; the limit is {CELL_CEILING}")
@@ -475,13 +475,15 @@ def _sample(rng: np.random.Generator, n: int, blocks: Sequence[tuple[int, int]] 
         size = min(owed * (cells - visited) + (pending is not None), _DRAW_CHUNK)
         for draw in rng.random(size).tolist():
             if pending is not None:
-                entries[pending], pending = max_toll * (1.0 - draw), None
+                # a toll is at least max_toll * 2**-53, positive unless max_toll is tiny
+                if toll := max_toll * (1.0 - draw):
+                    entries[pending] = toll
+                pending = None
             else:
                 if draw < density:
                     pending = walk[visited]
                 visited += 1
-    # a toll is at least max_toll * 2**-53, positive unless max_toll is tiny
-    return (_trusted if max_toll * 2.0**-53 > 0.0 else TollMatrix)(n, entries)
+    return _trusted(n, entries)
 
 
 def _sample_arrays(rng: np.random.Generator, blocks: Sequence[tuple[int, int]], cells: int,
@@ -561,20 +563,22 @@ def block_structured_matrix(
     """
     intervals: list[tuple[int, int]] = []
     for block in blocks:
-        members = sorted(set(int(i) for i in block))
+        # a step-1 range is its two ends; anything else is listed
+        stepped = isinstance(block, range) and block.step == 1
+        members = block if stepped else sorted(set(int(i) for i in block))
         if not members:
             raise BlocksNotPartitionError("empty block")
         if members[-1] - members[0] >= len(members):  # distinct, so a gap
             raise BlocksNotPartitionError(f"block {members} is not contiguous")
         intervals.append((members[0], members[-1]))
     intervals.sort()
-    n = intervals[-1][1] if intervals else 0
-    covered: list[int] = []
+    n = 0  # the end of the block before, 0 before the first
     for start, end in intervals:
-        covered.extend(range(start, end + 1))
-    # 1..len(covered) is as long as the members, not as n; covered in order, it ends at n
-    if covered != list(range(1, len(covered) + 1)):
-        raise BlocksNotPartitionError(f"blocks cover {covered}, expected 1..{n}")
+        if start != n + 1:
+            raise BlocksNotPartitionError(f"no block covers [{n + 1}, {start - 1}]"
+                                          if start > n + 1 else
+                                          f"block [{start}, {end}] starts before {n + 1}")
+        n = end
     return _sample(_seeded_rng(seed), n, intervals, density, max_toll)
 
 

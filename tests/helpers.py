@@ -25,7 +25,6 @@ from tollshare.game import (
     SpsCoreCriterion,
     _check_shares,
     _doubling_sums,
-    _ending_tolls,
     _prefix,
     _split,
 )
@@ -235,7 +234,7 @@ def scs_loop(matrix: TollMatrix) -> np.ndarray:
 def mask_values_run_loop(matrix: TollMatrix) -> np.ndarray:
     """Coalition worths by a per-mask run length that doubles with them."""
     n = matrix.n
-    ending = _ending_tolls(matrix)
+    ending = ending_tolls(matrix)
     values = np.zeros(1 << n)
     run = np.zeros(1 << n, dtype=np.uint8)
     for i in range(n):
@@ -306,15 +305,21 @@ def core_check_exhaustive_full(game: SegmentsGame, shares, tol: float = DEFAULT_
 # sps_core_criterion over every interval of that table at once, as ``n x n``
 # arrays.  The worths and the reports must stay equal, float bits included.
 
-def interval_grid(matrix: TollMatrix) -> np.ndarray:
-    """``grid[a, b]``: the total toll of the trips inside ``[a, b]``, 1-based,
-    0 when ``a > b``: a suffix sum over entries, then a prefix sum over exits."""
+def ending_tolls(matrix: TollMatrix) -> np.ndarray:
+    """``S[a, k]``: the total toll of the trips that exit at ``k`` and enter at
+    ``a`` or later, on a zero-padded 1-based ``(n+2) x (n+2)`` grid: a suffix
+    sum over entries."""
     n = matrix.n
     dense = np.zeros((n + 2, n + 2))
     entry, exit, toll = matrix.columns
     dense[entry, exit] = toll
-    ending = np.cumsum(dense[::-1], axis=0)[::-1]
-    return np.cumsum(ending, axis=1)
+    return np.cumsum(dense[::-1], axis=0)[::-1]
+
+
+def interval_grid(matrix: TollMatrix) -> np.ndarray:
+    """``grid[a, b]``: the total toll of the trips inside ``[a, b]``, 1-based,
+    0 when ``a > b``: :func:`ending_tolls`, then a prefix sum over exits."""
+    return np.cumsum(ending_tolls(matrix), axis=1)
 
 
 def _span_sums(prefix: np.ndarray) -> np.ndarray:

@@ -576,6 +576,41 @@ class TestForkedCells:
             ts.axiom_matrix(methods, trials=5, seed=0)
         assert _no_children_left()
 
+    # ses holds additivity and segment symmetry, so the cells that designate
+    # them (indices 1 and 3) both miss their expected failure
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_earlier_harness_mismatch_in_cell_order_raises(self, monkeypatch, forks,
+                                                               workers):
+        monkeypatch.setattr(ax, "_worker_count", lambda: workers)
+        fake = (ax.Characterization("one", ("efficiency", "additivity"), {"ses": "additivity"}),
+                ax.Characterization("two", ("efficiency", "segment_symmetry"),
+                                    {"ses": "segment_symmetry"}))
+        monkeypatch.setattr(ax, "CHARACTERIZATIONS", fake)
+        with pytest.raises(ts.HarnessMismatchError,
+                           match=r"^independence harness mismatch at \(ses, additivity\): "
+                                 "expected failure was not observed$"):
+            ts.independence_harness(trials=3, seed=0)
+        assert len(forks) == workers - 1 and _no_children_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_method_in_two_characterizations_keeps_two_rows(self, monkeypatch, workers):
+        monkeypatch.setattr(ax, "_worker_count", lambda: workers)
+        breaks = {"ses": [{"matrix": ax._T3}]}
+        fake = (ax.Characterization("one", ("efficiency", "weighted_segment_symmetry"),
+                                    {"ses": "weighted_segment_symmetry"}, breaks),
+                ax.Characterization("two", ("weighted_segment_symmetry", "additivity"),
+                                    {"ses": "weighted_segment_symmetry"}, breaks))
+        monkeypatch.setattr(ax, "CHARACTERIZATIONS", fake)
+        rows = ts.independence_harness(trials=3, seed=0)
+        assert rows == [
+            ax.HarnessRow("one", "ses", "weighted_segment_symmetry",
+                          {"efficiency": True, "weighted_segment_symmetry": False}),
+            ax.HarnessRow("two", "ses", "weighted_segment_symmetry",
+                          {"weighted_segment_symmetry": False, "additivity": True}),
+        ]
+        assert [list(row.verdicts) for row in rows] == [list(char.axioms) for char in fake]
+        assert _no_children_left()
+
     @classmethod
     def _die_in_a_child(cls, monkeypatch, died):
         """Have the linearity checker end any child that calls it.  The caller

@@ -222,6 +222,23 @@ class TestGame:
         assert code == (0 if doc["max_abs_diff"] == 0.0 else 1)
         assert doc["max_abs_diff"] <= 1e-12
 
+    @pytest.mark.parametrize("tol, vector", [
+        ([], [1.000000005, 1.000000005]),
+        (["--tol", "1e-6"], [1.0, 1.0]),
+    ], ids=["default", "1e-6"])
+    def test_tau_solves_at_the_reported_tolerance(self, capsys, tmp_path, tol, vector):
+        # the utopia payoffs exceed the minimal rights (1, 1) by 2e-8 in sum: at
+        # 1e-9 tau mixes the two, at 1e-6 they coincide and tau is (1, 1)
+        path = tmp_path / "m.csv"
+        path.write_text("entry,exit,toll\n1,1,1.0\n1,2,1e-8\n2,2,1.0\n")
+        code, out, _ = run(capsys, "game", "--input", str(path), "--solution", "tau", *tol,
+                           "--no-timestamp")
+        doc = json.loads(out)
+        tolerance = doc["metadata"]["tolerance"]
+        game = ts.SegmentsGame(ts.read_triplet_csv(path))
+        assert code == 0 and doc["vector"] == vector
+        assert vector == ts.tau_value(game, tol=tolerance).tolist()
+
 
 class TestCore:
     def test_unstable_example_violation(self, capsys, example61_csv):
@@ -786,6 +803,15 @@ class TestRejectedOptions:
                              "--output", str(path))
         assert code == 2 and out == ""
         assert err == f"error: max_toll must be positive and finite, got {float(max_toll)!r}\n"
+        assert not path.exists()
+
+    def test_generate_names_the_first_overlap_of_long_blocks(self, capsys, tmp_path):
+        path = tmp_path / "gen.csv"
+        code, out, err = run(capsys, "generate", "--blocks", "1-1048576,1-1048576",
+                             "--output", str(path))
+        assert code == 2 and out == "" and len(err.encode()) < 1024
+        assert err == ("error: blocks do not partition the segment range: "
+                       "block [1, 1048576] starts before 1048577\n")
         assert not path.exists()
 
     def test_generate_rejects_empty_blocks(self, capsys, tmp_path):

@@ -1,7 +1,6 @@
 """Tests for the segments game, brute-force solutions, and core machinery."""
 
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -480,17 +479,6 @@ class TestSpsCoreCriterion:
         assert built == []
         monkeypatch.undo()
         assert criterion == ts.sps_core_criterion(example61)
-
-    def test_reuses_a_decomposition_it_is_handed(self, monkeypatch):
-        for matrix in seeded_matrices(61, sizes=(2, 5, 8), densities=(0.3, 1.0)):
-            game = SegmentsGame(matrix)
-            decomposition = ts.sps_decomposition(matrix)
-            expected = ts.sps_core_criterion(game)
-            with monkeypatch.context() as patch:
-                patch.setattr(game_module, "sps_decomposition",
-                              mock.Mock(side_effect=AssertionError))
-                handed = ts.sps_core_criterion(game, decomposition=decomposition)
-            assert handed == expected and repr(handed) == repr(expected)
 
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
     def test_a_defined_beta_always_counts_an_interval(self, scale):

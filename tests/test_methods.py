@@ -187,7 +187,7 @@ class TestWeightSchemes:
         scheme = ts.builtin_scheme(name)
         for n in range(1, 9):
             matrix = TollMatrix.zero(n)
-            weight = scheme.weights_for(matrix)
+            weight = scheme.factory(matrix)
             for h in range(1, n + 1):
                 for k in range(h, n + 1):
                     total = sum(weight(h, k, i) for i in range(h, k + 1))

@@ -451,11 +451,29 @@ class TestSingleFaults:
 
     @pytest.mark.parametrize("blocks, message", [
         ([{1, 10**12}], "is not contiguous"),
-        ([{1}, {10**12}], "blocks cover [1, 1000000000000], expected 1..1000000000000"),
+        ([{1}, {10**12}],
+         "blocks do not partition the segment range: no block covers [2, 999999999999]"),
     ])
     def test_blocks_far_apart_are_refused_without_a_list_of_n(self, blocks, message):
         with pytest.raises(ts.BlocksNotPartitionError, match=re.escape(message)):
             ts.block_structured_matrix(blocks)
+
+    @pytest.mark.parametrize("blocks, message", [
+        ([range(1, 2**20 + 1)] * 4, "block [1, 1048576] starts before 1048577"),
+        ([range(1, 3), range(4, 2**20 + 1)], "no block covers [3, 3]"),
+        ([range(0, 2**20)], "block [0, 1048575] starts before 1"),
+        ([range(2**20, 2**20 + 2)], "no block covers [1, 1048575]"),
+    ])
+    def test_long_ranges_are_refused_from_their_ends(self, blocks, message):
+        # listing the segments of four such ranges took hundreds of MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ts.BlocksNotPartitionError, match=f"{re.escape(message)}$"):
+                ts.block_structured_matrix(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
     def test_empty_block_is_named(self):
         with pytest.raises(ts.BlocksNotPartitionError, match=": empty block$"):
