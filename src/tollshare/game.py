@@ -213,12 +213,17 @@ def shapley_value(game: SegmentsGame) -> np.ndarray:
     ``j`` of player i's ``2^(n-1)`` marginals holds the coalition made of
     the other ``n - 1`` bits of ``j``, so one weight, looked up by the
     popcount of ``j``, serves every player.  The slots go a block of
-    :data:`ORACLE_BLOCK` at a time: when ``2^i`` is below the block, the
-    marginals are :func:`_split` views of twice as many worths, else two
-    slices ``2^i`` apart.  A block's weights depend only on the popcount of
-    its high bits and are built once per popcount; the block sums combine
-    by :func:`_tree_sum`.  Besides the worths, holds one block of floats
-    per high bit and two more.
+    :data:`ORACLE_BLOCK` at a time: when ``2^i`` is below the block, player
+    i's :func:`_split` views of all worths are built once, and each block
+    takes its rows of them, else two slices ``2^i`` apart.  Players 1 and 2
+    subtract one column of those rows at a time: their two halves
+    interleave in runs of 2 and 4 floats, so a whole-view subtract would
+    run numpy's inner loop over 2 or 4 floats per call, where a column is
+    one long strided loop.  Every marginal is the same float either way.
+    A block's weights depend only on the popcount of its high bits and are
+    built once per popcount; the block sums combine by :func:`_tree_sum`.
+    Besides the worths, holds one block of floats per high bit and two
+    more.
     """
     n = game.n
     values = game.mask_values()
@@ -234,16 +239,23 @@ def shapley_value(game: SegmentsGame) -> np.ndarray:
     parts = np.empty(1 << (n - 1 - bits))
     shapley = np.zeros(n)
     for i in range(n):
+        if i < bits:
+            without, with_i = _split(values, i)
+            gains = buffer.reshape(-1, 1 << i)
+            rows = len(gains)
         for high in range(len(parts)):
             # the worth of slot j is at mask j with a 0 put in at bit i
-            lo = high << bits
-            start = lo + (lo >> i << i)
             if i < bits:
-                without, with_i = _split(values[start : start + 2 * block], i)
+                span = slice(high * rows, (high + 1) * rows)
+                if i in (1, 2):
+                    for r in range(1 << i):
+                        np.subtract(with_i[span, r], without[span, r], out=gains[:, r])
+                else:
+                    np.subtract(with_i[span], without[span], out=gains)
             else:
-                without = values[start : start + block]
-                with_i = values[start + (1 << i) : start + (1 << i) + block]
-            np.subtract(with_i, without, out=buffer.reshape(without.shape))
+                start = (high << bits) + (high << bits >> i << i)
+                np.subtract(values[start + (1 << i) : start + (1 << i) + block],
+                            values[start : start + block], out=buffer)
             buffer *= weights[high.bit_count()]
             parts[high] = buffer.sum()
         shapley[i] = _tree_sum(parts)

@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, chain, combinations_with_replacement
+from itertools import accumulate, chain, combinations_with_replacement, pairwise
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -494,20 +494,22 @@ def _sample_arrays(rng: np.random.Generator, blocks: Sequence[tuple[int, int]], 
     In a chunk, a draw is a cell draw exactly when it lies an odd number of
     places after the last miss before it, a chunk's first cell draw
     standing one place after a miss.  Hits are numbered by cell in visiting
-    order and mapped to trips through each row's first number.
+    order and mapped to trips through each row's first number, a chunk at a
+    time, so only the columns outlive their chunk.
     """
     heads = [h for start, end in blocks for h in range(start, end + 1)]
     ends = [end for start, end in blocks for _ in range(start, end + 1)]
     row_entry = np.array(heads, dtype=np.intp)
     widths = np.array(ends, dtype=np.intp) - row_entry + 1
     row_first = np.cumsum(widths) - widths
-    hits: list[np.ndarray] = []
-    toll_draws: list[np.ndarray] = []
+    entries: list[np.ndarray] = []
+    exits: list[np.ndarray] = []
+    tolls: list[np.ndarray] = []
     done = 0
     pending = 0
     while done < cells or pending:
         draws = rng.random(min(cells - done + pending, _DRAW_CHUNK))
-        toll_draws.append(draws[:pending])
+        tolls.append(max_toll * (1.0 - draws[:pending]))
         draws = draws[pending:]
         if not len(draws):
             pending = 0
@@ -520,15 +522,14 @@ def _sample_arrays(rng: np.random.Generator, blocks: Sequence[tuple[int, int]], 
         cell[1:] = (place[1:] - last_miss[:-1]) % 2 == 1
         hit = np.flatnonzero(cell & (draws < density))
         counted = np.cumsum(cell)
-        hits.append(done + counted[hit] - 1)
+        number = done + counted[hit] - 1
+        row = np.searchsorted(row_first, number, side="right") - 1
+        entries.append(row_entry[row])
+        exits.append(entries[-1] + (number - row_first[row]))
         done += int(counted[-1])
         pending = int(len(hit) > 0 and hit[-1] == len(draws) - 1)
-        toll_draws.append(draws[hit[: len(hit) - pending] + 1])
-    number = np.concatenate(hits)
-    row = np.searchsorted(row_first, number, side="right") - 1
-    entry = row_entry[row]
-    return TripColumns(entry, entry + (number - row_first[row]),
-                       max_toll * (1.0 - np.concatenate(toll_draws)))
+        tolls.append(max_toll * (1.0 - draws[hit[: len(hit) - pending] + 1]))
+    return TripColumns(np.concatenate(entries), np.concatenate(exits), np.concatenate(tolls))
 
 
 def sample_matrix(rng: np.random.Generator, n: int, density: float = 1.0,
@@ -563,13 +564,17 @@ def block_structured_matrix(
     """
     intervals: list[tuple[int, int]] = []
     for block in blocks:
-        # a step-1 range is its two ends; anything else is listed
-        stepped = isinstance(block, range) and block.step == 1
-        members = block if stepped else sorted(set(int(i) for i in block))
+        if isinstance(block, range):  # read from its start, stop and step
+            members = block if block.step > 0 else block[::-1]
+        else:
+            members = sorted(set(int(i) for i in block))
         if not members:
             raise BlocksNotPartitionError("empty block")
         if members[-1] - members[0] >= len(members):  # distinct, so a gap
-            raise BlocksNotPartitionError(f"block {members} is not contiguous")
+            missing = members[0] + 1 if isinstance(members, range) else next(
+                a + 1 for a, b in pairwise(members) if b > a + 1)
+            raise BlocksNotPartitionError(f"block [{members[0]}, {members[-1]}] is not "
+                                          f"contiguous: segment {missing} is missing")
         intervals.append((members[0], members[-1]))
     intervals.sort()
     n = 0  # the end of the block before, 0 before the first

@@ -153,7 +153,9 @@ class TestOracleBits:
         self._assert_same_bits(TollMatrix(n, {(n, n): 2.5}))
 
     def test_ap68_and_oracle_sizes(self):
+        # n = 18 is the benchmark's Shapley size: 16 blocks per player
         self._assert_same_bits(ts.random_matrix(16, density=0.7, seed=3))
+        self._assert_same_bits(ts.random_matrix(18, density=0.7, seed=3))
         self._assert_same_bits(ts.ap68())
 
 

@@ -475,6 +475,19 @@ class TestSingleFaults:
             tracemalloc.stop()
         assert peak < 64 << 10
 
+    def test_stepped_range_is_refused_from_its_ends(self):
+        # listing and sorting its 524,288 members made a 4,163,104-character message
+        tracemalloc.start()
+        try:
+            with pytest.raises(ts.BlocksNotPartitionError) as raised:
+                ts.block_structured_matrix([range(1, 2**20, 2)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = str(raised.value)
+        assert len(message) <= 200 and peak < 64 << 10
+        assert "[1, 1048575]" in message and "segment 2" in message
+
     def test_empty_block_is_named(self):
         with pytest.raises(ts.BlocksNotPartitionError, match=": empty block$"):
             ts.block_structured_matrix([set()])
@@ -1121,6 +1134,18 @@ class TestSamplerDrawStream:
         assert drawn == TollMatrix.zero(n) == sample_matrix_loop(ref_rng, n, density=1e-12)
         assert drawn.total == 0.0 and all(len(column) == 0 for column in drawn.columns)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_array_lane_peak_stays_near_its_columns(self):
+        # each chunk's hits become columns as they are drawn; holding every
+        # hit's number, row and toll draw to the end peaked at 4.7x
+        tracemalloc.start()
+        try:
+            matrix = ts.random_matrix(2000, density=0.2, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(matrix.entries) == 400140
+        assert peak < 2.5 * sum(column.nbytes for column in matrix.columns)
 
     def test_overflowing_draw_raises_like_the_loop(self):
         with pytest.raises(ts.TollValidationError, match="largest float"):
