@@ -476,7 +476,7 @@ class TestSingleFaults:
         assert peak < 64 << 10
 
     def test_stepped_range_is_refused_from_its_ends(self):
-        # listing and sorting its 524,288 members made a 4,163,104-character message
+        # a range is read from its ends: listing its 524,288 members would name them all
         tracemalloc.start()
         try:
             with pytest.raises(ts.BlocksNotPartitionError) as raised:
@@ -1136,8 +1136,8 @@ class TestSamplerDrawStream:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_array_lane_peak_stays_near_its_columns(self):
-        # each chunk's hits become columns as they are drawn; holding every
-        # hit's number, row and toll draw to the end peaked at 4.7x
+        # each chunk's hits become columns as they are drawn, so beside the
+        # result the sampler holds its chunks' columns and one chunk of draws
         tracemalloc.start()
         try:
             matrix = ts.random_matrix(2000, density=0.2, seed=3)
