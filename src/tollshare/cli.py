@@ -68,6 +68,11 @@ from .model import (
 #: that builds the table rows, status
 Report = tuple[dict, list[str], Callable[[], list[list]], int | str]
 
+#: Most ``--trials``: one trial costs about 1.1 ms of one worker in ``axioms``
+#: or ``axioms --harness`` (2,000 trials took 2.3 and 2.5 s, 2-vCPU host), so a
+#: command commits at most about 75 s.
+TRIALS_CEILING = 1 << 16
+
 #: solution -> (solver(game, tol), the method it must reproduce); ``--limit``
 #: bounds every solver but the average-tree value, which enumerates nothing
 _SOLUTIONS = {
@@ -395,8 +400,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "tol" in args and not (math.isfinite(args.tol) and args.tol >= 0):
             raise InvalidToleranceError(args.tol)
-        if "trials" in args and args.trials < 1:
-            raise InvalidTrialsError(args.trials, least=1)
+        if "trials" in args and not 1 <= args.trials <= TRIALS_CEILING:
+            raise InvalidTrialsError(args.trials, least=1, most=TRIALS_CEILING)
         if args.command == "generate":
             return cmd_generate(args)
         matrix = _load_matrix(args) if "input" in args else None

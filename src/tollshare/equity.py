@@ -7,6 +7,7 @@ the tests check both statistics, and the average ranks, against scipy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,12 +16,24 @@ import numpy as np
 from .errors import ConstantVectorError, InvalidAllocationError, VectorShapeError, ZeroTotalError
 
 
+def _in_range(x: np.ndarray) -> None:
+    """Refuse a vector unless the sum of its entries' sizes times its length
+    is finite, which also refuses a NaN or infinite entry: no sum taken here,
+    up to the Gini pair sum, is larger, so none overflows."""
+    with np.errstate(over="ignore"):
+        size = float(np.abs(x).sum())
+    if not size * len(x) < math.inf:
+        raise InvalidAllocationError("entries must be finite, and so must their sum times "
+                                     "their count")
+
+
 def _as_shares(x: Sequence[float]) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise VectorShapeError("expected a nonempty 1-d vector")
-    if not np.all(np.isfinite(x)) or np.any(x < 0.0):
-        raise InvalidAllocationError("shares must be finite and nonnegative")
+    _in_range(x)
+    if np.any(x < 0.0):
+        raise InvalidAllocationError("shares must be nonnegative")
     return x
 
 
@@ -110,15 +123,15 @@ def rank_correlations(x: Sequence[float], y: Sequence[float]) -> tuple[float, fl
     rounds too, while ``spearmanr`` returns the ``np.corrcoef`` of ranks
     [1, 2] and [2, 1], one ulp short of -1.  The tests check them against
     scipy.  Raises
-    :class:`InvalidAllocationError` on a NaN or infinite entry and
-    :class:`ConstantVectorError` when either vector is constant.
+    :class:`InvalidAllocationError` on a vector that ``_in_range`` refuses
+    and :class:`ConstantVectorError` when either vector is constant.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise VectorShapeError("expected two equal-length vectors of length >= 2")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InvalidAllocationError("correlation requires finite entries")
+    _in_range(x)
+    _in_range(y)
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise ConstantVectorError("correlation is undefined for a constant vector")
     spearman = np.corrcoef(average_ranks(x), average_ranks(y))[1, 0]

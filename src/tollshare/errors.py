@@ -95,9 +95,11 @@ class InvalidToleranceError(TollShareError, ValueError):
 
 
 class InvalidTrialsError(TollShareError, ValueError):
-    def __init__(self, trials: int, least: int = 0):
-        super().__init__(f"trials must be at least {least}, got {trials!r}")
-        self.trials, self.least = trials, least
+    def __init__(self, trials: int, least: int = 0, most: int | None = None):
+        below = most is None or trials < least
+        bounds = f"at least {least}" if below else f"from {least} to {most}"
+        super().__init__(f"trials must be {bounds}, got {trials!r}")
+        self.trials, self.least, self.most = trials, least, most
 
 
 class UnknownSchemeError(TollShareError, ValueError):
@@ -130,7 +132,8 @@ class OracleSizeError(TollShareError, ValueError):
 
 
 class InvalidAllocationError(TollShareError, ValueError):
-    """An allocation vector has a negative or non-finite component."""
+    """An allocation vector has a negative or non-finite component, or its
+    sum times its length passes the largest float."""
 
 
 class VectorShapeError(TollShareError, ValueError):

@@ -69,12 +69,8 @@ def sps_decomposition(matrix: TollMatrix) -> SpsDecomposition:
     if pooled <= _RESIDUE * matrix.n * matrix.total:
         # the difference may be all rounding when the diagonal dwarfs the rest
         pooled = math.fsum(toll for (h, k), toll in matrix.trips() if h != k)
-    if pooled * matrix.n < math.inf:
-        denom = float(nonseparable.sum())
-        beta = pooled / denom if denom > 0.0 else None
-    else:
-        # NS sums to at most n times the pooled revenue, so NS / n sums finitely
-        beta = pooled / matrix.n / float((nonseparable / matrix.n).sum())
+    denom = float(nonseparable.sum())
+    beta = pooled / denom if denom > 0.0 else None
     return SpsDecomposition(separable, nonseparable, pooled, beta)
 
 
@@ -96,10 +92,6 @@ def scs(matrix: TollMatrix) -> np.ndarray:
     collected.
     """
     n = matrix.n
-    if matrix.total * n == math.inf:
-        # toll * (h - 1) below could overflow; scaling by a power of two is exact
-        scale = 2.0 ** n.bit_length()
-        return scs(matrix.scaled(1.0 / scale)) * scale
     # a multi-segment trip gives toll/n to each segment, plus (h-1)/n at entry, (n-k)/n at exit
     columns = array_lane(matrix)
     if columns is None:

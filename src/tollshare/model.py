@@ -8,10 +8,10 @@ indices are 1-based on every public interface.
 
 Where each rule lives: ``_segment_count`` and ``TollMatrix.__post_init__``
 check every value from outside, and ``_trusted`` builds what already passes
-them; ``allowance`` is the one tolerance rule; ``coverage`` and ``_sample``
-state the bit-identity rules of their Python and numpy lanes, and
-``coverage`` states once the rounding bound by which it settles a segment's
-load in either lane.
+them and holds the one float-range rule; ``allowance`` is the one tolerance
+rule; ``coverage`` and ``_sample`` state the bit-identity rules of their
+Python and numpy lanes, and ``coverage`` states once the rounding bound by
+which it settles a segment's load in either lane.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -288,16 +289,20 @@ def _trusted(n: int, entries: Mapping[tuple[int, int], float],
     read-only; ``tolls`` lists the tolls where reading ``entries`` would
     build them, and ``cached`` sets cached properties.
 
-    Only the total is checked: one that is not finite means a toll that is
-    not, which the constructor names, and a sum past the float limit raises
-    the constructor's ``TollValidationError``.
+    Only the total is checked, by the package's one float-range rule.  One
+    that is not finite means a toll that is not, which the constructor
+    names; a finite one times ``max(n, 100)`` must stay finite, since the
+    summed utopia payoffs, the summed non-separable revenues and the Gini
+    pair sum are at most n times it, and a percent 100 times a share.
     """
     try:
         total = math.fsum(entries.values() if tolls is None else tolls)
-    except OverflowError:
-        raise TollValidationError("the tolls add up to more than the largest float") from None
+    except OverflowError:  # finite tolls whose sum passes the largest float
+        total = sys.float_info.max
     if not math.isfinite(total):
         return TollMatrix(n, dict(entries))
+    if total * (factor := max(n, 100)) == math.inf:
+        raise TollValidationError(f"the tolls add up to more than the largest float / {factor}")
     matrix = object.__new__(TollMatrix)
     vars(matrix).update(n=n, entries=MappingProxyType(entries) if type(entries) is dict
                         else entries, _total=total, **cached)

@@ -665,6 +665,13 @@ class TestMalformedInput:
          "frac_n.json: segment count"),
         ("inf_n.json", '{"n": Infinity, "trips": []}', [], "inf_n.json"),
         ("huge.csv", "entry,exit,toll\n1,3,1.7e308\n1,1,1.7e308\n", [], "huge.csv: the tolls"),
+        # totals past the largest float / 100, where percents and tau overflowed
+        ("edge.csv", "entry,exit,toll\n1,1,5e307\n1,2,6e307\n2,2,5e307\n", [],
+         "edge.csv: the tolls"),
+        ("edge.json", '{"n": 2, "trips": [{"entry": 1, "exit": 1, "toll": 5e307}, '
+         '{"entry": 1, "exit": 2, "toll": 6e307}, {"entry": 2, "exit": 2, "toll": 5e307}]}', [],
+         "edge.json: the tolls"),
+        ("edge_grid.csv", "5e307,6e307\n0,5e307\n", ["--dense"], "edge_grid.csv: the tolls"),
         ("huge_toll.json", '{"n": 1, "trips": [{"entry": 1, "exit": 1, "toll": 1' + "0" * 400 + "}]}",
          [], "huge_toll.json: toll for trip [1,1] is not a number: 10"),
     ])
@@ -787,6 +794,18 @@ class TestRejectedOptions:
         assert code == 2 and out == ""
         assert err == f"error: trials must be at least 1, got {trials}\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--harness"]])
+    def test_trials_past_the_ceiling_exit_2_before_any_cell(self, capsys, monkeypatch, extra):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "axiom_matrix", unreachable)
+        monkeypatch.setattr(cli, "independence_harness", unreachable)
+        trials = cli.TRIALS_CEILING + 1
+        code, out, err = run(capsys, "axioms", *extra, "--trials", str(trials), "--method", "ses")
+        assert code == 2 and out == ""
+        assert err == f"error: trials must be from 1 to {cli.TRIALS_CEILING}, got {trials}\n"
+
     @pytest.mark.parametrize("extra", [[], ["--blocks", "1-2,3"]])
     def test_generate_rejects_a_negative_seed(self, capsys, tmp_path, extra):
         path = tmp_path / "gen.csv"
@@ -889,6 +908,10 @@ def _problem_file(draw, odd: bool) -> tuple[str, bytes, bool]:
 _PRESENT = st.sampled_from((True,) * 7 + (False,))
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 @st.composite
 def _invocation(draw, root: Path) -> list[str]:
     """An argv for one subcommand: each option is present with probability
@@ -920,13 +943,15 @@ def _invocation(draw, root: Path) -> list[str]:
 
 
 class TestMalformedInvocations:
-    """Whatever the options and the input, ``main`` exits 0, 1 or 2, and an
-    exit 2 names the error."""
+    """Whatever the options and the input, ``main`` exits 0, 1 or 2, an exit
+    2 names the error, and a JSON report holds no NaN or Infinity."""
 
-    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_exit_status_and_message(self, tmp_path, data):
-        argv = data.draw(_invocation(tmp_path), label="argv")
+    @staticmethod
+    def _invoke(argv: list[str], report: Path) -> tuple[int, str]:
+        """``main``'s exit status and stderr for ``argv``, checked as above;
+        ``report`` is where ``--output`` may write."""
+        if report.is_file():  # an earlier example's
+            report.unlink()
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -936,3 +961,31 @@ class TestMalformedInvocations:
         assert code in (0, 1, 2), err.getvalue()
         if code == 2:
             assert any("error:" in line for line in err.getvalue().splitlines()), err.getvalue()
+        elif argv[0] != "generate" and "json" == (argv[argv.index("--format") + 1]
+                                                  if "--format" in argv else "json"):
+            text = report.read_text() if report.is_file() else out.getvalue()
+            if text:  # a harness mismatch writes no report
+                json.loads(text, parse_constant=_refuse_constant)
+        return code, err.getvalue()
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_status_and_message(self, tmp_path, data):
+        self._invoke(data.draw(_invocation(tmp_path), label="argv"), tmp_path / "report.txt")
+
+    @pytest.mark.parametrize("argv", [
+        ["allocate"], ["core"], ["equity"], ["game", "--solution", "shapley"],
+        ["game", "--solution", "tau"], ["game", "--solution", "at"],
+        ["generate", "--n", "12", "--max-toll", "1e306", "--seed", "1"],
+    ], ids=["allocate", "core", "equity", "shapley", "tau", "at", "generate"])
+    def test_totals_past_the_range_rule_exit_2(self, tmp_path, argv):
+        # a total of 1.6e308 on 2 segments, and 3.9e307 drawn on 12: percents
+        # overflowed to Infinity, and the tau value missed sps by 10.6%
+        edge, report = tmp_path / "edge.csv", tmp_path / "report.txt"
+        edge.write_text("entry,exit,toll\n1,1,5e307\n1,2,6e307\n2,2,5e307\n")
+        source = ["--output", str(report)] if argv[0] == "generate" else ["--input", str(edge)]
+        code, err = self._invoke([*argv, *source], report)
+        where = "" if argv[0] == "generate" else f"{edge}: "
+        assert code == 2
+        assert err == f"error: {where}the tolls add up to more than the largest float / 100\n"
+        assert not report.exists()

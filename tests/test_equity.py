@@ -240,3 +240,24 @@ class TestRanking:
     def test_ties_break_on_segment_index(self):
         result = ts.ranking([1.0, 1.0, 1.0], top=3, bottom=3)
         assert result.order == (1, 2, 3)
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("call", [
+        lambda: ts.gini([1.7e308, 1e308]),
+        lambda: ts.gini([1.5e308, 1e307]),
+        lambda: ts.lorenz([1.7e308, 1e308]),
+        lambda: ts.rank_correlations([1.7e308, 1e308, 5.0], [1.0, 2.0, 3.0]),
+        lambda: ts.rank_correlations([1.0, 2.0, 3.0], [-1e308, 0.0, 1e308]),
+    ], ids=["gini", "gini_wide", "lorenz", "pearson_x", "pearson_y_signed"])
+    def test_sum_times_length_past_the_largest_float_is_refused(self, call):
+        # at these sizes the Gini pair sum, the Lorenz sums or the mean overflow
+        with pytest.raises(ts.InvalidAllocationError, match="sum times their count"):
+            call()
+
+    def test_power_of_two_scale_under_the_range_keeps_the_bits(self):
+        x, y = np.array([3.0, 0.0, 1.0]), np.array([2.0, 5.0, 1.0])
+        scale = 2.0 ** 1019  # x sums to 2^1021, times 3 under 2^1023
+        assert ts.gini(x * scale) == ts.gini(x)
+        assert ts.lorenz(x * scale) == ts.lorenz(x)
+        assert ts.rank_correlations(x * scale, y * scale) == ts.rank_correlations(x, y)

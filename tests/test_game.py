@@ -1,5 +1,6 @@
 """Tests for the segments game, brute-force solutions, and core machinery."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import tollshare as ts
 from tollshare import SegmentsGame, TollMatrix, game as game_module
 from tollshare.game import EXHAUSTIVE_CEILING, SWEEP_CEILING
+from tollshare.methods import share_percentages
 
 import helpers
 from helpers import (
@@ -635,3 +637,56 @@ class TestCoreSchemeCheck:
             for name in ("ses", "scs"):
                 shares = ts.family_allocate(matrix, ts.builtin_scheme(name))
                 assert ts.core_check(game, shares).is_member
+
+
+#: Every method and oracle of the package is homogeneous of degree 1 in the
+#: tolls, and a scale by 2^k is exact for normal floats.
+_HOMOGENEOUS = {
+    "ses": ts.ses, "sps": ts.sps, "scs": ts.scs,
+    "shapley": lambda m: ts.shapley_value(SegmentsGame(m)),
+    "tau": lambda m: ts.tau_value(SegmentsGame(m)),
+    "at": lambda m: ts.average_tree_value(SegmentsGame(m)),
+}
+
+
+def _last_accepted_k(matrix: TollMatrix) -> int:
+    """The largest k for which ``total * 2^k * max(n, 100)`` is finite."""
+    return 1024 - math.frexp(matrix.total * max(matrix.n, 100))[1]
+
+
+class TestFloatRangeRule:
+    """Up to the range rule, each solution of a matrix scaled by 2^k is 2^k
+    times its solution, bit for bit, and its percentages are the same; one
+    step past it, the matrix is refused."""
+
+    @staticmethod
+    def _assert_scales(matrix: TollMatrix, ks) -> None:
+        base = {name: solve(matrix) for name, solve in _HOMOGENEOUS.items()}
+        for k in ks:
+            factor = 2.0 ** k
+            if matrix.total * factor * max(matrix.n, 100) == math.inf:
+                with pytest.raises(ts.TollValidationError, match="largest float / "):
+                    matrix.scaled(factor)
+                continue
+            scaled = matrix.scaled(factor)
+            assert scaled.total == matrix.total * factor
+            for name, solve in _HOMOGENEOUS.items():
+                shares = solve(scaled)
+                assert shares.tobytes() == (base[name] * factor).tobytes(), (name, k)
+                assert np.array_equal(share_percentages(shares, scaled.total),
+                                      share_percentages(base[name], matrix.total)), (name, k)
+
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 12), density=st.sampled_from((0.5, 1.0)),
+           seed=st.integers(0, 2**16), interior=st.floats(0.0, 1.0))
+    def test_seeded_matrices_scale_up_to_the_edge(self, n, density, seed, interior):
+        matrix = ts.random_matrix(n, density=density, seed=seed)
+        if not matrix.total:
+            return
+        last = _last_accepted_k(matrix)
+        self._assert_scales(matrix, (0, 1, int(interior * last), last, last + 1))
+
+    def test_ap68_scales_up_to_the_edge(self):
+        matrix = ts.ap68()
+        last = _last_accepted_k(matrix)
+        self._assert_scales(matrix, (last // 2, last, last + 1))
