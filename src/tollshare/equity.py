@@ -7,7 +7,6 @@ the tests check both statistics, and the average ranks, against scipy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,9 +21,8 @@ def _in_range(x: np.ndarray) -> None:
     up to the Gini pair sum, is larger, so none overflows."""
     with np.errstate(over="ignore"):
         size = float(np.abs(x).sum())
-    if not size * len(x) < math.inf:
-        raise InvalidAllocationError("entries must be finite, and so must their sum times "
-                                     "their count")
+    if not size * len(x) < np.inf:
+        raise InvalidAllocationError("entries and their sum times their count must be finite")
 
 
 def _as_shares(x: Sequence[float]) -> np.ndarray:

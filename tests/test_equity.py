@@ -252,7 +252,7 @@ class TestFloatRange:
     ], ids=["gini", "gini_wide", "lorenz", "pearson_x", "pearson_y_signed"])
     def test_sum_times_length_past_the_largest_float_is_refused(self, call):
         # at these sizes the Gini pair sum, the Lorenz sums or the mean overflow
-        with pytest.raises(ts.InvalidAllocationError, match="sum times their count"):
+        with pytest.raises(ts.InvalidAllocationError, match="sum times their count must be finite"):
             call()
 
     def test_power_of_two_scale_under_the_range_keeps_the_bits(self):
