@@ -5,32 +5,22 @@ three methods (equal, proportional, and compensated sharing), verifies them
 against brute-force cooperative-game solutions (Shapley, compromise value,
 average-tree), tests core stability, runs an executable axiom catalogue, and
 summarizes allocations with standard equity statistics.
+
+``axioms``, ``game`` and ``equity`` load lazily.  ``allocate`` and
+``generate`` use none of them, ``core`` and ``game`` use only ``game``, and
+``equity`` only ``equity``; only ``axioms`` needs the axiom catalogue and its
+forked runner (with its ``pickle``, ``threading`` and ``gc`` imports).  Every
+start compiles what it imports, so loading them eagerly cost each command
+the others' compile.  Each of the three is in ``sys.modules`` and bound here
+from the start, and its code runs at the first attribute read.  Its public
+names are served here by :func:`__getattr__`, so ``tollshare.axiom_matrix``
+still works.
 """
 
-from .axioms import (
-    ANCHORED_AXIOMS,
-    AXIOMS,
-    PreconditionNotMet,
-    axiom_matrix,
-    blocked_matrix,
-    check_additivity,
-    check_covariance,
-    check_efficiency,
-    check_indifference_to_extensions,
-    check_inessential_segment,
-    check_linearity,
-    check_segment_symmetry,
-    check_subhighway_efficiency,
-    check_toll_component_fairness,
-    check_toll_fairness,
-    check_weak_segment_symmetry,
-    check_weighted_segment_symmetry,
-    covariance_transform,
-    independence_harness,
-    replay,
-)
+import importlib.util
+import sys
+
 from .datasets import ap68, ap68_path
-from .equity import gini, lorenz, rank_correlations, ranking
 from .errors import (
     BlocksNotPartitionError,
     ConstantVectorError,
@@ -54,17 +44,6 @@ from .errors import (
     UnknownSchemeError,
     VectorShapeError,
     ZeroTotalError,
-)
-from .game import (
-    SegmentsGame,
-    average_tree_value,
-    compromise_bounds,
-    core_check,
-    core_check_exhaustive,
-    core_scheme_check,
-    shapley_value,
-    sps_core_criterion,
-    tau_value,
 )
 from .methods import (
     SpsDecomposition,
@@ -97,3 +76,40 @@ from .model import (
 )
 
 __version__ = "0.1.0"
+
+#: The modules that load on first use -> the public names served from each
+_LAZY = {
+    "axioms": (
+        "ANCHORED_AXIOMS", "AXIOMS", "PreconditionNotMet", "axiom_matrix", "blocked_matrix",
+        "check_additivity", "check_covariance", "check_efficiency",
+        "check_indifference_to_extensions", "check_inessential_segment", "check_linearity",
+        "check_segment_symmetry", "check_subhighway_efficiency",
+        "check_toll_component_fairness", "check_toll_fairness", "check_weak_segment_symmetry",
+        "check_weighted_segment_symmetry", "covariance_transform", "independence_harness",
+        "replay",
+    ),
+    "equity": ("gini", "lorenz", "rank_correlations", "ranking"),
+    "game": (
+        "SegmentsGame", "average_tree_value", "compromise_bounds", "core_check",
+        "core_check_exhaustive", "core_scheme_check", "shapley_value", "sps_core_criterion",
+        "tau_value",
+    ),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _lazy(module: str):
+    spec = importlib.util.find_spec(f"{__name__}.{module}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    sys.modules[spec.name] = lazy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lazy)
+    return lazy
+
+
+axioms, equity, game = map(_lazy, _LAZY)
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        return getattr(globals()[_OWNER[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

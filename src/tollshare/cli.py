@@ -30,9 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
-from .axioms import ANCHORED_AXIOMS, AXIOMS, axiom_matrix, independence_harness
-from .equity import gini, lorenz, rank_correlations
+from . import __version__, axioms, equity, game
 from .errors import (
     HarnessMismatchError,
     InvalidToleranceError,
@@ -42,17 +40,10 @@ from .errors import (
     TollValidationError,
     UnknownMethodError,
 )
-from .game import (
-    EXHAUSTIVE_CEILING,
-    SegmentsGame,
-    average_tree_value,
-    interval_tests,
-    shapley_value,
-    tau_value,
-)
 from .methods import METHODS, allocation_method, share_percentages, sps_decomposition
 from .model import (
     DEFAULT_TOL,
+    EXHAUSTIVE_CEILING,
     SEGMENT_CEILING,
     TollMatrix,
     allowance,
@@ -73,12 +64,14 @@ Report = tuple[dict, list[str], Callable[[], list[list]], int | str]
 #: command commits at most about 75 s.
 TRIALS_CEILING = 1 << 16
 
-#: solution -> (solver(game, tol), the method it must reproduce); ``--limit``
-#: bounds every solver but the average-tree value, which enumerates nothing
+#: solution -> (solver(game, tol), the method it must reproduce).  A solver
+#: reads its oracle off the lazily loaded ``game`` module when it runs.
+#: ``--limit`` bounds every solver but the average-tree value, which reads
+#: interval worths and enumerates no coalition.
 _SOLUTIONS = {
-    "shapley": (lambda game, tol: shapley_value(game), "ses"),
-    "tau": (lambda game, tol: tau_value(game, tol=tol), "sps"),
-    "at": (lambda game, tol: average_tree_value(game), "scs"),
+    "shapley": (lambda played, tol: game.shapley_value(played), "ses"),
+    "tau": (lambda played, tol: game.tau_value(played, tol=tol), "sps"),
+    "at": (lambda played, tol: game.average_tree_value(played), "scs"),
 }
 
 
@@ -191,10 +184,10 @@ def cmd_allocate(args: argparse.Namespace, matrix: TollMatrix, names: list[str])
 
 def cmd_game(args: argparse.Namespace, matrix: TollMatrix, names: None) -> Report:
     solver, method_name = _SOLUTIONS[args.solution]
-    game = SegmentsGame(matrix)
+    played = game.SegmentsGame(matrix)
     if args.solution != "at" and matrix.n > args.limit:
         raise OracleSizeError(matrix.n, args.limit)
-    vector = solver(game, args.tol)
+    vector = solver(played, args.tol)
     method_vector = allocation_method(method_name)(matrix)
     diff = float(np.max(np.abs(vector - method_vector)))
     matches = diff <= allowance(args.tol, matrix.total)
@@ -214,14 +207,14 @@ def cmd_game(args: argparse.Namespace, matrix: TollMatrix, names: None) -> Repor
 
 
 def cmd_core(args: argparse.Namespace, matrix: TollMatrix, names: list[str]) -> Report:
-    game = SegmentsGame(matrix)
+    played = game.SegmentsGame(matrix)
     # the sps shares and the sps criterion start from one decomposition
     decomposition = sps_decomposition(matrix) if "sps" in names else None
     unique = list(dict.fromkeys(names))
     shares = [decomposition.shares() if name == "sps" else allocation_method(name)(matrix)
               for name in unique]
     # one sweep of the interval worths tests every allocation and the criterion
-    checked, criterion = interval_tests(game, shares, args.tol, decomposition)
+    checked, criterion = game.interval_tests(played, shares, args.tol, decomposition)
     reports = dict(zip(unique, checked))
     body: dict = {"reports": {}}
     for name, report in reports.items():
@@ -244,7 +237,7 @@ def cmd_core(args: argparse.Namespace, matrix: TollMatrix, names: list[str]) -> 
 
 def cmd_axioms(args: argparse.Namespace, matrix: None, names: list[str] | None) -> Report:
     if args.harness:
-        table = independence_harness(trials=args.trials, seed=args.seed)
+        table = axioms.independence_harness(trials=args.trials, seed=args.seed)
         body = {"harness": [
             {"characterization": row.characterization, "method": row.method,
              "failed_axiom": row.failed_axiom, "verdicts": dict(row.verdicts)}
@@ -257,16 +250,16 @@ def cmd_axioms(args: argparse.Namespace, matrix: None, names: list[str] | None) 
                     for row in table]
 
         return body, ["characterization", "method", "failed_axiom", "verdicts"], rows, 0
-    grid = axiom_matrix(names, AXIOMS, trials=args.trials, seed=args.seed)
-    body = {"verdicts": {name: {axiom: grid[name][axiom].holds for axiom in AXIOMS}
+    grid = axioms.axiom_matrix(names, axioms.AXIOMS, trials=args.trials, seed=args.seed)
+    body = {"verdicts": {name: {axiom: grid[name][axiom].holds for axiom in axioms.AXIOMS}
                          for name in names}}
 
     def rows() -> list[list]:
         return [[axiom] + ["pass" if grid[name][axiom].holds else "FAIL" for name in names]
-                for axiom in AXIOMS]
+                for axiom in axioms.AXIOMS]
 
     failed = "".join(f"expected axiom failed: {name} / {axiom}\n" for name in names
-                     for axiom in ANCHORED_AXIOMS.get(name, ()) if not grid[name][axiom].holds)
+                     for axiom in axioms.ANCHORED_AXIOMS.get(name, ()) if not grid[name][axiom].holds)
     return body, ["axiom"] + list(names), rows, failed or 0
 
 
@@ -274,11 +267,11 @@ def cmd_equity(args: argparse.Namespace, matrix: TollMatrix, names: list[str]) -
     allocations = {name: allocation_method(name)(matrix) for name in names}
     body: dict = {"gini": {}, "correlations": {}, "lorenz": {}}
     for name, shares in allocations.items():
-        body["gini"][name] = gini(shares)
-        body["lorenz"][name] = [[p, L] for p, L in lorenz(shares).points]
+        body["gini"][name] = equity.gini(shares)
+        body["lorenz"][name] = [[p, L] for p, L in equity.lorenz(shares).points]
     for pos, a in enumerate(names):
         for b in names[pos + 1 :]:
-            spearman, pearson = rank_correlations(allocations[a], allocations[b])
+            spearman, pearson = equity.rank_correlations(allocations[a], allocations[b])
             body["correlations"][f"{a}-{b}"] = {"spearman": spearman, "pearson": pearson}
 
     def rows() -> list[list]:
@@ -328,14 +321,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 #: One row per report command: name, handler, help, reads ``--input``, takes
-#: ``--method``, reads ``--tol``, seeded, and the command's own options.
+#: ``--method``, reads ``--tol``, seeded, and the command's own options.  The
+#: ``--limit`` default is ``model.EXHAUSTIVE_CEILING``, so building the parser
+#: loads no ``game``.
 _REPORTS = (
     ("allocate", cmd_allocate, "per-segment toll shares", True, True, False, False, ()),
     ("game", cmd_game, "compare a game solution with its method", True, False, True, False, (
         ("--solution", dict(choices=sorted(_SOLUTIONS), required=True)),
         ("--limit", dict(type=int, default=EXHAUSTIVE_CEILING,
-                         help="refuse a larger game; the oracles never "
-                              f"enumerate above {EXHAUSTIVE_CEILING} segments")),
+                         help="refuse a larger shapley or tau game; the oracles "
+                              f"never enumerate above {EXHAUSTIVE_CEILING} segments")),
     )),
     ("core", cmd_core, "core-membership reports", True, True, True, False, ()),
     ("axioms", cmd_axioms, "axiom verdict matrix / independence harness",

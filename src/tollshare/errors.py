@@ -133,7 +133,8 @@ class OracleSizeError(TollShareError, ValueError):
 
 class InvalidAllocationError(TollShareError, ValueError):
     """An allocation vector has a negative or non-finite component, or its
-    sum times its length passes the largest float."""
+    sum times its length (or, for percentages, a component times 100) passes
+    the largest float."""
 
 
 class VectorShapeError(TollShareError, ValueError):

@@ -33,11 +33,7 @@ from .errors import (
     TauUndefinedError,
 )
 from .methods import SpsDecomposition, WeightScheme, sps_decomposition
-from .model import DEFAULT_TOL, TollMatrix, allowance
-
-#: Largest ``n`` for the ``2^n`` worth vector, the one size bound of the
-#: exhaustive oracles: its 22 segments (the AP68 case study) take 32 MB.
-EXHAUSTIVE_CEILING = 22
+from .model import DEFAULT_TOL, EXHAUSTIVE_CEILING, TollMatrix, allowance
 
 #: Masks in one block of the exhaustive oracles, which hold about one block
 #: of floats per segment past the block's own bits.  A block's sum is one node of the

@@ -18,7 +18,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import NegativeWeightError, SegmentIndexError, UnknownMethodError, UnknownSchemeError
+from .errors import (
+    InvalidAllocationError,
+    NegativeWeightError,
+    SegmentIndexError,
+    UnknownMethodError,
+    UnknownSchemeError,
+)
 from .model import _RESIDUE, TollMatrix, array_lane, coverage, is_unit_matrix
 
 MethodFn = Callable[[TollMatrix], np.ndarray]
@@ -199,10 +205,17 @@ def family_allocate(matrix: TollMatrix, scheme: WeightScheme) -> np.ndarray:
 
 
 def share_percentages(shares: np.ndarray, total: float | None = None) -> np.ndarray:
-    """Percent of the collected total per segment, half-even at 2 decimals."""
+    """Percent of the collected total per segment, half-even at 2 decimals.
+
+    Raises :class:`InvalidAllocationError` unless the total and 100 times
+    each share are finite, so nothing here overflows.  The shares of any
+    matrix that the range rule accepts pass; their summed sizes may pass its
+    total by a rounding, so the check is on the largest share."""
     shares = np.asarray(shares, dtype=float)
-    if total is None:
-        total = float(shares.sum())
+    with np.errstate(over="ignore"):
+        total = float(shares.sum() if total is None else total)
+    if not (math.isfinite(total) and 100.0 * float(np.abs(shares).max(initial=0.0)) < math.inf):
+        raise InvalidAllocationError("the total and 100 times each share must be finite")
     if total <= 0.0:
         return np.zeros_like(shares)
     return np.round(100.0 * shares / total, 2)

@@ -362,7 +362,7 @@ class TestAxioms:
         assert out.startswith("| axiom | ses |")
 
     def test_failed_anchored_axiom_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "ANCHORED_AXIOMS", {"ses": ("indifference_to_extensions",)})
+        monkeypatch.setattr(ts.axioms, "ANCHORED_AXIOMS", {"ses": ("indifference_to_extensions",)})
         code, out, err = run(capsys, "axioms", "--method", "ses", "--trials", "3",
                              "--no-timestamp")
         assert code == 1
@@ -623,6 +623,73 @@ def test_cli_import_loads_no_process_pools():
     assert _loaded_by_cli_import("multiprocessing", "concurrent.futures") == []
 
 
+def _unrun_after(code: str) -> list[str]:
+    """Which of ``axioms``, ``equity`` and ``game`` have not run their code
+    after ``code`` runs in a fresh interpreter.  A module that has not run
+    holds only the import system's dunder names; its ``__dict__`` is read
+    past its class, whose attribute reads would load it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = (f"{code}\nimport json, sys\n"
+             "print(json.dumps([m for m in ('axioms', 'equity', 'game') if all(k.startswith('__') "
+             "for k in object.__getattribute__(sys.modules['tollshare.' + m], '__dict__'))]))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_cli_import_runs_no_axioms_game_or_equity():
+    """A start compiles and runs only the modules the command needs."""
+    assert _unrun_after("import tollshare.cli") == ["axioms", "equity", "game"]
+
+
+@pytest.mark.parametrize("command, unrun", [
+    (["allocate"], ["axioms", "equity", "game"]),
+    (["core"], ["axioms", "equity"]),
+    (["game", "--solution", "at"], ["axioms", "equity"]),
+    (["equity"], ["axioms", "game"]),
+])
+def test_a_command_runs_only_the_modules_it_uses(tmp_path, command, unrun):
+    argv = [*command, "--input", str(ts.ap68_path()), "--output", str(tmp_path / "report.json")]
+    code = f"import tollshare.cli\nassert tollshare.cli.main({argv!r}) == 0"
+    assert _unrun_after(code) == unrun
+
+
+#: The names ``tollshare`` bound from its lazily loaded modules when it
+#: imported them eagerly
+_SERVED = {
+    "axioms": (
+        "ANCHORED_AXIOMS", "AXIOMS", "PreconditionNotMet", "axiom_matrix", "blocked_matrix",
+        "check_additivity", "check_covariance", "check_efficiency",
+        "check_indifference_to_extensions", "check_inessential_segment", "check_linearity",
+        "check_segment_symmetry", "check_subhighway_efficiency",
+        "check_toll_component_fairness", "check_toll_fairness", "check_weak_segment_symmetry",
+        "check_weighted_segment_symmetry", "covariance_transform", "independence_harness",
+        "replay",
+    ),
+    "equity": ("gini", "lorenz", "rank_correlations", "ranking"),
+    "game": (
+        "SegmentsGame", "average_tree_value", "compromise_bounds", "core_check",
+        "core_check_exhaustive", "core_scheme_check", "shapley_value", "sps_core_criterion",
+        "tau_value",
+    ),
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in _SERVED.items() for n in names])
+def test_package_serves_each_lazy_name_from_its_module(module, name):
+    owner = sys.modules[f"tollshare.{module}"]
+    assert getattr(ts, module) is owner
+    assert getattr(ts, name) is getattr(owner, name)
+    namespace: dict = {}
+    exec(f"from tollshare import {name}", namespace)
+    assert namespace[name] is getattr(owner, name)
+
+
+def test_package_refuses_an_unknown_name():
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        ts.frobnicate  # noqa: B018
+
+
 class TestOptions:
     @pytest.mark.parametrize("command", ["allocate", "equity", "axioms"])
     def test_tol_only_where_it_is_read(self, example3_csv, command):
@@ -799,8 +866,8 @@ class TestRejectedOptions:
         def unreachable(*args, **kwargs):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(cli, "axiom_matrix", unreachable)
-        monkeypatch.setattr(cli, "independence_harness", unreachable)
+        monkeypatch.setattr(ts.axioms, "axiom_matrix", unreachable)
+        monkeypatch.setattr(ts.axioms, "independence_harness", unreachable)
         trials = cli.TRIALS_CEILING + 1
         code, out, err = run(capsys, "axioms", *extra, "--trials", str(trials), "--method", "ses")
         assert code == 2 and out == ""
@@ -972,6 +1039,51 @@ class TestMalformedInvocations:
     @given(data=st.data())
     def test_exit_status_and_message(self, tmp_path, data):
         self._invoke(data.draw(_invocation(tmp_path), label="argv"), tmp_path / "report.txt")
+
+    #: The largest total the range rule accepts on up to 100 segments: 100
+    #: times it is the largest float, 100 times the next float is not
+    _EDGE = 1.7976931348623156e306
+
+    @settings(max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_tolls_at_the_range_edge_run_as_far_from_it(self, tmp_path, data):
+        # the drawn invocations above reach a report in few draws and never
+        # at the edge; here every file is well formed and its total sits
+        # within two floats of the edge, on either side.  ``_invoke`` checks
+        # that a JSON report holds no NaN or Infinity.
+        command = data.draw(st.sampled_from((
+            ["allocate"], ["core"], ["equity"], ["game", "--solution", "shapley"],
+            ["game", "--solution", "tau"], ["game", "--solution", "at"])), label="command")
+        n = data.draw(st.integers(2, 6), label="n")
+        cells = [(h, k) for h in range(1, n + 1) for k in range(h, n + 1)]
+        trips = data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=6, unique=True),
+                          label="trips")
+        weights = data.draw(st.lists(st.integers(1, 4), min_size=len(trips),
+                                     max_size=len(trips)), label="weights")
+        total = self._EDGE
+        for _ in range(steps := data.draw(st.integers(-2, 2), label="floats past the edge")):
+            total = math.nextafter(total, math.inf)
+        for _ in range(-steps):
+            total = math.nextafter(total, 0.0)
+        tolls = [total * w / sum(weights) for w in weights]
+        path, report = tmp_path / data.draw(st.sampled_from(("edge.csv", "edge.json"))), \
+            tmp_path / "report.txt"
+        outcomes = []
+        for scale in (2.0 ** -1000, 1.0):  # the same problem far from the edge, then at it
+            scaled = [(h, k, t * scale) for (h, k), t in zip(trips, tolls)]
+            path.write_text(json.dumps({"n": n, "trips": [
+                {"entry": h, "exit": k, "toll": t} for h, k, t in scaled]})
+                if path.suffix == ".json" else
+                "entry,exit,toll\n" + "".join(f"{h},{k},{t!r}\n" for h, k, t in scaled))
+            outcomes.append(self._invoke([*command, "--input", str(path), "--segments", str(n),
+                                          "--output", str(report)], report))
+        (far_code, far_err), (code, err) = outcomes
+        if err != f"error: {path}: the tolls add up to more than the largest float / 100\n":
+            # not refused by the range rule: the edge runs as the scaled-down
+            # problem does (a constant allocation is refused at any scale)
+            assert (code, err) == (far_code, far_err)
+        else:
+            assert code == 2
 
     @pytest.mark.parametrize("argv", [
         ["allocate"], ["core"], ["equity"], ["game", "--solution", "shapley"],

@@ -637,3 +637,16 @@ def test_share_percentages_round_each_share_like_numpy_scalars(total, parts):
     shares = np.array(parts) * total
     expected = np.array([round(100.0 * s / total, 2) for s in shares])
     assert np.array_equal(ts.share_percentages(shares, total), expected)
+
+
+@pytest.mark.parametrize("shares, total", [
+    ([1e308, 1e308], None),  # the sum overflows, and 100 times each share
+    ([1e307, 1e307], None),  # the sum is finite, 100 times each share is not
+    ([1e307, 1.0], 2e307),
+    ([1.0, 3.0], math.inf),
+    ([1.0, 3.0], math.nan),
+    ([math.nan, 3.0], 4.0),
+])
+def test_share_percentages_refuse_what_overflows(shares, total):
+    with pytest.raises(ts.InvalidAllocationError, match="must be finite"):
+        ts.share_percentages(np.array(shares), total)

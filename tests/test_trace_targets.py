@@ -7,6 +7,10 @@ without running the benchmark.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +37,16 @@ def test_target_resolves_on_the_package(name, target):
         # wrapped on the class itself, so it must be defined there, not inherited
         assert attr in vars(owner), name
     assert callable(getattr(owner, attr)), name
+
+
+def test_every_target_module_is_registered_by_the_package_imports():
+    """A traced run indexes ``sys.modules`` for each target's module after
+    the imports of ``perfbench/run.py``'s ``load_package``; the lazily loaded
+    modules must be there before any command runs."""
+    env = dict(os.environ, PYTHONPATH=str(_TRACING.parents[1] / "src"))
+    code = ("import json, sys, tollshare, tollshare.cli, tollshare.datasets; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tollshare.'))))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    registered = set(json.loads(result.stdout))
+    assert {f"tollshare.{module}" for module, _ in _targets().values()} <= registered
