@@ -9,16 +9,13 @@ summarizes allocations with standard equity statistics.
 ``axioms``, ``game`` and ``equity`` load lazily.  ``allocate`` and
 ``generate`` use none of them, ``core`` and ``game`` use only ``game``, and
 ``equity`` only ``equity``; only ``axioms`` needs the axiom catalogue and its
-forked runner (with its ``pickle``, ``threading`` and ``gc`` imports).  Every
-start compiles what it imports, so loading them eagerly cost each command
-the others' compile.  Each of the three is in ``sys.modules`` and bound here
-from the start, and its code runs at the first attribute read.  Its public
-names are served here by :func:`__getattr__`, so ``tollshare.axiom_matrix``
-still works.
+forked runner (with its ``pickle``, ``threading`` and ``gc`` imports).  A
+start without cached bytecode compiles what it imports, so loading them
+eagerly cost each command the others' compile.  Each of the three is in
+``sys.modules`` and bound here from the start, and its code runs at the
+first attribute read.  Its public names are served here by
+:func:`__getattr__`, so ``tollshare.axiom_matrix`` still works.
 """
-
-import importlib.util
-import sys
 
 from .datasets import ap68, ap68_path
 from .errors import (
@@ -99,6 +96,9 @@ _OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def _lazy(module: str):
+    import importlib.util
+    import sys
+
     spec = importlib.util.find_spec(f"{__name__}.{module}")
     spec.loader = importlib.util.LazyLoader(spec.loader)
     sys.modules[spec.name] = lazy = importlib.util.module_from_spec(spec)
@@ -113,3 +113,12 @@ def __getattr__(name: str):
     if name in _OWNER:
         return getattr(globals()[_OWNER[name]], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_OWNER})
+
+
+#: What ``from tollshare import *`` binds: the served names too, which loads
+#: their modules
+__all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -680,9 +680,11 @@ def test_package_serves_each_lazy_name_from_its_module(module, name):
     owner = sys.modules[f"tollshare.{module}"]
     assert getattr(ts, module) is owner
     assert getattr(ts, name) is getattr(owner, name)
-    namespace: dict = {}
-    exec(f"from tollshare import {name}", namespace)
-    assert namespace[name] is getattr(owner, name)
+    assert name in dir(ts)
+    for statement in (f"from tollshare import {name}", "from tollshare import *"):
+        namespace: dict = {}
+        exec(statement, namespace)
+        assert namespace[name] is getattr(owner, name)
 
 
 def test_package_refuses_an_unknown_name():
