@@ -43,7 +43,6 @@ from .errors import (
 from .methods import METHODS, allocation_method, share_percentages, sps_decomposition
 from .model import (
     DEFAULT_TOL,
-    EXHAUSTIVE_CEILING,
     SEGMENT_CEILING,
     TollMatrix,
     allowance,
@@ -185,7 +184,7 @@ def cmd_allocate(args: argparse.Namespace, matrix: TollMatrix, names: list[str])
 def cmd_game(args: argparse.Namespace, matrix: TollMatrix, names: None) -> Report:
     solver, method_name = _SOLUTIONS[args.solution]
     played = game.SegmentsGame(matrix)
-    if args.solution != "at" and matrix.n > args.limit:
+    if args.solution != "at" and args.limit is not None and matrix.n > args.limit:
         raise OracleSizeError(matrix.n, args.limit)
     vector = solver(played, args.tol)
     method_vector = allocation_method(method_name)(matrix)
@@ -321,16 +320,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 #: One row per report command: name, handler, help, reads ``--input``, takes
-#: ``--method``, reads ``--tol``, seeded, and the command's own options.  The
-#: ``--limit`` default is ``model.EXHAUSTIVE_CEILING``, so building the parser
-#: loads no ``game``.
+#: ``--method``, reads ``--tol``, seeded, and the command's own options.
 _REPORTS = (
     ("allocate", cmd_allocate, "per-segment toll shares", True, True, False, False, ()),
     ("game", cmd_game, "compare a game solution with its method", True, False, True, False, (
         ("--solution", dict(choices=sorted(_SOLUTIONS), required=True)),
-        ("--limit", dict(type=int, default=EXHAUSTIVE_CEILING,
-                         help="refuse a larger shapley or tau game; the oracles "
-                              f"never enumerate above {EXHAUSTIVE_CEILING} segments")),
+        ("--limit", dict(type=int, help="refuse a larger shapley or tau game")),
     )),
     ("core", cmd_core, "core-membership reports", True, True, True, False, ()),
     ("axioms", cmd_axioms, "axiom verdict matrix / independence harness",

@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstantVectorError, InvalidAllocationError, VectorShapeError, ZeroTotalError
+from .errors import (ConstantVectorError, InvalidAllocationError, SegmentIndexError,
+                     VectorShapeError, ZeroTotalError)
 
 
 def _in_range(x: np.ndarray) -> None:
@@ -152,8 +153,11 @@ def ranking(x: Sequence[float], top: int = 3, bottom: int = 3) -> Ranking:
     """Top and bottom segments of an allocation.
 
     ``bottom`` segments are reported in descending-share order, i.e. as the
-    final positions of the full ranking.
+    final positions of the full ranking.  A count above the number of
+    segments takes them all; a negative one raises :class:`SegmentIndexError`.
     """
+    if top < 0 or bottom < 0:
+        raise SegmentIndexError(f"ranking counts must be >= 0, got top={top}, bottom={bottom}")
     x = _as_shares(x)
     order = tuple(sorted(range(1, len(x) + 1), key=lambda i: (-x[i - 1], i)))
-    return Ranking(order, order[:top], order[len(x) - bottom :])
+    return Ranking(order, order[:top], order[max(0, len(x) - bottom) :])

@@ -61,7 +61,8 @@ class DuplicateTripError(TollValidationError):
 
 
 class SegmentIndexError(TollValidationError):
-    """A segment or trip index falls outside 1..n or is not ordered.
+    """A segment or trip index falls outside 1..n or is not ordered, or a
+    count of segments is out of range.
 
     ``entry`` and ``exit`` name the offending trip when one was checked.
     """
@@ -133,8 +134,8 @@ class OracleSizeError(TollShareError, ValueError):
 
 class InvalidAllocationError(TollShareError, ValueError):
     """An allocation vector has a negative or non-finite component, or its
-    sum times its length (or, for percentages, a component times 100) passes
-    the largest float."""
+    sum times its length (or, for percentages, a component times 100 or its
+    percent) passes the largest float."""
 
 
 class VectorShapeError(TollShareError, ValueError):

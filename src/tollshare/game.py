@@ -33,7 +33,11 @@ from .errors import (
     TauUndefinedError,
 )
 from .methods import SpsDecomposition, WeightScheme, sps_decomposition
-from .model import DEFAULT_TOL, EXHAUSTIVE_CEILING, TollMatrix, allowance
+from .model import DEFAULT_TOL, TollMatrix, allowance
+
+#: Largest ``n`` for the ``2^n`` worth vector, the one size bound of the
+#: exhaustive oracles: its 22 segments (the AP68 case study) take 32 MB.
+EXHAUSTIVE_CEILING = 22
 
 #: Masks in one block of the exhaustive oracles, which hold about one block
 #: of floats per segment past the block's own bits.  A block's sum is one node of the
@@ -68,25 +72,20 @@ class SegmentsGame:
         self.n = matrix.n
         self._mask_values: np.ndarray | None = None
 
-    def _row(self, start: int, end: int) -> np.ndarray:
-        """Worths of the intervals ``start..e`` for ``e = start..end``, with the
+    def _row(self, start: int) -> np.ndarray:
+        """Worths of the intervals ``start..e`` for ``e = start..n``, with the
         float additions of :func:`_sweep`: per exit ``k``, ``S[start, k]``
         adds the tolls of the trips ``[h, k]``, ``h >= start``, from the last
-        entry up, and the worths are its running sums over ``k``.  The trips
-        are read in slices of :data:`BAND_CELLS`, last slice first."""
+        entry up, and the worths are its running sums over ``k``."""
         entry, exit, toll = self.matrix.columns
-        ending = np.zeros(end + 1)
+        ending = np.zeros(self.n + 1)
         first = int(np.searchsorted(entry, start))
-        for stop in range(len(exit), first, -BAND_CELLS):
-            part = slice(max(first, stop - BAND_CELLS), stop)
-            exits, tolls = exit[part][::-1], toll[part][::-1]
-            inside = exits <= end
-            np.add.at(ending, exits[inside], tolls[inside])
+        np.add.at(ending, exit[first:][::-1], toll[first:][::-1])
         return np.cumsum(ending[start:])
 
     @cached_property
     def grand_value(self) -> float:
-        return float(self._row(1, self.n)[-1])
+        return float(self._row(1)[-1])
 
     def interval_value(self, start: int, end: int) -> float:
         """Worth of the contiguous coalition ``start..end`` (0 when empty)."""
@@ -94,7 +93,7 @@ class SegmentsGame:
             return 0.0
         if not (1 <= start and end <= self.n):
             raise SegmentIndexError(f"interval [{start},{end}] out of range 1..{self.n}")
-        return float(self._row(start, end)[-1])
+        return float(self._row(start)[end - start])
 
     def value(self, coalition: Iterable[int]) -> float:
         """Worth of an arbitrary coalition of 1-based segments."""
@@ -331,7 +330,7 @@ def average_tree_value(game: SegmentsGame) -> np.ndarray:
     n = game.n
     grand = game.grand_value
     i = np.arange(1, n + 1)
-    join_left = game._row(1, n)
+    join_left = game._row(1)
     ends = [worth[:, -1].copy() for _, _, worth in _sweep(game)]
     join_right = np.concatenate(ends[::-1])
     left = np.concatenate([[0.0], join_left[:-1]])

@@ -207,18 +207,21 @@ def family_allocate(matrix: TollMatrix, scheme: WeightScheme) -> np.ndarray:
 def share_percentages(shares: np.ndarray, total: float | None = None) -> np.ndarray:
     """Percent of the collected total per segment, half-even at 2 decimals.
 
-    Raises :class:`InvalidAllocationError` unless the total and 100 times
-    each share are finite, so nothing here overflows.  The shares of any
-    matrix that the range rule accepts pass; their summed sizes may pass its
-    total by a rounding, so the check is on the largest share."""
+    Raises :class:`InvalidAllocationError` unless the total, 100 times each
+    share and each percent are finite, so nothing here overflows.  The shares
+    of any matrix that the range rule accepts pass; their summed sizes may
+    pass its total by a rounding, so the check is on the largest share.  A
+    percent from 2^52 up is a whole number and is kept as it is, where
+    ``np.round`` would overflow."""
     shares = np.asarray(shares, dtype=float)
     with np.errstate(over="ignore"):
         total = float(shares.sum() if total is None else total)
-    if not (math.isfinite(total) and 100.0 * float(np.abs(shares).max(initial=0.0)) < math.inf):
-        raise InvalidAllocationError("the total and 100 times each share must be finite")
-    if total <= 0.0:
-        return np.zeros_like(shares)
-    return np.round(100.0 * shares / total, 2)
+        percent = 100.0 * shares / total if 0.0 < total < math.inf else np.zeros_like(shares)
+        rounded = np.round(percent, 2)  # overflows only where ``percent`` is whole
+    if not (math.isfinite(total) and 100.0 * float(np.abs(shares).max(initial=0.0)) < math.inf
+            and np.isfinite(percent).all()):
+        raise InvalidAllocationError("total, 100 times each share and each percent must be finite")
+    return np.where(np.abs(percent) < 2.0 ** 52, rounded, percent)
 
 
 # -- deliberately flawed methods --------------------------------------------

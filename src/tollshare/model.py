@@ -54,11 +54,6 @@ DEFAULT_TOL = 1e-9
 #: far above the ``game.SWEEP_CEILING`` of the interval core tests.
 SEGMENT_CEILING = 1 << 20
 
-#: Largest ``n`` for the ``2^n`` worth vector, the one size bound of the
-#: exhaustive oracles in ``game``: its 22 segments (the AP68 case study) take
-#: 32 MB.
-EXHAUSTIVE_CEILING = 22
-
 #: Most cells, trips inside a block, that ``_sample`` draws for: n = 2047 at
 #: density 1, where ``generate`` peaked at 204 MB RSS (``scripts/peak_rss.py
 #: --n 2047 --density 1 --seed 3``, 2-core Linux host, numpy 2.4.6).  n = 2000

@@ -134,6 +134,17 @@ class TestGame:
         )
         assert code == 2 and "exhaustive limit" in err
 
+    @pytest.mark.parametrize("solution", ["shapley", "tau"])
+    @pytest.mark.parametrize("limit", [(), ("--limit", "22"), ("--limit", "30")],
+                             ids=["no_limit", "limit_22", "limit_30"])
+    def test_oracle_ceiling_message_is_exact(self, capsys, tmp_path, solution, limit):
+        path = tmp_path / "big.csv"
+        ts.write_triplet_csv(ts.random_matrix(23, density=0.2, seed=0), path)
+        code, out, err = run(
+            capsys, "game", "--input", str(path), "--solution", solution, *limit
+        )
+        assert (code, out, err) == (2, "", "error: game has 23 segments; exhaustive limit is 22\n")
+
     @pytest.mark.parametrize("solution, method", [("shapley", "ses"), ("tau", "sps")])
     def test_ap68_oracles_run_by_default(self, capsys, solution, method):
         code, out, _ = run(

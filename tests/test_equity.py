@@ -241,6 +241,17 @@ class TestRanking:
         result = ts.ranking([1.0, 1.0, 1.0], top=3, bottom=3)
         assert result.order == (1, 2, 3)
 
+    def test_counts_past_the_segments_take_them_all(self):
+        result = ts.ranking([3.0, 2.0, 1.0], top=5, bottom=5)
+        assert result.top == result.bottom == (1, 2, 3)
+        assert ts.ranking([3.0, 2.0, 1.0], top=0, bottom=0).bottom == ()
+
+    @pytest.mark.parametrize("counts", [dict(top=-1), dict(bottom=-1), dict(top=-4, bottom=-4)])
+    def test_negative_counts_are_refused(self, counts):
+        with pytest.raises(ts.SegmentIndexError, match="ranking counts must be >= 0") as info:
+            ts.ranking([3.0, 2.0, 1.0], **counts)
+        assert isinstance(info.value, ts.TollShareError) and isinstance(info.value, ValueError)
+
 
 class TestFloatRange:
     @pytest.mark.parametrize("call", [

@@ -586,8 +586,20 @@ class TestBandedCoreTests:
                 assert np.array_equal(worth, grid[s0 + 1 : s1 + 1, s0 + 1 : n + 1])
                 next_row = s0
             assert next_row == 0
-            assert np.array_equal(game._row(1, n), grid[1, 1 : n + 1])
+            assert np.array_equal(game._row(1), grid[1, 1 : n + 1])
             assert game.grand_value == grid[1, n]
+
+    def test_one_scan_rows_match_the_grid(self):
+        sizes = (1, 2, 3, 8, 21, 40)
+        for matrix in seeded_matrices(12, sizes=sizes, densities=(0.2, 1.0), seed_base=70):
+            game, grid, n = SegmentsGame(matrix), interval_grid(matrix), matrix.n
+            for s in range(1, n + 1):
+                for e in range(s, n + 1):
+                    assert game.interval_value(s, e) == grid[s, e], (n, s, e)
+        # 45,150 trips: more than one slice of the 32,768 the rows were once read in
+        matrix = ts.random_matrix(300, density=1.0, seed=5)
+        assert len(matrix.columns.toll) == 45_150
+        assert SegmentsGame(matrix).grand_value == interval_grid(matrix)[1, 300]
 
     def test_memory_is_bounded_by_the_band(self):
         # one n x n float table is 18 MB here; the full-grid tests held two

@@ -650,3 +650,17 @@ def test_share_percentages_round_each_share_like_numpy_scalars(total, parts):
 def test_share_percentages_refuse_what_overflows(shares, total):
     with pytest.raises(ts.InvalidAllocationError, match="must be finite"):
         ts.share_percentages(np.array(shares), total)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_share_percentages_refuse_a_percent_past_the_float_range():
+    # the total and 100 times the share are finite, 100 * 1e300 / 1e-10 is not
+    with pytest.raises(ts.InvalidAllocationError, match="each percent must be finite"):
+        ts.share_percentages(np.array([1e300]), 1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_share_percentages_keep_a_whole_percent_that_rounding_would_overflow():
+    # 1e307 percent is a whole number; np.round(x, 2) multiplies it by 100 first
+    percent = ts.share_percentages(np.array([1e300, 2.0 ** 50]), 1e-5)
+    assert percent.tolist() == [100.0 * 1e300 / 1e-5, 100.0 * 2.0 ** 50 / 1e-5]
