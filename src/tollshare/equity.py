@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (ConstantVectorError, InvalidAllocationError, SegmentIndexError,
                      VectorShapeError, ZeroTotalError)
+from .model import _integral
 
 
 def _in_range(x: np.ndarray) -> None:
@@ -149,13 +150,23 @@ class Ranking:
     bottom: tuple[int, ...]
 
 
+def _count(name: str, value) -> int:
+    count = _integral(value)
+    if count is None:
+        raise SegmentIndexError(f"ranking count {name} must be an integer, got {value!r}")
+    return count
+
+
 def ranking(x: Sequence[float], top: int = 3, bottom: int = 3) -> Ranking:
     """Top and bottom segments of an allocation.
 
     ``bottom`` segments are reported in descending-share order, i.e. as the
-    final positions of the full ranking.  A count above the number of
-    segments takes them all; a negative one raises :class:`SegmentIndexError`.
+    final positions of the full ranking.  A count is read as a segment count
+    is, so ``2.0`` and ``np.int64(2)`` count 2; one above the number of
+    segments takes them all.  A negative count, or one that is not an integer
+    or is a boolean, raises :class:`SegmentIndexError`.
     """
+    top, bottom = _count("top", top), _count("bottom", bottom)
     if top < 0 or bottom < 0:
         raise SegmentIndexError(f"ranking counts must be >= 0, got top={top}, bottom={bottom}")
     x = _as_shares(x)

@@ -24,7 +24,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, chain, combinations_with_replacement, pairwise
+from itertools import accumulate, chain, combinations_with_replacement, pairwise, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -428,11 +428,11 @@ def is_unit_matrix(matrix: TollMatrix) -> bool:
 # -- random generators ----------------------------------------------------
 
 #: Most uniforms ``_sample`` draws at once, and most rows ``write_triplet_csv``
-#: formats at once: a sparse matrix owes one draw per cell but keeps few, so
+#: joins at once: a sparse matrix owes one draw per cell but keeps few, so
 #: an uncapped first chunk costs ``n(n+1)/2`` floats, and a slice of rows
-#: holds 190 to 250 bytes of Python objects per row.  At 8,192 the writer
-#: peaked at 1.6 MB on a 25k-trip matrix (4.0 MB at 65,536) and wrote as
-#: fast, and sampling n = 2000 took 3% longer (16% at 4,096).
+#: holds about 190 bytes of Python objects per row.  At 8,192 the writer
+#: peaked at 1.56 MB of tracemalloc on a 25k-trip matrix (4.65 MB at 65,536)
+#: and wrote as fast, and sampling n = 2000 took 3% longer (16% at 4,096).
 _DRAW_CHUNK = 1 << 13
 
 
@@ -598,17 +598,29 @@ TRIPLET_HEADER = ("entry", "exit", "toll")
 
 def write_triplet_csv(matrix: TollMatrix, path: str | Path) -> None:
     """Write ``matrix.columns`` as triplet CSV, the bytes ``csv.writer`` writes, as no
-    integer or float ``repr`` needs quoting: each slice of ``_DRAW_CHUNK`` rows is one
-    ``%`` format, ``"%d,%d,%r\\r\\n"`` once per row, over the slice's cells
-    interleaved in one list, so no Python code runs per row."""
+    integer or float ``repr`` needs quoting.  Each segment that a trip enters or
+    leaves at gets its ``"i,"`` label once, in a table over ``0..n`` that holds no
+    object for the others; each slice of ``_DRAW_CHUNK`` rows is then one join of
+    the labels gathered by entry and exit, the tolls' ``repr``s and the line ends,
+    so no Python code runs per row."""
+    entry, exit, toll = matrix.columns
+    used = np.zeros(matrix.n + 1, dtype=bool)
+    used[entry] = True
+    used[exit] = True
+    segments = np.flatnonzero(used)
+    labels = np.empty(matrix.n + 1, dtype=object)
+    labels[segments] = [f"{i}," for i in segments.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRIPLET_HEADER) + "\r\n")
-        for start in range(0, len(matrix.entries), _DRAW_CHUNK):
-            columns = [column[start:start + _DRAW_CHUNK].tolist() for column in matrix.columns]
-            cells = [None] * (3 * len(columns[0]))
-            for offset, column in enumerate(columns):
-                cells[offset::3] = column
-            fh.write("%d,%d,%r\r\n" * len(columns[0]) % tuple(cells))
+        for start in range(0, len(toll), _DRAW_CHUNK):
+            stop = start + _DRAW_CHUNK
+            tolls = toll[start:stop].tolist()
+            cells = [None] * (4 * len(tolls))
+            cells[0::4] = labels[entry[start:stop]].tolist()
+            cells[1::4] = labels[exit[start:stop]].tolist()
+            cells[2::4] = map(float.__repr__, tolls)
+            cells[3::4] = repeat("\r\n", len(tolls))
+            fh.write("".join(cells))
 
 
 #: One triplet record as ``np.loadtxt`` parses it.

@@ -634,6 +634,11 @@ def test_cli_import_loads_no_process_pools():
     assert _loaded_by_cli_import("multiprocessing", "concurrent.futures") == []
 
 
+def test_cli_import_loads_no_numpy_strings():
+    """``numpy.strings`` takes about 0.7 ms to load and no command needs it."""
+    assert _loaded_by_cli_import("numpy.strings", "numpy._core.strings") == []
+
+
 def _unrun_after(code: str) -> list[str]:
     """Which of ``axioms``, ``equity`` and ``game`` have not run their code
     after ``code`` runs in a fresh interpreter.  A module that has not run

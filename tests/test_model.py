@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import re
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -876,6 +877,47 @@ class TestTripletIO:
             ts.write_triplet_csv(matrix, tmp_path / "new.csv")
             write_triplet_csv_loop(matrix, tmp_path / "loop.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    @pytest.mark.parametrize("trips", [0, 1, 6, 7, 8, 14])
+    def test_writer_bytes_at_the_slice_edges(self, tmp_path, monkeypatch, trips):
+        monkeypatch.setattr(model, "_DRAW_CHUNK", 7)
+        cells = list(ts.random_matrix(6, density=1.0, seed=1).trips())[:trips]
+        matrix = TollMatrix(6, dict(cells))
+        assert len(matrix.entries) == trips
+        ts.write_triplet_csv(matrix, tmp_path / "new.csv")
+        write_triplet_csv_loop(matrix, tmp_path / "loop.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    @pytest.mark.parametrize("matrix", [
+        TollMatrix(model.SEGMENT_CEILING, {(1, 1 << 20): 1.5, (99999, 100000): 0.25,
+                                           (100000, 100000): 3.0, (999999, 1048575): 1e-7}),
+        # the first trip enters at segment 3, so no row reads the labels of 1 and 2
+        ts.block_structured_matrix([range(1, 3), range(3, 12), range(12, 30)], seed=4,
+                                   density=0.3),
+    ], ids=["ceiling", "blocks"])
+    def test_writer_labels_only_the_segments_in_use(self, tmp_path, matrix):
+        ts.write_triplet_csv(matrix, tmp_path / "new.csv")
+        write_triplet_csv_loop(matrix, tmp_path / "loop.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        assert ts.read_triplet_csv(tmp_path / "new.csv", n=matrix.n) == matrix
+        assert matrix.n == model.SEGMENT_CEILING or matrix.columns.entry[0] == 3
+
+    def test_writer_label_table_holds_no_string_per_unused_segment(self, tmp_path):
+        """One trip on the largest highway: the writer's table over ``0..n``
+        holds 9 bytes per segment, 9.4 MB, and a string only for 1 and 2^20.
+        A table of ``n + 1`` strings took 96 MB and 3 s."""
+        matrix = TollMatrix(model.SEGMENT_CEILING, {(1, 1 << 20): 1.0})
+        tracemalloc.start()
+        try:
+            began = time.perf_counter()
+            ts.write_triplet_csv(matrix, tmp_path / "new.csv")
+            took = time.perf_counter() - began
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        write_triplet_csv_loop(matrix, tmp_path / "loop.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        assert peak < 12 << 20 and took < 1.0
 
     def test_writer_and_reader_peaks_do_not_grow_with_the_file(self, tmp_path):
         """The writer holds one slice of rows on top of the matrix's columns;
