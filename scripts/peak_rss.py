@@ -12,7 +12,11 @@ row per command, the last two named ``shapley`` and ``tau``:
 its peak resident set size in MB and its wall time in seconds.  The peak is
 the ``ru_maxrss`` of the child's own rusage, as ``os.wait4`` returns it; the
 ``RUSAGE_CHILDREN`` maximum of the parent would carry over from one child to
-the next.  The files go to ``--workdir``, made if missing, or to a
+the next.  That rusage covers the processes the command reaped too, so the
+``generate`` row is the larger of the command's peak and that of the child
+its triplet writer forks on a host with 2 or more CPUs (on 2 CPUs the child
+peaked at 25.2 MB on the 25k-trip ``--n 500 --density 0.2`` problem and 43.0 MB
+at ``--n 2000``, mostly pages it shares with the command).  The files go to ``--workdir``, made if missing, or to a
 temporary directory that is removed at the end.  A command that exits nonzero stops the run.
 """
 

@@ -27,12 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, combinations_with_replacement
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-import gc
 import os
 import pickle
-import threading
 import zlib
 
 import numpy as np
@@ -48,7 +46,11 @@ from .methods import METHODS, TRIGGERS, MethodFn, allocation_method
 from .model import (
     DEFAULT_TOL,
     TollMatrix,
+    _fork,
+    _may_fork,
+    _reaped,
     _trusted,
+    _worker_count,
     allowance,
     block_structured_matrix,
     inessential_segments,
@@ -539,19 +541,10 @@ ANCHORED_AXIOMS: Mapping[str, tuple[str, ...]] = {
 
 _T = TypeVar("_T")
 
-#: Signal that ends a child the caller no longer waits for (9 on every POSIX
-#: system; ``signal`` is not loaded for one constant).
-_SIGKILL = 9
-
 #: Bytes of one queue record, a cell index, and the most records a queue
 #: holds: one page of 4,096 bytes, the least a pipe can hold.
 _RECORD = 4
 _RECORDS = 4096 // _RECORD
-
-
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _map_cells(run: Callable[..., _T], cells: Sequence[tuple]) -> Iterator[_T]:
@@ -564,8 +557,8 @@ def _map_cells(run: Callable[..., _T], cells: Sequence[tuple]) -> Iterator[_T]:
     back pickled.  Which worker ran a cell depends on timing, but its result
     does not.  A cell that no worker returned, because it raised or its
     child died, runs here when its turn comes, so errors are those of a loop
-    over the cells.  With one worker, no ``os.fork`` or another live thread
-    (forking then can deadlock), every cell runs here in turn.
+    over the cells.  With one worker, or where ``model._may_fork`` says no,
+    every cell runs here in turn.
     """
     done = _run_shares(run, cells)
     for i, cell in enumerate(cells):
@@ -577,36 +570,22 @@ def _run_shares(run: Callable[..., _T], cells: Sequence[tuple]) -> dict[int, _T]
     its first failing cell; all children are reaped before it returns or
     raises."""
     workers = min(_worker_count(), len(cells))
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if workers < 2 or not _may_fork():
         return {}
     queue, step = _queue(len(cells))
-    children: list[tuple[int, int]] = []  # (pid, read end)
     try:
-        for _ in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no room for a child: the others pull its cells
-                os.close(read)
-                os.close(write)
-                break
-            if pid == 0:
-                _child(run, cells, queue, step, write)
-            os.close(write)
-            children.append((pid, read))
-        done = dict(_pull(run, cells, queue, step))
-        for _, read in children:
-            done.update(_receive(read))
-        return done
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, _SIGKILL)
-        raise
+        with _reaped() as children:
+            for _ in range(1, workers):
+                child = _fork(lambda pipe: pipe.write(pickle.dumps(_pull(run, cells, queue, step))))
+                if child is None:  # no room for a child: the others pull its cells
+                    break
+                children.append(child)
+            done = dict(_pull(run, cells, queue, step))
+            for _, read in children:
+                done.update(_receive(read))
+            return done
     finally:
         os.close(queue)
-        for pid, read in children:
-            os.close(read)
-            os.waitpid(pid, 0)
 
 
 def _queue(count: int) -> tuple[int, int]:
@@ -639,20 +618,6 @@ def _pull(run: Callable[..., _T], cells: Sequence[tuple], queue: int,
     except Exception:
         pass  # the cell runs again in turn and raises there
     return results
-
-
-def _child(run: Callable[..., _T], cells: Sequence[tuple], queue: int, step: int,
-           write: int) -> NoReturn:
-    """Pull cells in a forked child, write the results to ``write`` and
-    leave without returning into the caller's stack."""
-    try:
-        # objects from before the fork are the caller's to collect; a
-        # collection here would run their finalizers a second time
-        gc.freeze()
-        with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(_pull(run, cells, queue, step)))
-    finally:
-        os._exit(0)
 
 
 def _receive(read: int) -> list:

@@ -98,7 +98,8 @@ def _load_matrix(args: argparse.Namespace) -> TollMatrix:
 
 
 def _method_list(spec: str) -> list[str]:
-    names = [name.strip() for name in spec.split(",") if name.strip()]
+    """The ``--method`` names in order, each once."""
+    names = list(dict.fromkeys(name.strip() for name in spec.split(",") if name.strip()))
     if not names:
         raise UnknownMethodError(spec)
     for name in names:
@@ -209,12 +210,11 @@ def cmd_core(args: argparse.Namespace, matrix: TollMatrix, names: list[str]) -> 
     played = game.SegmentsGame(matrix)
     # the sps shares and the sps criterion start from one decomposition
     decomposition = sps_decomposition(matrix) if "sps" in names else None
-    unique = list(dict.fromkeys(names))
     shares = [decomposition.shares() if name == "sps" else allocation_method(name)(matrix)
-              for name in unique]
+              for name in names]
     # one sweep of the interval worths tests every allocation and the criterion
     checked, criterion = game.interval_tests(played, shares, args.tol, decomposition)
-    reports = dict(zip(unique, checked))
+    reports = dict(zip(names, checked))
     body: dict = {"reports": {}}
     for name, report in reports.items():
         payload = report.to_json_dict()
@@ -313,8 +313,13 @@ def _parse_blocks(spec: str) -> list[range]:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     options = dict(seed=args.seed, density=args.density, max_toll=args.max_toll)
-    matrix = (random_matrix(args.n, **options) if args.blocks is None
-              else block_structured_matrix(_parse_blocks(args.blocks), **options))
+    if args.blocks is None:
+        matrix = random_matrix(8 if args.n is None else args.n, **options)
+    else:
+        matrix = block_structured_matrix(_parse_blocks(args.blocks), **options)
+        if args.n is not None and args.n != matrix.n:
+            raise TollShareError(f"--n {args.n} conflicts with --blocks {args.blocks!r}, "
+                                 f"which end at segment {matrix.n}")
     write_triplet_csv(matrix, args.output)
     return 0
 
@@ -369,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(report=handler)
 
     p = sub.add_parser("generate", help="write a seeded random problem file")
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=int, help="segments (default 8, or where --blocks end)")
     p.add_argument("--density", type=float, default=1.0)
     p.add_argument("--max-toll", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=0)

@@ -11,7 +11,10 @@ check every value from outside, and ``_trusted`` builds what already passes
 them and holds the one float-range rule; ``allowance`` is the one tolerance
 rule; ``coverage`` and ``_sample`` state the bit-identity rules of their
 Python and numpy lanes, and ``coverage`` states once the rounding bound by
-which it settles a segment's load in either lane.
+which it settles a segment's load in either lane.  ``_worker_count`` and
+``_may_fork`` hold the one rule for when the package forks, which
+``write_triplet_csv`` and the axiom audit share, and ``_fork`` and
+``_reaped`` make and end every child.
 """
 
 from __future__ import annotations
@@ -20,15 +23,19 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, cached_property
-from itertools import accumulate, chain, combinations_with_replacement, pairwise, repeat
+from functools import cache, cached_property, partial
+from itertools import (accumulate, chain, combinations_with_replacement, pairwise, repeat,
+                       zip_longest)
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -427,12 +434,16 @@ def is_unit_matrix(matrix: TollMatrix) -> bool:
 
 # -- random generators ----------------------------------------------------
 
-#: Most uniforms ``_sample`` draws at once, and most rows ``write_triplet_csv``
-#: joins at once: a sparse matrix owes one draw per cell but keeps few, so
-#: an uncapped first chunk costs ``n(n+1)/2`` floats, and a slice of rows
-#: holds about 190 bytes of Python objects per row.  At 8,192 the writer
-#: peaked at 1.56 MB of tracemalloc on a 25k-trip matrix (4.65 MB at 65,536)
-#: and wrote as fast, and sampling n = 2000 took 3% longer (16% at 4,096).
+#: Most uniforms ``_sample`` draws at once, most rows ``write_triplet_csv``
+#: joins at once, and the fewest rows it gives each forked part: a sparse
+#: matrix owes one draw per cell but keeps few, so an uncapped first chunk
+#: costs ``n(n+1)/2`` floats, and a slice of rows holds about 190 bytes of
+#: Python objects per row.  At 8,192 the writer peaked at 1.56 MB of
+#: tracemalloc on a 25k-trip matrix (4.65 MB at 65,536) and wrote as fast,
+#: and sampling n = 2000 took 3% longer (16% at 4,096).  A part of 8,192
+#: rows outweighs a fork's cost: on 2 CPUs the writer took 14 instead of
+#: 16-17 ms on 25k trips, and 143-147 instead of 256-261 ms on the 400k of
+#: n = 2000 (best of 30 and of 5 calls).
 _DRAW_CHUNK = 1 << 13
 
 
@@ -592,9 +603,78 @@ def block_structured_matrix(
     return _sample(_seeded_rng(seed), n, intervals, density, max_toll)
 
 
+# -- forked workers ----------------------------------------------------------
+
+#: Signal that ends a child the caller no longer waits for (9 on every POSIX
+#: system; ``signal`` is not loaded for one constant).
+_SIGKILL = 9
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _may_fork() -> bool:
+    """Whether the package may fork workers: ``os.fork`` exists and no other
+    thread is live, since forking beside one can deadlock the child."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+def _fork(send: Callable[[BinaryIO], object]) -> tuple[int, int] | None:
+    """A forked child that calls ``send`` with the write end of a new pipe
+    and leaves without returning into the caller's stack: its pid and the
+    pipe's read end, or ``None`` when no child can be made."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        try:
+            import gc  # here, as no start needs it
+
+            # objects from before the fork are the caller's to collect; a
+            # collection here would run their finalizers a second time
+            gc.freeze()
+            os.close(read)
+            with open(write, "wb") as pipe:
+                send(pipe)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, read
+
+
+@contextmanager
+def _reaped() -> Iterator[list[tuple[int, int]]]:
+    """A list for the ``(pid, read end)`` of each ``_fork`` child.  If the
+    block raises, every child is killed; on leaving it, every read end is
+    closed and every child reaped, so none outlives the block."""
+    children: list[tuple[int, int]] = []
+    try:
+        yield children
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, _SIGKILL)
+        raise
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+
+
 # -- file formats ----------------------------------------------------------
 
 TRIPLET_HEADER = ("entry", "exit", "toll")
+
+#: Bytes of the length that heads the part a writer child sends, and most
+#: bytes the caller copies from the child's pipe at once.
+_LENGTH_BYTES = 8
+_COPY_BYTES = 1 << 16
+
 
 def write_triplet_csv(matrix: TollMatrix, path: str | Path) -> None:
     """Write ``matrix.columns`` as triplet CSV, the bytes ``csv.writer`` writes, as no
@@ -602,7 +682,17 @@ def write_triplet_csv(matrix: TollMatrix, path: str | Path) -> None:
     leaves at gets its ``"i,"`` label once, in a table over ``0..n`` that holds no
     object for the others; each slice of ``_DRAW_CHUNK`` rows is then one join of
     the labels gathered by entry and exit, the tolls' ``repr``s and the line ends,
-    so no Python code runs per row."""
+    so no Python code runs per row.
+
+    The rows split into ``min(_worker_count(), rows // _DRAW_CHUNK)`` contiguous
+    parts.  Below 2, where ``_may_fork`` says no, or where the output cannot seek,
+    as a pipe cannot, one process writes them all.  Otherwise, once the file is
+    open, one forked child per part after the first formats its part by the same
+    slices and sends it back headed by its length, and the caller streams the
+    first part slice by slice, then copies the others in order, ``_COPY_BYTES`` at
+    a time.  A part whose child could not be made or sent less than its length is
+    formatted here, over what was copied of it, so the bytes are those of one
+    process.  No child outlives the call."""
     entry, exit, toll = matrix.columns
     used = np.zeros(matrix.n + 1, dtype=bool)
     used[entry] = True
@@ -610,17 +700,53 @@ def write_triplet_csv(matrix: TollMatrix, path: str | Path) -> None:
     segments = np.flatnonzero(used)
     labels = np.empty(matrix.n + 1, dtype=object)
     labels[segments] = [f"{i}," for i in segments.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRIPLET_HEADER) + "\r\n")
-        for start in range(0, len(toll), _DRAW_CHUNK):
-            stop = start + _DRAW_CHUNK
-            tolls = toll[start:stop].tolist()
+
+    def rows(start: int, stop: int) -> Iterator[bytes]:
+        for first in range(start, stop, _DRAW_CHUNK):
+            last = min(first + _DRAW_CHUNK, stop)
+            tolls = toll[first:last].tolist()
             cells = [None] * (4 * len(tolls))
-            cells[0::4] = labels[entry[start:stop]].tolist()
-            cells[1::4] = labels[exit[start:stop]].tolist()
+            cells[0::4] = labels[entry[first:last]].tolist()
+            cells[1::4] = labels[exit[first:last]].tolist()
             cells[2::4] = map(float.__repr__, tolls)
             cells[3::4] = repeat("\r\n", len(tolls))
-            fh.write("".join(cells))
+            yield "".join(cells).encode()
+
+    count = len(toll)
+    parts = min(_worker_count(), count // _DRAW_CHUNK)
+    with open(path, "wb") as fh, _reaped() as children:
+        bounds = ([count * i // parts for i in range(parts + 1)]
+                  if parts > 1 and _may_fork() and fh.seekable() else [0, count])
+        for start, stop in pairwise(bounds[1:]):
+            if (child := _fork(partial(_send_part, rows(start, stop)))) is None:
+                break  # no room for a child: its part and those after it are written here
+            children.append(child)
+        fh.write(",".join(TRIPLET_HEADER).encode() + b"\r\n")
+        fh.writelines(rows(0, bounds[1]))
+        for (start, stop), child in zip_longest(pairwise(bounds[1:]), children):
+            at = fh.tell()
+            if child is None or not _copy_part(child[1], fh):
+                fh.seek(at)  # what was copied is a start of the part: it is written over
+                fh.writelines(rows(start, stop))
+
+
+def _send_part(slices: Iterable[bytes], pipe: BinaryIO) -> None:
+    """Write ``slices`` to ``pipe``, headed by their length in bytes."""
+    part = list(slices)
+    pipe.write(sum(map(len, part)).to_bytes(_LENGTH_BYTES, "little"))
+    pipe.writelines(part)
+
+
+def _copy_part(read: int, fh: BinaryIO) -> bool:
+    """Copy the part a ``_send_part`` child sends on the pipe ``read`` to
+    ``fh``; ``False`` if the pipe ends short of the part's length."""
+    with open(read, "rb", closefd=False) as pipe:
+        head = pipe.read(_LENGTH_BYTES)
+        left = int.from_bytes(head, "little") if len(head) == _LENGTH_BYTES else -1
+        while left > 0 and (chunk := pipe.read(min(left, _COPY_BYTES))):
+            fh.write(chunk)
+            left -= len(chunk)
+    return left == 0
 
 
 #: One triplet record as ``np.loadtxt`` parses it.

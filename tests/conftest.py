@@ -1,3 +1,4 @@
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -26,6 +27,20 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls the caller makes, one ``None`` each."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        made.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
 
 
 @pytest.fixture

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from itertools import accumulate
 
 import numpy as np
+import pytest
 
 from tollshare import (
     DuplicateTripError,
@@ -435,6 +437,13 @@ def write_dense_csv_grid(matrix: TollMatrix, path) -> None:
         writer = csv.writer(fh)
         for row in grid:
             writer.writerow([repr(float(v)) for v in row])
+
+
+def _no_children_left() -> bool:
+    """True if this process has no child left, reaped or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
 
 
 def write_triplet_csv_loop(matrix: TollMatrix, path) -> None:

@@ -27,7 +27,7 @@ from tollshare.axioms import (
 from tollshare.errors import InvalidTrialsError
 from tollshare.methods import COUNTEREXAMPLES, TRIGGERS
 
-from helpers import seeded_matrices, subhighways_scan
+from helpers import _no_children_left, seeded_matrices, subhighways_scan
 
 
 class TestEfficiencyChecker:
@@ -475,26 +475,6 @@ def test_verdicts_pickle_with_their_witness():
         assert _verdict_bits(copied) == _verdict_bits(verdict)
         replayed = ts.replay(ts.allocation_method(method), copied)
         assert replayed.witness.gap == verdict.witness.gap
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The number of ``os.fork`` calls the caller makes."""
-    made = []
-    fork = os.fork
-
-    def counted():
-        made.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return made
-
-
-def _no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
 
 
 def _wait_for(condition, timeout=60.0):

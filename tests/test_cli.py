@@ -492,6 +492,33 @@ class TestGenerate:
             assert sum(payload["shares"]) == pytest.approx(total, rel=1e-9)
 
 
+    def test_n_defaults_to_8_without_blocks_and_to_their_end_with_them(self, capsys, tmp_path):
+        def written(*argv):
+            path = tmp_path / "gen.csv"
+            assert run(capsys, "generate", *argv, "--output", str(path))[0] == 0
+            return path.read_bytes()
+
+        assert written() == written("--n", "8")
+        assert written("--blocks", "1-2,3-5") == written("--n", "5", "--blocks", "1-2,3-5")
+
+    @pytest.mark.parametrize("n", ["3", "1"])
+    def test_n_that_differs_from_the_blocks_exits_2(self, capsys, tmp_path, n):
+        path = tmp_path / "gen.csv"
+        code, out, err = run(capsys, "generate", "--n", n, "--blocks", "1-2",
+                             "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: --n {n} conflicts with --blocks '1-2', which end at segment 2\n"
+        assert not path.exists()
+
+    def test_bulk_sized_file_into_a_missing_directory_exits_2(self, capsys, tmp_path,
+                                                              monkeypatch, forks):
+        monkeypatch.setattr(ts.model, "_worker_count", lambda: 2)
+        path = tmp_path / "missing" / "bulk.csv"
+        code, out, err = run(capsys, "generate", "--n", "500", "--density", "0.2",
+                             "--seed", "3", "--output", str(path))
+        assert (code, out) == (2, "") and "No such file or directory" in err
+        assert forks == []
+
     def test_reports_never_build_the_trip_dict(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(ts.model, "_trip_dict", mock.Mock(side_effect=AssertionError))
         path = str(tmp_path / "gen.csv")
@@ -500,6 +527,43 @@ class TestGenerate:
         for command in ("allocate", "core", "equity"):
             assert run(capsys, command, "--input", path, "--no-timestamp")[0] == 0
         assert not ts.model._trip_dict.called
+
+
+class TestRepeatedMethods:
+    """A method named twice in ``--method`` is reported once, where its name
+    first stands."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+    @pytest.mark.parametrize("command", ["allocate", "core", "equity"])
+    def test_report_is_that_of_each_name_once(self, capsys, example61_csv, command, fmt):
+        def report(methods):
+            code, out, _ = run(capsys, command, "--input", example61_csv, "--method", methods,
+                               "--format", fmt, "--no-timestamp")
+            assert code == 0
+            return out
+
+        assert report("sps,ses,sps,ses") == report("sps,ses")
+
+    @staticmethod
+    def _csv_rows(out: str) -> list[list[str]]:
+        """The cells of a csv report's rows, past its metadata and header."""
+        return [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+
+    def test_allocate_lists_each_segment_once(self, capsys, example61_csv):
+        _, out, _ = run(capsys, "allocate", "--input", example61_csv, "--method", "ses,ses",
+                        "--format", "csv", "--no-timestamp")
+        assert [row[0] for row in self._csv_rows(out)] == ["1", "2", "3", "4", "5"]
+
+    def test_core_lists_each_report_once(self, capsys, example61_csv):
+        _, out, _ = run(capsys, "core", "--input", example61_csv, "--method", "sps,ses,sps",
+                        "--format", "csv", "--no-timestamp")
+        assert [row[0] for row in self._csv_rows(out)].count("ses") == 1
+
+    def test_equity_correlates_no_method_with_itself(self, capsys, example61_csv):
+        _, out, _ = run(capsys, "equity", "--input", example61_csv, "--method", "ses,ses,scs",
+                        "--no-timestamp")
+        doc = json.loads(out)
+        assert list(doc["correlations"]) == ["ses-scs"] and list(doc["gini"]) == ["ses", "scs"]
 
 
 class TestReportDigests:
@@ -514,11 +578,11 @@ class TestReportDigests:
          "03cdd40323d8e88e4e5f4c00dadde8085e4ee4c281e739696006b5e8f789f520"),
         ("equity", [], "csv",
          "b8609402cbb7ac38b468bcca4c1b75f6f751cde8678fb0d527af723b85c7d910"),
-        # a repeated method keeps the first position of its name in the table
+        # a repeated method counts once: these are the reports of ses,sps
         ("equity", ["--method", "ses,ses,sps"], "markdown",
-         "8295d591e4d75b15ae4105da8ea6acce0655c8bad358c717d63948ac463fdecd"),
+         "d38c48e2ef153afcfbaca0aae6e01ef347cd74d212799ee9352df3cc99a561ca"),
         ("equity", ["--method", "ses,ses,sps"], "csv",
-         "f05596b79d56651f6322e7048f7bfac21cb28df47250c48279b7d7351980ef19"),
+         "3b6f7d56846c9daf1bf35358b5fec4d4b89989f52ebf7ebb712df3a72d3a6ddc"),
         # the json report carries the correlations at full precision
         ("equity", [], "json",
          "04a329069399bd71e59a7a8ff29db4ea2fac715c8a63a6f711b3eb8b28f24b60"),

@@ -1,9 +1,16 @@
 """Tests for the toll matrix data model, generators, and file round-trips."""
 
+import contextlib
 import copy
+import errno
+import io
 import math
+import os
 import pickle
 import re
+import signal
+import subprocess
+import threading
 import time
 import tracemalloc
 import warnings
@@ -22,6 +29,7 @@ from tollshare.datasets import ap68
 from tollshare.errors import InvalidSeedError
 
 from helpers import (
+    _no_children_left,
     block_structured_loop,
     read_triplet_csv_loop,
     sample_blocks_loop,
@@ -878,15 +886,18 @@ class TestTripletIO:
             write_triplet_csv_loop(matrix, tmp_path / "loop.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
-    @pytest.mark.parametrize("trips", [0, 1, 6, 7, 8, 14])
-    def test_writer_bytes_at_the_slice_edges(self, tmp_path, monkeypatch, trips):
+    @pytest.mark.parametrize("trips", [0, 1, 6, 7, 8, 13, 14, 15, 21])
+    def test_writer_bytes_at_the_slice_edges(self, tmp_path, monkeypatch, forks, trips):
         monkeypatch.setattr(model, "_DRAW_CHUNK", 7)
+        monkeypatch.setattr(model, "_worker_count", lambda: 3)
         cells = list(ts.random_matrix(6, density=1.0, seed=1).trips())[:trips]
         matrix = TollMatrix(6, dict(cells))
         assert len(matrix.entries) == trips
         ts.write_triplet_csv(matrix, tmp_path / "new.csv")
         write_triplet_csv_loop(matrix, tmp_path / "loop.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        # one part per worker, each of at least 7 rows; a child for each part but the first
+        assert len(forks) == max(min(3, trips // 7) - 1, 0) and _no_children_left()
 
     @pytest.mark.parametrize("matrix, first_entry", [
         # labels of 6 and 7 digits
@@ -946,6 +957,136 @@ class TestTripletIO:
             assert write < 3 << 20 and read < 256 << 10
         (write_25k, read_25k), (write_100k, read_100k) = margins
         assert write_100k - write_25k < 1 << 20 and read_100k - read_25k < 64 << 10
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise ``TimeoutError`` in the block once ``seconds`` pass, so a hang
+    fails the test instead of stalling the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestForkedWriter:
+    """``write_triplet_csv`` writes the bytes of one process however its
+    rows are split between forked parts, and no child outlives it; a full
+    6-segment matrix has 21 trips, 3 parts at a ``_DRAW_CHUNK`` of 7."""
+
+    @staticmethod
+    def _same_as_loop(matrix, folder) -> bool:
+        ts.write_triplet_csv(matrix, folder / "new.csv")
+        write_triplet_csv_loop(matrix, folder / "loop.csv")
+        return (folder / "new.csv").read_bytes() == (folder / "loop.csv").read_bytes()
+
+    def test_bulk_sized_file_forks_one_child_per_other_worker(self, tmp_path, monkeypatch,
+                                                              forks):
+        monkeypatch.setattr(model, "_worker_count", lambda: 3)
+        matrix = ts.random_matrix(500, density=0.2, seed=3)
+        assert len(matrix.entries) // model._DRAW_CHUNK == 3
+        assert self._same_as_loop(matrix, tmp_path)
+        assert len(forks) == 2 and _no_children_left()
+
+    @pytest.mark.parametrize("refusal", ["fork fails", "no fork", "live thread"])
+    def test_a_writer_that_may_not_fork_writes_alone(self, tmp_path, monkeypatch, refusal):
+        monkeypatch.setattr(model, "_DRAW_CHUNK", 7)
+        monkeypatch.setattr(model, "_worker_count", lambda: 3)
+        attempts = []
+
+        def fork():
+            attempts.append(None)
+            raise OSError(errno.EAGAIN, "no room for a process")
+
+        monkeypatch.setattr(os, "fork", fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if refusal == "live thread":
+            thread.start()
+        elif refusal == "no fork":
+            monkeypatch.delattr(os, "fork")
+        try:
+            assert self._same_as_loop(ts.random_matrix(6, seed=1), tmp_path)
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join()
+        # a failed fork is tried once: the parts after it are written here too
+        assert len(attempts) == (refusal == "fork fails")
+        assert _no_children_left()
+
+    @pytest.mark.parametrize("sent", [0, 5, 8, 0.5])
+    def test_a_part_sent_short_is_written_here(self, tmp_path, monkeypatch, sent):
+        """Each child sends only ``sent`` bytes of its part, the 8-byte length
+        included (a fraction: that share of them), and exits."""
+        monkeypatch.setattr(model, "_DRAW_CHUNK", 7)
+        monkeypatch.setattr(model, "_worker_count", lambda: 3)
+        fork, copy_part, copied = model._fork, model._copy_part, []
+
+        def cut_short(send):
+            def send_some(pipe):
+                whole = io.BytesIO()
+                send(whole)
+                data = whole.getvalue()
+                pipe.write(data[:int(sent * len(data)) if isinstance(sent, float) else sent])
+            return fork(send_some)
+
+        def recorded(read, fh):
+            copied.append(copy_part(read, fh))
+            return copied[-1]
+
+        monkeypatch.setattr(model, "_fork", cut_short)
+        monkeypatch.setattr(model, "_copy_part", recorded)
+        assert self._same_as_loop(ts.random_matrix(6, seed=1), tmp_path)
+        assert copied == [False, False] and _no_children_left()
+
+    def test_an_output_that_cannot_open_raises_before_any_fork(self, tmp_path, monkeypatch,
+                                                               forks):
+        """A child forked before a failed open blocks on a full pipe that no
+        one reads, and a caller that reaps it before it kills it waits forever."""
+        monkeypatch.setattr(model, "_worker_count", lambda: 2)
+        matrix = ts.random_matrix(500, density=0.2, seed=3)
+        with _deadline(20.0), pytest.raises(FileNotFoundError):
+            ts.write_triplet_csv(matrix, tmp_path / "missing" / "bulk.csv")
+        assert forks == [] and _no_children_left()
+
+    def test_an_output_that_cannot_seek_is_written_alone(self, tmp_path, monkeypatch, forks):
+        """A pipe, such as ``--output /dev/stdout`` under ``| sha256sum``,
+        takes no seek back over a part a child sent short."""
+        monkeypatch.setattr(model, "_worker_count", lambda: 2)
+        matrix = ts.random_matrix(500, density=0.2, seed=3)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        with open(tmp_path / "read.csv", "wb") as out:
+            reader = subprocess.Popen(["cat", str(fifo)], stdout=out)
+            try:
+                ts.write_triplet_csv(matrix, fifo)
+            finally:
+                reader.wait(timeout=20)
+        write_triplet_csv_loop(matrix, tmp_path / "loop.csv")
+        assert (tmp_path / "read.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        assert forks == [] and _no_children_left()
+
+    def test_a_caller_that_raises_kills_its_children(self, tmp_path, monkeypatch, forks):
+        """Each child's part, about 200 kB, is more than a pipe holds, and
+        the second child holds the read end of the first's pipe, so both
+        block until they are killed."""
+        monkeypatch.setattr(model, "_worker_count", lambda: 3)
+        matrix = ts.random_matrix(500, density=0.2, seed=3)
+
+        def full(read, fh):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(model, "_copy_part", full)
+        with _deadline(20.0), pytest.raises(OSError, match="No space left"):
+            ts.write_triplet_csv(matrix, tmp_path / "bulk.csv")
+        assert len(forks) == 2 and _no_children_left()
 
 
 class TestHashing:
